@@ -45,6 +45,7 @@ from .strategies import (
     RateCurve,
     StrategyCurve,
     TabulatedDiscount,
+    columns_to_csv,
     const_mv_strategy,
     log_mv_strategy,
     nonexp_log_strategy,
@@ -113,8 +114,13 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
-    if "config" in raw and "command" in raw:  # a manifest; unwrap
+    if isinstance(raw, dict) and "config" in raw and "command" in raw:  # a manifest
         raw = raw["config"]
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    for key in ("market", "objective"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"'config.{key}' must be an object")
     # kernel/objective sections carry variant-dependent fields; validate there
     kernel_raw = raw.get("market", {}).pop("kernel", None) if "market" in raw else None
     objective_raw = raw.pop("objective", None)
@@ -231,7 +237,14 @@ def build_objective(cfg: dict):
 
 
 def build_grid(cfg: dict, horizon: float) -> TimeGrid:
-    spy = int(cfg["grid"]["steps_per_year"])
+    value = cfg["grid"]["steps_per_year"]
+    try:
+        spy = int(value)
+        integral = spy == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"grid.steps_per_year must be an integer, got {value!r}")
     if spy < 1:
         raise ConfigError("grid.steps_per_year must be >= 1")
     return TimeGrid.for_horizon(horizon, spy)
@@ -293,10 +306,9 @@ def cmd_hedge_curve(cfg: dict, out_dir: Path) -> int:
     grid = build_grid(cfg, objective.horizon)
     for hurst in cfg["hurst_values"]:
         curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
-        rows = ["t,myopic,hedge,total"]
-        for t, m, h, tot in zip(grid.nodes(), curve.myopic, curve.hedge, curve.total):
-            rows.append(f"{t:.17g},{m:.17g},{h:.17g},{tot:.17g}")
-        _write(out_dir, f"hedge_curve_H{hurst:g}.csv", "\n".join(rows) + "\n")
+        cols = {"t": grid.nodes(), "myopic": curve.myopic, "hedge": curve.hedge,
+                "total": curve.total}
+        _write(out_dir, f"hedge_curve_H{hurst:g}.csv", columns_to_csv(cols))
     _write_manifest(out_dir, "hedge-curve", cfg)
     return 0
 
@@ -382,10 +394,9 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
         )
         outputs.append((p_hat, coef, 1.0 / p_hat))
     p_hat, coef, v1 = outputs[0]
-    rows = ["t,consumption_rate,investment_coefficient,V1"]
-    for t, p, c, v in zip(grid.nodes(), p_hat, coef, v1):
-        rows.append(f"{t:.17g},{p:.17g},{c:.17g},{v:.17g}")
-    _write(out_dir, "nonexp_strategy.csv", "\n".join(rows) + "\n")
+    cols = {"t": grid.nodes(), "consumption_rate": p_hat,
+            "investment_coefficient": coef, "V1": v1}
+    _write(out_dir, "nonexp_strategy.csv", columns_to_csv(cols))
     identical = all(
         np.array_equal(outputs[0][i], outputs[1][i]) for i in range(3)
     )

@@ -77,10 +77,6 @@ class FractionalKernel:
     def hurst(self) -> float:
         return self.alpha - 0.5
 
-    @property
-    def singular(self) -> bool:
-        return self.alpha < 1.0
-
 
 @dataclass(frozen=True)
 class ExponentialKernel:
@@ -548,18 +544,31 @@ def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):
     return a_w, b_w
 
 
+def _march(a_w, b_w, y0: float, node_rule, rect_w=None) -> np.ndarray:
+    """Node loop of every product-integration Volterra solve.
+
+    At node i = 1..n, y[i] = node_rule(i, past) with the product-trapezoidal
+    history past = sum_{m=1..i} a_w[m-1] y[i-m] + sum_{m=2..i} b_w[m-1] y[i-m+1];
+    node_rule owns the weight b_w[0] on y[i].  With rect_w, y[i] =
+    node_rule(i, rect, past) also gets the product-rectangle history
+    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).
+    """
+    n = len(a_w)
+    y = np.empty(n + 1)
+    y[0] = y0
+    for i in range(1, n + 1):
+        hist = y[i - 1 :: -1]
+        past = a_w[:i] @ hist
+        if i >= 2:
+            past += b_w[1:i] @ hist[:-1]
+        y[i] = node_rule(i, past) if rect_w is None else node_rule(i, rect_w[:i] @ hist, past)
+    return y
+
+
 def _vie_solve(lam, a_w, b_w, forcing):
     """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0."""
-    n = len(a_w)
-    x = np.empty(n + 1)
-    x[0] = forcing[0]
-    b1 = b_w[0]
-    for i in range(1, n + 1):
-        past = a_w[:i] @ x[i - 1 :: -1]
-        if i >= 2:
-            past += b_w[1:i] @ x[i - 1 : 0 : -1]
-        x[i] = (forcing[i] - lam * past) / (1.0 + lam * b1)
-    return x
+    denom = 1.0 + lam * b_w[0]
+    return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
 
 
 def _vie_residual(lam, a_w, b_w, forcing, x):
@@ -582,39 +591,20 @@ def discrete_convolution(a_w: np.ndarray, b_w: np.ndarray, x: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 def integrated_resolvent_ratio(spec: Kernel, lam: float, tau: float) -> float:
-    """int_0^tau R_lam(s)/lam ds, continuous in lam at lam = 0.
+    """int_0^tau R_lam(s)/lam ds at one tau; see integrated_resolvent_ratio_curve."""
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    return float(integrated_resolvent_ratio_curve(spec, lam, [tau])[0])
+
+
+def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarray:
+    """int_0^tau R_lam(s)/lam ds over an array of tau >= 0, continuous in lam at 0.
 
     lam = 0 reduces to int_0^tau K.  Fractional kernels use the Mittag-Leffler
     identity (1 - E_{a,1}(-lam c tau^a))/lam; constant and exponential kernels
     integrate their exponential resolvents exactly; sum-of-exponentials falls
-    back to quadrature of the numeric resolvent.
+    back to trapezoid quadrature of the numeric resolvent, solved per tau.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if tau == 0.0:
-        return 0.0
-    if lam == 0.0:
-        return float(kernel_integral(spec, tau))
-
-    if isinstance(spec, FractionalKernel):
-        ml = mittag_leffler(spec.alpha, 1.0, -lam * spec.c * tau**spec.alpha)
-        return (1.0 - ml) / lam
-    if isinstance(spec, ConstantKernel):
-        return float(-np.expm1(-lam * spec.c * tau) / lam)
-    if isinstance(spec, ExponentialKernel):
-        rate = spec.beta + lam * spec.c
-        if rate == 0.0:
-            return spec.c * tau
-        return float(spec.c * (-np.expm1(-rate * tau)) / rate)
-    if isinstance(spec, SumOfExponentialsKernel):
-        n = max(200, int(250 * tau))
-        samples = resolvent_numeric(spec, lam, TimeGrid(0.0, tau, n))
-        return float(np.trapezoid(samples.values, dx=samples.grid.spacing) / lam)
-    raise TypeError(f"unknown kernel variant {type(spec).__name__}")
-
-
-def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarray:
-    """Vectorized integrated_resolvent_ratio over an array of tau >= 0."""
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")
@@ -623,4 +613,17 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     if isinstance(spec, FractionalKernel):
         ml = _ml_array(spec.alpha, 1.0, -lam * spec.c * taus**spec.alpha)
         return (1.0 - ml) / lam
-    return np.array([integrated_resolvent_ratio(spec, lam, t) for t in taus])
+    if isinstance(spec, ConstantKernel):
+        out = -np.expm1(-lam * spec.c * taus) / lam
+    elif isinstance(spec, ExponentialKernel):
+        rate = spec.beta + lam * spec.c
+        out = spec.c * taus if rate == 0.0 else spec.c * (-np.expm1(-rate * taus)) / rate
+    elif isinstance(spec, SumOfExponentialsKernel):
+        out = np.zeros_like(taus)
+        for j in np.flatnonzero(taus):
+            n = max(200, int(250 * taus[j]))
+            samples = resolvent_numeric(spec, lam, TimeGrid(0.0, taus[j], n))
+            out[j] = np.trapezoid(samples.values, dx=samples.grid.spacing) / lam
+    else:
+        raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+    return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs

@@ -94,12 +94,24 @@ class RateCurve:
         return total
 
     def cumulative(self, nodes: np.ndarray) -> np.ndarray:
-        """int_0^{t_i} rate ds for each node."""
-        return np.array([self.integral(0.0, float(t)) for t in nodes])
+        """int_0^{t_i} rate ds for each node t_i >= 0, added up as integral() does."""
+        total = np.zeros(len(nodes))
+        edges = self.times + (math.inf,)
+        for j, r in enumerate(self.rates):
+            hi = np.minimum(nodes, edges[j + 1])
+            total += np.where(hi > edges[j], r * (hi - edges[j]), 0.0)
+        return total
 
     def values_at(self, nodes: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.times), np.asarray(nodes), side="right") - 1
         return np.asarray(self.rates)[np.clip(idx, 0, len(self.rates) - 1)]
+
+
+def _check_finite(spec, *names):
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +126,7 @@ class MarketParams:
     kernel: Kernel
 
     def __post_init__(self):
+        _check_finite(self, "nu0", "kappa", "phi", "sigma", "rho", "theta")
         if self.nu0 < 0:
             raise ValueError("nu0 must be >= 0")
         if self.kappa <= 0 or self.phi <= 0 or self.sigma <= 0:
@@ -205,17 +218,10 @@ class TabulatedDiscount:
         t = np.asarray(self.times)
         v = np.asarray(self.values)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(t) * 0.5 * (v[:-1] + v[1:]))])
-        out = np.where(
-            tau <= t[-1],
-            np.interp(tau, t, cum) - 0.0,
-            cum[-1] + v[-1] * (tau - t[-1]),
-        )
-        # interp of cum is exact only at knots; refine within a segment
-        for i, x in enumerate(tau):
-            if x < t[-1]:
-                j = np.searchsorted(t, x, side="right") - 1
-                hx = np.interp(x, t, v)
-                out[i] = cum[j] + (x - t[j]) * 0.5 * (v[j] + hx)
+        # exact for the piecewise-linear h: knot integral plus a trapezoid
+        j = np.searchsorted(t, tau, side="right") - 1
+        inside = cum[j] + (tau - t[j]) * 0.5 * (v[j] + np.interp(tau, t, v))
+        out = np.where(tau < t[-1], inside, cum[-1] + v[-1] * (tau - t[-1]))
         return out if out.size > 1 else float(out[0])
 
 
@@ -232,6 +238,7 @@ class ConstMVObjective:
     horizon: float
 
     def __post_init__(self):
+        _check_finite(self, "gamma", "horizon")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.horizon <= 0:
@@ -245,6 +252,7 @@ class LogMVObjective:
     delta: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "gamma", "horizon", "delta")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.horizon <= 0:
@@ -259,6 +267,7 @@ class NonExpLogObjective:
     horizon: float
 
     def __post_init__(self):
+        _check_finite(self, "horizon")
         if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
 
@@ -660,14 +669,18 @@ def strategy_columns(curve: StrategyCurve) -> dict[str, np.ndarray]:
     return cols
 
 
-def strategy_to_csv(curve: StrategyCurve) -> str:
-    cols = strategy_columns(curve)
+def columns_to_csv(cols: dict[str, np.ndarray]) -> str:
+    """A header of column names, then one row per index at full precision."""
     buf = io.StringIO()
     buf.write(",".join(cols.keys()) + "\n")
     arrays = list(cols.values())
     for i in range(len(arrays[0])):
         buf.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")
     return buf.getvalue()
+
+
+def strategy_to_csv(curve: StrategyCurve) -> str:
+    return columns_to_csv(strategy_columns(curve))
 
 
 def strategy_to_json(curve: StrategyCurve) -> str:

@@ -29,6 +29,8 @@ from .kernels import (
     discrete_convolution,
     kernel_integral,
     _lag_weights,
+    _march,
+    _vie_solve,
 )
 
 
@@ -143,16 +145,7 @@ def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
         return f.copy()
     i0, i1 = cell_moments(problem.kernel, grid.spacing, grid.n_steps)
     a_w, b_w = _lag_weights(i0, i1, grid.spacing)
-    n = grid.n_steps
-    x = np.empty(n + 1)
-    x[0] = f[0]
-    b1 = b_w[0]
-    for i in range(1, n + 1):
-        past = a_w[:i] @ x[i - 1 :: -1]
-        if i >= 2:
-            past += b_w[1:i] @ x[i - 1 : 0 : -1]
-        x[i] = (f[i] - lam * past) / (1.0 + lam * b1)
-    return x
+    return _vie_solve(lam, a_w, b_w, f)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +171,8 @@ def solve_riccati_volterra(
         guard = config.divergence_factor * abs(negative_root(coeffs))
 
     psi = np.zeros(n + 1)
-    g = np.empty(n + 1)
-    g[0] = coeffs.rhs(0.0)
-    for i in range(1, n + 1):
-        pred = i0[:i] @ g[i - 1 :: -1]
-        past = a_w[:i] @ g[i - 1 :: -1]
-        if i >= 2:
-            past += b_w[1:i] @ g[i - 1 : 0 : -1]
+
+    def pece(i, pred, past):  # the history is of the integrand g = rhs(psi)
         g_new = coeffs.rhs(pred)
         value = past + b1 * g_new
         for _ in range(config.corrector_iterations):
@@ -193,13 +181,15 @@ def solve_riccati_volterra(
             value = past + b1 * g_new
             if config.corrector_tol is not None and abs(value - prev) <= config.corrector_tol:
                 break
-        psi[i] = value
-        g[i] = coeffs.rhs(value)
         if not np.isfinite(value) or abs(value) > guard:
             raise DivergenceError(
                 f"psi diverged at node {i} (t = {i * h:.6g}): "
                 f"|psi| = {abs(value):.3g} exceeds {guard:.3g}"
             )
+        psi[i] = value
+        return coeffs.rhs(value)
+
+    _march(a_w, b_w, coeffs.rhs(0.0), pece, rect_w=i0)
     return PsiSolution(grid=grid, values=psi, coefficients=coeffs, kernel=kernel)
 
 

@@ -198,6 +198,32 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, payload)
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ([1, 2], "config"),
+            ({"market": 5}, "config.market"),
+            ({"market": None}, "config.market"),
+            ({"objective": 5}, "config.objective"),
+            ({"grid": {"steps_per_year": "x"}}, "grid.steps_per_year"),
+            ({"grid": {"steps_per_year": 2.5}}, "grid.steps_per_year"),
+            ({"market": {"nu0": "NaN"}}, "nu0"),
+            ({"market": {"kappa": "NaN"}}, "kappa"),
+            ({"market": {"theta": "Infinity"}}, "theta"),
+            ({"objective": {"variant": "const_mv", "gamma": "NaN", "horizon": 3.0}},
+             "gamma"),
+            ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": "inf"}},
+             "horizon"),
+            ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0,
+                            "delta": "NaN"}}, "delta"),
+        ],
+    )
+    def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
+        cfg = write_config(tmp_path, payload)
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_from_manifest_reproduces_outputs(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1 = tmp_path / "a"

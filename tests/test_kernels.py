@@ -312,11 +312,18 @@ class TestIntegratedResolventRatio:
         assert got == pytest.approx(ref, rel=1e-5)
 
     def test_curve_matches_scalar(self):
-        spec = FractionalKernel(1.0, 0.6)
         taus = np.array([0.0, 0.3, 1.0, 2.5])
-        curve = integrated_resolvent_ratio_curve(spec, 0.3, taus)
-        for t, v in zip(taus, curve):
-            assert v == pytest.approx(integrated_resolvent_ratio(spec, 0.3, t), rel=1e-12, abs=1e-15)
+        for spec in (
+            FractionalKernel(1.0, 0.6),
+            ConstantKernel(0.8),
+            ExponentialKernel(0.5, 1.2),
+            SumOfExponentialsKernel((0.3, 0.5), (0.0, 1.5)),
+        ):
+            for lam in (0.3, 0.0):
+                curve = integrated_resolvent_ratio_curve(spec, lam, taus)
+                for t, v in zip(taus, curve):
+                    scalar = integrated_resolvent_ratio(spec, lam, t)
+                    assert v == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 
 class TestCompleteMonotonicity:

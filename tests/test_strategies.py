@@ -14,6 +14,7 @@ from roughmv import (
     HyperbolicDiscount,
     LogMVObjective,
     MarketParams,
+    NonExpLogObjective,
     RateCurve,
     TabulatedDiscount,
     ThetaCurve,
@@ -68,6 +69,23 @@ class TestMarketValidation:
         with pytest.raises(ValueError):
             MarketParams(0.04, 0.3, 0.04, 0.3, -1.2, 1.5, RateCurve.flat(0.0),
                          FractionalKernel(1.0, 0.6))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        market = study_market(0.1)
+        for name in ("nu0", "kappa", "phi", "sigma", "rho", "theta"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(market, **{name: bad})
+        for make, name in [
+            (lambda: ConstMVObjective(bad, 1.0), "gamma"),
+            (lambda: ConstMVObjective(0.5, bad), "horizon"),
+            (lambda: LogMVObjective(bad, 1.0), "gamma"),
+            (lambda: LogMVObjective(0.5, bad), "horizon"),
+            (lambda: LogMVObjective(0.5, 1.0, bad), "delta"),
+            (lambda: NonExpLogObjective(ExponentialDiscount(0.1), bad), "horizon"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from roughmv import (
     SolverConfig,
     TimeGrid,
     convolve,
+    fit_sum_of_exponentials,
     integrated_resolvent_ratio_curve,
     riccati_bound_curve,
     riccati_bounds,
@@ -199,6 +200,36 @@ class TestRiccatiVolterra:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(corrector_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# Discrete equations, checked through np.convolve rather than the node loop
+# ---------------------------------------------------------------------------
+
+RESIDUAL_KERNELS = [
+    FractionalKernel(1.0, 0.6),
+    FractionalKernel(1.0, 1.0),
+    fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 2.0)[0],
+]
+
+
+class TestDiscreteResidual:
+    @pytest.mark.parametrize("kernel", RESIDUAL_KERNELS, ids=["a0.6", "a1.0", "soe8"])
+    def test_linear_vie(self, kernel):
+        grid = TimeGrid(0.0, 2.0, 400)
+        f = np.cos(3.0 * grid.nodes()) + 0.5
+        x = solve_linear_vie(LinearVieProblem(kernel, 0.3, f, grid))
+        resid = np.max(np.abs(x + 0.3 * convolve(kernel, x, grid) - f))
+        assert resid <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("kernel", RESIDUAL_KERNELS, ids=["a0.6", "a1.0", "soe8"])
+    def test_converged_riccati_fixed_point(self, kernel):
+        grid = TimeGrid(0.0, 2.0, 400)
+        coeffs = RiccatiCoefficients.log_mv(0.3, -0.7, 0.3, 1.5, 0.5)
+        config = SolverConfig(corrector_iterations=100, corrector_tol=1e-16)
+        psi = solve_riccati_volterra(kernel, coeffs, grid, config).values
+        resid = np.max(np.abs(psi - convolve(kernel, coeffs.rhs(psi), grid)))
+        assert resid <= 1e-12 * np.max(np.abs(psi))
 
 
 # ---------------------------------------------------------------------------
