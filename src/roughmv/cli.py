@@ -166,13 +166,13 @@ def build_kernel(spec: dict):
 def build_market(cfg: dict) -> MarketParams:
     m = cfg["market"]
     rate = m["rate"]
-    if isinstance(rate, dict):
-        try:
+    try:
+        if isinstance(rate, dict):
             curve = RateCurve(tuple(rate["times"]), tuple(rate["rates"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad rate curve: {exc}")
-    else:
-        curve = RateCurve.flat(float(rate))
+        else:
+            curve = RateCurve.flat(float(rate))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad market.rate {rate!r}: {exc}")
     try:
         return MarketParams(
             nu0=float(m["nu0"]),

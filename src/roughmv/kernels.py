@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.special import gamma as _gamma, rgamma as _rgamma
 
@@ -267,32 +266,50 @@ _ML_MAX_EXPONENT = 700.0  # exp argument beyond which float64 overflows
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) = sum_n z^n / Gamma(alpha*n + beta) for real z."""
+    return float(_ml_array(alpha, beta, float(z)))
+
+
+def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
+    """E_{alpha,beta} elementwise over a float array z, same shape.
+
+    The branch of every element is decided once for the whole array, and all
+    arguments that need arbitrary precision go to one _ml_series_mp call, so
+    they share its reciprocal-gamma coefficients.
+    """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    if z == 0.0:
-        return float(_rgamma(beta))
-    if z > 0:
-        if z ** (1.0 / alpha) > _ML_MAX_EXPONENT:
-            raise OverflowError(
-                f"E_{{{alpha},{beta}}}({z}) overflows double precision "
-                f"(growth ~ exp(z^(1/alpha)))"
-            )
-        return _ml_series_positive(alpha, beta, z)
-    if z >= _ML_NEG_FLOAT_CUTOFF:
-        return _ml_series_small_negative(alpha, beta, z)
-    if alpha < 1.0 and (-z) ** (1.0 / alpha) >= _ML_ASYMPTOTIC_PEAK:
-        return _ml_asymptotic_negative(alpha, beta, -z)
-    return _ml_series_mp(alpha, beta, z)
+    z_arr = np.asarray(z, dtype=float)
+    zf = z_arr.ravel()
+    finite = np.isfinite(zf)
+    if not finite.all():
+        raise ValueError(f"z must be finite, got {zf[~finite][0]}")
+    out = np.empty(zf.shape)
+    out[zf == 0.0] = _rgamma(beta)
+    pos = zf > 0
+    out[pos] = [_ml_series_positive(alpha, beta, v) for v in zf[pos].tolist()]
+    small = (zf < 0) & (zf >= _ML_NEG_FLOAT_CUTOFF)
+    out[small] = _ml_series_small_negative(alpha, beta, zf[small])
+    far = zf < _ML_NEG_FLOAT_CUTOFF
+    if alpha < 1.0:
+        with np.errstate(over="ignore"):  # inf is past the seam all the same
+            asym = far & (np.abs(zf) ** (1.0 / alpha) >= _ML_ASYMPTOTIC_PEAK)
+        out[asym] = [_ml_asymptotic_negative(alpha, beta, -v) for v in zf[asym].tolist()]
+        far &= ~asym
+    if far.any():
+        out[far] = _ml_series_mp(alpha, beta, zf[far])
+    return out.reshape(z_arr.shape)
 
 
 def _ml_series_positive(alpha, beta, z):
     # All terms positive; work in log space because z^n may overflow long
     # before the Gamma denominator catches up (small alpha, moderate z).
+    if z ** (1.0 / alpha) > _ML_MAX_EXPONENT:
+        raise OverflowError(
+            f"E_{{{alpha},{beta}}}({z}) overflows double precision "
+            f"(growth ~ exp(z^(1/alpha)))"
+        )
     log_z = math.log(z)
     n_peak = z ** (1.0 / alpha) / alpha
     total = 0.0
@@ -308,46 +325,86 @@ def _ml_series_positive(alpha, beta, z):
 
 
 def _ml_series_small_negative(alpha, beta, z):
-    total = 0.0
+    # Plain float series over an array z in [-1.5, 0); every element stops
+    # adding terms at its own convergence, as a scalar loop would.
+    total = np.zeros_like(z)
+    power = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     term_arg = beta
-    power = 1.0
     for _ in range(10_000):
         term = power * _rgamma(term_arg)
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1.0) and term_arg > alpha + beta:
-            return total
+        total = np.where(live, total + term, total)
+        if term_arg > alpha + beta:
+            live &= np.abs(term) >= 1e-18 * np.maximum(np.abs(total), 1.0)
+            if not live.any():
+                return total
         power *= z
         term_arg += alpha
-    raise RuntimeError(f"Mittag-Leffler series failed to converge for z={z}")
+    raise RuntimeError(f"Mittag-Leffler series failed to converge for z={z[live][0]}")
 
 
 def _ml_series_mp(alpha, beta, z):
-    # Cancellation amplifies the worst term exp(|z|^(1/alpha)); add that many
-    # decimal digits of working precision so the float64 result is exact.
-    # The gamma argument alpha*n + beta must be formed at working precision:
-    # in float64 its rounding error alone corrupts the cancellation.
-    peak = abs(z) ** (1.0 / alpha)
+    """Series for z < -1 (float or array, same shape back) in arbitrary precision.
+
+    Cancellation amplifies the worst term exp(|z|^(1/alpha)); the working
+    precision carries that many decimal digits plus 35, set by the most
+    negative argument so no element gets less than it would alone.  The
+    coefficients 1/Gamma(alpha*n + beta) do not depend on z: each is computed
+    once, with alpha*n + beta formed at working precision (in float64 its
+    rounding error alone corrupts the cancellation).  Every argument's series
+    is then summed forward in Python-int fixed point: x^n is kept to `prec`
+    significant bits, each coefficient as an mpf mantissa of `prec` bits, and
+    their product is shifted onto one accumulator scale.  A coefficient stored
+    at a fixed absolute scale instead would need len(coeffs) * log2(max|z|)
+    more bits, its absolute error being multiplied by |z|^n; Horner's scheme
+    in fixed point is unstable for |z| > 1.
+    """
+    import mpmath
+    from mpmath.libmp import to_man_exp
+
+    z_arr = np.asarray(z, dtype=float)
+    order = np.argsort(z_arr.ravel())  # most negative first
+    x = -z_arr.ravel()[order]
+    peak = float(x[0]) ** (1.0 / alpha)
     extra = int(0.4343 * peak) + 15
     if extra > 10_000:
         raise ValueError(
-            f"z={z} too negative for series evaluation at alpha={alpha}"
+            f"z={-x[0]} too negative for series evaluation at alpha={alpha}"
         )
+    # an argument sums terms while n is before its peak term or the term is
+    # above 2^-bits, bits being the 35 + 0.4343 * peak digits it would get
+    # alone; both tests are monotone in x, so the arguments still summing
+    # are a prefix of x
+    peaks = x ** (1.0 / alpha)
+    n_peak = peaks / alpha + 5.0
+    floor_log2 = -3.33 * (35.0 + 0.4343 * peaks)
+    log2_x = np.log2(x)
+    # x * 2^52 as Python ints; exact because x >= 1 has no bits below 2^-52
+    x_fixed = np.array([int(v) for v in (x * 2.0**52).tolist()], dtype=object)
     with mpmath.workdps(20 + extra):
+        prec = mpmath.mp.prec
         ma = mpmath.mpf(alpha)
         mb = mpmath.mpf(beta)
-        mz = mpmath.mpf(z)
-        cutoff = mpmath.mpf(10) ** (-(extra + 10))
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        n = 0
-        while n < 200_000:
-            term = power / mpmath.gamma(ma * n + mb)
-            total += term
-            power *= mz
-            n += 1
-            if n > peak / alpha + 5 and abs(term) <= abs(total) * cutoff:
-                return float(total)
-        raise RuntimeError(f"Mittag-Leffler series failed to converge for z={z}")
+        power = np.full(x.shape, 1 << prec, dtype=object)  # x^n * 2^prec
+        acc = np.zeros(x.shape, dtype=object)  # sum * 2^(prec + 16)
+        live = len(x)
+        for n in range(200_000):
+            man, exp = to_man_exp(mpmath.rgamma(ma * n + mb)._mpf_)  # rgamma > 0 here
+            terms = power[:live] * (-man if n & 1 else man)
+            shift = exp + 16  # mantissa * 2^exp * 2^-prec * 2^(prec + 16)
+            acc[:live] += terms << shift if shift >= 0 else terms >> -shift
+            power[:live] = (power[:live] * x_fixed[:live]) >> 52
+            log2_term = (n + 1) * log2_x[:live] + exp + man.bit_length()  # >= term n+1
+            needed = (n + 1 <= n_peak[:live]) | (log2_term > floor_log2[:live])
+            if not needed.any():
+                break
+            live = int(np.flatnonzero(needed)[-1]) + 1
+        else:
+            raise RuntimeError(f"Mittag-Leffler series failed to converge for z={-x[0]}")
+    out = np.empty(x.shape)
+    out[order] = (acc / (1 << (prec + 16))).astype(float)  # int / int rounds correctly
+    out = out.reshape(z_arr.shape)
+    return out if out.ndim else float(out)
 
 
 def _ml_asymptotic_negative(alpha, beta, x):
@@ -381,13 +438,6 @@ def _ml_asymptotic_negative(alpha, beta, x):
         total += term
         sign = -sign
     return total
-
-
-def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
-    z_arr = np.asarray(z, dtype=float)
-    flat = [mittag_leffler(alpha, beta, v) for v in np.atleast_1d(z_arr)]
-    out = np.array(flat).reshape(z_arr.shape)
-    return out
 
 
 # ---------------------------------------------------------------------------

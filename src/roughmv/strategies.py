@@ -67,6 +67,9 @@ class RateCurve:
         r = tuple(float(x) for x in self.rates)
         if len(t) != len(r) or len(t) < 1:
             raise ValueError("times and rates must have equal length >= 1")
+        for name, values in (("times", t), ("rates", r)):
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"rate curve {name} must be finite, got {values}")
         if t[0] != 0.0:
             raise ValueError("rate curve must start at time 0")
         if any(b <= a for a, b in zip(t, t[1:])):

@@ -216,6 +216,15 @@ class TestConfigHandling:
              "horizon"),
             ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0,
                             "delta": "NaN"}}, "delta"),
+            ({"market": {"rate": "x"}}, "market.rate"),
+            ({"market": {"rate": [1, "x"]}}, "market.rate"),
+            ({"market": {"rate": {"times": 5, "rates": [0]}}}, "market.rate"),
+            ({"market": {"rate": {"times": [0.0]}}}, "market.rate"),
+            ({"market": {"rate": "NaN"}}, "market.rate"),
+            ({"market": {"rate": {"times": [0.0, "Infinity"], "rates": [0.01, 0.02]}}},
+             "times must be finite"),
+            ({"market": {"rate": {"times": [0.0], "rates": ["NaN"]}}},
+             "rates must be finite"),
         ],
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):

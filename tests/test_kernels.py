@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from roughmv import (
     resolvent_closed_form,
     resolvent_numeric,
 )
+from roughmv.kernels import _ml_array
 from oracles import convolution_identity_residual, ml_reference
 
 TABLE_VARIANTS = [
@@ -155,6 +160,76 @@ class TestMittagLeffler:
     def test_negative_tail_asymptotics(self, alpha, x):
         got = mittag_leffler(alpha, 1.0, -x)
         assert abs(got * math.gamma(1.0 - alpha) * x - 1.0) <= 0.05
+
+
+class TestMittagLefflerArray:
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.8, 1.0])
+    @pytest.mark.parametrize("beta_is_alpha", [False, True])
+    def test_dense_sweep_across_branch_seams(self, alpha, beta_is_alpha):
+        beta = alpha if beta_is_alpha else 1.0
+        seam = 38.0**alpha  # |z| where alpha < 1 switches to the asymptotic branch
+        z = np.concatenate([
+            np.linspace(-1.7, -1.3, 17),
+            [np.nextafter(-1.5, -2.0), -1.5, np.nextafter(-1.5, 0.0)],
+            -seam * np.linspace(0.97, 1.03, 17),
+            [np.nextafter(-seam, -np.inf), -seam, np.nextafter(-seam, 0.0)],
+            np.linspace(-4.0, 2.0, 13),
+        ])
+        got = _ml_array(alpha, beta, z)
+        ref = np.array([ml_reference(alpha, beta, v) for v in z])
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
+        scalar = np.array([mittag_leffler(alpha, beta, v) for v in z])
+        np.testing.assert_allclose(got, scalar, rtol=1e-14, atol=0.0)
+
+    def test_shape_is_kept(self):
+        z = np.array([[-3.0, -0.5], [0.0, 1.0]])
+        got = _ml_array(0.6, 1.0, z)
+        assert got.shape == z.shape
+        assert got[1, 0] == pytest.approx(1.0)
+        assert _ml_array(0.6, 1.0, -3.0).shape == ()
+
+    def test_nan_anywhere_raises(self):
+        for i in range(5):
+            z = np.array([-40.0, -3.0, -0.5, 0.0, 1.0])
+            z[i] = math.nan
+            with pytest.raises(ValueError, match="finite"):
+                _ml_array(0.6, 1.0, z)
+
+    def test_overflowing_positive_entry_raises(self):
+        with pytest.raises(OverflowError):
+            _ml_array(0.55, 1.0, np.array([-40.0, -3.0, 0.5, 50.0]))
+
+    def test_mp_coefficients_are_shared_across_a_curve(self, monkeypatch):
+        # the T = 10 curve of configs/simulation_comparison.json: H = 0.1,
+        # lam = kappa + rho sigma theta, 2500 steps; most of its 2501 nodes
+        # take the arbitrary-precision branch, which must compute one set of
+        # reciprocal gammas for all of them, not one per node
+        import mpmath
+
+        calls = []
+        for name in ("gamma", "rgamma"):
+            fn = getattr(mpmath, name)
+            monkeypatch.setattr(mpmath, name,
+                                lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+        lam = 1.0 + 0.7 * 0.3 * 1.5
+        taus = 10.0 - np.linspace(0.0, 10.0, 2501)
+        kernel = FractionalKernel.from_hurst(0.1)
+        integrated_resolvent_ratio_curve(kernel, lam, taus)
+        mp_nodes = np.sum(-lam * taus**kernel.alpha < -1.5)
+        assert mp_nodes > 2000
+        assert 0 < len(calls) <= 300
+
+
+def test_importing_roughmv_leaves_mpmath_unloaded():
+    # commands that never reach the arbitrary-precision branch do not load
+    # mpmath; run in a fresh interpreter because the oracles import it here
+    import roughmv
+
+    src = str(Path(roughmv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, roughmv.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
