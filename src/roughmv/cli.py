@@ -13,9 +13,11 @@ command and reproduces the data files byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +30,12 @@ from .kernels import (
     TimeGrid,
 )
 from .montecarlo import (
+    PATH_BLOCK,
+    PATHS_CSV_HEADER,
     EulerConvolution,
     LiftedFactors,
-    bundle_to_csv,
+    SimScheme,
+    bundle_csv_rows,
     simulate_variance,
     simulate_wealth,
     terminal_stats,
@@ -209,7 +214,7 @@ def build_discount(spec: dict):
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad discount spec {spec}: {exc}")
+        raise ConfigError(f"bad objective.discount {spec}: {exc}")
 
 
 def build_objective(cfg: dict):
@@ -236,27 +241,50 @@ def build_objective(cfg: dict):
         raise ConfigError(f"bad objective spec {o}: {exc}")
 
 
-def build_grid(cfg: dict, horizon: float) -> TimeGrid:
-    value = cfg["grid"]["steps_per_year"]
+def _integer(value, name: str, minimum: int) -> int:
     try:
-        spy = int(value)
-        integral = spy == float(value)
+        number = int(value)
+        integral = not isinstance(value, bool) and number == float(value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise ConfigError(f"grid.steps_per_year must be an integer, got {value!r}")
-    if spy < 1:
-        raise ConfigError("grid.steps_per_year must be >= 1")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
+def build_grid(cfg: dict, horizon: float) -> TimeGrid:
+    spy = _integer(cfg["grid"]["steps_per_year"], "grid.steps_per_year", 1)
     return TimeGrid.for_horizon(horizon, spy)
 
 
-def build_scheme(cfg: dict):
+class SimSettings(NamedTuple):
+    scheme: SimScheme
+    n_paths: int
+    seed: int
+    write_paths: bool
+
+
+def build_sim(cfg: dict) -> SimSettings:
+    """The validated sim section; every field is checked whatever the scheme."""
     s = cfg["sim"]
+    n_paths = _integer(s["n_paths"], "sim.n_paths", 2)  # a sample variance needs 2
+    seed = _integer(s["seed"], "sim.seed", 0)
+    n_factors = _integer(s["n_factors"], "sim.n_factors", 1)
+    try:
+        lifted = LiftedFactors(n_factors, float(s["rate_spread"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sim.rate_spread {s['rate_spread']!r}: {exc}")
+    if not isinstance(s["write_paths"], bool):
+        raise ConfigError(f"sim.write_paths must be true or false, got {s['write_paths']!r}")
     if s["scheme"] == "lifted":
-        return LiftedFactors(int(s["n_factors"]), float(s["rate_spread"]))
-    if s["scheme"] == "euler_convolution":
-        return EulerConvolution()
-    raise ConfigError(f"unknown sim scheme '{s['scheme']}'")
+        scheme = lifted
+    elif s["scheme"] == "euler_convolution":
+        scheme = EulerConvolution()
+    else:
+        raise ConfigError(f"unknown sim.scheme {s['scheme']!r}")
+    return SimSettings(scheme, n_paths, seed, s["write_paths"])
 
 
 def _with_hurst(market: MarketParams, hurst: float) -> MarketParams:
@@ -274,6 +302,21 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     path = out_dir / name
     path.write_text(text)
     return path
+
+
+@contextlib.contextmanager
+def _streamed(out_dir: Path, name: str):
+    """A text file written as <name>.part and renamed to <name> when the block
+    exits cleanly; on an error the partial file is removed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    part = out_dir / f"{name}.part"
+    try:
+        with part.open("w") as fh:
+            yield fh
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(out_dir / name)
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict):
@@ -343,11 +386,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     market = build_market(cfg)
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
-    scheme = build_scheme(cfg)
-    seed = int(cfg["sim"]["seed"])
-    n_paths = int(cfg["sim"]["n_paths"])
+    sim = build_sim(cfg)
 
-    bundle = simulate_variance(market, scheme, grid, n_paths, seed)
     consumption = None
     if isinstance(objective, NonExpLogObjective):
         p_hat, coef = nonexp_log_strategy(
@@ -359,8 +399,25 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         consumption = p_hat
     else:
         strategy = _strategy_for(market, objective, grid)
-    bundle = simulate_wealth(bundle, market, strategy, objective, 1.0, consumption)
-    stats = terminal_stats(bundle)
+
+    # Blocks of PATH_BLOCK paths: memory is O(block x steps) whatever n_paths,
+    # and path i depends on (seed, i) only, so the outputs do not depend on it.
+    terminal = np.empty(sim.n_paths)
+    write_paths = sim.write_paths and "csv" in cfg["output"]["formats"]
+    sink = _streamed(out_dir, "paths.csv") if write_paths else contextlib.nullcontext()
+    with sink as paths_csv:
+        if paths_csv is not None:
+            paths_csv.write(PATHS_CSV_HEADER)
+        for lo in range(0, sim.n_paths, PATH_BLOCK):
+            block = range(lo, min(lo + PATH_BLOCK, sim.n_paths))
+            bundle = simulate_variance(market, sim.scheme, grid, block, sim.seed)
+            bundle = simulate_wealth(bundle, market, strategy, objective, 1.0, consumption)
+            terminal[lo : block.stop] = bundle.wealth[:, -1]
+            if paths_csv is not None:
+                paths_csv.writelines(bundle_csv_rows(bundle))
+            fit_error = bundle.metadata.get("kernel_fit_l2_error")
+            del bundle  # free this block's paths before the next block is drawn
+        stats = terminal_stats(terminal)
     payload = {
         "mean": stats.mean,
         "variance": stats.variance,
@@ -369,11 +426,9 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
             "bin_edges": list(map(float, stats.histogram[0])),
             "counts": list(map(int, stats.histogram[1])),
         },
-        "kernel_fit_l2_error": bundle.metadata.get("kernel_fit_l2_error"),
+        "kernel_fit_l2_error": fit_error,
     }
     _write(out_dir, "terminal_stats.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    if cfg["sim"]["write_paths"] and "csv" in cfg["output"]["formats"]:
-        _write(out_dir, "paths.csv", bundle_to_csv(bundle))
     _write_manifest(out_dir, "simulate", cfg)
     return 0
 
@@ -472,6 +527,7 @@ def main(argv=None) -> int:
             cfg["grid"]["steps_per_year"] = args.steps_per_year
         if args.paths is not None:
             cfg["sim"]["n_paths"] = args.paths
+        build_sim(cfg)  # every manifest records the sim section, so check it always
         out_dir = Path(cfg["output"]["directory"])
         return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
@@ -479,6 +535,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OverflowError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -133,6 +133,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(
+                f"grid bounds must be finite, got [{self.t_start}, {self.t_end}]"
+            )
         if not self.t_end > self.t_start:
             raise ValueError("grid must be strictly increasing")
 

@@ -16,16 +16,21 @@ Two variance schemes:
 Negative variance is handled by full truncation: updates read the stored
 max(nu, 0) and nu is stored post-truncation, so every sample is >= 0.
 
-Reproducibility: each path draws from its own SeedSequence-spawned substream,
-so path i depends only on (seed, i), never on n_paths, and reductions use
-fixed-order einsum sums rather than shape-dependent BLAS kernels.
+Reproducibility: path i draws from its own substream
+SeedSequence(seed, spawn_key=(i,)), so it depends only on (seed, i), never on
+which paths are simulated with it, and reductions use fixed-order einsum sums
+rather than shape-dependent BLAS kernels.  A range of path indices can
+therefore be simulated in blocks of PATH_BLOCK paths, which gives the rows of
+one call over the whole range bit for bit with memory O(block x steps).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
+import functools
+import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +54,10 @@ from .strategies import (
 )
 
 
+# Paths per block when a command streams a simulation (see cli.cmd_simulate).
+PATH_BLOCK = 1024
+
+
 class ResourceLimitError(RuntimeError):
     """Simulation would exceed the configured memory budget."""
 
@@ -66,8 +75,8 @@ class LiftedFactors:
     def __post_init__(self):
         if self.n_factors < 1:
             raise ValueError("n_factors must be >= 1")
-        if self.rate_spread <= 0:
-            raise ValueError("rate_spread must be > 0")
+        if not (math.isfinite(self.rate_spread) and self.rate_spread > 0):
+            raise ValueError(f"rate_spread must be finite and > 0, got {self.rate_spread}")
 
 
 SimScheme = EulerConvolution | LiftedFactors
@@ -84,6 +93,7 @@ class PathBundle:
     wealth: np.ndarray | None = None
     log_wealth: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    paths: range | None = None     # global index of each row; None: range(n_paths)
 
     @property
     def n_paths(self) -> int:
@@ -148,10 +158,14 @@ def fit_sum_of_exponentials(
     return approx, float(np.sqrt(num / den))
 
 
+@functools.lru_cache(maxsize=8)
 def _as_factor_kernel(
     kernel: Kernel, scheme: LiftedFactors, horizon: float
 ) -> tuple[SumOfExponentialsKernel, float, float]:
-    """(factor kernel, relative L2 fit error, int (K - Khat)^2 dt)."""
+    """(factor kernel, relative L2 fit error, int (K - Khat)^2 dt).
+
+    Memoised: a command simulating in blocks asks for the same fit per block.
+    """
     if isinstance(kernel, SumOfExponentialsKernel):
         return kernel, 0.0, 0.0
     if isinstance(kernel, ConstantKernel):
@@ -170,19 +184,37 @@ def _as_factor_kernel(
 # Variance simulation
 # ---------------------------------------------------------------------------
 
-def _draw_increments(market: MarketParams, grid: TimeGrid, n_paths: int, seed: int):
-    h = grid.spacing
+def _path_range(paths: int | range) -> range:
+    if isinstance(paths, range):
+        ids = paths
+    elif isinstance(paths, (int, np.integer)) and not isinstance(paths, bool):
+        ids = range(int(paths))
+    else:
+        raise TypeError(f"paths must be an int or a range, got {type(paths).__name__}")
+    if len(ids) < 1:
+        raise ValueError("paths must hold at least one path")
+    if min(ids) < 0:
+        raise ValueError("path indices must be >= 0")
+    return ids
+
+
+def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: int):
+    """Path-major (dW1, dB); row k draws from SeedSequence(seed, spawn_key=(paths[k],)),
+    the stream SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k]."""
     n = grid.n_steps
-    dW1 = np.empty((n_paths, n))
-    dW2 = np.empty((n_paths, n))
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    sqrt_h = np.sqrt(h)
-    for i in range(n_paths):
-        z = np.random.default_rng(children[i]).standard_normal((2, n))
-        dW1[i] = sqrt_h * z[0]
-        dW2[i] = sqrt_h * z[1]
+    dW1 = np.empty((len(paths), n))
+    dB = np.empty((len(paths), n))
+    for k, i in enumerate(paths):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rng.standard_normal(out=dW1[k])
+        rng.standard_normal(out=dB[k])
+    sqrt_h = np.sqrt(grid.spacing)
     rho = market.rho
-    dB = rho * dW1 + np.sqrt(1.0 - rho**2) * dW2
+    dW1 *= sqrt_h
+    # dB = rho dW1 + sqrt(1 - rho^2) dW2, with every product rounded as written
+    dB *= sqrt_h
+    dB *= np.sqrt(1.0 - rho**2)
+    dB += rho * dW1
     return dW1, dB
 
 
@@ -190,64 +222,63 @@ def simulate_variance(
     market: MarketParams,
     scheme: SimScheme,
     grid: TimeGrid,
-    n_paths: int,
+    paths: int | range,
     seed: int,
-    chunk_size: int = 1024,
     max_elements: int = 150_000_000,
 ) -> PathBundle:
-    """Simulate variance paths; Brownian increments are retained in the bundle
-    so wealth can be coupled to the same shocks afterwards."""
+    """Simulate the variance of the paths with indices `paths` (an int n means
+    range(n)); Brownian increments are retained in the bundle so wealth can be
+    coupled to the same shocks afterwards.
+
+    Row k of the result is path paths[k], a function of (seed, paths[k]) only,
+    so the rows of range(a, b) equal rows a:b of one call over range(b).
+    """
     if grid.t_start != 0.0:
         raise ValueError("simulation grid must start at t = 0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    paths = _path_range(paths)
     n = grid.n_steps
-    if 4 * n_paths * (n + 1) > max_elements:
+    if 4 * len(paths) * (n + 1) > max_elements:
         raise ResourceLimitError(
-            f"{n_paths} paths x {n + 1} nodes exceeds the memory budget of "
+            f"{len(paths)} paths x {n + 1} nodes exceeds the memory budget of "
             f"{max_elements} array elements; simulate in smaller chunks or "
             f"raise max_elements"
         )
 
-    dW1, dB = _draw_increments(market, grid, n_paths, seed)
-    variance = np.empty((n_paths, n + 1))
-    variance[:, 0] = market.nu0
+    dW1, dB = _draw_increments(market, grid, paths, seed)
+    nu = np.empty((n + 1, len(paths)))  # time-major: each step writes one row
+    nu[0] = market.nu0
     metadata: dict = {}
 
     if isinstance(scheme, EulerConvolution):
         kern_lag = kernel_eval(market.kernel, grid.spacing * np.arange(1, n + 1))
-        for lo in range(0, n_paths, chunk_size):
-            hi = min(lo + chunk_size, n_paths)
-            _euler_convolution_chunk(
-                market, grid, kern_lag, variance[lo:hi], dB[lo:hi]
-            )
+        _euler_convolution_chunk(market, grid, kern_lag, nu.T, dB)
     elif isinstance(scheme, LiftedFactors):
         factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
         metadata["kernel_fit_l2_error"] = fit_err
         metadata["kernel_fit_sq_integral"] = fit_sq
         metadata["n_factors"] = factors.n_factors
-        for lo in range(0, n_paths, chunk_size):
-            hi = min(lo + chunk_size, n_paths)
-            _lifted_chunk(market, grid, factors, variance[lo:hi], dB[lo:hi])
+        _lifted_chunk(market, grid, factors, nu, np.ascontiguousarray(dB.T))
     else:
         raise TypeError(f"unknown scheme {type(scheme).__name__}")
 
     return PathBundle(
         grid=grid,
-        variance=variance,
+        variance=nu.T,
         dW1=dW1,
         dB=dB,
         seed=int(seed),
         scheme=scheme,
         metadata=metadata,
+        paths=paths,
     )
 
 
 def _euler_convolution_chunk(market, grid, kern_lag, nu, dB):
+    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major."""
     h = grid.spacing
     n = grid.n_steps
     kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
-    shocks = np.empty_like(dB)
+    shocks = np.empty(dB.shape)  # C order: the lag sum runs along each path's row
     shocks[:, 0] = kap * (phi - nu[:, 0]) * h + sig * np.sqrt(nu[:, 0]) * dB[:, 0]
     for i in range(1, n + 1):
         conv = np.einsum("pj,j->p", shocks[:, :i], kern_lag[i - 1 :: -1])
@@ -257,17 +288,19 @@ def _euler_convolution_chunk(market, grid, kern_lag, nu, dB):
 
 
 def _lifted_chunk(market, grid, factors, nu, dB):
+    """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major and contiguous."""
     h = grid.spacing
     n = grid.n_steps
     kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
     w = np.asarray(factors.weights)
     x = np.asarray(factors.rates)
     scale = np.exp(-x * h)
-    u = np.zeros((nu.shape[0], len(w)))
+    u = np.zeros((nu.shape[1], len(w)))  # path-major, so the einsum sums in factor order
     for i in range(n):
-        dz = kap * (phi - nu[:, i]) * h + sig * np.sqrt(nu[:, i]) * dB[:, i]
-        u = scale[None, :] * (u + dz[:, None])
-        nu[:, i + 1] = np.maximum(nu0 + np.einsum("pm,m->p", u, w), 0.0)
+        dz = kap * (phi - nu[i]) * h + sig * np.sqrt(nu[i]) * dB[i]
+        u += dz[:, None]
+        u *= scale
+        np.maximum(nu0 + np.einsum("pm,m->p", u, w), 0.0, out=nu[i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +321,8 @@ def simulate_wealth(
     u_t = total(t) sqrt(nu_t); log-MV and the consumption problem integrate
     log-wealth with proportion pi_t = total(t) (times nu^((delta-1)/(2 delta))
     when delta != 1, resp. total(t) sqrt(nu_t) for the consumption problem).
+    The march runs over time-major copies; the paths come back as
+    (n_paths, n_nodes) views of them.
     """
     if x0 <= 0:
         raise ValueError("x0 must be > 0")
@@ -298,37 +333,33 @@ def simulate_wealth(
         raise ValueError("strategy grid does not match the simulation grid")
     h = bundle.grid.spacing
     n = bundle.grid.n_steps
-    nu = bundle.variance
-    dW1 = bundle.dW1
+    nu = np.ascontiguousarray(bundle.variance.T)
+    dW1 = np.ascontiguousarray(bundle.dW1.T)
     coef = strategy.total
     rates = market.rate_curve.values_at(nodes)
 
     if isinstance(objective, ConstMVObjective):
         th = market.theta
-        wealth = np.empty_like(nu)
-        wealth[:, 0] = x0
+        wealth = np.empty(nu.shape)
+        wealth[0] = x0
         for i in range(n):
-            drift = rates[i] * wealth[:, i] + th * nu[:, i] * coef[i]
-            wealth[:, i + 1] = (
-                wealth[:, i] + drift * h + coef[i] * np.sqrt(nu[:, i]) * dW1[:, i]
-            )
-        return dataclasses.replace(bundle, wealth=wealth)
+            drift = rates[i] * wealth[i] + th * nu[i] * coef[i]
+            wealth[i + 1] = wealth[i] + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
+        return dataclasses.replace(bundle, wealth=wealth.T)
 
     if isinstance(objective, LogMVObjective):
         th = market.theta
         expo = (objective.delta - 1.0) / (2.0 * objective.delta)
-        log_w = np.empty_like(nu)
-        log_w[:, 0] = np.log(x0)
+        log_w = np.empty(nu.shape)
+        log_w[0] = np.log(x0)
         for i in range(n):
             if expo == 0.0:
-                pi = np.full(nu.shape[0], coef[i])
+                pi = np.full(nu.shape[1], coef[i])
             else:
-                pi = coef[i] * np.maximum(nu[:, i], 1e-300) ** expo
-            drift = rates[i] + th * nu[:, i] * pi - 0.5 * pi**2 * nu[:, i]
-            log_w[:, i + 1] = (
-                log_w[:, i] + drift * h + pi * np.sqrt(nu[:, i]) * dW1[:, i]
-            )
-        return dataclasses.replace(bundle, log_wealth=log_w, wealth=np.exp(log_w))
+                pi = coef[i] * np.maximum(nu[i], 1e-300) ** expo
+            drift = rates[i] + th * nu[i] * pi - 0.5 * pi**2 * nu[i]
+            log_w[i + 1] = log_w[i] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
+        return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
 
     if isinstance(objective, NonExpLogObjective):
         if consumption is None:
@@ -336,18 +367,16 @@ def simulate_wealth(
         if consumption.shape != nodes.shape:
             raise ValueError("consumption curve does not match the grid")
         th = market.theta
-        log_w = np.empty_like(nu)
-        log_w[:, 0] = np.log(x0)
+        log_w = np.empty(nu.shape)
+        log_w[0] = np.log(x0)
         for i in range(n):
             drift = (
                 rates[i]
                 - consumption[i]
-                + (th * coef[i] - 0.5 * coef[i] ** 2) * nu[:, i]
+                + (th * coef[i] - 0.5 * coef[i] ** 2) * nu[i]
             )
-            log_w[:, i + 1] = (
-                log_w[:, i] + drift * h + coef[i] * np.sqrt(nu[:, i]) * dW1[:, i]
-            )
-        return dataclasses.replace(bundle, log_wealth=log_w, wealth=np.exp(log_w))
+            log_w[i + 1] = log_w[i] + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
+        return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
 
     raise TypeError(f"unknown objective {type(objective).__name__}")
 
@@ -356,10 +385,14 @@ def simulate_wealth(
 # Statistics and exports
 # ---------------------------------------------------------------------------
 
-def terminal_stats(bundle: PathBundle, n_bins: int = 50) -> TerminalStats:
-    if bundle.wealth is None:
-        raise ValueError("bundle has no wealth paths; run simulate_wealth first")
-    x = bundle.wealth[:, -1]
+def terminal_stats(terminal: PathBundle | np.ndarray, n_bins: int = 50) -> TerminalStats:
+    """Mean, unbiased variance and histogram of terminal wealth, given as a
+    bundle with wealth paths or as the vector of terminal values."""
+    if isinstance(terminal, PathBundle):
+        if terminal.wealth is None:
+            raise ValueError("bundle has no wealth paths; run simulate_wealth first")
+        terminal = terminal.wealth[:, -1]
+    x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")
     edges = np.histogram_bin_edges(x, bins=n_bins, range=(x.min(), x.max()))
@@ -372,17 +405,32 @@ def terminal_stats(bundle: PathBundle, n_bins: int = 50) -> TerminalStats:
     )
 
 
+PATHS_CSV_HEADER = "path_id,t,nu,wealth\n"
+
+
+def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
+    """The rows of the bundle's paths in paths.csv, one string per path.
+
+    Each row is path_id,t,nu,wealth at full precision (wealth empty when the
+    bundle has none), with the path's global index as path_id.
+    """
+    has_wealth = bundle.wealth is not None
+    cell = ",%.17g,%.17g\n" if has_wealth else ",%.17g,\n"
+    # one template per path: the node times are formatted once
+    template = "".join(f"%d,{t:.17g}{cell}" for t in bundle.grid.nodes().tolist())
+    columns = [bundle.variance, bundle.wealth] if has_wealth else [bundle.variance]
+    cells = np.empty(bundle.variance.shape + (1 + len(columns),))
+    for j, col in enumerate(columns, start=1):
+        cells[:, :, j] = col
+    ids = bundle.paths if bundle.paths is not None else range(bundle.n_paths)
+    for k, path_id in enumerate(ids):
+        cells[k, :, 0] = path_id
+        yield template % tuple(cells[k].ravel().tolist())
+
+
 def bundle_to_csv(bundle: PathBundle) -> str:
-    """Columnar dump: one row per (path, node) with path_id,t,nu,wealth."""
-    nodes = bundle.grid.nodes()
-    buf = io.StringIO()
-    buf.write("path_id,t,nu,wealth\n")
-    wealth = bundle.wealth
-    for p in range(bundle.n_paths):
-        for j, t in enumerate(nodes):
-            w = "" if wealth is None else f"{wealth[p, j]:.17g}"
-            buf.write(f"{p},{t:.17g},{bundle.variance[p, j]:.17g},{w}\n")
-    return buf.getvalue()
+    """Columnar dump: a header, then one row per (path, node) with path_id,t,nu,wealth."""
+    return PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
 
 
 _BINARY_MAGIC = b"RMVP"

@@ -27,7 +27,6 @@ simulator.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -149,6 +148,7 @@ class ExponentialDiscount:
     rate: float
 
     def __post_init__(self):
+        _check_finite(self, "rate")
         if self.rate < 0:
             raise ValueError("discount rate must be >= 0")
 
@@ -172,6 +172,7 @@ class HyperbolicDiscount:
     b: float
 
     def __post_init__(self):
+        _check_finite(self, "a", "b")
         if self.a <= 0 or self.b <= 0:
             raise ValueError("hyperbolic discount needs a > 0 and b > 0")
 
@@ -199,6 +200,9 @@ class TabulatedDiscount:
         v = tuple(float(x) for x in self.values)
         if len(t) != len(v) or len(t) < 2:
             raise ValueError("need at least two samples")
+        for name, samples in (("times", t), ("values", v)):
+            if not all(math.isfinite(x) for x in samples):
+                raise ValueError(f"tabulated discount {name} must be finite, got {samples}")
         if t[0] != 0.0:
             raise ValueError("tabulated discount must start at s = 0")
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -674,12 +678,9 @@ def strategy_columns(curve: StrategyCurve) -> dict[str, np.ndarray]:
 
 def columns_to_csv(cols: dict[str, np.ndarray]) -> str:
     """A header of column names, then one row per index at full precision."""
-    buf = io.StringIO()
-    buf.write(",".join(cols.keys()) + "\n")
-    arrays = list(cols.values())
-    for i in range(len(arrays[0])):
-        buf.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    columns = [np.asarray(a).tolist() for a in cols.values()]
+    return ",".join(cols.keys()) + "\n" + "".join(map(row.__mod__, zip(*columns)))
 
 
 def strategy_to_csv(curve: StrategyCurve) -> str:
@@ -688,6 +689,6 @@ def strategy_to_csv(curve: StrategyCurve) -> str:
 
 def strategy_to_json(curve: StrategyCurve) -> str:
     cols = strategy_columns(curve)
-    payload = {k: list(map(float, v)) for k, v in cols.items()}
+    payload = {k: np.asarray(v, dtype=float).tolist() for k, v in cols.items()}
     payload["kind"] = curve.kind
     return json.dumps(payload, sort_keys=True, indent=2)

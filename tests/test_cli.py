@@ -5,7 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roughmv.cli import main
+import roughmv.cli as cli
+from roughmv import bundle_to_csv, simulate_variance, simulate_wealth, terminal_stats
+from roughmv.cli import (
+    _strategy_for,
+    _with_hurst,
+    build_grid,
+    build_market,
+    build_objective,
+    build_sim,
+    load_config,
+    main,
+)
+from roughmv.montecarlo import PATH_BLOCK
+from roughmv.strategies import nonexp_log_strategy, strategy_columns
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -225,12 +238,45 @@ class TestConfigHandling:
              "times must be finite"),
             ({"market": {"rate": {"times": [0.0], "rates": ["NaN"]}}},
              "rates must be finite"),
+            ({"sim": {"n_paths": "x"}}, "sim.n_paths"),
+            ({"sim": {"n_factors": "x"}}, "sim.n_factors"),
+            ({"sim": {"seed": "x"}}, "sim.seed"),
+            ({"sim": {"seed": -1}}, "sim.seed"),
+            ({"sim": {"rate_spread": "NaN"}}, "sim.rate_spread"),
+            ({"sim": {"n_paths": 2.5}}, "sim.n_paths"),
+            ({"sim": {"write_paths": "no"}}, "sim.write_paths"),
+            ({"sim": {"n_paths": 1}}, "sim.n_paths"),
+            ({"sim": {"scheme": "exact"}}, "sim.scheme"),
         ],
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
         cfg = write_config(tmp_path, payload)
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_sim_field_stops_simulate_before_writing(self, tmp_path, capsys):
+        # a string write_paths used to count as true and write paths.csv
+        cfg = write_config(tmp_path, {"sim": {"write_paths": "no", "n_paths": 50}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "sim.write_paths" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "discount",
+        [
+            {"variant": "exponential", "rate": "NaN"},
+            {"variant": "hyperbolic", "a": "Infinity", "b": 0.5},
+            {"variant": "tabulated", "times": [0.0, 1.0, 2.0], "values": [1.0, "NaN", 0.5]},
+        ],
+    )
+    def test_non_finite_discount_exits_2(self, tmp_path, capsys, discount):
+        payload = base_config(hurst_values=[0.1, 0.5])
+        payload["objective"] = {"variant": "nonexp_log", "discount": discount, "horizon": 3.0}
+        cfg = write_config(tmp_path, payload)
+        assert main(["nonexp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "objective.discount" in err and "must be finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_rerun_from_manifest_reproduces_outputs(self, tmp_path):
@@ -273,6 +319,158 @@ class TestShippedConfigs:
         cfg = str(CONFIG_DIR / "simulation_comparison.json")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--paths", "50", "--steps-per-year", "25"]) == 0
+
+
+def _per_element_csv(cols):
+    """CSV rendered one numpy scalar at a time, the reference for columns_to_csv."""
+    lines = [",".join(cols)]
+    arrays = list(cols.values())
+    for i in range(len(arrays[0])):
+        lines.append(",".join(f"{a[i]:.17g}" for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+class TestCurveFileFormatting:
+    """The curve files equal a per-element rendering of the library's arrays."""
+
+    def _setup(self, cfg_path):
+        cfg = load_config(cfg_path)
+        objective = build_objective(cfg)
+        return cfg, build_market(cfg), objective, build_grid(cfg, objective.horizon)
+
+    @pytest.mark.parametrize("name", ["hedge_curves.json", "crossover.json",
+                                      "simulation_comparison.json", "log_mv"])
+    def test_strategy_files(self, tmp_path, name):
+        if name == "log_mv":
+            payload = base_config()
+            payload["objective"] = {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0,
+                                    "delta": 2.0}
+            cfg_path = write_config(tmp_path, payload)
+        else:
+            cfg_path = str(CONFIG_DIR / name)
+        out = tmp_path / "o"
+        assert main(["strategy", "--config", cfg_path, "--out", str(out),
+                     "--format", "csv"]) == 0
+        assert main(["strategy", "--config", cfg_path, "--out", str(out),
+                     "--format", "json"]) == 0
+        _, market, objective, grid = self._setup(cfg_path)
+        curve = _strategy_for(market, objective, grid)
+        cols = strategy_columns(curve)
+        assert (out / "strategy.csv").read_text() == _per_element_csv(cols)
+        payload = {k: list(map(float, v)) for k, v in cols.items()}
+        payload["kind"] = curve.kind
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (out / "strategy.json").read_text() == expected
+
+    def test_hedge_curve_files(self, tmp_path):
+        cfg_path = str(CONFIG_DIR / "hedge_curves.json")
+        out = tmp_path / "o"
+        assert main(["hedge-curve", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg, market, objective, grid = self._setup(cfg_path)
+        for hurst in cfg["hurst_values"]:
+            curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
+            cols = {"t": grid.nodes(), "myopic": curve.myopic, "hedge": curve.hedge,
+                    "total": curve.total}
+            text = (out / f"hedge_curve_H{hurst:g}.csv").read_text()
+            assert text == _per_element_csv(cols)
+
+    def test_nonexp_file(self, tmp_path):
+        cfg_path = str(CONFIG_DIR / "nonexp_consumption.json")
+        out = tmp_path / "o"
+        assert main(["nonexp", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg, market, objective, grid = self._setup(cfg_path)
+        p_hat, coef = nonexp_log_strategy(
+            _with_hurst(market, cfg["hurst_values"][0]), objective.discount,
+            objective.horizon, grid,
+        )
+        cols = {"t": grid.nodes(), "consumption_rate": p_hat,
+                "investment_coefficient": coef, "V1": 1.0 / p_hat}
+        assert (out / "nonexp_strategy.csv").read_text() == _per_element_csv(cols)
+
+
+class TestSimulateBlocks:
+    """simulate runs in blocks of PATH_BLOCK paths; its files do not show it."""
+
+    def _payload(self, n_paths, objective=None, scheme="lifted"):
+        payload = base_config()
+        payload["objective"] = objective or {"variant": "log_mv", "gamma": 0.5,
+                                             "horizon": 1.0, "delta": 2.0}
+        payload["sim"] = {"scheme": scheme, "n_factors": 8, "rate_spread": 1e4,
+                          "n_paths": n_paths, "seed": 5, "write_paths": True}
+        payload["grid"] = {"steps_per_year": 12}
+        return payload
+
+    @pytest.mark.parametrize("scheme", ["lifted", "euler_convolution"])
+    def test_paths_csv_matches_one_unblocked_call(self, tmp_path, scheme):
+        n_paths = PATH_BLOCK + 3  # two blocks, the second ragged
+        cfg_path = write_config(tmp_path, self._payload(n_paths, scheme=scheme))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "paths.csv", "terminal_stats.json"]
+
+        cfg = load_config(cfg_path)
+        market, objective = build_market(cfg), build_objective(cfg)
+        grid, sim = build_grid(cfg, objective.horizon), build_sim(cfg)
+        bundle = simulate_variance(market, sim.scheme, grid, n_paths, sim.seed)
+        bundle = simulate_wealth(bundle, market, _strategy_for(market, objective, grid),
+                                 objective, 1.0)
+        assert (out / "paths.csv").read_text() == bundle_to_csv(bundle)
+        stats = terminal_stats(bundle)
+        payload = json.loads((out / "terminal_stats.json").read_text())
+        assert payload["mean"] == stats.mean and payload["variance"] == stats.variance
+        assert payload["histogram"]["counts"] == stats.histogram[1].tolist()
+
+    def test_no_call_exceeds_one_block(self, tmp_path, monkeypatch):
+        seen = []
+        original = cli.simulate_variance
+
+        def spy(market, scheme, grid, paths, seed):
+            seen.append(paths)
+            return original(market, scheme, grid, paths, seed)
+
+        monkeypatch.setattr(cli, "simulate_variance", spy)
+        payload = self._payload(2 * PATH_BLOCK + 1)
+        payload["sim"]["write_paths"] = False
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert [len(r) for r in seen] == [PATH_BLOCK, PATH_BLOCK, 1]
+        assert [i for r in seen for i in r] == list(range(2 * PATH_BLOCK + 1))
+
+    def test_failed_run_leaves_no_partial_paths_file(self, tmp_path, monkeypatch, capsys):
+        original = cli.simulate_wealth
+
+        def fail_on_second_block(bundle, *args):
+            if bundle.paths.start > 0:
+                raise FloatingPointError("injected failure")
+            return original(bundle, *args)
+
+        monkeypatch.setattr(cli, "simulate_wealth", fail_on_second_block)
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, self._payload(PATH_BLOCK + 3))
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 3
+        assert "injected failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # 5000 paths x 750 lifted steps: whole-array simulation peaked at
+        # about 143 MB under tracemalloc; one block's arrays take about 6 MB each
+        import tracemalloc
+
+        payload = self._payload(5000, objective={"variant": "const_mv", "gamma": 0.5,
+                                                 "horizon": 3.0})
+        payload["grid"] = {"steps_per_year": 250}
+        payload["sim"]["n_factors"] = 20
+        payload["sim"]["write_paths"] = False
+        cfg_path = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")])
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak_mb < 70.0
 
 
 class TestSubObjectValidation:

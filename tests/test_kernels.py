@@ -114,6 +114,12 @@ class TestValidation:
         assert g.spacing == 0.5
         np.testing.assert_allclose(g.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (0.0, math.nan),
+                                        (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_grid_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            TimeGrid(*bounds, 10)
+
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler

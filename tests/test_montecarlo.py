@@ -31,6 +31,7 @@ from roughmv import (
     solve_linear_vie,
     terminal_stats,
 )
+from roughmv.montecarlo import _as_factor_kernel
 from oracles import lognormal_terminal_mean
 
 
@@ -90,11 +91,16 @@ class TestSimulateVariance:
         np.testing.assert_array_equal(big.variance[:15], small.variance)
 
     def test_chunking_does_not_change_results(self):
+        # blocks of 7 path indices, the last one ragged, against one call
         market = make_market()
         grid = TimeGrid(0.0, 1.0, 250)
-        a = simulate_variance(market, LiftedFactors(10), grid, 40, 42, chunk_size=40)
-        b = simulate_variance(market, LiftedFactors(10), grid, 40, 42, chunk_size=7)
-        assert a.variance.tobytes() == b.variance.tobytes()
+        a = simulate_variance(market, LiftedFactors(10), grid, 40, 42)
+        blocks = [
+            simulate_variance(market, LiftedFactors(10), grid, range(lo, min(lo + 7, 40)), 42)
+            for lo in range(0, 40, 7)
+        ]
+        b = np.concatenate([blk.variance for blk in blocks])
+        assert a.variance.tobytes() == b.tobytes()
 
     def test_schemes_agree_in_distribution(self):
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
@@ -138,6 +144,107 @@ class TestSimulateVariance:
         heston = make_market(hurst=0.5)
         b2 = simulate_variance(heston, LiftedFactors(20), TimeGrid(0.0, 1.0, 50), 2, 1)
         assert b2.metadata["kernel_fit_l2_error"] == 0.0
+
+
+class TestPathBlocks:
+    """Path i is a function of (seed, i): blocks of a range reproduce one call."""
+
+    GRID = TimeGrid(0.0, 1.0, 60)
+    N, BLOCK = 23, 5  # five blocks, the last one ragged
+
+    @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(10)])
+    def test_range_equals_rows_of_full_call(self, scheme):
+        market = make_market()
+        full = simulate_variance(market, scheme, self.GRID, self.N, 8)
+        part = simulate_variance(market, scheme, self.GRID, range(9, 17), 8)
+        assert part.paths == range(9, 17)
+        for name in ("variance", "dW1", "dB"):
+            assert getattr(part, name).tobytes() == getattr(full, name)[9:17].tobytes()
+
+    def test_path_draws_are_the_spawned_substreams(self):
+        rho = -0.7
+        b = simulate_variance(make_market(rho=rho), LiftedFactors(3), self.GRID,
+                              range(3, 5), 4)
+        sqrt_h = np.sqrt(self.GRID.spacing)
+        for k, i in enumerate(range(3, 5)):
+            child = np.random.SeedSequence(4).spawn(i + 1)[i]
+            z = np.random.default_rng(child).standard_normal((2, self.GRID.n_steps))
+            dW1, dW2 = sqrt_h * z[0], sqrt_h * z[1]
+            assert b.dW1[k].tobytes() == dW1.tobytes()
+            assert b.dB[k].tobytes() == (rho * dW1 + np.sqrt(1.0 - rho**2) * dW2).tobytes()
+
+    @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(10)])
+    @pytest.mark.parametrize(
+        "objective",
+        [ConstMVObjective(0.5, 1.0), LogMVObjective(0.5, 1.0, delta=2.0),
+         NonExpLogObjective(ExponentialDiscount(0.1), 1.0)],
+        ids=["const_mv", "log_mv_delta2", "nonexp"],
+    )
+    def test_terminal_wealth_from_blocks_is_bit_identical(self, scheme, objective):
+        market = make_market(rate=0.01)
+        strategy = flat_strategy(self.GRID, 0.4)
+        consumption = (np.full(self.GRID.n_steps + 1, 0.05)
+                       if isinstance(objective, NonExpLogObjective) else None)
+
+        def wealth(paths):
+            b = simulate_variance(market, scheme, self.GRID, paths, 31)
+            return simulate_wealth(b, market, strategy, objective, 1.0, consumption).wealth
+
+        full = wealth(self.N)
+        blocks = [wealth(range(lo, min(lo + self.BLOCK, self.N)))
+                  for lo in range(0, self.N, self.BLOCK)]
+        assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
+        terminal = np.concatenate([b[:, -1] for b in blocks])
+        assert terminal.tobytes() == full[:, -1].tobytes()
+        stats_full, stats_blocks = terminal_stats(full[:, -1]), terminal_stats(terminal)
+        assert (stats_full.mean, stats_full.variance) == (stats_blocks.mean, stats_blocks.variance)
+
+    def test_time_major_march_matches_path_major_reference(self):
+        # the strided column loops the time-major marches replaced, written
+        # out with every expression associated as in the library
+        market = make_market(rate=0.01)
+        grid, n = self.GRID, self.GRID.n_steps
+        b = simulate_variance(market, LiftedFactors(10), grid, self.N, 12)
+        factors = _as_factor_kernel(market.kernel, LiftedFactors(10), grid.t_end)[0]
+        h, w = grid.spacing, np.asarray(factors.weights)
+        scale = np.exp(-np.asarray(factors.rates) * h)
+        nu = np.empty((self.N, n + 1))
+        nu[:, 0] = market.nu0
+        u = np.zeros((self.N, len(w)))
+        for i in range(n):
+            dz = (market.kappa * (market.phi - nu[:, i]) * h
+                  + market.sigma * np.sqrt(nu[:, i]) * b.dB[:, i])
+            u = scale[None, :] * (u + dz[:, None])
+            nu[:, i + 1] = np.maximum(market.nu0 + np.einsum("pm,m->p", u, w), 0.0)
+        assert b.variance.tobytes() == nu.tobytes()
+
+        coef = np.linspace(0.2, 0.6, n + 1)
+        strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
+        got = simulate_wealth(b, market, strategy, LogMVObjective(0.5, 1.0, delta=2.0), 1.0)
+        expo, th = (2.0 - 1.0) / (2.0 * 2.0), market.theta
+        log_w = np.empty_like(nu)
+        log_w[:, 0] = 0.0
+        for i in range(n):
+            pi = coef[i] * np.maximum(nu[:, i], 1e-300) ** expo
+            drift = 0.01 + th * nu[:, i] * pi - 0.5 * pi**2 * nu[:, i]
+            log_w[:, i + 1] = log_w[:, i] + drift * h + pi * np.sqrt(nu[:, i]) * b.dW1[:, i]
+        assert got.log_wealth.tobytes() == log_w.tobytes()
+        assert got.wealth.tobytes() == np.exp(log_w).tobytes()
+
+    @pytest.mark.parametrize("paths", [0, range(0), range(-1, 3), 2.0, "3"])
+    def test_bad_path_sets_rejected(self, paths):
+        with pytest.raises((ValueError, TypeError)):
+            simulate_variance(make_market(), LiftedFactors(2), self.GRID, paths, 1)
+
+    def test_csv_rows_carry_global_path_ids(self):
+        market = make_market()
+        grid = TimeGrid(0.0, 0.5, 4)
+        full = simulate_variance(market, LiftedFactors(3), grid, 6, 2)
+        part = simulate_variance(market, LiftedFactors(3), grid, range(4, 6), 2)
+        text_full, text_part = bundle_to_csv(full), bundle_to_csv(part)
+        rows = text_part.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["4"] * 5 + ["5"] * 5
+        assert text_full.endswith("".join(r + "\n" for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +438,21 @@ class TestExports:
         assert data.shape == (3 * 11, 4)
         np.testing.assert_array_equal(data[:11, 2], b.variance[0])
         np.testing.assert_array_equal(data[:11, 3], b.wealth[0])
+
+    @pytest.mark.parametrize("with_wealth", [True, False])
+    def test_csv_matches_per_element_formatting(self, with_wealth):
+        market = make_market(sigma=1.5, nu0=0.02)  # truncated zeros among the values
+        grid = TimeGrid(0.0, 0.5, 10)
+        b = simulate_variance(market, LiftedFactors(5), grid, range(3, 7), 7)
+        if with_wealth:
+            b = simulate_wealth(b, market, flat_strategy(grid, 0.3),
+                                LogMVObjective(0.5, 0.5), 1.0)
+        lines = ["path_id,t,nu,wealth"]
+        for k, p in enumerate(b.paths):
+            for j, t in enumerate(grid.nodes()):
+                w = "" if b.wealth is None else f"{b.wealth[k, j]:.17g}"
+                lines.append(f"{p},{t:.17g},{b.variance[k, j]:.17g},{w}")
+        assert bundle_to_csv(b) == "\n".join(lines) + "\n"
 
 
 class TestFitDegenerate:

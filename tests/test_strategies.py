@@ -283,6 +283,22 @@ class TestDiscounts:
         with pytest.raises(ValueError):
             ExponentialDiscount(-0.1)
 
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda bad: ExponentialDiscount(bad), "rate"),
+            (lambda bad: HyperbolicDiscount(bad, 0.5), "a"),
+            (lambda bad: HyperbolicDiscount(0.5, bad), "b"),
+            (lambda bad: TabulatedDiscount((0.0, 1.0, 2.0), (1.0, bad, 0.5)), "values"),
+            (lambda bad: TabulatedDiscount((0.0, 1.0), (bad, 0.5)), "values"),
+            (lambda bad: TabulatedDiscount((0.0, 1.0, bad), (1.0, 0.8, 0.5)), "times"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make(bad)
+
 
 class TestForwardVariance:
     def test_flat_curve_is_exact(self, market_rough):
