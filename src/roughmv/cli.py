@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -165,7 +166,7 @@ def build_kernel(spec: dict):
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel spec {spec}: {exc}")
+        raise ConfigError(f"bad market.kernel {spec}: {exc}")
 
 
 def build_market(cfg: dict) -> MarketParams:
@@ -285,6 +286,40 @@ def build_sim(cfg: dict) -> SimSettings:
     else:
         raise ConfigError(f"unknown sim.scheme {s['scheme']!r}")
     return SimSettings(scheme, n_paths, seed, s["write_paths"])
+
+
+def _finite_number(value) -> bool:
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def check_sweeps(cfg: dict):
+    """hurst_values and gamma_values, which every manifest records."""
+    for key, valid, requirement in (
+        ("hurst_values", lambda h: 0 < h <= 0.5, "numbers in (0, 0.5]"),
+        ("gamma_values", lambda g: g > 0, "finite numbers > 0"),
+    ):
+        values = cfg[key]
+        if not (isinstance(values, list) and values
+                and all(_finite_number(v) and valid(v) for v in values)):
+            raise ConfigError(f"{key} must be a non-empty list of {requirement}, got {values!r}")
+
+
+def build_output(cfg: dict) -> Path:
+    """The output directory, once the output section is checked."""
+    out = cfg["output"]
+    formats = out["formats"]
+    if not (isinstance(formats, list) and formats
+            and all(isinstance(f, str) and f in ("csv", "json") for f in formats)):
+        raise ConfigError(
+            f"output.formats must be a non-empty list of 'csv' and 'json', got {formats!r}"
+        )
+    if not (isinstance(out["directory"], str) and out["directory"]):
+        raise ConfigError(f"output.directory must be a path, got {out['directory']!r}")
+    return Path(out["directory"])
 
 
 def _with_hurst(market: MarketParams, hurst: float) -> MarketParams:
@@ -527,8 +562,10 @@ def main(argv=None) -> int:
             cfg["grid"]["steps_per_year"] = args.steps_per_year
         if args.paths is not None:
             cfg["sim"]["n_paths"] = args.paths
-        build_sim(cfg)  # every manifest records the sim section, so check it always
-        out_dir = Path(cfg["output"]["directory"])
+        # every manifest records these sections, so they are checked always
+        build_sim(cfg)
+        check_sweeps(cfg)
+        out_dir = build_output(cfg)
         return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ obtained by rescaling the weight c -> lam*c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,13 +41,17 @@ class UnsupportedVariantError(ValueError):
 # Kernel variants
 # ---------------------------------------------------------------------------
 
+def _check_weight(c: float):
+    if not (math.isfinite(c) and c != 0):
+        raise ValueError(f"kernel weight c must be finite and nonzero, got {c}")
+
+
 @dataclass(frozen=True)
 class ConstantKernel:
     c: float
 
     def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("kernel weight c must be nonzero")
+        _check_weight(self.c)
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,7 @@ class FractionalKernel:
     alpha: float
 
     def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("kernel weight c must be nonzero")
+        _check_weight(self.c)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
@@ -83,10 +87,9 @@ class ExponentialKernel:
     beta: float
 
     def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("kernel weight c must be nonzero")
-        if self.beta < 0:
-            raise ValueError(f"decay rate beta must be >= 0, got {self.beta}")
+        _check_weight(self.c)
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"decay rate beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,10 @@ class SumOfExponentialsKernel:
         r = tuple(float(x) for x in self.rates)
         if len(w) != len(r) or len(w) < 1:
             raise ValueError("weights and rates must have equal length >= 1")
-        if any(x == 0 for x in w):
-            raise ValueError("all weights must be nonzero")
-        if any(x < 0 for x in r):
-            raise ValueError("all rates must be >= 0")
+        if not all(math.isfinite(x) and x != 0 for x in w):
+            raise ValueError(f"kernel weights must be finite and nonzero, got {w}")
+        if not all(math.isfinite(x) and x >= 0 for x in r):
+            raise ValueError(f"kernel rates must be finite and >= 0, got {r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", r)
 
@@ -208,17 +211,19 @@ def kernel_integral(spec: Kernel, t):
     return out if out.ndim else float(out)
 
 
-def cell_moments(spec: Kernel, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact first two kernel moments over the lag cells [(m-1)h, mh], m = 1..n.
 
     Returns (I0, I1) with I0[m-1] = int K(u) du and I1[m-1] = int u K(u) du over
     the m-th cell.  These are the building blocks of product-integration rules:
     integrating t^(alpha-1) exactly is what keeps quadrature stable at the
-    origin where the fractional kernel blows up.
+    origin where the fractional kernel blows up.  An array h gives one column
+    of moments per spacing, shape (n,) + h.shape, each equal to its scalar-h
+    call bit for bit.
     """
-    if h <= 0 or n < 1:
+    if not np.all(np.asarray(h) > 0) or n < 1:
         raise ValueError("need h > 0 and n >= 1")
-    edges = h * np.arange(n + 1, dtype=float)
+    edges = np.multiply.outer(np.arange(n + 1, dtype=float), h)
     a, b = edges[:-1], edges[1:]
     if isinstance(spec, ConstantKernel):
         i0 = spec.c * (b - a)
@@ -230,8 +235,8 @@ def cell_moments(spec: Kernel, h: float, n: int) -> tuple[np.ndarray, np.ndarray
     elif isinstance(spec, ExponentialKernel):
         i0, i1 = _exp_cell_moments(spec.c, spec.beta, a, b)
     elif isinstance(spec, SumOfExponentialsKernel):
-        i0 = np.zeros(n)
-        i1 = np.zeros(n)
+        i0 = np.zeros(a.shape)
+        i1 = np.zeros(a.shape)
         for w, r in zip(spec.weights, spec.rates):
             j0, j1 = _exp_cell_moments(w, r, a, b)
             i0 += j0
@@ -266,6 +271,7 @@ def _exp_cell_moments(c, beta, a, b):
 _ML_NEG_FLOAT_CUTOFF = -1.5
 _ML_ASYMPTOTIC_PEAK = 38.0
 _ML_MAX_EXPONENT = 700.0  # exp argument beyond which float64 overflows
+_ML_UNDERFLOW_DIGITS = 340.0  # an absolute error below 1e-340 rounds away in float64
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
@@ -352,36 +358,64 @@ def _ml_series_mp(alpha, beta, z):
 
     Cancellation amplifies the worst term exp(|z|^(1/alpha)); the working
     precision carries that many decimal digits plus 35, set by the most
-    negative argument so no element gets less than it would alone.  The
-    coefficients 1/Gamma(alpha*n + beta) do not depend on z: each is computed
-    once, with alpha*n + beta formed at working precision (in float64 its
-    rounding error alone corrupts the cancellation).  Every argument's series
-    is then summed forward in Python-int fixed point: x^n is kept to `prec`
-    significant bits, each coefficient as an mpf mantissa of `prec` bits, and
-    their product is shifted onto one accumulator scale.  A coefficient stored
-    at a fixed absolute scale instead would need len(coeffs) * log2(max|z|)
-    more bits, its absolute error being multiplied by |z|^n; Horner's scheme
-    in fixed point is unstable for |z| > 1.
+    negative argument so no element gets less than it would alone.  That
+    bounds the absolute error near 1e-35, which is not enough for a sum that
+    is itself tiny (E_{1,1}(-x) = e^-x): an argument whose sum is not 1e13
+    times its error bound is summed again with 30, 60, 120, ... more digits,
+    until the bound is below 1e-340, where a float64 sum is exact or 0.
+    """
+    z_arr = np.asarray(z, dtype=float)
+    order = np.argsort(z_arr.ravel())  # most negative first
+    x = -z_arr.ravel()[order]
+    sums = np.empty(x.shape)
+    todo = np.arange(x.size)  # still most negative first
+    boost = 0
+    while todo.size:
+        sums[todo], digits = _ml_fixed_point_sums(alpha, beta, x[todo], boost)
+        # decimal exponent of the rounding error of each argument's largest term
+        err = 0.4343 * x[todo] ** (1.0 / alpha) - digits
+        with np.errstate(divide="ignore"):  # a sum of 0 is re-summed too
+            short = np.log10(np.abs(sums[todo])) < err + 13.0
+        short &= err > -_ML_UNDERFLOW_DIGITS
+        todo, err = todo[short], err[short]
+        if todo.size:
+            boost = min(2 * boost or 30, boost + math.ceil(err.max() + _ML_UNDERFLOW_DIGITS))
+    out = np.empty(x.shape)
+    out[order] = sums
+    out = out.reshape(z_arr.shape)
+    return out if out.ndim else float(out)
+
+
+def _ml_fixed_point_sums(alpha, beta, x, boost):
+    """(sum_n (-x)^n / Gamma(alpha*n + beta), working decimal digits) for x >= 1
+    sorted in decreasing order, with `boost` digits beyond the default.
+
+    The coefficients 1/Gamma(alpha*n + beta) do not depend on x: each is
+    computed once, with alpha*n + beta formed at working precision (in float64
+    its rounding error alone corrupts the cancellation).  Every argument's
+    series is then summed forward in Python-int fixed point: x^n is kept to
+    `prec` significant bits, each coefficient as an mpf mantissa of `prec`
+    bits, and their product is shifted onto one accumulator scale.  A
+    coefficient stored at a fixed absolute scale instead would need
+    len(coeffs) * log2(max|z|) more bits, its absolute error being multiplied
+    by |z|^n; Horner's scheme in fixed point is unstable for |z| > 1.
     """
     import mpmath
     from mpmath.libmp import to_man_exp
 
-    z_arr = np.asarray(z, dtype=float)
-    order = np.argsort(z_arr.ravel())  # most negative first
-    x = -z_arr.ravel()[order]
     peak = float(x[0]) ** (1.0 / alpha)
-    extra = int(0.4343 * peak) + 15
+    extra = int(0.4343 * peak) + 15 + boost
     if extra > 10_000:
         raise ValueError(
             f"z={-x[0]} too negative for series evaluation at alpha={alpha}"
         )
     # an argument sums terms while n is before its peak term or the term is
-    # above 2^-bits, bits being the 35 + 0.4343 * peak digits it would get
-    # alone; both tests are monotone in x, so the arguments still summing
-    # are a prefix of x
+    # above 2^-bits, bits being the 35 + boost + 0.4343 * peak digits it
+    # would get alone; both tests are monotone in x, so the arguments still
+    # summing are a prefix of x
     peaks = x ** (1.0 / alpha)
     n_peak = peaks / alpha + 5.0
-    floor_log2 = -3.33 * (35.0 + 0.4343 * peaks)
+    floor_log2 = -3.33 * (35.0 + boost + 0.4343 * peaks)
     log2_x = np.log2(x)
     # x * 2^52 as Python ints; exact because x >= 1 has no bits below 2^-52
     x_fixed = np.array([int(v) for v in (x * 2.0**52).tolist()], dtype=object)
@@ -405,10 +439,8 @@ def _ml_series_mp(alpha, beta, z):
             live = int(np.flatnonzero(needed)[-1]) + 1
         else:
             raise RuntimeError(f"Mittag-Leffler series failed to converge for z={-x[0]}")
-    out = np.empty(x.shape)
-    out[order] = (acc / (1 << (prec + 16))).astype(float)  # int / int rounds correctly
-    out = out.reshape(z_arr.shape)
-    return out if out.ndim else float(out)
+    sums = (acc / (1 << (prec + 16))).astype(float)  # int / int rounds correctly
+    return sums, 20 + extra
 
 
 def _ml_asymptotic_negative(alpha, beta, x):
@@ -585,20 +617,21 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     return ResolventSamples(grid, values, lam, float(resid / scale), warning)
 
 
-def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):
+def _lag_weights(i0: np.ndarray, i1: np.ndarray, h):
     """Product-trapezoidal lag weights from cell moments.
 
     For (K*x)(t_i) = sum_m A[m] x_{i-m} + B[m] x_{i-m+1} with x piecewise
     linear; A[m] + B[m] = I0[m] and the rule is exact for linear x.
-    Index m-1 holds lag m.
+    Index m-1 holds lag m; an array h takes the moments of cell_moments with
+    that h and gives one column of weights per spacing.
     """
-    m = np.arange(1, len(i0) + 1, dtype=float)
+    m = np.arange(1, len(i0) + 1, dtype=float).reshape((-1,) + (1,) * np.ndim(h))
     a_w = (i1 - (m - 1.0) * h * i0) / h
     b_w = (m * h * i0 - i1) / h
     return a_w, b_w
 
 
-def _march(a_w, b_w, y0: float, node_rule, rect_w=None) -> np.ndarray:
+def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
     """Node loop of every product-integration Volterra solve.
 
     At node i = 1..n, y[i] = node_rule(i, past) with the product-trapezoidal
@@ -606,21 +639,32 @@ def _march(a_w, b_w, y0: float, node_rule, rect_w=None) -> np.ndarray:
     node_rule owns the weight b_w[0] on y[i].  With rect_w, y[i] =
     node_rule(i, rect, past) also gets the product-rectangle history
     rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).
+
+    The state is time-major: y has shape (n+1,) + shape(y0), so an array y0
+    marches independent rows at once, each with its own column of weights
+    (shape (n,) + shape(y0)).  Every history sum runs in the same order as
+    for a scalar y0, so each row equals its own scalar march bit for bit.
     """
     n = len(a_w)
-    y = np.empty(n + 1)
+    y = np.empty((n + 1,) + np.shape(y0))
     y[0] = y0
+    # both sum each row in order; matmul has less call overhead on 1-D rows
+    dot = np.matmul if y.ndim == 1 else functools.partial(np.vecdot, axis=0)
     for i in range(1, n + 1):
         hist = y[i - 1 :: -1]
-        past = a_w[:i] @ hist
+        past = dot(a_w[:i], hist)
         if i >= 2:
-            past += b_w[1:i] @ hist[:-1]
-        y[i] = node_rule(i, past) if rect_w is None else node_rule(i, rect_w[:i] @ hist, past)
+            past += dot(b_w[1:i], hist[:-1])
+        y[i] = node_rule(i, past) if rect_w is None else node_rule(i, dot(rect_w[:i], hist), past)
     return y
 
 
 def _vie_solve(lam, a_w, b_w, forcing):
-    """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0."""
+    """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0.
+
+    forcing has shape (n+1,) or, for a batch of rows, (n+1, rows) with the
+    lag weights of shape (n, rows); see _march.
+    """
     denom = 1.0 + lam * b_w[0]
     return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
 
@@ -657,7 +701,8 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     lam = 0 reduces to int_0^tau K.  Fractional kernels use the Mittag-Leffler
     identity (1 - E_{a,1}(-lam c tau^a))/lam; constant and exponential kernels
     integrate their exponential resolvents exactly; sum-of-exponentials falls
-    back to trapezoid quadrature of the numeric resolvent, solved per tau.
+    back to trapezoid quadrature of the numeric resolvent (see
+    _numeric_resolvent_ratio).
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
@@ -673,11 +718,50 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
         rate = spec.beta + lam * spec.c
         out = spec.c * taus if rate == 0.0 else spec.c * (-np.expm1(-rate * taus)) / rate
     elif isinstance(spec, SumOfExponentialsKernel):
-        out = np.zeros_like(taus)
-        for j in np.flatnonzero(taus):
-            n = max(200, int(250 * taus[j]))
-            samples = resolvent_numeric(spec, lam, TimeGrid(0.0, taus[j], n))
-            out[j] = np.trapezoid(samples.values, dx=samples.grid.spacing) / lam
+        out = _numeric_resolvent_ratio(spec, lam, taus)[0]
     else:
         raise TypeError(f"unknown kernel variant {type(spec).__name__}")
     return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs
+
+
+TAU_BLOCK = 64  # tau nodes marched together by _numeric_resolvent_ratio
+
+
+def _numeric_resolvent_ratio(spec: Kernel, lam: float, taus: np.ndarray):
+    """Trapezoid quadrature of the numeric resolvent over [0, tau], / lam.
+
+    Each tau > 0 keeps its own grid of n = max(200, int(250 tau)) cells of
+    h = tau / n, and every value equals trapezoid quadrature of
+    resolvent_numeric(spec, lam, TimeGrid(0, tau, n)) bit for bit.  Blocks of
+    TAU_BLOCK taus share one batched _march, padded with zero forcing to their
+    largest n: node i reads only nodes < i, so the padding changes no row.
+    The forcing is evaluated per row on that row's own nodes, because a
+    kernel evaluation over the padded block would round differently.
+
+    Returns (ratio, residual): 0 at tau = 0, and per tau the relative
+    resolvent-identity residual that resolvent_numeric reports.
+    """
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau values must be finite")
+    ratio = np.zeros_like(taus)
+    residual = np.zeros_like(taus)
+    positive = np.flatnonzero(taus)
+    for lo in range(0, len(positive), TAU_BLOCK):
+        rows = positive[lo : lo + TAU_BLOCK]
+        grids = [TimeGrid(0.0, t, max(200, int(250 * t))) for t in taus[rows]]
+        h = np.array([g.spacing for g in grids])
+        n_max = max(g.n_steps for g in grids)
+        a_w, b_w = _lag_weights(*cell_moments(spec, h, n_max), h)
+        forcing = np.zeros((n_max + 1, len(rows)))
+        for r, g in enumerate(grids):
+            forcing[: g.n_steps + 1, r] = lam * kernel_eval(spec, g.nodes())
+        values = _vie_solve(lam, a_w, b_w, forcing)
+        for r, g in enumerate(grids):
+            n = g.n_steps
+            f, x = forcing[: n + 1, r], values[: n + 1, r]
+            ratio[rows[r]] = np.trapezoid(x, dx=g.spacing) / lam
+            resid = _vie_residual(lam, a_w[:n, r], b_w[:n, r], f, x)
+            residual[rows[r]] = resid / np.max(np.abs(f))
+    return ratio, residual

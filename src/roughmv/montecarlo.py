@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -431,53 +430,3 @@ def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
 def bundle_to_csv(bundle: PathBundle) -> str:
     """Columnar dump: a header, then one row per (path, node) with path_id,t,nu,wealth."""
     return PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
-
-
-_BINARY_MAGIC = b"RMVP"
-_BINARY_VERSION = 1
-
-
-def bundle_to_binary(bundle: PathBundle) -> bytes:
-    """Compact little-endian dump.
-
-    Layout: magic 'RMVP', u32 version, u64 n_paths, u64 n_nodes, i64 seed,
-    u8 wealth flag, then the grid nodes as f8[n_nodes], variance row-major
-    f8[n_paths*n_nodes], and (if flagged) wealth row-major with same shape.
-    """
-    nodes = bundle.grid.nodes()
-    has_wealth = bundle.wealth is not None
-    head = _BINARY_MAGIC + struct.pack(
-        "<IQQqB",
-        _BINARY_VERSION,
-        bundle.n_paths,
-        nodes.size,
-        bundle.seed,
-        1 if has_wealth else 0,
-    )
-    parts = [head, nodes.astype("<f8").tobytes(), bundle.variance.astype("<f8").tobytes()]
-    if has_wealth:
-        parts.append(bundle.wealth.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-def bundle_from_binary(blob: bytes) -> dict:
-    if blob[:4] != _BINARY_MAGIC:
-        raise ValueError("not a path-bundle binary dump")
-    version, n_paths, n_nodes, seed, flag = struct.unpack_from("<IQQqB", blob, 4)
-    if version != _BINARY_VERSION:
-        raise ValueError(f"unsupported dump version {version}")
-    off = 4 + struct.calcsize("<IQQqB")
-    t = np.frombuffer(blob, dtype="<f8", count=n_nodes, offset=off)
-    off += 8 * n_nodes
-    nu = np.frombuffer(blob, dtype="<f8", count=n_paths * n_nodes, offset=off)
-    off += 8 * n_paths * n_nodes
-    out = {
-        "seed": seed,
-        "t": t,
-        "variance": nu.reshape(n_paths, n_nodes),
-        "wealth": None,
-    }
-    if flag:
-        w = np.frombuffer(blob, dtype="<f8", count=n_paths * n_nodes, offset=off)
-        out["wealth"] = w.reshape(n_paths, n_nodes)
-    return out

@@ -688,7 +688,25 @@ def strategy_to_csv(curve: StrategyCurve) -> str:
 
 
 def strategy_to_json(curve: StrategyCurve) -> str:
+    """The columns and kind as json.dumps(..., sort_keys=True, indent=2) would
+    write them, byte for byte.
+
+    The indenting encoder is pure Python; each column is instead written by
+    the C encoder with separators that reproduce the indented layout, which
+    keeps its float repr and NaN/Infinity spelling.
+    """
     cols = strategy_columns(curve)
     payload = {k: np.asarray(v, dtype=float).tolist() for k, v in cols.items()}
     payload["kind"] = curve.kind
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: {_indented_json_value(value)}"
+        for key, value in sorted(payload.items())
+    ) + "\n}"
+
+
+def _indented_json_value(value) -> str:
+    """A value at depth 1 of an indent=2 document: a list of scalars or a scalar."""
+    if isinstance(value, list) and value:
+        items = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+        return "[\n    " + items + "\n  ]"
+    return json.dumps(value)

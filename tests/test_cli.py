@@ -247,6 +247,23 @@ class TestConfigHandling:
             ({"sim": {"write_paths": "no"}}, "sim.write_paths"),
             ({"sim": {"n_paths": 1}}, "sim.n_paths"),
             ({"sim": {"scheme": "exact"}}, "sim.scheme"),
+            ({"hurst_values": [0.1, "NaN"]}, "hurst_values"),
+            ({"hurst_values": [0.1, 0.9]}, "hurst_values"),
+            ({"hurst_values": 0.1}, "hurst_values"),
+            ({"gamma_values": [0.5, "x"]}, "gamma_values"),
+            ({"gamma_values": [0.5, -1]}, "gamma_values"),
+            ({"gamma_values": [0.5, 1e400]}, "gamma_values"),
+            ({"output": {"formats": 5}}, "output.formats"),
+            ({"output": {"formats": ["xml"]}}, "output.formats"),
+            ({"output": {"formats": []}}, "output.formats"),
+            ({"market": {"kernel": {"variant": "fractional", "c": "NaN", "hurst": 0.1}}},
+             "kernel weight c must be finite"),
+            ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": "NaN"}}},
+             "decay rate beta must be finite"),
+            ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, "NaN"],
+                                    "rates": [1, 2]}}}, "kernel weights must be finite"),
+            ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, 2],
+                                    "rates": [1, "Infinity"]}}}, "kernel rates must be finite"),
         ],
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
@@ -254,6 +271,22 @@ class TestConfigHandling:
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["hedge-curve", "crossover", "nonexp"])
+    def test_bad_sweep_stops_sweeping_commands_before_writing(self, tmp_path, capsys, command):
+        # a string hurst used to end in a TypeError traceback, an out-of-range
+        # one in exit 3
+        for hursts in ([0.1, "NaN"], [0.1, 0.9]):
+            cfg = write_config(tmp_path, base_config(hurst_values=hursts))
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "hurst_values" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    def test_output_directory_must_be_a_path(self, tmp_path, capsys):
+        payload = base_config()
+        payload["output"]["directory"] = 5
+        assert main(["strategy", "--config", write_config(tmp_path, payload)]) == 2
+        assert "output.directory" in capsys.readouterr().err
 
     def test_bad_sim_field_stops_simulate_before_writing(self, tmp_path, capsys):
         # a string write_paths used to count as true and write paths.csv

@@ -25,7 +25,15 @@ from roughmv import (
     resolvent_closed_form,
     resolvent_numeric,
 )
-from roughmv.kernels import _ml_array
+from roughmv.kernels import (
+    TAU_BLOCK,
+    _lag_weights,
+    _ml_array,
+    _numeric_resolvent_ratio,
+    _vie_solve,
+    cell_moments,
+)
+from roughmv.montecarlo import fit_sum_of_exponentials
 from oracles import convolution_identity_residual, ml_reference
 
 TABLE_VARIANTS = [
@@ -105,6 +113,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExponentialKernel(1.0, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected_by_name(self, bad):
+        for make, field in [
+            (lambda: ConstantKernel(bad), "kernel weight c"),
+            (lambda: FractionalKernel(bad, 0.6), "kernel weight c"),
+            (lambda: ExponentialKernel(bad, 1.0), "kernel weight c"),
+            (lambda: ExponentialKernel(1.0, bad), "decay rate beta"),
+            (lambda: SumOfExponentialsKernel((1.0, bad), (0.0, 1.0)), "kernel weights"),
+            (lambda: SumOfExponentialsKernel((1.0, 2.0), (0.0, bad)), "kernel rates"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                make()
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
@@ -160,6 +181,12 @@ class TestMittagLeffler:
         for beta in (alpha, 1.0):
             ref = ml_reference(alpha, beta, z)
             assert mittag_leffler(alpha, beta, z) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("x", [60.0, 100.0, 300.0])
+    def test_exp_far_negative(self, x):
+        # e^-x cancels terms of order e^x: the sum needs digits for its own
+        # smallness on top of the cancellation (it read 9.5e-38 at x = 100)
+        assert mittag_leffler(1.0, 1.0, -x) == pytest.approx(math.exp(-x), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.8])
     @pytest.mark.parametrize("x", [1e3, 1e4])
@@ -228,14 +255,21 @@ class TestMittagLefflerArray:
 
 def test_importing_roughmv_leaves_mpmath_unloaded():
     # commands that never reach the arbitrary-precision branch do not load
-    # mpmath; run in a fresh interpreter because the oracles import it here
+    # mpmath, and no command needs the heavier scipy subpackages at import
+    # time (start-up is measured); run in a fresh interpreter because the
+    # oracles import them here
     import roughmv
 
     src = str(Path(roughmv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, roughmv.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys, roughmv.cli; print(sorted(m for m in ('mpmath', 'scipy.linalg', "
+        "'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +439,105 @@ class TestIntegratedResolventRatio:
                 for t, v in zip(taus, curve):
                     scalar = integrated_resolvent_ratio(spec, lam, t)
                     assert v == pytest.approx(scalar, rel=1e-14, abs=0.0)
+
+
+class TestBatchedResolventRatio:
+    """The sum-of-exponentials ratio marches TAU_BLOCK taus at once; each value
+    equals the per-tau solve it replaced bit for bit."""
+
+    @staticmethod
+    def _per_tau(spec, lam, taus):
+        out = np.zeros_like(taus)
+        for j in np.flatnonzero(taus):
+            n = max(200, int(250 * taus[j]))
+            samples = resolvent_numeric(spec, lam, TimeGrid(0.0, taus[j], n))
+            out[j] = np.trapezoid(samples.values, dx=samples.grid.spacing) / lam
+        return np.where(taus > 0, out, 0.0)
+
+    @pytest.mark.parametrize("hurst,n_factors,lam", [
+        (0.1, 8, -0.105), (0.1, 20, 0.5), (0.05, 20, -1.0), (0.3, 8, 2.4),
+    ])
+    def test_equals_per_tau_solves_bit_for_bit(self, hurst, n_factors, lam):
+        spec, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(hurst), n_factors, 1.6)
+        # 1.6 - t on 131 nodes: n from 200 to 400 cells, a zero tau, and
+        # 130 positive taus in blocks of 64, 64 and 2; then unsorted, with a
+        # zero inside the first block
+        taus = 1.6 - np.linspace(0.0, 1.6, 131)
+        assert len(np.flatnonzero(taus)) % TAU_BLOCK not in (0, len(taus))
+        shuffled = np.concatenate([[0.0, 1.6, 1e-3], taus[::7], [0.8, 0.804, 0.808]])
+        for t in (taus, shuffled):
+            got = integrated_resolvent_ratio_curve(spec, lam, t)
+            assert got.tobytes() == self._per_tau(spec, lam, t).tobytes()
+
+    def test_residual_matches_resolvent_numeric(self):
+        spec, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 1.0)
+        taus = np.array([0.0, 0.3, 1.0])
+        _, residual = _numeric_resolvent_ratio(spec, 0.5, taus)
+        assert residual[0] == 0.0
+        for tau, r in zip(taus[1:], residual[1:]):
+            grid = TimeGrid(0.0, tau, max(200, int(250 * tau)))
+            assert r == resolvent_numeric(spec, 0.5, grid).residual
+            assert r < 1e-12
+
+    def test_makes_no_per_tau_resolvent_solve(self, monkeypatch):
+        import roughmv.kernels as kernels
+
+        def forbidden(*args):
+            raise AssertionError("resolvent_numeric called")
+
+        monkeypatch.setattr(kernels, "resolvent_numeric", forbidden)
+        spec, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 1.0)
+        integrated_resolvent_ratio_curve(spec, 0.5, np.linspace(0.0, 1.0, 251))
+
+    def test_rejects_non_finite_tau_and_lambda(self):
+        spec = SumOfExponentialsKernel((0.3, 0.5), (0.0, 1.5))
+        with pytest.raises(ValueError, match="tau values must be finite"):
+            integrated_resolvent_ratio_curve(spec, 0.5, [0.5, math.inf])
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            integrated_resolvent_ratio_curve(spec, math.nan, [0.5])
+
+    def test_memory_is_bounded_by_the_tau_block(self):
+        # 401 taus up to T = 1.6 with 20 factors: blocks of TAU_BLOCK keep
+        # the working set near 3 MB (all taus in one block: 13 MB)
+        import tracemalloc
+
+        spec, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 20, 1.6)
+        taus = 1.6 - np.linspace(0.0, 1.6, 401)
+        tracemalloc.start()
+        try:
+            integrated_resolvent_ratio_curve(spec, 0.5, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+
+class TestBatchedMarch:
+    """An array forcing marches independent rows, each equal to its own 1-D solve."""
+
+    @pytest.mark.parametrize("spec", [
+        ConstantKernel(0.8),
+        FractionalKernel(1.0, 0.6),
+        ExponentialKernel(0.5, 1.2),
+        SumOfExponentialsKernel((0.3, -0.1, 0.5), (0.0, 4.0, 1.5)),
+    ])
+    def test_rows_equal_scalar_solves_bit_for_bit(self, spec):
+        h = np.array([0.01, 1.0 / 300.0, 0.0123, 0.002])
+        n, lam = 150, -0.7
+        i0, i1 = cell_moments(spec, h, n)
+        a_w, b_w = _lag_weights(i0, i1, h)
+        assert a_w.shape == b_w.shape == (n, len(h))
+        rng = np.random.default_rng(5)
+        forcing = rng.standard_normal((n + 1, len(h)))
+        batched = _vie_solve(lam, a_w, b_w, forcing)
+        assert batched.shape == (n + 1, len(h))
+        for r, hr in enumerate(h):
+            j0, j1 = cell_moments(spec, float(hr), n)
+            assert i0[:, r].tobytes() == j0.tobytes() and i1[:, r].tobytes() == j1.tobytes()
+            a1, b1 = _lag_weights(j0, j1, float(hr))
+            assert a_w[:, r].tobytes() == a1.tobytes() and b_w[:, r].tobytes() == b1.tobytes()
+            one = _vie_solve(lam, a1, b1, forcing[:, r].copy())
+            assert batched[:, r].tobytes() == one.tobytes()
 
 
 class TestCompleteMonotonicity:

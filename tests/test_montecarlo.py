@@ -20,8 +20,6 @@ from roughmv import (
     ResourceLimitError,
     StrategyCurve,
     TimeGrid,
-    bundle_from_binary,
-    bundle_to_binary,
     bundle_to_csv,
     fit_sum_of_exponentials,
     kernel_eval,
@@ -405,26 +403,6 @@ class TestTerminalStats:
 
 
 class TestExports:
-    def test_binary_round_trip(self):
-        market = make_market()
-        grid = TimeGrid(0.0, 1.0, 50)
-        b = simulate_variance(market, LiftedFactors(5), grid, 7, 123)
-        b = simulate_wealth(b, market, flat_strategy(grid, 0.3), ConstMVObjective(0.5, 1.0), 1.0)
-        out = bundle_from_binary(bundle_to_binary(b))
-        assert out["seed"] == 123
-        np.testing.assert_array_equal(out["t"], grid.nodes())
-        np.testing.assert_array_equal(out["variance"], b.variance)
-        np.testing.assert_array_equal(out["wealth"], b.wealth)
-
-    def test_binary_without_wealth(self):
-        b = simulate_variance(make_market(), LiftedFactors(5), TimeGrid(0.0, 1.0, 20), 3, 1)
-        out = bundle_from_binary(bundle_to_binary(b))
-        assert out["wealth"] is None
-
-    def test_binary_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            bundle_from_binary(b"not a dump")
-
     def test_csv_round_trip(self):
         import io
 

@@ -16,6 +16,7 @@ from roughmv import (
     MarketParams,
     NonExpLogObjective,
     RateCurve,
+    StrategyCurve,
     TabulatedDiscount,
     ThetaCurve,
     TimeGrid,
@@ -30,6 +31,7 @@ from roughmv import (
     strategy_to_csv,
     strategy_to_json,
 )
+from roughmv.strategies import strategy_columns
 from conftest import STUDY, study_market
 from oracles import heston_const_mv_total, heston_log_mv_curves
 
@@ -470,3 +472,23 @@ class TestSerialization:
         payload = json.loads(strategy_to_json(curve))
         assert payload["kind"] == "const_mv"
         np.testing.assert_array_equal(np.array(payload["total"]), curve.total)
+
+    def test_json_bytes_equal_the_indenting_encoder(self, market_rough, grid750):
+        # strategy_to_json writes with the C encoder; json.dumps(indent=2) is
+        # the reference layout, float repr and NaN/Infinity spelling
+        import json
+
+        n = grid750.n_steps + 1
+        odd = np.linspace(-1.0, 1.0, n)
+        odd[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        curves = [
+            const_mv_strategy(market_rough, GAM, T, grid750),
+            log_mv_strategy(market_rough, GAM, 1.0, T, grid750),
+            StrategyCurve(grid750, np.ones(n), np.zeros(n), np.ones(n),
+                          {"V1": odd, "g0": np.full(n, 1e300)}, kind="edge \"case\""),
+        ]
+        for curve in curves:
+            payload = {k: np.asarray(v, dtype=float).tolist()
+                       for k, v in strategy_columns(curve).items()}
+            payload["kind"] = curve.kind
+            assert strategy_to_json(curve) == json.dumps(payload, sort_keys=True, indent=2)
