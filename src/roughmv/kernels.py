@@ -271,7 +271,6 @@ def _exp_cell_moments(c, beta, a, b):
 _ML_NEG_FLOAT_CUTOFF = -1.5
 _ML_ASYMPTOTIC_PEAK = 38.0
 _ML_MAX_EXPONENT = 700.0  # exp argument beyond which float64 overflows
-_ML_UNDERFLOW_DIGITS = 340.0  # an absolute error below 1e-340 rounds away in float64
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
@@ -358,64 +357,36 @@ def _ml_series_mp(alpha, beta, z):
 
     Cancellation amplifies the worst term exp(|z|^(1/alpha)); the working
     precision carries that many decimal digits plus 35, set by the most
-    negative argument so no element gets less than it would alone.  That
-    bounds the absolute error near 1e-35, which is not enough for a sum that
-    is itself tiny (E_{1,1}(-x) = e^-x): an argument whose sum is not 1e13
-    times its error bound is summed again with 30, 60, 120, ... more digits,
-    until the bound is below 1e-340, where a float64 sum is exact or 0.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    order = np.argsort(z_arr.ravel())  # most negative first
-    x = -z_arr.ravel()[order]
-    sums = np.empty(x.shape)
-    todo = np.arange(x.size)  # still most negative first
-    boost = 0
-    while todo.size:
-        sums[todo], digits = _ml_fixed_point_sums(alpha, beta, x[todo], boost)
-        # decimal exponent of the rounding error of each argument's largest term
-        err = 0.4343 * x[todo] ** (1.0 / alpha) - digits
-        with np.errstate(divide="ignore"):  # a sum of 0 is re-summed too
-            short = np.log10(np.abs(sums[todo])) < err + 13.0
-        short &= err > -_ML_UNDERFLOW_DIGITS
-        todo, err = todo[short], err[short]
-        if todo.size:
-            boost = min(2 * boost or 30, boost + math.ceil(err.max() + _ML_UNDERFLOW_DIGITS))
-    out = np.empty(x.shape)
-    out[order] = sums
-    out = out.reshape(z_arr.shape)
-    return out if out.ndim else float(out)
-
-
-def _ml_fixed_point_sums(alpha, beta, x, boost):
-    """(sum_n (-x)^n / Gamma(alpha*n + beta), working decimal digits) for x >= 1
-    sorted in decreasing order, with `boost` digits beyond the default.
-
-    The coefficients 1/Gamma(alpha*n + beta) do not depend on x: each is
-    computed once, with alpha*n + beta formed at working precision (in float64
-    its rounding error alone corrupts the cancellation).  Every argument's
-    series is then summed forward in Python-int fixed point: x^n is kept to
-    `prec` significant bits, each coefficient as an mpf mantissa of `prec`
-    bits, and their product is shifted onto one accumulator scale.  A
-    coefficient stored at a fixed absolute scale instead would need
-    len(coeffs) * log2(max|z|) more bits, its absolute error being multiplied
-    by |z|^n; Horner's scheme in fixed point is unstable for |z| > 1.
+    negative argument so no element gets less than it would alone.  The
+    coefficients 1/Gamma(alpha*n + beta) do not depend on z: each is computed
+    once, with alpha*n + beta formed at working precision (in float64 its
+    rounding error alone corrupts the cancellation).  Every argument's series
+    is then summed forward in Python-int fixed point: x^n is kept to `prec`
+    significant bits, each coefficient as an mpf mantissa of `prec` bits, and
+    their product is shifted onto one accumulator scale.  A coefficient stored
+    at a fixed absolute scale instead would need len(coeffs) * log2(max|z|)
+    more bits, its absolute error being multiplied by |z|^n; Horner's scheme
+    in fixed point is unstable for |z| > 1.
     """
     import mpmath
     from mpmath.libmp import to_man_exp
 
+    z_arr = np.asarray(z, dtype=float)
+    order = np.argsort(z_arr.ravel())  # most negative first
+    x = -z_arr.ravel()[order]
     peak = float(x[0]) ** (1.0 / alpha)
-    extra = int(0.4343 * peak) + 15 + boost
+    extra = int(0.4343 * peak) + 15
     if extra > 10_000:
         raise ValueError(
             f"z={-x[0]} too negative for series evaluation at alpha={alpha}"
         )
     # an argument sums terms while n is before its peak term or the term is
-    # above 2^-bits, bits being the 35 + boost + 0.4343 * peak digits it
-    # would get alone; both tests are monotone in x, so the arguments still
-    # summing are a prefix of x
+    # above 2^-bits, bits being the 35 + 0.4343 * peak digits it would get
+    # alone; both tests are monotone in x, so the arguments still summing
+    # are a prefix of x
     peaks = x ** (1.0 / alpha)
     n_peak = peaks / alpha + 5.0
-    floor_log2 = -3.33 * (35.0 + boost + 0.4343 * peaks)
+    floor_log2 = -3.33 * (35.0 + 0.4343 * peaks)
     log2_x = np.log2(x)
     # x * 2^52 as Python ints; exact because x >= 1 has no bits below 2^-52
     x_fixed = np.array([int(v) for v in (x * 2.0**52).tolist()], dtype=object)
@@ -440,7 +411,16 @@ def _ml_fixed_point_sums(alpha, beta, x, boost):
         else:
             raise RuntimeError(f"Mittag-Leffler series failed to converge for z={-x[0]}")
     sums = (acc / (1 << (prec + 16))).astype(float)  # int / int rounds correctly
-    return sums, 20 + extra
+    if alpha == 1.0 and beta == 1.0:
+        # E_{1,1}(-x) = e^-x; the sum's absolute error is about
+        # 10^(0.4343 x - 20 - extra), so where e^-x is not 1e13 times that
+        # the sum is noise (9.5e-38 at x = 100), and e^-x itself is used
+        short = 0.8686 * x > extra + 7.0
+        sums[short] = np.exp(-x[short])
+    out = np.empty(x.shape)
+    out[order] = sums
+    out = out.reshape(z_arr.shape)
+    return out if out.ndim else float(out)
 
 
 def _ml_asymptotic_negative(alpha, beta, x):
@@ -648,8 +628,7 @@ def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
     n = len(a_w)
     y = np.empty((n + 1,) + np.shape(y0))
     y[0] = y0
-    # both sum each row in order; matmul has less call overhead on 1-D rows
-    dot = np.matmul if y.ndim == 1 else functools.partial(np.vecdot, axis=0)
+    dot = functools.partial(np.vecdot, axis=0)
     for i in range(1, n + 1):
         hist = y[i - 1 :: -1]
         past = dot(a_w[:i], hist)
@@ -718,7 +697,7 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
         rate = spec.beta + lam * spec.c
         out = spec.c * taus if rate == 0.0 else spec.c * (-np.expm1(-rate * taus)) / rate
     elif isinstance(spec, SumOfExponentialsKernel):
-        out = _numeric_resolvent_ratio(spec, lam, taus)[0]
+        out = _numeric_resolvent_ratio(spec, lam, taus)
     else:
         raise TypeError(f"unknown kernel variant {type(spec).__name__}")
     return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs
@@ -737,16 +716,13 @@ def _numeric_resolvent_ratio(spec: Kernel, lam: float, taus: np.ndarray):
     largest n: node i reads only nodes < i, so the padding changes no row.
     The forcing is evaluated per row on that row's own nodes, because a
     kernel evaluation over the padded block would round differently.
-
-    Returns (ratio, residual): 0 at tau = 0, and per tau the relative
-    resolvent-identity residual that resolvent_numeric reports.
+    The ratio is 0 at tau = 0.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau values must be finite")
     ratio = np.zeros_like(taus)
-    residual = np.zeros_like(taus)
     positive = np.flatnonzero(taus)
     for lo in range(0, len(positive), TAU_BLOCK):
         rows = positive[lo : lo + TAU_BLOCK]
@@ -759,9 +735,5 @@ def _numeric_resolvent_ratio(spec: Kernel, lam: float, taus: np.ndarray):
             forcing[: g.n_steps + 1, r] = lam * kernel_eval(spec, g.nodes())
         values = _vie_solve(lam, a_w, b_w, forcing)
         for r, g in enumerate(grids):
-            n = g.n_steps
-            f, x = forcing[: n + 1, r], values[: n + 1, r]
-            ratio[rows[r]] = np.trapezoid(x, dx=g.spacing) / lam
-            resid = _vie_residual(lam, a_w[:n, r], b_w[:n, r], f, x)
-            residual[rows[r]] = resid / np.max(np.abs(f))
-    return ratio, residual
+            ratio[rows[r]] = np.trapezoid(values[: g.n_steps + 1, r], dx=g.spacing) / lam
+    return ratio

@@ -29,7 +29,6 @@ from roughmv.kernels import (
     TAU_BLOCK,
     _lag_weights,
     _ml_array,
-    _numeric_resolvent_ratio,
     _vie_solve,
     cell_moments,
 )
@@ -468,16 +467,6 @@ class TestBatchedResolventRatio:
         for t in (taus, shuffled):
             got = integrated_resolvent_ratio_curve(spec, lam, t)
             assert got.tobytes() == self._per_tau(spec, lam, t).tobytes()
-
-    def test_residual_matches_resolvent_numeric(self):
-        spec, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 1.0)
-        taus = np.array([0.0, 0.3, 1.0])
-        _, residual = _numeric_resolvent_ratio(spec, 0.5, taus)
-        assert residual[0] == 0.0
-        for tau, r in zip(taus[1:], residual[1:]):
-            grid = TimeGrid(0.0, tau, max(200, int(250 * tau)))
-            assert r == resolvent_numeric(spec, 0.5, grid).residual
-            assert r < 1e-12
 
     def test_makes_no_per_tau_resolvent_solve(self, monkeypatch):
         import roughmv.kernels as kernels
