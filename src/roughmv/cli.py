@@ -116,8 +116,8 @@ def load_config(path: str | None) -> dict:
     else:
         try:
             raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
     if isinstance(raw, dict) and "config" in raw and "command" in raw:  # a manifest
@@ -319,7 +319,11 @@ def build_output(cfg: dict) -> Path:
         )
     if not (isinstance(out["directory"], str) and out["directory"]):
         raise ConfigError(f"output.directory must be a path, got {out['directory']!r}")
-    return Path(out["directory"])
+    directory = Path(out["directory"])
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output.directory {out['directory']!r}: {existing} is not a directory")
+    return directory
 
 
 def _with_hurst(market: MarketParams, hurst: float) -> MarketParams:

@@ -16,7 +16,8 @@ Closed forms (weight c != 0):
     exponential  K(t) = c exp(-b t)            R(t) = c exp(-b t) exp(-c t)
 
 where E_{a,b} is the Mittag-Leffler function and the resolvent of lam*K is
-obtained by rescaling the weight c -> lam*c.
+obtained by rescaling the weight c -> lam*c.  The constant and exponential
+kernels run as one-term sums of exponentials (b = 0 and b > 0).
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ def is_singular(spec: Kernel) -> bool:
     return isinstance(spec, FractionalKernel) and spec.alpha < 1.0
 
 
+def _exponential_terms(spec: Kernel) -> tuple[tuple, tuple]:
+    """(weights, rates) of a non-fractional kernel as sum_j w_j exp(-r_j t).
+
+    The constant kernel c is the one term c exp(-0 t), the exponential kernel
+    c exp(-beta t) the one term at rate beta.
+    """
+    if isinstance(spec, ConstantKernel):
+        return (spec.c,), (0.0,)
+    if isinstance(spec, ExponentialKernel):
+        return (spec.c,), (spec.beta,)
+    if isinstance(spec, SumOfExponentialsKernel):
+        return spec.weights, spec.rates
+    raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Time grid
 # ---------------------------------------------------------------------------
@@ -170,18 +186,11 @@ def kernel_eval(spec: Kernel, t):
         raise KernelDomainError(
             f"fractional kernel with alpha={spec.alpha} is singular at t = 0"
         )
-    if isinstance(spec, ConstantKernel):
-        out = np.full_like(t_arr, spec.c)
-    elif isinstance(spec, FractionalKernel):
+    if isinstance(spec, FractionalKernel):
         out = spec.c * t_arr ** (spec.alpha - 1.0) / _gamma(spec.alpha)
-    elif isinstance(spec, ExponentialKernel):
-        out = spec.c * np.exp(-spec.beta * t_arr)
-    elif isinstance(spec, SumOfExponentialsKernel):
-        w = np.asarray(spec.weights)
-        r = np.asarray(spec.rates)
-        out = np.exp(-t_arr[..., None] * r) @ w
     else:
-        raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+        w, r = _exponential_terms(spec)
+        out = np.exp(-t_arr[..., None] * np.asarray(r)) @ np.asarray(w)
     return out if out.ndim else float(out)
 
 
@@ -190,24 +199,14 @@ def kernel_integral(spec: Kernel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
-    if isinstance(spec, ConstantKernel):
-        out = spec.c * t_arr
-    elif isinstance(spec, FractionalKernel):
+    if isinstance(spec, FractionalKernel):
         out = spec.c * t_arr ** spec.alpha / _gamma(spec.alpha + 1.0)
-    elif isinstance(spec, ExponentialKernel):
-        if spec.beta == 0:
-            out = spec.c * t_arr
-        else:
-            out = spec.c * (-np.expm1(-spec.beta * t_arr)) / spec.beta
-    elif isinstance(spec, SumOfExponentialsKernel):
-        out = np.zeros_like(t_arr)
-        for w, r in zip(spec.weights, spec.rates):
-            if r == 0:
-                out = out + w * t_arr
-            else:
-                out = out + w * (-np.expm1(-r * t_arr)) / r
     else:
-        raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+        # summed from the first term, so one term keeps its own signed zero
+        out = functools.reduce(np.add, (
+            w * t_arr if r == 0 else w * (-np.expm1(-r * t_arr)) / r
+            for w, r in zip(*_exponential_terms(spec))
+        ))
     return out if out.ndim else float(out)
 
 
@@ -225,24 +224,16 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need h > 0 and n >= 1")
     edges = np.multiply.outer(np.arange(n + 1, dtype=float), h)
     a, b = edges[:-1], edges[1:]
-    if isinstance(spec, ConstantKernel):
-        i0 = spec.c * (b - a)
-        i1 = spec.c * (b**2 - a**2) / 2.0
-    elif isinstance(spec, FractionalKernel):
+    if isinstance(spec, FractionalKernel):
         al = spec.alpha
         i0 = spec.c * (b**al - a**al) / _gamma(al + 1.0)
         i1 = spec.c * (b ** (al + 1.0) - a ** (al + 1.0)) / ((al + 1.0) * _gamma(al))
-    elif isinstance(spec, ExponentialKernel):
-        i0, i1 = _exp_cell_moments(spec.c, spec.beta, a, b)
-    elif isinstance(spec, SumOfExponentialsKernel):
-        i0 = np.zeros(a.shape)
-        i1 = np.zeros(a.shape)
-        for w, r in zip(spec.weights, spec.rates):
-            j0, j1 = _exp_cell_moments(w, r, a, b)
+    else:
+        terms = (_exp_cell_moments(w, r, a, b) for w, r in zip(*_exponential_terms(spec)))
+        i0, i1 = next(terms)  # summed from the first term, as in kernel_integral
+        for j0, j1 in terms:
             i0 += j0
             i1 += j1
-    else:
-        raise TypeError(f"unknown kernel variant {type(spec).__name__}")
     return i0, i1
 
 
@@ -471,49 +462,25 @@ def resolvent_closed_form(spec: Kernel, lam: float):
             "no closed-form resolvent for SumOfExponentialsKernel; "
             "use resolvent_numeric"
         )
+    return functools.partial(_closed_form_resolvent, spec, lam)
+
+
+def _closed_form_resolvent(spec: Kernel, lam: float, t):
+    """R_lam(t) for a fractional or one-term exponential kernel (see module doc)."""
+    t_arr = np.asarray(t, dtype=float)
     if lam == 0.0:
-        def zero(t):
-            t_arr = np.asarray(t, dtype=float)
-            out = np.zeros_like(t_arr)
-            return out if out.ndim else 0.0
-        return zero
-
-    if isinstance(spec, ConstantKernel):
-        lc = lam * spec.c
-
-        def r_const(t):
-            t_arr = np.asarray(t, dtype=float)
-            out = lc * np.exp(-lc * t_arr)
-            return out if out.ndim else float(out)
-
-        return r_const
-
-    if isinstance(spec, ExponentialKernel):
-        lc = lam * spec.c
-        b = spec.beta
-
-        def r_exp(t):
-            t_arr = np.asarray(t, dtype=float)
-            out = lc * np.exp(-(b + lc) * t_arr)
-            return out if out.ndim else float(out)
-
-        return r_exp
-
-    if isinstance(spec, FractionalKernel):
+        out = np.zeros_like(t_arr)
+    elif isinstance(spec, FractionalKernel):
         lc = lam * spec.c
         al = spec.alpha
-
-        def r_frac(t):
-            t_arr = np.asarray(t, dtype=float)
-            if np.any(t_arr <= 0) and al < 1.0:
-                raise KernelDomainError("fractional resolvent is singular at t <= 0")
-            ml = _ml_array(al, al, -lc * t_arr**al)
-            out = lc * t_arr ** (al - 1.0) * ml
-            return out if out.ndim else float(out)
-
-        return r_frac
-
-    raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+        if np.any(t_arr <= 0) and al < 1.0:
+            raise KernelDomainError("fractional resolvent is singular at t <= 0")
+        out = lc * t_arr ** (al - 1.0) * _ml_array(al, al, -lc * t_arr**al)
+    else:
+        (c,), (beta,) = _exponential_terms(spec)
+        lc = lam * c
+        out = lc * np.exp(-(beta + lc) * t_arr)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -678,8 +645,9 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     """int_0^tau R_lam(s)/lam ds over an array of tau >= 0, continuous in lam at 0.
 
     lam = 0 reduces to int_0^tau K.  Fractional kernels use the Mittag-Leffler
-    identity (1 - E_{a,1}(-lam c tau^a))/lam; constant and exponential kernels
-    integrate their exponential resolvents exactly; sum-of-exponentials falls
+    identity (1 - E_{a,1}(-lam c tau^a))/lam; a one-term kernel c exp(-beta t)
+    (constant: beta = 0) integrates its resolvent exactly,
+    c (1 - exp(-(beta + lam c) tau))/(beta + lam c); sum-of-exponentials falls
     back to trapezoid quadrature of the numeric resolvent (see
     _numeric_resolvent_ratio).
     """
@@ -691,15 +659,12 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     if isinstance(spec, FractionalKernel):
         ml = _ml_array(spec.alpha, 1.0, -lam * spec.c * taus**spec.alpha)
         return (1.0 - ml) / lam
-    if isinstance(spec, ConstantKernel):
-        out = -np.expm1(-lam * spec.c * taus) / lam
-    elif isinstance(spec, ExponentialKernel):
-        rate = spec.beta + lam * spec.c
-        out = spec.c * taus if rate == 0.0 else spec.c * (-np.expm1(-rate * taus)) / rate
-    elif isinstance(spec, SumOfExponentialsKernel):
+    if isinstance(spec, SumOfExponentialsKernel):
         out = _numeric_resolvent_ratio(spec, lam, taus)
     else:
-        raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+        (c,), (beta,) = _exponential_terms(spec)
+        rate = beta + lam * c
+        out = c * taus if rate == 0.0 else c * (-np.expm1(-rate * taus)) / rate
     return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs
 
 

@@ -35,12 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    ConstantKernel,
-    ExponentialKernel,
     FractionalKernel,
     Kernel,
     SumOfExponentialsKernel,
     TimeGrid,
+    _exponential_terms,
     kernel_eval,
 )
 from .strategies import (
@@ -149,12 +148,19 @@ def fit_sum_of_exponentials(
     if np.any(weights == 0.0):
         raise RuntimeError("exponential fit produced a zero weight; try fewer factors")
     approx = SumOfExponentialsKernel(tuple(weights), tuple(rates))
+    return approx, _fit_residual(kernel, approx, horizon)[0]
 
+
+@functools.lru_cache(maxsize=8)
+def _fit_residual(kernel: Kernel, approx: Kernel, horizon: float) -> tuple[float, float]:
+    """(relative L2 error, int (K - Khat)^2 dt) by trapezoid on [horizon/1e4, horizon].
+
+    Memoised: _as_factor_kernel reads the residual fit_sum_of_exponentials made.
+    """
     t_err = np.geomspace(horizon / 1.0e4, horizon, 2000)
-    resid = kernel_eval(kernel, t_err) - kernel_eval(approx, t_err)
-    num = np.trapezoid(resid**2, t_err)
-    den = np.trapezoid(kernel_eval(kernel, t_err) ** 2, t_err)
-    return approx, float(np.sqrt(num / den))
+    target = kernel_eval(kernel, t_err)
+    sq = np.trapezoid((target - kernel_eval(approx, t_err)) ** 2, t_err)
+    return float(np.sqrt(sq / np.trapezoid(target**2, t_err))), float(sq)
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,18 +171,12 @@ def _as_factor_kernel(
 
     Memoised: a command simulating in blocks asks for the same fit per block.
     """
-    if isinstance(kernel, SumOfExponentialsKernel):
-        return kernel, 0.0, 0.0
-    if isinstance(kernel, ConstantKernel):
-        return SumOfExponentialsKernel((kernel.c,), (0.0,)), 0.0, 0.0
-    if isinstance(kernel, ExponentialKernel):
-        return SumOfExponentialsKernel((kernel.c,), (kernel.beta,)), 0.0, 0.0
+    if not isinstance(kernel, FractionalKernel):
+        return SumOfExponentialsKernel(*_exponential_terms(kernel)), 0.0, 0.0
     approx, rel = fit_sum_of_exponentials(
         kernel, scheme.n_factors, horizon, scheme.rate_spread
     )
-    t_err = np.geomspace(horizon / 1.0e4, horizon, 2000)
-    resid = kernel_eval(kernel, t_err) - kernel_eval(approx, t_err)
-    return approx, rel, float(np.trapezoid(resid**2, t_err))
+    return approx, rel, _fit_residual(kernel, approx, horizon)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class RiccatiCoefficients:
     H1: float
     H0: float
 
-    def h_of(self, w):
-        return self.H2 * w * w + self.H1 * w + self.H0
-
     def rhs(self, w):
         """Integrand -H2 w^2 + H1 w - H0 of the psi equation."""
         return -self.H2 * w * w + self.H1 * w - self.H0

@@ -97,9 +97,34 @@ def heston_log_mv_curves(theta, rho, sigma, kappa, phi, gamma, rate, taus):
     return psi, w, v0, g0
 
 
+def riccati_lifted_ode(weights, rates, coeffs: RiccatiCoefficients, T: float) -> float:
+    """psi(T) for the kernel sum_j w_j exp(-x_j t) through its Markovian lift.
+
+    psi = sum_j w_j y_j with y_j' = -x_j y_j + rhs(psi), y_j(0) = 0 (Abi Jaber
+    & El Euch, SIAM J. Financial Math. 10, 2019), integrated by Radau since
+    the rates may span decades.
+    """
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(rates, dtype=float)
+
+    def rhs(_t, y):
+        return -x * y + coeffs.rhs(w @ y)
+
+    def jac(_t, y):
+        slope = -2.0 * coeffs.H2 * (w @ y) + coeffs.H1  # d rhs / d psi
+        return np.diag(-x) + slope * w[None, :]
+
+    sol = solve_ivp(rhs, [0.0, T], np.zeros(len(w)), method="Radau", jac=jac,
+                    rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return float(w @ sol.y[:, -1])
+
+
 def q1_quadrature(coeffs: RiccatiCoefficients, w: float) -> float:
-    """-int_w^0 du/H(u) by adaptive quadrature."""
-    val, _err = quad(lambda u: -1.0 / coeffs.h_of(u), w, 0.0, limit=400)
+    """-int_w^0 du/H(u) by adaptive quadrature, H(u) = H2 u^2 + H1 u + H0."""
+    h_of = lambda u: coeffs.H2 * u * u + coeffs.H1 * u + coeffs.H0
+    val, _err = quad(lambda u: -1.0 / h_of(u), w, 0.0, limit=400)
     return val
 
 

@@ -332,6 +332,26 @@ class TestConfigHandling:
         assert manifest["config"]["sim"]["seed"] == 99
         assert "version" in manifest
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+    def test_output_path_that_cannot_be_a_directory_exits_2(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # these were FileExistsError / NotADirectoryError tracebacks, the first
+        # only after the strategy had been computed
+        (tmp_path / "taken").write_text("keep")
+        monkeypatch.setattr(cli, "_strategy_for", lambda *a: pytest.fail("strategy computed"))
+        cfg = write_config(tmp_path, base_config())
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        assert "output.directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys):
+        # a directory was an IsADirectoryError traceback
+        assert main(["strategy", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize(

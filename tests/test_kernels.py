@@ -32,7 +32,7 @@ from roughmv.kernels import (
     _vie_solve,
     cell_moments,
 )
-from roughmv.montecarlo import fit_sum_of_exponentials
+from roughmv.montecarlo import LiftedFactors, _as_factor_kernel, fit_sum_of_exponentials
 from oracles import convolution_identity_residual, ml_reference
 
 TABLE_VARIANTS = [
@@ -547,3 +547,203 @@ class TestCompleteMonotonicity:
         k = kernel_eval(spec, t)
         assert np.all(np.diff(k) <= 1e-15)
         assert np.all(np.diff(k, 2) >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Constant and exponential kernels as one-term sums of exponentials
+# ---------------------------------------------------------------------------
+# The old_* functions keep the per-variant expressions that kernels.py and
+# montecarlo.py used before every non-fractional kernel went through
+# kernels._exponential_terms.  The shared path must give their bits, signed
+# zeros included, apart from the changes listed in test_listed_changes.
+
+def old_kernel_eval(spec, t):
+    t_arr = np.asarray(t, dtype=float)
+    if isinstance(spec, ConstantKernel):
+        out = np.full_like(t_arr, spec.c)
+    elif isinstance(spec, ExponentialKernel):
+        out = spec.c * np.exp(-spec.beta * t_arr)
+    else:
+        out = np.exp(-t_arr[..., None] * np.asarray(spec.rates)) @ np.asarray(spec.weights)
+    return out if out.ndim else float(out)
+
+
+def old_kernel_integral(spec, t):
+    t_arr = np.asarray(t, dtype=float)
+    if isinstance(spec, ConstantKernel):
+        out = spec.c * t_arr
+    elif isinstance(spec, ExponentialKernel):
+        b = spec.beta
+        out = spec.c * t_arr if b == 0 else spec.c * (-np.expm1(-b * t_arr)) / b
+    else:
+        out = np.zeros_like(t_arr)
+        for w, r in zip(spec.weights, spec.rates):
+            out = out + (w * t_arr if r == 0 else w * (-np.expm1(-r * t_arr)) / r)
+    return out if out.ndim else float(out)
+
+
+def old_exp_cell_moments(c, beta, a, b):
+    if beta == 0:
+        return c * (b - a), c * (b**2 - a**2) / 2.0
+    ea = np.exp(-beta * a)
+    eb = np.exp(-beta * b)
+    return (c * (ea - eb) / beta,
+            c * (ea * (a / beta + 1.0 / beta**2) - eb * (b / beta + 1.0 / beta**2)))
+
+
+def old_cell_moments(spec, h, n):
+    edges = np.multiply.outer(np.arange(n + 1, dtype=float), h)
+    a, b = edges[:-1], edges[1:]
+    if isinstance(spec, ConstantKernel):
+        return spec.c * (b - a), spec.c * (b**2 - a**2) / 2.0
+    if isinstance(spec, ExponentialKernel):
+        return old_exp_cell_moments(spec.c, spec.beta, a, b)
+    i0, i1 = np.zeros(a.shape), np.zeros(a.shape)
+    for w, r in zip(spec.weights, spec.rates):
+        j0, j1 = old_exp_cell_moments(w, r, a, b)
+        i0 += j0
+        i1 += j1
+    return i0, i1
+
+
+def old_resolvent(spec, lam, t):
+    t_arr = np.asarray(t, dtype=float)
+    lc = lam * spec.c
+    if lam == 0.0:
+        out = np.zeros_like(t_arr)
+    elif isinstance(spec, ConstantKernel):
+        out = lc * np.exp(-lc * t_arr)
+    elif isinstance(spec, ExponentialKernel):
+        out = lc * np.exp(-(spec.beta + lc) * t_arr)
+    else:
+        al = spec.alpha
+        out = lc * t_arr ** (al - 1.0) * _ml_array(al, al, -lc * t_arr**al)
+    return out if out.ndim else float(out)
+
+
+def old_ratio_curve(spec, lam, taus):
+    if lam == 0.0:
+        return np.asarray(old_kernel_integral(spec, taus), dtype=float)
+    if isinstance(spec, ConstantKernel):
+        out = -np.expm1(-lam * spec.c * taus) / lam
+    else:
+        rate = spec.beta + lam * spec.c
+        out = spec.c * taus if rate == 0.0 else spec.c * (-np.expm1(-rate * taus)) / rate
+    return np.where(taus > 0, out, 0.0)
+
+
+def assert_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes(), (got, ref)
+
+
+def all_negative_sum(spec):
+    return isinstance(spec, SumOfExponentialsKernel) and max(spec.weights) < 0
+
+
+FIT8 = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 2.0)[0]
+ONE_TERM = [
+    ConstantKernel(1.0), ConstantKernel(-0.7), ConstantKernel(2.5),
+    ExponentialKernel(0.5, 1.2), ExponentialKernel(-0.8, 3.0),
+    ExponentialKernel(1.3, 0.0), ExponentialKernel(-2.0, 0.0),
+]
+SUMS = [
+    SumOfExponentialsKernel((0.4, -1.1), (0.0, 2.5)),
+    SumOfExponentialsKernel((-0.3, -0.6), (0.7, 4.0)),
+    FIT8,
+    SumOfExponentialsKernel(tuple(-abs(w) for w in FIT8.weights), FIT8.rates),
+]
+SWEEP_T = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 40.0])
+SWEEP_LAMS = [0.0, -0.4, 0.9, -2.4]  # -2.4 makes beta + lam c = 0 for (0.5, 1.2)
+
+
+class TestOneTermSums:
+    @pytest.mark.parametrize("spec", ONE_TERM + SUMS)
+    def test_kernel_eval_and_integral(self, spec):
+        assert_bits(kernel_eval(spec, SWEEP_T), old_kernel_eval(spec, SWEEP_T))
+        assert_bits(kernel_eval(spec, SWEEP_T[:, None]), old_kernel_eval(spec, SWEEP_T[:, None]))
+        ref = old_kernel_integral(spec, SWEEP_T)
+        if all_negative_sum(spec):
+            ref[0] = -0.0
+        assert_bits(kernel_integral(spec, SWEEP_T), ref)
+        for t in SWEEP_T.tolist():
+            assert_bits(kernel_eval(spec, t), old_kernel_eval(spec, t))
+            assert type(kernel_eval(spec, t)) is float
+            if t > 0 or not all_negative_sum(spec):
+                assert_bits(kernel_integral(spec, t), old_kernel_integral(spec, t))
+
+    @pytest.mark.parametrize("spec", ONE_TERM + SUMS)
+    @pytest.mark.parametrize("h", [0.02, np.array([0.004, 0.02, 0.3])], ids=["scalar", "array"])
+    def test_cell_moments(self, spec, h):
+        for got, ref in zip(cell_moments(spec, h, 60), old_cell_moments(spec, h, 60)):
+            assert_bits(got, ref)
+
+    @pytest.mark.parametrize(
+        "spec", ONE_TERM + [FractionalKernel(1.0, 0.6), FractionalKernel(-0.5, 1.0)]
+    )
+    @pytest.mark.parametrize("lam", SWEEP_LAMS)
+    def test_resolvent_closed_form(self, spec, lam):
+        r = resolvent_closed_form(spec, lam)
+        t = SWEEP_T[1:] if isinstance(spec, FractionalKernel) else SWEEP_T
+        assert_bits(r(t), old_resolvent(spec, lam, t))
+        assert_bits(r(0.37), old_resolvent(spec, lam, 0.37))
+        assert type(r(0.37)) is float
+
+    @pytest.mark.parametrize("spec", ONE_TERM)
+    @pytest.mark.parametrize("lam", SWEEP_LAMS)
+    def test_integrated_resolvent_ratio_curve(self, spec, lam):
+        got = integrated_resolvent_ratio_curve(spec, lam, SWEEP_T)
+        ref = old_ratio_curve(spec, lam, SWEEP_T)
+        if isinstance(spec, ConstantKernel) and lam != 0.0:
+            # c (1 - e^{-lam c tau})/(lam c) in place of (1 - e^{-lam c tau})/lam
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            if spec.c == 1.0:
+                assert_bits(got, ref)
+        else:
+            assert_bits(got, ref)
+
+    @pytest.mark.parametrize("spec", SUMS)
+    def test_integrated_resolvent_ratio_curve_of_sums_at_lam_zero(self, spec):
+        ref = old_ratio_curve(spec, 0.0, SWEEP_T)
+        if all_negative_sum(spec):
+            ref[0] = -0.0
+        assert_bits(integrated_resolvent_ratio_curve(spec, 0.0, SWEEP_T), ref)
+
+    @pytest.mark.parametrize("spec", ONE_TERM + SUMS)
+    def test_factor_kernel_of_non_fractional_kernels(self, spec):
+        if isinstance(spec, ConstantKernel):
+            ref = SumOfExponentialsKernel((spec.c,), (0.0,))
+        elif isinstance(spec, ExponentialKernel):
+            ref = SumOfExponentialsKernel((spec.c,), (spec.beta,))
+        else:
+            ref = spec
+        got, rel, sq = _as_factor_kernel(spec, LiftedFactors(8), 2.0)
+        assert got == ref and (rel, sq) == (0.0, 0.0)
+        assert_bits(got.weights, ref.weights)
+        assert_bits(got.rates, ref.rates)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5])
+    def test_factor_kernel_fit_residual(self, hurst):
+        kernel = FractionalKernel.from_hurst(hurst)
+        approx, rel = fit_sum_of_exponentials(kernel, 8, 2.0)
+        t_err = np.geomspace(2.0 / 1.0e4, 2.0, 2000)
+        resid = kernel_eval(kernel, t_err) - kernel_eval(approx, t_err)
+        sq = float(np.trapezoid(resid**2, t_err))
+        ref_rel = float(np.sqrt(sq / np.trapezoid(kernel_eval(kernel, t_err) ** 2, t_err)))
+        assert_bits(rel, ref_rel)
+        got = _as_factor_kernel(kernel, LiftedFactors(8), 2.0)
+        assert got[0] == approx
+        assert_bits(got[1:], (ref_rel, sq))
+
+    def test_listed_changes(self):
+        # the only bits the shared path changes: signed zeros of sums that
+        # underflow or start from a negative first term
+        assert math.copysign(1.0, kernel_eval(ExponentialKernel(-0.8, 3.0), 300.0)) == 1.0
+        assert math.copysign(1.0, old_kernel_eval(ExponentialKernel(-0.8, 3.0), 300.0)) == -1.0
+        neg = SumOfExponentialsKernel((-0.3, -0.6), (700.0, 900.0))
+        assert math.copysign(1.0, kernel_integral(neg, 0.0)) == -1.0
+        i0 = cell_moments(neg, 2.0, 3)[0]
+        assert_bits(i0[1:], [-0.0, -0.0])
+        assert_bits(old_cell_moments(neg, 2.0, 3)[0][1:], [0.0, 0.0])

@@ -6,10 +6,12 @@ import pytest
 from roughmv import (
     ConstantKernel,
     DivergenceError,
+    ExponentialKernel,
     FractionalKernel,
     LinearVieProblem,
     RiccatiCoefficients,
     SolverConfig,
+    SumOfExponentialsKernel,
     TimeGrid,
     convolve,
     fit_sum_of_exponentials,
@@ -21,7 +23,7 @@ from roughmv import (
 )
 from roughmv.volterra import negative_root, q1
 from conftest import STUDY
-from oracles import heston_log_mv_curves, q1_quadrature
+from oracles import heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +291,44 @@ class TestRiccatiBounds:
         assert np.all(sol.values[1:] > 0.0)
         assert np.all(sol.values[1:] <= -r1)
         assert np.all(-r1 < -w_star)
+
+
+# ---------------------------------------------------------------------------
+# Adams solver against the Markovian lift of a sum-of-exponentials kernel
+# ---------------------------------------------------------------------------
+
+LIFTED_COEFFS = RiccatiCoefficients.log_mv(0.3, -0.7, 0.3, 1.5, 0.5)
+
+
+def lifted_errors(kernel, weights, rates, ns):
+    """|psi(1) - lifted-ODE psi(1)| of solve_riccati_volterra on TimeGrid(0, 1, n)."""
+    ref = riccati_lifted_ode(weights, rates, LIFTED_COEFFS, 1.0)
+    return np.array([
+        abs(solve_riccati_volterra(kernel, LIFTED_COEFFS, TimeGrid(0.0, 1.0, n)).values[-1] - ref)
+        for n in ns
+    ])
+
+
+class TestLiftedOdeOracle:
+    @pytest.mark.parametrize(
+        "kernel,weights,rates",
+        [
+            (ConstantKernel(1.0), (1.0,), (0.0,)),
+            (ExponentialKernel(0.5, 1.2), (0.5,), (1.2,)),
+            (SumOfExponentialsKernel((0.6, -0.2, 0.9), (0.5, 5.0, 40.0)),
+             (0.6, -0.2, 0.9), (0.5, 5.0, 40.0)),
+        ],
+        ids=["constant", "exponential", "soe3"],
+    )
+    def test_second_order_on_smooth_kernels(self, kernel, weights, rates):
+        errs = lifted_errors(kernel, weights, rates, [100, 200, 400, 800, 1600])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert np.all(np.abs(orders - 2.0) < 0.05), orders
+
+    def test_eight_factor_fit_of_rough_kernel(self):
+        # rates span four decades; at these grids the order is not yet
+        # asymptotic (1.7-1.9), so only a falling, small error is required
+        kernel = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 1.0)[0]
+        errs = lifted_errors(kernel, kernel.weights, kernel.rates, [250, 500, 1000, 2000, 4000])
+        assert np.all(np.diff(errs) < 0), errs
+        assert errs[0] < 5e-5
