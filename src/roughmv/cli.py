@@ -3,7 +3,7 @@ emission, and the data recipes behind the hedge-term, crossover, simulation,
 and consumption figures.
 
 Subcommands: hedge-curve, crossover, simulate, nonexp, strategy.
-Exit codes: 0 success, 2 config error, 3 numeric error.
+Exit codes: 0 success, 2 config error, 3 numeric or I/O error.
 
 Every command writes a manifest.json holding the fully resolved config, the
 library version, and the seed; pointing --config at a manifest reruns the
@@ -255,8 +255,18 @@ def _integer(value, name: str, minimum: int) -> int:
     return number
 
 
+MAX_GRID_STEPS = 10**6  # cells of one grid; each array over its nodes is then 8 MB
+
+
 def build_grid(cfg: dict, horizon: float) -> TimeGrid:
+    """The time grid, refused before any allocation if it is over budget."""
     spy = _integer(cfg["grid"]["steps_per_year"], "grid.steps_per_year", 1)
+    steps = spy * horizon
+    if steps > MAX_GRID_STEPS:
+        raise ConfigError(
+            f"grid.steps_per_year x objective.horizon = {spy} x {horizon:g} = "
+            f"{steps:.6g} steps exceeds the budget of {MAX_GRID_STEPS} steps"
+        )
     return TimeGrid.for_horizon(horizon, spy)
 
 
@@ -336,10 +346,25 @@ def _with_hurst(market: MarketParams, hurst: float) -> MarketParams:
     )
 
 
+class OutputError(Exception):
+    """An output file could not be written."""
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError while writing path into an OutputError that names it;
+    a failed write, unlike a failed open, carries no file name."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text)
+    with _writing(path):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     return path
 
 
@@ -347,15 +372,16 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def _streamed(out_dir: Path, name: str):
     """A text file written as <name>.part and renamed to <name> when the block
     exits cleanly; on an error the partial file is removed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     part = out_dir / f"{name}.part"
-    try:
-        with part.open("w") as fh:
-            yield fh
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    part.replace(out_dir / name)
+    with _writing(part):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            with part.open("w") as fh:
+                yield fh
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        part.replace(out_dir / name)
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict):
@@ -579,6 +605,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"numeric error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except OutputError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -578,30 +578,64 @@ def _lag_weights(i0: np.ndarray, i1: np.ndarray, h):
     return a_w, b_w
 
 
+MARCH_BLOCK = 128  # nodes of _march whose earlier history enters as one product
+
+
 def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
     """Node loop of every product-integration Volterra solve.
 
     At node i = 1..n, y[i] = node_rule(i, past) with the product-trapezoidal
-    history past = sum_{m=1..i} a_w[m-1] y[i-m] + sum_{m=2..i} b_w[m-1] y[i-m+1];
+    history past = sum_{m=1..i} a_w[m-1] y[i-m] + sum_{m=2..i} b_w[m-1] y[i-m+1],
+    summed as a_w[i-1] y[0] + sum_{m=1..i-1} (a_w[m-1] + b_w[m]) y[i-m];
     node_rule owns the weight b_w[0] on y[i].  With rect_w, y[i] =
     node_rule(i, rect, past) also gets the product-rectangle history
-    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).
+    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).  A 1-D
+    march hands node_rule Python floats.
+
+    The grid is walked in blocks of MARCH_BLOCK nodes (Hairer, Lubich &
+    Schlichte 1985).  The history from nodes before a block enters all of
+    the block's nodes at once, by one np.convolve per weight set (and row);
+    inside the block, each new node adds its own terms to the later nodes'
+    sums.
 
     The state is time-major: y has shape (n+1,) + shape(y0), so an array y0
     marches independent rows at once, each with its own column of weights
-    (shape (n,) + shape(y0)).  Every history sum runs in the same order as
-    for a scalar y0, so each row equals its own scalar march bit for bit.
+    (shape (n,) + shape(y0)).  Each row runs the same operations as a 1-D
+    march, so it equals its own 1-D march bit for bit.
     """
     n = len(a_w)
-    y = np.empty((n + 1,) + np.shape(y0))
+    rows = np.shape(y0)
+    y = np.empty((n + 1,) + rows)
     y[0] = y0
-    dot = functools.partial(np.vecdot, axis=0)
-    for i in range(1, n + 1):
-        hist = y[i - 1 :: -1]
-        past = dot(a_w[:i], hist)
-        if i >= 2:
-            past += dot(b_w[1:i], hist[:-1])
-        y[i] = node_rule(i, past) if rect_w is None else node_rule(i, dot(rect_w[:i], hist), past)
+    lag = a_w.copy()
+    lag[:-1] += b_w[1:]
+    # weight sets in node_rule's argument order, each with the first node it
+    # weighs by lag: y[0] for the predictor, y[1] for the trapezoidal sum
+    # (whose weight on y[0] is a_w[i-1])
+    sets = ((lag, 1),) if rect_w is None else ((rect_w, 0), (lag, 1))
+    m = len(sets)
+    width = min(MARCH_BLOCK, n)
+    # the block's history sums and the near lags 1..width-1, node-major with
+    # the weight sets interleaved, so that node k's sums are acc[k*m:(k+1)*m]
+    acc = np.empty((width * m,) + rows)
+    near = np.stack([w[: width - 1] for w, _ in sets], axis=1).reshape((-1,) + rows)
+    # node k: its own sums, the later nodes' sums and their weights on node k
+    steps = [(acc[k * m : k * m + m], acc[k * m + m :], near[: (width - 1 - k) * m])
+             for k in range(width)]
+    for s in range(1, n + 1, width):
+        size = min(width, n + 1 - s)
+        acc.fill(0.0)
+        acc[m - 1 : size * m : m] = a_w[s - 1 : s - 1 + size] * y[0]
+        for k, (w, first) in enumerate(sets):
+            if s > first:
+                for r in np.ndindex(rows):
+                    acc[(slice(k, size * m, m),) + r] += np.convolve(
+                        w[(slice(s + size - 1 - first),) + r], y[(slice(first, s),) + r], "valid"
+                    )
+        for k in range(size):
+            hist, later, weights = steps[k]
+            y[s + k] = value = node_rule(s + k, *(hist if rows else hist.tolist()))
+            later += value * weights
     return y
 
 
@@ -612,6 +646,8 @@ def _vie_solve(lam, a_w, b_w, forcing):
     lag weights of shape (n, rows); see _march.
     """
     denom = 1.0 + lam * b_w[0]
+    if np.ndim(forcing) == 1:  # a 1-D march runs on Python floats
+        forcing, lam, denom = forcing.tolist(), float(lam), float(denom)
     return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
 
 

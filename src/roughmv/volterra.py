@@ -17,6 +17,7 @@ form whose comparison bounds (w_star, r1 below) apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,11 +162,11 @@ def solve_riccati_volterra(
     n = grid.n_steps
     i0, i1 = cell_moments(kernel, h, n)
     a_w, b_w = _lag_weights(i0, i1, h)
-    b1 = b_w[0]
+    b1 = float(b_w[0])
 
-    guard = np.inf
+    guard = math.inf
     if coeffs.H1 < 0 and coeffs.H0 < 0 and coeffs.H2 >= 0:
-        guard = config.divergence_factor * abs(negative_root(coeffs))
+        guard = float(config.divergence_factor * abs(negative_root(coeffs)))
 
     psi = np.zeros(n + 1)
 
@@ -178,7 +179,7 @@ def solve_riccati_volterra(
             value = past + b1 * g_new
             if config.corrector_tol is not None and abs(value - prev) <= config.corrector_tol:
                 break
-        if not np.isfinite(value) or abs(value) > guard:
+        if not math.isfinite(value) or abs(value) > guard:
             raise DivergenceError(
                 f"psi diverged at node {i} (t = {i * h:.6g}): "
                 f"|psi| = {abs(value):.3g} exceeds {guard:.3g}"

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +353,87 @@ class TestConfigHandling:
         assert main(["strategy", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestGridBudget:
+    """A grid over cli.MAX_GRID_STEPS cells exits 2 before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid_is_built(self, monkeypatch):
+        # if the check let the grid through, fail at once instead of
+        # allocating hundreds of millions of nodes
+        class Refused:
+            @staticmethod
+            def for_horizon(horizon, steps_per_year):
+                pytest.fail(f"grid of {horizon} x {steps_per_year} built")
+
+        monkeypatch.setattr(cli, "TimeGrid", Refused)
+
+    @pytest.mark.parametrize("command", ["strategy", "crossover", "hedge-curve", "simulate"])
+    def test_huge_horizon_exits_2_naming_the_fields(self, tmp_path, capsys, command):
+        # "horizon": 1e6 is 2.5e8 steps; strategy and crossover were killed
+        payload = base_config(hurst_values=[0.1, 0.5])
+        payload["objective"]["horizon"] = 1e6
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        for name in ("grid.steps_per_year", "objective.horizon", "2.5e+08 steps",
+                     str(cli.MAX_GRID_STEPS)):
+            assert name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_steps_per_year_flag_counts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())  # horizon 3
+        steps = str(cli.MAX_GRID_STEPS // 3 + 1)
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--steps-per-year", steps]) == 2
+        assert "grid.steps_per_year" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class FullDisk(io.StringIO):
+    """A text file whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWriteErrors:
+    """An OSError while writing an output file exits 3 with one line naming it."""
+
+    @staticmethod
+    def full_disk(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def assert_io_error(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err == f"io error: {path}: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_strategy(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, base_config())
+        monkeypatch.setattr(Path, "write_text", self.full_disk)
+        out = tmp_path / "o"
+        assert main(["strategy", "--config", cfg, "--out", str(out)]) == 3
+        self.assert_io_error(capsys, out / "strategy.csv")
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"sim": {"n_paths": 20, "write_paths": False}})
+        monkeypatch.setattr(Path, "write_text", self.full_disk)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--steps-per-year", "25"]) == 3
+        self.assert_io_error(capsys, out / "terminal_stats.json")
+
+    def test_simulate_streamed_paths(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"sim": {"n_paths": 20, "write_paths": True}})
+        real_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: (
+            FullDisk() if self.suffix == ".part" else real_open(self, *args, **kwargs)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--steps-per-year", "25"]) == 3
+        self.assert_io_error(capsys, out / "paths.csv.part")
+        assert list(out.iterdir()) == []
 
 
 class TestShippedConfigs:

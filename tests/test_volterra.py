@@ -21,6 +21,7 @@ from roughmv import (
     solve_linear_vie,
     solve_riccati_volterra,
 )
+from roughmv.kernels import MARCH_BLOCK, _lag_weights, _ml_array, cell_moments
 from roughmv.volterra import negative_root, q1
 from conftest import STUDY
 from oracles import heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
@@ -332,3 +333,146 @@ class TestLiftedOdeOracle:
         errs = lifted_errors(kernel, kernel.weights, kernel.rates, [250, 500, 1000, 2000, 4000])
         assert np.all(np.diff(errs) < 0), errs
         assert errs[0] < 5e-5
+
+
+# ---------------------------------------------------------------------------
+# The blocked node loop against a plain sequential march
+# ---------------------------------------------------------------------------
+# reference_march sums each node's whole history afresh, lag by lag, as the
+# node loop did before it was blocked.  The blocked loop sums in another
+# order, so the two agree to rounding, not bit for bit.
+
+def reference_march(a_w, b_w, y0, node_rule, rect_w=None):
+    n = len(a_w)
+    y = np.empty(n + 1)
+    y[0] = y0
+    for i in range(1, n + 1):
+        hist = y[i - 1 :: -1]
+        past = a_w[:i] @ hist + b_w[1:i] @ hist[:-1]
+        y[i] = node_rule(i, past) if rect_w is None else node_rule(i, rect_w[:i] @ hist, past)
+    return y
+
+
+def moments_and_weights(kernel, grid):
+    i0, i1 = cell_moments(kernel, grid.spacing, grid.n_steps)
+    return i0, *_lag_weights(i0, i1, grid.spacing)
+
+
+def reference_vie(kernel, lam, f, grid):
+    _, a_w, b_w = moments_and_weights(kernel, grid)
+    denom = 1.0 + lam * b_w[0]
+    return reference_march(a_w, b_w, f[0], lambda i, s: (f[i] - lam * s) / denom)
+
+
+def reference_riccati(kernel, coeffs, grid, config):
+    i0, a_w, b_w = moments_and_weights(kernel, grid)
+    b1, h = b_w[0], grid.spacing
+    guard = config.divergence_factor * abs(negative_root(coeffs))
+    psi = np.zeros(grid.n_steps + 1)
+
+    def pece(i, pred, past):
+        value = past + b1 * coeffs.rhs(pred)
+        for _ in range(config.corrector_iterations):
+            prev = value
+            value = past + b1 * coeffs.rhs(value)
+            if config.corrector_tol is not None and abs(value - prev) <= config.corrector_tol:
+                break
+        if not np.isfinite(value) or abs(value) > guard:
+            raise DivergenceError(
+                f"psi diverged at node {i} (t = {i * h:.6g}): "
+                f"|psi| = {abs(value):.3g} exceeds {guard:.3g}"
+            )
+        psi[i] = value
+        return coeffs.rhs(value)
+
+    reference_march(a_w, b_w, coeffs.rhs(0.0), pece, rect_w=i0)
+    return psi
+
+
+MARCH_KERNELS = [
+    FractionalKernel(1.0, 0.6),
+    FractionalKernel(1.0, 1.0),
+    ExponentialKernel(0.5, 1.2),
+    fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 2.0)[0],
+]
+MARCH_KERNEL_IDS = ["a0.6", "a1.0", "exp", "soe8"]
+# one node, a block but one, a block, a block and one, two blocks and three
+MARCH_SIZES = [1, MARCH_BLOCK - 1, MARCH_BLOCK, MARCH_BLOCK + 1, 2 * MARCH_BLOCK + 3]
+
+
+def assert_close_to_reference(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestBlockedMarch:
+    @pytest.mark.parametrize("n", MARCH_SIZES)
+    @pytest.mark.parametrize("kernel", MARCH_KERNELS, ids=MARCH_KERNEL_IDS)
+    def test_linear_vie(self, kernel, n):
+        grid = TimeGrid(0.0, 2.0, n)
+        f = np.cos(3.0 * grid.nodes()) + 0.5
+        got = solve_linear_vie(LinearVieProblem(kernel, 0.7, f, grid))
+        assert_close_to_reference(got, reference_vie(kernel, 0.7, f, grid))
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(),
+        SolverConfig(corrector_iterations=3),
+        SolverConfig(corrector_iterations=50, corrector_tol=1e-12),
+    ], ids=["pece1", "pece3", "tol"])
+    @pytest.mark.parametrize("n", MARCH_SIZES)
+    @pytest.mark.parametrize("kernel", MARCH_KERNELS, ids=MARCH_KERNEL_IDS)
+    def test_riccati(self, kernel, n, config):
+        grid = TimeGrid(0.0, 2.0, n)
+        got = solve_riccati_volterra(kernel, LIFTED_COEFFS, grid, config).values
+        assert_close_to_reference(got, reference_riccati(kernel, LIFTED_COEFFS, grid, config))
+
+    def test_divergence_at_the_same_node_with_the_same_message(self):
+        kernel = FractionalKernel(1.0, 0.6)
+        grid = TimeGrid(0.0, 3.0, 2 * MARCH_BLOCK + 3)
+        # a guard that psi crosses in the second block
+        psi = reference_riccati(kernel, LIFTED_COEFFS, grid, SolverConfig())
+        node = MARCH_BLOCK + 40
+        assert psi[node - 1] < psi[node]
+        guard = 0.5 * (psi[node - 1] + psi[node])
+        config = SolverConfig(divergence_factor=guard / abs(negative_root(LIFTED_COEFFS)))
+        with pytest.raises(DivergenceError) as ref:
+            reference_riccati(kernel, LIFTED_COEFFS, grid, config)
+        with pytest.raises(DivergenceError) as got:
+            solve_riccati_volterra(kernel, LIFTED_COEFFS, grid, config)
+        assert f"at node {node} " in str(ref.value)
+        assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# Observed order against the Mittag-Leffler closed form
+# ---------------------------------------------------------------------------
+# With H2 = 0 the Riccati equation psi = K * (H1 psi - H0) is linear; for
+# K = t^(a-1)/Gamma(a) it has psi = (H0/H1)(1 - E_a(H1 t^a)), and the linear
+# VIE x + (-H1) K*x = -H0 has x = -H0 E_a(H1 t^a).  The product-integration
+# schemes converge as 2a (Diethelm, Ford & Freed, Numer. Algorithms 36, 2004).
+
+ORDER_H1, ORDER_H0 = -1.3, -0.9
+
+
+def closed_form_errors(alpha, ns):
+    """Max-norm errors of the Adams and the linear-VIE solves on TimeGrid(0, 1, n)."""
+    kernel = FractionalKernel(1.0, alpha)
+    coeffs = RiccatiCoefficients(0.0, ORDER_H1, ORDER_H0)
+    adams, vie = [], []
+    for n in ns:
+        grid = TimeGrid(0.0, 1.0, n)
+        ml = _ml_array(alpha, 1.0, ORDER_H1 * grid.nodes() ** alpha)
+        psi = solve_riccati_volterra(kernel, coeffs, grid).values
+        x = solve_linear_vie(LinearVieProblem(kernel, -ORDER_H1, np.full(n + 1, -ORDER_H0), grid))
+        adams.append(np.max(np.abs(psi - ORDER_H0 / ORDER_H1 * (1.0 - ml))))
+        vie.append(np.max(np.abs(x + ORDER_H0 * ml)))
+    return np.array(adams), np.array(vie)
+
+
+class TestConvergenceOrder:
+    @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0])
+    def test_order_two_alpha(self, alpha):
+        adams, vie = closed_form_errors(alpha, [400, 800, 1600])
+        for errs in (adams, vie):
+            orders = np.log2(errs[:-1] / errs[1:])
+            assert np.all(np.abs(orders - 2.0 * alpha) < 0.05), orders
