@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -24,11 +25,10 @@ import numpy as np
 
 from . import __version__
 from .kernels import (
-    ConstantKernel,
-    ExponentialKernel,
     FractionalKernel,
     SumOfExponentialsKernel,
     TimeGrid,
+    _check_weight,
 )
 from .montecarlo import (
     PATH_BLOCK,
@@ -158,14 +158,18 @@ def build_kernel(spec: dict):
             if "hurst" in spec:
                 return FractionalKernel.from_hurst(float(spec["hurst"]), c=c)
             return FractionalKernel(c=c, alpha=float(spec["alpha"]))
-        if variant == "constant":
-            return ConstantKernel(c=float(spec["c"]))
-        if variant == "exponential":
-            return ExponentialKernel(c=float(spec["c"]), beta=float(spec["beta"]))
-        return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
+        if variant == "sum_of_exponentials":
+            return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
+        # constant and exponential kernels are the one-term sums c exp(-beta t)
+        c = float(spec["c"])
+        _check_weight(c)
+        beta = float(spec["beta"]) if variant == "exponential" else 0.0
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ValueError(f"decay rate beta must be finite and >= 0, got {beta}")
+        return SumOfExponentialsKernel((c,), (beta,))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad market.kernel {spec}: {exc}")
 
 
@@ -177,19 +181,16 @@ def build_market(cfg: dict) -> MarketParams:
             curve = RateCurve(tuple(rate["times"]), tuple(rate["rates"]))
         else:
             curve = RateCurve.flat(float(rate))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad market.rate {rate!r}: {exc}")
+    scalars = {}
+    for name in ("nu0", "kappa", "phi", "sigma", "rho", "theta"):
+        try:
+            scalars[name] = float(m[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad market.{name} {m[name]!r}: {exc}")
     try:
-        return MarketParams(
-            nu0=float(m["nu0"]),
-            kappa=float(m["kappa"]),
-            phi=float(m["phi"]),
-            sigma=float(m["sigma"]),
-            rho=float(m["rho"]),
-            theta=float(m["theta"]),
-            rate_curve=curve,
-            kernel=build_kernel(m["kernel"]),
-        )
+        return MarketParams(**scalars, rate_curve=curve, kernel=build_kernel(m["kernel"]))
     except ValueError as exc:
         raise ConfigError(f"bad market parameters: {exc}")
 
@@ -214,7 +215,7 @@ def build_discount(spec: dict):
         return TabulatedDiscount(tuple(spec["times"]), tuple(spec["values"]))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad objective.discount {spec}: {exc}")
 
 
@@ -238,7 +239,7 @@ def build_objective(cfg: dict):
         return NonExpLogObjective(build_discount(o["discount"]), horizon)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad objective spec {o}: {exc}")
 
 
@@ -285,7 +286,7 @@ def build_sim(cfg: dict) -> SimSettings:
     n_factors = _integer(s["n_factors"], "sim.n_factors", 1)
     try:
         lifted = LiftedFactors(n_factors, float(s["rate_spread"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sim.rate_spread {s['rate_spread']!r}: {exc}")
     if not isinstance(s["write_paths"], bool):
         raise ConfigError(f"sim.write_paths must be true or false, got {s['write_paths']!r}")
@@ -412,8 +413,9 @@ def cmd_hedge_curve(cfg: dict, out_dir: Path) -> int:
     market = build_market(cfg)
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
-    for hurst in cfg["hurst_values"]:
-        curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
+    curves = {hurst: _strategy_for(_with_hurst(market, hurst), objective, grid)
+              for hurst in cfg["hurst_values"]}  # all of them before any file
+    for hurst, curve in curves.items():
         cols = {"t": grid.nodes(), "myopic": curve.myopic, "hedge": curve.hedge,
                 "total": curve.total}
         _write(out_dir, f"hedge_curve_H{hurst:g}.csv", columns_to_csv(cols))
@@ -513,13 +515,15 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
             _with_hurst(market, hurst), objective.discount, objective.horizon, grid
         )
         outputs.append((p_hat, coef, 1.0 / p_hat))
+    identical = all(
+        np.array_equal(outputs[0][i], outputs[1][i]) for i in range(3)
+    )
+    if not identical:
+        raise RuntimeError("kernel invariance violated for the consumption problem")
     p_hat, coef, v1 = outputs[0]
     cols = {"t": grid.nodes(), "consumption_rate": p_hat,
             "investment_coefficient": coef, "V1": v1}
     _write(out_dir, "nonexp_strategy.csv", columns_to_csv(cols))
-    identical = all(
-        np.array_equal(outputs[0][i], outputs[1][i]) for i in range(3)
-    )
     _write(
         out_dir,
         "kernel_invariance.json",
@@ -530,8 +534,6 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
         )
         + "\n",
     )
-    if not identical:
-        raise RuntimeError("kernel invariance violated for the consumption problem")
     _write_manifest(out_dir, "nonexp", cfg)
     return 0
 
@@ -558,7 +560,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="roughmv",
         description="Equilibrium strategies under rough (Volterra Heston) volatility",
@@ -596,11 +600,14 @@ def main(argv=None) -> int:
         build_sim(cfg)
         check_sweeps(cfg)
         out_dir = build_output(cfg)
-        return COMMANDS[args.command](cfg, out_dir)
+        # a float overflow, a division by zero or an invalid operation is a
+        # numeric error, not a warning after which the run goes on with inf or NaN
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OverflowError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -9,15 +9,16 @@ by the resolvent of the second kind R_lam of lam*K, defined through
 and by the integrated ratio  int_0^tau R_lam(s)/lam ds.  For lam = 0 the
 convention is R_lam = 0 and R_lam/lam = K.
 
-Closed forms (weight c != 0):
+Two kernel types (weight c != 0):
 
-    constant     K(t) = c                      R(t) = c exp(-c t)
-    fractional   K(t) = c t^(a-1)/Gamma(a)     R(t) = c t^(a-1) E_{a,a}(-c t^a)
-    exponential  K(t) = c exp(-b t)            R(t) = c exp(-b t) exp(-c t)
+    fractional          K(t) = c t^(a-1)/Gamma(a)   R(t) = c t^(a-1) E_{a,a}(-c t^a)
+    sum of exponentials K(t) = sum_j w_j exp(-x_j t)
 
 where E_{a,b} is the Mittag-Leffler function and the resolvent of lam*K is
-obtained by rescaling the weight c -> lam*c.  The constant and exponential
-kernels run as one-term sums of exponentials (b = 0 and b > 0).
+obtained by rescaling the weight c -> lam*c.  Every kernel that is not
+singular is a sum of exponentials: the constant kernel c (classic Heston, the
+fractional kernel with a = 1) is the one term c exp(-0 t), and a one-term
+kernel c exp(-b t) has the exact resolvent R(t) = c exp(-(b + c) t).
 """
 
 from __future__ import annotations
@@ -48,19 +49,12 @@ def _check_weight(c: float):
 
 
 @dataclass(frozen=True)
-class ConstantKernel:
-    c: float
-
-    def __post_init__(self):
-        _check_weight(self.c)
-
-
-@dataclass(frozen=True)
 class FractionalKernel:
     """Power-law kernel c * t^(alpha-1)/Gamma(alpha), alpha in (0, 1].
 
-    alpha = hurst + 1/2; alpha = 1 recovers the constant kernel (classic
-    Heston), smaller alpha means rougher variance paths.
+    alpha = hurst + 1/2; alpha = 1 is the constant kernel c (classic Heston),
+    which runs as the one-term sum of exponentials c exp(-0 t); smaller alpha
+    means rougher variance paths.
     """
 
     c: float
@@ -80,17 +74,6 @@ class FractionalKernel:
     @property
     def hurst(self) -> float:
         return self.alpha - 0.5
-
-
-@dataclass(frozen=True)
-class ExponentialKernel:
-    c: float
-    beta: float
-
-    def __post_init__(self):
-        _check_weight(self.c)
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"decay rate beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +98,7 @@ class SumOfExponentialsKernel:
         return len(self.weights)
 
 
-Kernel = ConstantKernel | FractionalKernel | ExponentialKernel | SumOfExponentialsKernel
+Kernel = FractionalKernel | SumOfExponentialsKernel
 
 
 def is_singular(spec: Kernel) -> bool:
@@ -123,18 +106,16 @@ def is_singular(spec: Kernel) -> bool:
 
 
 def _exponential_terms(spec: Kernel) -> tuple[tuple, tuple]:
-    """(weights, rates) of a non-fractional kernel as sum_j w_j exp(-r_j t).
+    """(weights, rates) of a kernel that is not singular, as sum_j w_j exp(-r_j t).
 
-    The constant kernel c is the one term c exp(-0 t), the exponential kernel
-    c exp(-beta t) the one term at rate beta.
+    The fractional kernel with alpha = 1 is the constant c, the one term
+    c exp(-0 t).
     """
-    if isinstance(spec, ConstantKernel):
-        return (spec.c,), (0.0,)
-    if isinstance(spec, ExponentialKernel):
-        return (spec.c,), (spec.beta,)
     if isinstance(spec, SumOfExponentialsKernel):
         return spec.weights, spec.rates
-    raise TypeError(f"unknown kernel variant {type(spec).__name__}")
+    if isinstance(spec, FractionalKernel) and spec.alpha == 1.0:
+        return (spec.c,), (0.0,)
+    raise TypeError(f"{spec!r} is not a sum of exponentials")
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +163,11 @@ def kernel_eval(spec: Kernel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel is defined on t >= 0 only")
-    if is_singular(spec) and np.any(t_arr == 0):
-        raise KernelDomainError(
-            f"fractional kernel with alpha={spec.alpha} is singular at t = 0"
-        )
-    if isinstance(spec, FractionalKernel):
+    if is_singular(spec):
+        if np.any(t_arr == 0):
+            raise KernelDomainError(
+                f"fractional kernel with alpha={spec.alpha} is singular at t = 0"
+            )
         out = spec.c * t_arr ** (spec.alpha - 1.0) / _gamma(spec.alpha)
     else:
         w, r = _exponential_terms(spec)
@@ -199,7 +180,7 @@ def kernel_integral(spec: Kernel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
-    if isinstance(spec, FractionalKernel):
+    if is_singular(spec):
         out = spec.c * t_arr ** spec.alpha / _gamma(spec.alpha + 1.0)
     else:
         # summed from the first term, so one term keeps its own signed zero
@@ -224,12 +205,13 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need h > 0 and n >= 1")
     edges = np.multiply.outer(np.arange(n + 1, dtype=float), h)
     a, b = edges[:-1], edges[1:]
-    if isinstance(spec, FractionalKernel):
+    if is_singular(spec):
         al = spec.alpha
         i0 = spec.c * (b**al - a**al) / _gamma(al + 1.0)
         i1 = spec.c * (b ** (al + 1.0) - a ** (al + 1.0)) / ((al + 1.0) * _gamma(al))
     else:
-        terms = (_exp_cell_moments(w, r, a, b) for w, r in zip(*_exponential_terms(spec)))
+        h = np.asarray(h, dtype=float)
+        terms = (_exp_cell_moments(w, r, a, b, h) for w, r in zip(*_exponential_terms(spec)))
         i0, i1 = next(terms)  # summed from the first term, as in kernel_integral
         for j0, j1 in terms:
             i0 += j0
@@ -237,14 +219,34 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i0, i1
 
 
-def _exp_cell_moments(c, beta, a, b):
+# x = beta*h below which _exp_cell_moments sums the Taylor series of phi1 and
+# phi2: their closed forms lose about log10(2/x) digits to cancellation, and
+# 12 terms leave a truncation error below x^12/12! < 1e-20 there
+_EXP_SERIES_CUTOFF = 0.1
+_PHI1_SERIES = [(-1.0) ** k / math.factorial(k + 1) for k in range(11, -1, -1)]
+_PHI2_SERIES = [(-1.0) ** k / (math.factorial(k) * (k + 2)) for k in range(11, -1, -1)]
+
+
+def _exp_cell_moments(c, beta, a, b, h):
+    """Moments of c exp(-beta u) over the cells [a, b] of width h.
+
+    With x = beta h, int_a^b e^(-beta u) du = e^(-beta a) h phi1(x) and
+    int_a^b u e^(-beta u) du = e^(-beta a) (a h phi1(x) + h^2 phi2(x)), where
+    phi1(x) = (1 - e^-x)/x in (0, 1] and phi2(x) = (phi1(x) - e^-x)/x in
+    (0, 1/2]; they depend on h only, and for x < _EXP_SERIES_CUTOFF they are
+    summed as power series, so no difference of nearly equal terms is formed.
+    """
     if beta == 0:
         return c * (b - a), c * (b**2 - a**2) / 2.0
-    ea = np.exp(-beta * a)
-    eb = np.exp(-beta * b)
-    i0 = c * (ea - eb) / beta
-    i1 = c * (ea * (a / beta + 1.0 / beta**2) - eb * (b / beta + 1.0 / beta**2))
-    return i0, i1
+    x = beta * h
+    small = x < _EXP_SERIES_CUTOFF
+    xc = np.where(small, 1.0, x)  # x for the closed forms, 1 where the series is used
+    phi1 = np.where(small, np.polyval(_PHI1_SERIES, x), -np.expm1(-xc) / xc)
+    phi2 = np.where(small, np.polyval(_PHI2_SERIES, x), (phi1 - np.exp(-xc)) / xc)
+    p1 = h * phi1
+    p2 = h * h * phi2
+    ea = c * np.exp(-beta * a)
+    return ea * p1, ea * (a * p1 + p2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +456,26 @@ def _ml_asymptotic_negative(alpha, beta, x):
 def resolvent_closed_form(spec: Kernel, lam: float):
     """Closed-form R_lam as a vectorized callable of t > 0.
 
-    lam = 0 returns the zero function.  The sum-of-exponentials variant has no
-    tabulated closed form here; use resolvent_numeric for it.
+    lam = 0 returns the zero function.  A sum of two or more exponentials has
+    no tabulated closed form here; use resolvent_numeric for it.
     """
-    if isinstance(spec, SumOfExponentialsKernel):
+    if not is_singular(spec) and len(_exponential_terms(spec)[0]) > 1:
         raise UnsupportedVariantError(
-            "no closed-form resolvent for SumOfExponentialsKernel; "
+            "no closed-form resolvent for a sum of two or more exponentials; "
             "use resolvent_numeric"
         )
     return functools.partial(_closed_form_resolvent, spec, lam)
 
 
 def _closed_form_resolvent(spec: Kernel, lam: float, t):
-    """R_lam(t) for a fractional or one-term exponential kernel (see module doc)."""
+    """R_lam(t) for a singular fractional or a one-term kernel (see module doc)."""
     t_arr = np.asarray(t, dtype=float)
     if lam == 0.0:
         out = np.zeros_like(t_arr)
-    elif isinstance(spec, FractionalKernel):
+    elif is_singular(spec):
         lc = lam * spec.c
         al = spec.alpha
-        if np.any(t_arr <= 0) and al < 1.0:
+        if np.any(t_arr <= 0):
             raise KernelDomainError("fractional resolvent is singular at t <= 0")
         out = lc * t_arr ** (al - 1.0) * _ml_array(al, al, -lc * t_arr**al)
     else:
@@ -518,7 +520,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     h = grid.spacing
 
     warning = None
-    if isinstance(spec, FractionalKernel) and spec.alpha < 0.55 and n < 50:
+    if is_singular(spec) and spec.alpha < 0.55 and n < 50:
         warning = (
             f"grid with {n} steps is too coarse to resolve the t^(alpha-1) "
             f"singularity at alpha={spec.alpha}; refine the grid"
@@ -680,25 +682,26 @@ def integrated_resolvent_ratio(spec: Kernel, lam: float, tau: float) -> float:
 def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarray:
     """int_0^tau R_lam(s)/lam ds over an array of tau >= 0, continuous in lam at 0.
 
-    lam = 0 reduces to int_0^tau K.  Fractional kernels use the Mittag-Leffler
-    identity (1 - E_{a,1}(-lam c tau^a))/lam; a one-term kernel c exp(-beta t)
-    (constant: beta = 0) integrates its resolvent exactly,
-    c (1 - exp(-(beta + lam c) tau))/(beta + lam c); sum-of-exponentials falls
-    back to trapezoid quadrature of the numeric resolvent (see
-    _numeric_resolvent_ratio).
+    lam = 0 reduces to int_0^tau K.  Singular fractional kernels use the
+    Mittag-Leffler identity (1 - E_{a,1}(-lam c tau^a))/lam; a one-term kernel
+    c exp(-beta t) (constant, alpha = 1 included: beta = 0) integrates its
+    resolvent exactly, c (1 - exp(-(beta + lam c) tau))/(beta + lam c); a sum
+    of two or more exponentials falls back to trapezoid quadrature of the
+    numeric resolvent (see _numeric_resolvent_ratio).
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")
     if lam == 0.0:
         return np.asarray(kernel_integral(spec, taus), dtype=float)
-    if isinstance(spec, FractionalKernel):
+    if is_singular(spec):
         ml = _ml_array(spec.alpha, 1.0, -lam * spec.c * taus**spec.alpha)
         return (1.0 - ml) / lam
-    if isinstance(spec, SumOfExponentialsKernel):
+    weights, rates = _exponential_terms(spec)
+    if len(weights) > 1:
         out = _numeric_resolvent_ratio(spec, lam, taus)
     else:
-        (c,), (beta,) = _exponential_terms(spec)
+        (c,), (beta,) = weights, rates
         rate = beta + lam * c
         out = c * taus if rate == 0.0 else c * (-np.expm1(-rate * taus)) / rate
     return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs

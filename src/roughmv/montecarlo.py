@@ -11,7 +11,7 @@ Two variance schemes:
 * LiftedFactors: the kernel is replaced by a fitted sum of exponentials and
   the resulting n-factor Markovian system is simulated with an exponential
   Euler step, O(n_steps * n_factors) per path.  Exact (zero fit error) for
-  constant, exponential, and alpha = 1 fractional kernels.
+  every kernel that is not singular: those are sums of exponentials already.
 
 Negative variance is handled by full truncation: updates read the stored
 max(nu, 0) and nu is stored post-truncation, so every sample is >= 0.
@@ -40,6 +40,7 @@ from .kernels import (
     SumOfExponentialsKernel,
     TimeGrid,
     _exponential_terms,
+    is_singular,
     kernel_eval,
 )
 from .strategies import (
@@ -171,7 +172,7 @@ def _as_factor_kernel(
 
     Memoised: a command simulating in blocks asks for the same fit per block.
     """
-    if not isinstance(kernel, FractionalKernel):
+    if not is_singular(kernel):
         return SumOfExponentialsKernel(*_exponential_terms(kernel)), 0.0, 0.0
     approx, rel = fit_sum_of_exponentials(
         kernel, scheme.n_factors, horizon, scheme.rate_spread
@@ -318,8 +319,11 @@ def simulate_wealth(
 
     const-MV integrates the wealth SDE directly with control
     u_t = total(t) sqrt(nu_t); log-MV and the consumption problem integrate
-    log-wealth with proportion pi_t = total(t) (times nu^((delta-1)/(2 delta))
-    when delta != 1, resp. total(t) sqrt(nu_t) for the consumption problem).
+    log-wealth with proportion pi_t = total(t), times nu^((delta-1)/(2 delta))
+    for log-MV when delta != 1.  Log-wealth then has diffusion
+    pi sqrt(nu) dW1 and drift r - c + (theta pi - pi^2/2) nu, with c the
+    consumption rate (0 for log-MV); the consumption problem's total(t) is
+    the Merton fraction theta of nonexp_log_strategy.
     The march runs over time-major copies; the paths come back as
     (n_paths, n_nodes) views of them.
     """

@@ -152,3 +152,26 @@ def lognormal_terminal_mean(rate, theta, nu, pi, horizon, x0):
     """E[X_T] for constant variance and constant proportional strategy."""
     drift = rate + theta * nu * pi - 0.5 * pi**2 * nu
     return x0 * math.exp((drift + 0.5 * pi**2 * nu) * horizon)
+
+
+def exp_cell_moments_reference(c: float, beta: float, a: float, b: float) -> tuple[float, float]:
+    """(int_a^b c e^(-beta u) du, int_a^b u c e^(-beta u) du), from the closed
+    forms at a working precision that outlasts their cancellation.
+
+    With x = beta (b - a) the first closed form cancels about log10(1/x)
+    digits and the second about twice that; both are evaluated with that many
+    digits on top of 40, at the exact cell edges a and b.
+    """
+    a_mp, b_mp = mpmath.mpf(a), mpmath.mpf(b)
+    x = beta * (b - a)
+    digits = 40 + (2 * int(-math.log10(x)) if 0 < x < 1 else 0)
+    with mpmath.workdps(digits):
+        if beta == 0:
+            i0 = c * (b_mp - a_mp)
+            i1 = c * (b_mp**2 - a_mp**2) / 2
+        else:
+            bt = mpmath.mpf(beta)
+            ea, eb = mpmath.exp(-bt * a_mp), mpmath.exp(-bt * b_mp)
+            i0 = c * (ea - eb) / bt
+            i1 = c * (ea * (bt * a_mp + 1) - eb * (bt * b_mp + 1)) / bt**2
+        return float(i0), float(i1)

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from roughmv import (
-    ConstantKernel,
     ConstMVObjective,
     ExponentialDiscount,
-    ExponentialKernel,
     FractionalKernel,
     LiftedFactors,
     LogMVObjective,
@@ -27,6 +25,7 @@ from roughmv import (
     RateCurve,
     RiccatiCoefficients,
     StrategyCurve,
+    SumOfExponentialsKernel,
     TimeGrid,
     const_mv_strategy,
     integrated_resolvent_ratio,
@@ -175,9 +174,9 @@ def test_criterion_5_adams_self_convergence():
 def test_criterion_6_resolvent_identity():
     with Stopwatch() as sw:
         variants = [
-            ConstantKernel(1.0),
+            SumOfExponentialsKernel((1.0,), (0.0,)),
             FractionalKernel(1.0, 0.6),
-            ExponentialKernel(0.5, 1.2),
+            SumOfExponentialsKernel((0.5,), (1.2,)),
         ]
         worst = 0.0
         for spec in variants:

@@ -93,6 +93,19 @@ class TestHedgeCurve:
         assert rough10[0] < smooth10[0]
 
 
+    def test_failure_at_a_later_hurst_leaves_no_data_file(self, tmp_path, capsys):
+        # the H = 0.5 file used to be written before E_{0.55,1} overflowed
+        # at H = 0.05, and stayed without a manifest
+        payload = base_config(hurst_values=[0.5, 0.05])
+        payload["market"].update(sigma=10.0, rho=-0.9, theta=2.5)
+        payload["objective"]["horizon"] = 4.0
+        payload["grid"] = {"steps_per_year": 50}
+        cfg = write_config(tmp_path, payload)
+        assert main(["hedge-curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestCrossover:
     def test_gamma_ladder(self, tmp_path):
         payload = base_config(hurst_values=[0.1, 0.5],
@@ -266,6 +279,17 @@ class TestConfigHandling:
                                     "rates": [1, 2]}}}, "kernel weights must be finite"),
             ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, 2],
                                     "rates": [1, "Infinity"]}}}, "kernel rates must be finite"),
+            # market scalars that are no numbers were float() tracebacks
+            ({"market": {"kappa": None}}, "market.kappa"),
+            ({"market": {"sigma": []}}, "market.sigma"),
+            ({"market": {"rho": {}}}, "market.rho"),
+            ({"market": {"nu0": 10**400}}, "market.nu0"),
+            ({"market": {"kernel": {"variant": "constant", "c": "NaN"}}},
+             "kernel weight c must be finite"),
+            ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": -1.0}}},
+             "decay rate beta must be finite and >= 0"),
+            ({"market": {"kernel": {"variant": "exponential", "c": 10**400, "beta": 1.0}}},
+             "market.kernel"),
         ],
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
@@ -355,6 +379,69 @@ class TestConfigHandling:
         assert not (tmp_path / "o").exists()
 
 
+class TestKernelSpellings:
+    """One kernel gives the same data files whatever its config spelling."""
+
+    SPELLINGS = {
+        "constant": [
+            {"variant": "constant", "c": 0.7},
+            {"variant": "fractional", "c": 0.7, "hurst": 0.5},
+            {"variant": "sum_of_exponentials", "weights": [0.7], "rates": [0]},
+        ],
+        "exponential": [
+            {"variant": "exponential", "c": 0.7, "beta": 1.5},
+            {"variant": "sum_of_exponentials", "weights": [0.7], "rates": [1.5]},
+        ],
+    }
+
+    @staticmethod
+    def _data_files(tmp_path, command, kernel, objective, tag):
+        payload = base_config(objective=objective)
+        payload["market"]["kernel"] = kernel
+        payload["grid"] = {"steps_per_year": 100}
+        payload["sim"] = {"scheme": "lifted", "n_factors": 5, "rate_spread": 1e4,
+                          "n_paths": 40, "seed": 11, "write_paths": True}
+        out = tmp_path / tag
+        cfg = write_config(tmp_path, payload, name=f"{tag}.json")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("kernel", sorted(SPELLINGS))
+    @pytest.mark.parametrize("command,objective", [
+        ("strategy", {"variant": "const_mv", "gamma": 0.5, "horizon": 2.0}),
+        ("strategy", {"variant": "log_mv", "gamma": 0.5, "horizon": 2.0}),
+        ("simulate", {"variant": "log_mv", "gamma": 0.5, "horizon": 1.0}),
+    ], ids=["const-mv", "log-mv", "simulate"])
+    def test_byte_identical_files(self, tmp_path, kernel, command, objective):
+        runs = [self._data_files(tmp_path, command, spec, objective, f"s{k}")
+                for k, spec in enumerate(self.SPELLINGS[kernel])]
+        expected = {"strategy": {"strategy.csv", "strategy.json"},
+                    "simulate": {"terminal_stats.json", "paths.csv"}}[command]
+        assert set(runs[0]) == expected
+        for other in runs[1:]:
+            assert other == runs[0]
+
+    def test_rate_far_below_the_grid_spacing(self, tmp_path):
+        # a rate of 1e-300 ended in a ZeroDivisionError traceback; it is the
+        # constant kernel to double precision
+        objective = {"variant": "log_mv", "gamma": 0.5, "horizon": 1.0}
+        kernels = {"tiny": {"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]},
+                   "flat": {"variant": "constant", "c": 1.0}}
+        files = {(command, tag): self._data_files(tmp_path, command, spec, objective,
+                                                   f"{command}-{tag}")
+                 for command in ("strategy", "simulate") for tag, spec in kernels.items()}
+        for command in ("strategy", "simulate"):
+            assert files[command, "tiny"].keys() == files[command, "flat"].keys()
+        got, want = (np.loadtxt(io.BytesIO(files["strategy", tag]["strategy.csv"]),
+                                delimiter=",", skiprows=1) for tag in kernels)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.make_parser() is cli.make_parser()
+
+
 class TestGridBudget:
     """A grid over cli.MAX_GRID_STEPS cells exits 2 before anything is allocated."""
 
@@ -388,6 +475,19 @@ class TestGridBudget:
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--steps-per-year", steps]) == 2
         assert "grid.steps_per_year" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestNumericErrors:
+    def test_float_overflow_exits_3_before_writing(self, tmp_path, capsys):
+        # numpy only warned, and the run went on with inf and NaN until a
+        # later check failed
+        payload = base_config()
+        payload["market"].update(theta=5e16, kernel={"variant": "exponential", "c": 0.7,
+                                                     "beta": 1.5})
+        cfg = write_config(tmp_path, payload)
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "numeric error: overflow" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -1,0 +1,162 @@
+"""Mutated JSON configs fed to every command of the CLI.
+
+Whatever a config holds, main() returns 0, 2 or 3, raises nothing, and never
+leaves a data file in the output directory without a manifest.json.  The
+mutations keep every run small: at most 400 grid cells (steps_per_year <= 100
+and horizon <= 4, or a grid far over cli.MAX_GRID_STEPS, which is refused
+before anything is allocated), at most 50 paths and 50 factors.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from roughmv.cli import COMMANDS, main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# leaves that no size field accepts as a number
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "x", "NaN", "Infinity", "-inf", "1e-300"]),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.fixed_dictionaries({"a": st.integers(-3, 3)}),
+)
+NUMBERS = st.one_of(
+    st.integers(-10, 10),
+    st.sampled_from([10**400, -10**400, 1e-300, 1e300, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 2.0),
+)
+LEAVES = st.one_of(JUNK, NUMBERS, st.sampled_from(["0.5", "7", "fractional", "constant"]))
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["times", "rates", "variant", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def size(high):
+    return st.one_of(JUNK, st.integers(-2, high), st.floats(-1.0, float(high)))
+
+
+# fields whose value sets the cost of a run, with the values they may take
+SIZE_FIELDS = {
+    ("grid", "steps_per_year"): size(100),
+    ("objective", "horizon"): st.one_of(JUNK, st.floats(-1.0, 4.0), st.just(1e9)),
+    ("sim", "n_paths"): size(50),
+    ("sim", "n_factors"): size(50),
+}
+# kernel decay rates, whose size against the grid spacing picks a branch
+RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 0.5, 1e3, 1e300]), NUMBERS)
+RATE_FIELDS = {
+    ("market", "kernel", "beta"): RATES,
+    ("market", "kernel", "rates"): st.lists(RATES, min_size=1, max_size=3),
+}
+OTHER_FIELDS = [
+    ("market",), ("objective",), ("grid",), ("sim",), ("output",),
+    ("market", "nu0"), ("market", "kappa"), ("market", "phi"), ("market", "sigma"),
+    ("market", "rho"), ("market", "theta"), ("market", "rate"), ("market", "rate", "times"),
+    ("market", "rate", "rates"), ("market", "kernel"), ("market", "kernel", "variant"),
+    ("market", "kernel", "c"), ("market", "kernel", "hurst"), ("market", "kernel", "alpha"),
+    ("market", "kernel", "beta"), ("market", "kernel", "weights"),
+    ("market", "kernel", "rates"), ("objective", "variant"), ("objective", "gamma"),
+    ("objective", "delta"), ("objective", "discount"), ("objective", "discount", "variant"),
+    ("objective", "discount", "rate"), ("objective", "discount", "a"),
+    ("objective", "discount", "b"), ("objective", "discount", "times"),
+    ("objective", "discount", "values"), ("sim", "scheme"), ("sim", "seed"),
+    ("sim", "rate_spread"), ("sim", "write_paths"), ("output", "formats"),
+    ("hurst_values",), ("gamma_values",), ("notes",), ("unknown",),
+]
+# sections holding size fields: an object put in their place, or a size
+# field deleted, would bring back the defaults (250 steps a year, 5000 paths)
+SIZE_PARENTS = {("grid",), ("objective",), ("sim",)}
+
+
+def small(cfg):
+    cfg = copy.deepcopy(cfg)
+    cfg["grid"] = {"steps_per_year": 50}
+    cfg["objective"]["horizon"] = 2.0
+    cfg["sim"] = {"scheme": "lifted", "n_factors": 8, "rate_spread": 1e4,
+                  "n_paths": 20, "seed": 5, "write_paths": True}
+    cfg.setdefault("hurst_values", [0.1, 0.5])
+    cfg["gamma_values"] = cfg.get("gamma_values", [0.5])[:2]
+    cfg.pop("output", None)
+    return cfg
+
+
+SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+KERNELS = [
+    {"variant": "constant", "c": 1.0},
+    {"variant": "exponential", "c": 0.7, "beta": 1.5},
+    {"variant": "sum_of_exponentials", "weights": [0.6, -0.2], "rates": [0.5, 40.0]},
+    {"variant": "fractional", "c": 1.0, "alpha": 0.8},
+]
+BASES = [small(cfg) for cfg in SHIPPED] + [
+    small(dict(SHIPPED[0], market=dict(SHIPPED[0]["market"], kernel=k))) for k in KERNELS
+] + [small(dict(SHIPPED[0], objective={"variant": "log_mv", "gamma": 0.5, "delta": 2.0}))]
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.integers(0, 3))
+        if kind < 2:
+            fields = SIZE_FIELDS if kind == 0 else RATE_FIELDS
+            path = draw(st.sampled_from(sorted(fields)))
+            value = draw(fields[path])
+        else:
+            path = draw(st.sampled_from(OTHER_FIELDS))
+            value = draw(st.one_of(NUMBERS, VALUES))
+        sized = path in SIZE_FIELDS or path in SIZE_PARENTS
+        if sized and isinstance(value, dict):
+            continue
+        node = cfg
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                break
+            node = node[key]
+        else:
+            if not sized and draw(st.integers(0, 4)) == 0:
+                node.pop(path[-1], None)
+            else:
+                node[path[-1]] = value
+    if draw(st.integers(0, 9)) == 0:  # the same config as a manifest
+        cfg = {"command": "strategy", "config": cfg}
+    return cfg
+
+
+def with_market(**fields):
+    cfg = copy.deepcopy(BASES[0])
+    cfg["market"].update(fields)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(command=st.sampled_from(sorted(COMMANDS)), cfg=mutated_configs())
+# a market scalar that is no number was a TypeError traceback, a rate far
+# below the grid spacing a ZeroDivisionError one
+@example(command="strategy", cfg=with_market(kappa=None))
+@example(command="simulate", cfg=with_market(
+    kernel={"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]}))
+def test_main_exits_0_2_or_3_and_writes_no_data_without_a_manifest(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc in (0, 2, 3)
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if rc == 0 or written:
+            assert "manifest.json" in written, (rc, written)

@@ -274,10 +274,10 @@ class TestFit:
         assert np.max(rel) <= 0.05
 
     def test_rejects_non_fractional(self):
-        from roughmv import ConstantKernel
+        from roughmv import SumOfExponentialsKernel
 
         with pytest.raises(TypeError):
-            fit_sum_of_exponentials(ConstantKernel(1.0), 5, 10.0)
+            fit_sum_of_exponentials(SumOfExponentialsKernel((1.0,), (0.0,)), 5, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from roughmv import (
-    ConstantKernel,
     DivergenceError,
-    ExponentialKernel,
     FractionalKernel,
     LinearVieProblem,
     RiccatiCoefficients,
@@ -26,6 +24,8 @@ from roughmv.volterra import negative_root, q1
 from conftest import STUDY
 from oracles import heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
 
+UNIT = SumOfExponentialsKernel((1.0,), (0.0,))  # the constant kernel 1
+
 
 # ---------------------------------------------------------------------------
 # convolve
@@ -42,17 +42,17 @@ class TestConvolve:
 
     def test_zero_curve(self):
         grid = TimeGrid(0.0, 2.0, 50)
-        out = convolve(ConstantKernel(3.0), np.zeros(51), grid)
+        out = convolve(SumOfExponentialsKernel((3.0,), (0.0,)), np.zeros(51), grid)
         assert np.all(out == 0.0)
 
     def test_constant_kernel_linear_curve(self):
         grid = TimeGrid(0.0, 1.0, 100)
-        out = convolve(ConstantKernel(2.0), grid.nodes(), grid)
+        out = convolve(SumOfExponentialsKernel((2.0,), (0.0,)), grid.nodes(), grid)
         np.testing.assert_allclose(out, grid.nodes() ** 2, atol=1e-13)
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
-            convolve(ConstantKernel(1.0), np.ones(7), TimeGrid(0.0, 1.0, 10))
+            convolve(UNIT, np.ones(7), TimeGrid(0.0, 1.0, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +100,22 @@ class TestLinearVie:
     def test_callable_forcing(self):
         grid = TimeGrid(0.0, 1.0, 50)
         x = solve_linear_vie(
-            LinearVieProblem(ConstantKernel(1.0), 0.0, lambda t: t + 1.0, grid)
+            LinearVieProblem(UNIT, 0.0, lambda t: t + 1.0, grid)
         )
         np.testing.assert_allclose(x, grid.nodes() + 1.0)
 
     def test_bad_grid_and_forcing(self):
         with pytest.raises(ValueError):
             solve_linear_vie(
-                LinearVieProblem(ConstantKernel(1.0), 1.0, np.ones(11), TimeGrid(0.5, 1.0, 10))
+                LinearVieProblem(UNIT, 1.0, np.ones(11), TimeGrid(0.5, 1.0, 10))
             )
         with pytest.raises(ValueError):
             LinearVieProblem(
-                ConstantKernel(1.0), 1.0, np.ones(5), TimeGrid(0.0, 1.0, 10)
+                UNIT, 1.0, np.ones(5), TimeGrid(0.0, 1.0, 10)
             ).forcing_samples()
         with pytest.raises(ValueError):
             LinearVieProblem(
-                ConstantKernel(1.0), 1.0, np.full(11, np.inf), TimeGrid(0.0, 1.0, 10)
+                UNIT, 1.0, np.full(11, np.inf), TimeGrid(0.0, 1.0, 10)
             ).forcing_samples()
 
 
@@ -258,11 +258,11 @@ class TestRiccatiBounds:
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, 0.1, -0.5), ConstantKernel(1.0), 1.0)
+            riccati_bounds(RiccatiCoefficients(0.5, 0.1, -0.5), UNIT, 1.0)
         with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, -1.5, 0.1), ConstantKernel(1.0), 1.0)
+            riccati_bounds(RiccatiCoefficients(0.5, -1.5, 0.1), UNIT, 1.0)
         with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, -1.5, -0.5), ConstantKernel(1.0), 0.0)
+            riccati_bounds(RiccatiCoefficients(0.5, -1.5, -0.5), UNIT, 0.0)
 
     @pytest.mark.parametrize("w", [-0.05, -0.15, -0.25, -0.3])
     def test_q1_closed_form_against_quadrature(self, w):
@@ -314,8 +314,8 @@ class TestLiftedOdeOracle:
     @pytest.mark.parametrize(
         "kernel,weights,rates",
         [
-            (ConstantKernel(1.0), (1.0,), (0.0,)),
-            (ExponentialKernel(0.5, 1.2), (0.5,), (1.2,)),
+            (FractionalKernel(1.0, 1.0), (1.0,), (0.0,)),  # classic Heston
+            (SumOfExponentialsKernel((0.5,), (1.2,)), (0.5,), (1.2,)),
             (SumOfExponentialsKernel((0.6, -0.2, 0.9), (0.5, 5.0, 40.0)),
              (0.6, -0.2, 0.9), (0.5, 5.0, 40.0)),
         ],
@@ -392,7 +392,7 @@ def reference_riccati(kernel, coeffs, grid, config):
 MARCH_KERNELS = [
     FractionalKernel(1.0, 0.6),
     FractionalKernel(1.0, 1.0),
-    ExponentialKernel(0.5, 1.2),
+    SumOfExponentialsKernel((0.5,), (1.2,)),
     fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 2.0)[0],
 ]
 MARCH_KERNEL_IDS = ["a0.6", "a1.0", "exp", "soe8"]
