@@ -31,11 +31,11 @@ from .kernels import (
     _check_weight,
 )
 from .montecarlo import (
-    PATH_BLOCK,
     PATHS_CSV_HEADER,
     EulerConvolution,
     LiftedFactors,
     SimScheme,
+    block_paths,
     bundle_csv_rows,
     simulate_variance,
     simulate_wealth,
@@ -402,7 +402,10 @@ def _strategy_for(market, objective, grid) -> StrategyCurve:
         return log_mv_strategy(
             market, objective.gamma, objective.delta, objective.horizon, grid
         )
-    raise ConfigError("this command needs a const_mv or log_mv objective")
+    # the consumption problem: the Merton fraction theta, no hedge, and 1/V1
+    p_hat, theta = nonexp_log_strategy(market, objective.discount, objective.horizon, grid)
+    return StrategyCurve(grid, theta, np.zeros_like(theta), theta, kind="nonexp_log",
+                         consumption=p_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -454,31 +457,22 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
     sim = build_sim(cfg)
+    strategy = _strategy_for(market, objective, grid)
 
-    consumption = None
-    if isinstance(objective, NonExpLogObjective):
-        p_hat, coef = nonexp_log_strategy(
-            market, objective.discount, objective.horizon, grid
-        )
-        strategy = StrategyCurve(
-            grid, coef, np.zeros_like(coef), coef, kind="nonexp_log"
-        )
-        consumption = p_hat
-    else:
-        strategy = _strategy_for(market, objective, grid)
-
-    # Blocks of PATH_BLOCK paths: memory is O(block x steps) whatever n_paths,
-    # and path i depends on (seed, i) only, so the outputs do not depend on it.
+    # Blocks of at most PATH_BLOCK paths: memory is O(block x steps) whatever
+    # n_paths, and path i depends on (seed, i) only, so the outputs do not
+    # depend on the block.
+    block_size = block_paths(grid)
     terminal = np.empty(sim.n_paths)
     write_paths = sim.write_paths and "csv" in cfg["output"]["formats"]
     sink = _streamed(out_dir, "paths.csv") if write_paths else contextlib.nullcontext()
     with sink as paths_csv:
         if paths_csv is not None:
             paths_csv.write(PATHS_CSV_HEADER)
-        for lo in range(0, sim.n_paths, PATH_BLOCK):
-            block = range(lo, min(lo + PATH_BLOCK, sim.n_paths))
+        for lo in range(0, sim.n_paths, block_size):
+            block = range(lo, min(lo + block_size, sim.n_paths))
             bundle = simulate_variance(market, sim.scheme, grid, block, sim.seed)
-            bundle = simulate_wealth(bundle, market, strategy, objective, 1.0, consumption)
+            bundle = simulate_wealth(bundle, market, strategy, objective, 1.0)
             terminal[lo : block.stop] = bundle.wealth[:, -1]
             if paths_csv is not None:
                 paths_csv.writelines(bundle_csv_rows(bundle))

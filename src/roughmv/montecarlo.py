@@ -22,6 +22,8 @@ which paths are simulated with it, and reductions use fixed-order einsum sums
 rather than shape-dependent BLAS kernels.  A range of path indices can
 therefore be simulated in blocks of PATH_BLOCK paths, which gives the rows of
 one call over the whole range bit for bit with memory O(block x steps).
+A block is time-major from the draw to the wealth, so each step of a march
+reads one contiguous row; PathBundle holds (n_paths, .) views of its arrays.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .strategies import (
 # Paths per block when a command streams a simulation (see cli.cmd_simulate).
 PATH_BLOCK = 1024
 
+# Array elements one simulate_variance call may hold: four per path and node.
+MAX_ELEMENTS = 150_000_000
+
 
 class ResourceLimitError(RuntimeError):
     """Simulation would exceed the configured memory budget."""
@@ -89,10 +94,10 @@ class PathBundle:
     dB: np.ndarray                 # (n_paths, n_steps) variance-driving increments
     seed: int
     scheme: SimScheme
+    paths: range                   # global index of each row
     wealth: np.ndarray | None = None
     log_wealth: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
-    paths: range | None = None     # global index of each row; None: range(n_paths)
 
     @property
     def n_paths(self) -> int:
@@ -198,16 +203,24 @@ def _path_range(paths: int | range) -> range:
     return ids
 
 
+def block_paths(grid: TimeGrid) -> int:
+    """Paths per streamed block on this grid: PATH_BLOCK, or as many as fit
+    in MAX_ELEMENTS (at least one)."""
+    return max(1, min(PATH_BLOCK, MAX_ELEMENTS // (4 * (grid.n_steps + 1))))
+
+
 def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: int):
-    """Path-major (dW1, dB); row k draws from SeedSequence(seed, spawn_key=(paths[k],)),
-    the stream SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k]."""
+    """Time-major (dW1, dB), each (n_steps, n_paths); column k draws from
+    SeedSequence(seed, spawn_key=(paths[k],)), the stream
+    SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k]."""
     n = grid.n_steps
-    dW1 = np.empty((len(paths), n))
-    dB = np.empty((len(paths), n))
+    draws = np.empty((2, n, len(paths)))
+    z = np.empty((2, n))  # one path's stream: its dW1 row, then its dW2 row
     for k, i in enumerate(paths):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        rng.standard_normal(out=dW1[k])
-        rng.standard_normal(out=dB[k])
+        rng.standard_normal(out=z)
+        draws[:, :, k] = z
+    dW1, dB = draws
     sqrt_h = np.sqrt(grid.spacing)
     rho = market.rho
     dW1 *= sqrt_h
@@ -224,7 +237,6 @@ def simulate_variance(
     grid: TimeGrid,
     paths: int | range,
     seed: int,
-    max_elements: int = 150_000_000,
 ) -> PathBundle:
     """Simulate the variance of the paths with indices `paths` (an int n means
     range(n)); Brownian increments are retained in the bundle so wealth can be
@@ -237,11 +249,11 @@ def simulate_variance(
         raise ValueError("simulation grid must start at t = 0")
     paths = _path_range(paths)
     n = grid.n_steps
-    if 4 * len(paths) * (n + 1) > max_elements:
+    if 4 * len(paths) * (n + 1) > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"{len(paths)} paths x {n + 1} nodes exceeds the memory budget of "
-            f"{max_elements} array elements; simulate in smaller chunks or "
-            f"raise max_elements"
+            f"{MAX_ELEMENTS} array elements; simulate in smaller chunks "
+            f"(block_paths gives the largest that fits)"
         )
 
     dW1, dB = _draw_increments(market, grid, paths, seed)
@@ -251,21 +263,21 @@ def simulate_variance(
 
     if isinstance(scheme, EulerConvolution):
         kern_lag = kernel_eval(market.kernel, grid.spacing * np.arange(1, n + 1))
-        _euler_convolution_chunk(market, grid, kern_lag, nu.T, dB)
+        _euler_convolution_chunk(market, grid, kern_lag, nu.T, dB.T)
     elif isinstance(scheme, LiftedFactors):
         factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
         metadata["kernel_fit_l2_error"] = fit_err
         metadata["kernel_fit_sq_integral"] = fit_sq
         metadata["n_factors"] = factors.n_factors
-        _lifted_chunk(market, grid, factors, nu, np.ascontiguousarray(dB.T))
+        _lifted_chunk(market, grid, factors, nu, dB)
     else:
         raise TypeError(f"unknown scheme {type(scheme).__name__}")
 
     return PathBundle(
         grid=grid,
         variance=nu.T,
-        dW1=dW1,
-        dB=dB,
+        dW1=dW1.T,
+        dB=dB.T,
         seed=int(seed),
         scheme=scheme,
         metadata=metadata,
@@ -274,7 +286,7 @@ def simulate_variance(
 
 
 def _euler_convolution_chunk(market, grid, kern_lag, nu, dB):
-    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major."""
+    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major views."""
     h = grid.spacing
     n = grid.n_steps
     kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
@@ -313,19 +325,19 @@ def simulate_wealth(
     strategy: StrategyCurve,
     objective: ObjectiveSpec,
     x0: float,
-    consumption: np.ndarray | None = None,
 ) -> PathBundle:
     """Euler wealth paths driven by the bundle's retained dW1 increments.
 
     const-MV integrates the wealth SDE directly with control
-    u_t = total(t) sqrt(nu_t); log-MV and the consumption problem integrate
+    u_t = total(t) sqrt(nu_t).  log-MV and the consumption problem integrate
     log-wealth with proportion pi_t = total(t), times nu^((delta-1)/(2 delta))
     for log-MV when delta != 1.  Log-wealth then has diffusion
     pi sqrt(nu) dW1 and drift r - c + (theta pi - pi^2/2) nu, with c the
-    consumption rate (0 for log-MV); the consumption problem's total(t) is
-    the Merton fraction theta of nonexp_log_strategy.
-    The march runs over time-major copies; the paths come back as
-    (n_paths, n_nodes) views of them.
+    curve's consumption rate (0 without one); the consumption problem's
+    total(t) is the Merton fraction theta of nonexp_log_strategy, and its
+    curve must carry the consumption rate.
+    The march runs over the bundle's time-major arrays; the paths come back
+    as (n_paths, n_nodes) views.
     """
     if x0 <= 0:
         raise ValueError("x0 must be > 0")
@@ -336,13 +348,13 @@ def simulate_wealth(
         raise ValueError("strategy grid does not match the simulation grid")
     h = bundle.grid.spacing
     n = bundle.grid.n_steps
-    nu = np.ascontiguousarray(bundle.variance.T)
-    dW1 = np.ascontiguousarray(bundle.dW1.T)
+    nu = bundle.variance.T
+    dW1 = bundle.dW1.T
     coef = strategy.total
     rates = market.rate_curve.values_at(nodes)
+    th = market.theta
 
     if isinstance(objective, ConstMVObjective):
-        th = market.theta
         wealth = np.empty(nu.shape)
         wealth[0] = x0
         for i in range(n):
@@ -351,37 +363,23 @@ def simulate_wealth(
         return dataclasses.replace(bundle, wealth=wealth.T)
 
     if isinstance(objective, LogMVObjective):
-        th = market.theta
         expo = (objective.delta - 1.0) / (2.0 * objective.delta)
-        log_w = np.empty(nu.shape)
-        log_w[0] = np.log(x0)
-        for i in range(n):
-            if expo == 0.0:
-                pi = np.full(nu.shape[1], coef[i])
-            else:
-                pi = coef[i] * np.maximum(nu[i], 1e-300) ** expo
-            drift = rates[i] + th * nu[i] * pi - 0.5 * pi**2 * nu[i]
-            log_w[i + 1] = log_w[i] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
-        return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
-
-    if isinstance(objective, NonExpLogObjective):
-        if consumption is None:
-            raise ValueError("consumption curve required for the consumption problem")
-        if consumption.shape != nodes.shape:
-            raise ValueError("consumption curve does not match the grid")
-        th = market.theta
-        log_w = np.empty(nu.shape)
-        log_w[0] = np.log(x0)
-        for i in range(n):
-            drift = (
-                rates[i]
-                - consumption[i]
-                + (th * coef[i] - 0.5 * coef[i] ** 2) * nu[i]
-            )
-            log_w[i + 1] = log_w[i] + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
-        return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
-
-    raise TypeError(f"unknown objective {type(objective).__name__}")
+    elif isinstance(objective, NonExpLogObjective):
+        if strategy.consumption is None:
+            raise ValueError("the consumption problem needs a curve with a consumption rate")
+        expo = 0.0
+    else:
+        raise TypeError(f"unknown objective {type(objective).__name__}")
+    if strategy.consumption is not None:
+        rates = rates - strategy.consumption
+    log_w = np.empty(nu.shape)
+    log_w[0] = np.log(x0)
+    for i in range(n):
+        pi = coef[i] if expo == 0.0 else coef[i] * np.maximum(nu[i], 1e-300) ** expo
+        # pi * pi: a numpy scalar's pi**2 is pow(), which may round unlike x * x
+        drift = rates[i] + th * nu[i] * pi - 0.5 * (pi * pi) * nu[i]
+        log_w[i + 1] = log_w[i] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
+    return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,14 @@ def terminal_stats(terminal: PathBundle | np.ndarray, n_bins: int = 50) -> Termi
     x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")
-    edges = np.histogram_bin_edges(x, bins=n_bins, range=(x.min(), x.max()))
+    lo, hi = x.min(), x.max()
+    try:
+        edges = np.histogram_bin_edges(x, bins=n_bins, range=(lo, hi))
+    except ValueError as exc:  # a non-finite range, or one too narrow for its magnitude
+        raise ValueError(
+            f"cannot bin the terminal wealth range [{lo:.17g}, {hi:.17g}] "
+            f"into {n_bins} bins: {exc}"
+        ) from None
     counts, edges = np.histogram(x, bins=edges)
     return TerminalStats(
         mean=float(np.mean(x)),
@@ -425,8 +430,7 @@ def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
     cells = np.empty(bundle.variance.shape + (1 + len(columns),))
     for j, col in enumerate(columns, start=1):
         cells[:, :, j] = col
-    ids = bundle.paths if bundle.paths is not None else range(bundle.n_paths)
-    for k, path_id in enumerate(ids):
+    for k, path_id in enumerate(bundle.paths):
         cells[k, :, 0] = path_id
         yield template % tuple(cells[k].ravel().tolist())
 

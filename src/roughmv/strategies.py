@@ -299,12 +299,13 @@ class StrategyCurve:
     total: np.ndarray
     value_coeffs: dict = field(default_factory=dict)
     kind: str = ""
+    consumption: np.ndarray | None = None  # the consumption problem's rate 1/V1
 
     def __post_init__(self):
         n = self.grid.n_steps + 1
-        for name in ("myopic", "hedge", "total"):
+        for name in ("myopic", "hedge", "total", "consumption"):
             arr = getattr(self, name)
-            if arr.shape != (n,):
+            if arr is not None and arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
         if not np.allclose(self.total, self.myopic + self.hedge, rtol=1e-12, atol=1e-12):
             raise ValueError("total must equal myopic + hedge at every node")
@@ -670,6 +671,8 @@ def strategy_columns(curve: StrategyCurve) -> dict[str, np.ndarray]:
         "hedge": curve.hedge,
         "total": curve.total,
     }
+    if curve.consumption is not None:
+        cols["consumption"] = curve.consumption
     for key in VALUE_COEFF_ORDER:
         if key in curve.value_coeffs:
             cols[key] = curve.value_coeffs[key]

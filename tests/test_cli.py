@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import roughmv.cli as cli
+import roughmv.montecarlo as montecarlo
 from roughmv import bundle_to_csv, simulate_variance, simulate_wealth, terminal_stats
 from roughmv.cli import (
     _strategy_for,
@@ -105,6 +106,17 @@ class TestHedgeCurve:
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_nonexp_objective(self, tmp_path):
+        # the consumption problem's investment is the Merton fraction, unhedged
+        out = tmp_path / "o"
+        assert main(["hedge-curve", "--config", str(CONFIG_DIR / "nonexp_consumption.json"),
+                     "--out", str(out)]) == 0
+        for hurst in ("0.1", "0.5"):
+            header, data = read_csv(out / f"hedge_curve_H{hurst}.csv")
+            assert header == ["t", "myopic", "hedge", "total"]
+            assert np.all(data[:, 1] == 1.5) and np.all(data[:, 3] == 1.5)
+            assert not data[:, 2].any()
+
 
 class TestCrossover:
     def test_gamma_ladder(self, tmp_path):
@@ -190,6 +202,23 @@ class TestStrategyCommand:
         assert header == ["t", "myopic", "hedge", "total", "V1", "V2", "V0", "g1", "g2", "g0"]
         payload = json.loads((out / "strategy.json").read_text())
         np.testing.assert_array_equal(np.array(payload["total"]), data[:, 3])
+
+    def test_nonexp_objective_writes_the_consumption_rate(self, tmp_path):
+        cfg_path = str(CONFIG_DIR / "nonexp_consumption.json")
+        out = tmp_path / "o"
+        assert main(["strategy", "--config", cfg_path, "--out", str(out)]) == 0
+        header, data = read_csv(out / "strategy.csv")
+        assert header == ["t", "myopic", "hedge", "total", "consumption"]
+        cfg = load_config(cfg_path)
+        objective = build_objective(cfg)
+        p_hat, coef = nonexp_log_strategy(build_market(cfg), objective.discount,
+                                          objective.horizon,
+                                          build_grid(cfg, objective.horizon))
+        assert data[:, 4].tobytes() == p_hat.tobytes()
+        assert data[:, 3].tobytes() == coef.tobytes() and not data[:, 2].any()
+        payload = json.loads((out / "strategy.json").read_text())
+        assert np.array(payload["consumption"]).tobytes() == p_hat.tobytes()
+        assert payload["kind"] == "nonexp_log"
 
     def test_steps_per_year_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -490,6 +519,15 @@ class TestNumericErrors:
         assert "numeric error: overflow" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unbinnable_terminal_wealth_exits_3_naming_it(self, tmp_path, capsys):
+        # every path ends at the same value near 5e300, a range numpy cannot
+        # split into 50 bins
+        cfg = write_config(tmp_path, {"market": {"phi": 1e300}, "sim": {"n_paths": 50},
+                                      "grid": {"steps_per_year": 25}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "terminal wealth" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class FullDisk(io.StringIO):
     """A text file whose every write fails as on a full disk."""
@@ -636,10 +674,20 @@ class TestSimulateBlocks:
         payload["grid"] = {"steps_per_year": 12}
         return payload
 
+    NONEXP = {"variant": "nonexp_log", "horizon": 1.0,
+              "discount": {"variant": "hyperbolic", "a": 0.5, "b": 0.8}}
+
     @pytest.mark.parametrize("scheme", ["lifted", "euler_convolution"])
     def test_paths_csv_matches_one_unblocked_call(self, tmp_path, scheme):
+        self.assert_files_match_one_call(tmp_path, scheme)
+
+    @pytest.mark.parametrize("scheme", ["lifted", "euler_convolution"])
+    def test_nonexp_files_match_one_unblocked_call(self, tmp_path, scheme):
+        self.assert_files_match_one_call(tmp_path, scheme, self.NONEXP)
+
+    def assert_files_match_one_call(self, tmp_path, scheme, objective=None):
         n_paths = PATH_BLOCK + 3  # two blocks, the second ragged
-        cfg_path = write_config(tmp_path, self._payload(n_paths, scheme=scheme))
+        cfg_path = write_config(tmp_path, self._payload(n_paths, objective, scheme))
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -672,6 +720,25 @@ class TestSimulateBlocks:
                      "--out", str(tmp_path / "o")]) == 0
         assert [len(r) for r in seen] == [PATH_BLOCK, PATH_BLOCK, 1]
         assert [i for r in seen for i in r] == list(range(2 * PATH_BLOCK + 1))
+
+    def test_blocks_shrink_to_the_memory_budget(self, tmp_path, monkeypatch):
+        # a grid on which PATH_BLOCK paths would exceed montecarlo.MAX_ELEMENTS
+        # runs in smaller blocks, and its files do not show it
+        cfg_path = write_config(tmp_path, self._payload(20))
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
+        seen = []
+        original = cli.simulate_variance
+
+        def spy(market, scheme, grid, paths, seed):
+            seen.append(paths)
+            return original(market, scheme, grid, paths, seed)
+
+        monkeypatch.setattr(cli, "simulate_variance", spy)
+        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 4 * 13 * 6 + 5)  # 6 paths of 13 nodes
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
+        assert [len(r) for r in seen] == [6, 6, 6, 2]
+        for name in ("paths.csv", "terminal_stats.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_failed_run_leaves_no_partial_paths_file(self, tmp_path, monkeypatch, capsys):
         original = cli.simulate_wealth

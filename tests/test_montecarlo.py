@@ -24,12 +24,13 @@ from roughmv import (
     fit_sum_of_exponentials,
     kernel_eval,
     kernel_integral,
+    nonexp_log_strategy,
     simulate_variance,
     simulate_wealth,
     solve_linear_vie,
     terminal_stats,
 )
-from roughmv.montecarlo import _as_factor_kernel
+from roughmv.montecarlo import MAX_ELEMENTS, PATH_BLOCK, _as_factor_kernel, block_paths
 from oracles import lognormal_terminal_mean
 
 
@@ -40,9 +41,10 @@ def make_market(sigma=0.3, kappa=0.3, nu0=0.04, phi=0.04, rho=-0.7, rate=0.0, hu
     )
 
 
-def flat_strategy(grid, level):
+def flat_strategy(grid, level, consumption=None):
     coef = np.full(grid.n_steps + 1, float(level))
-    return StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
+    return StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test",
+                         consumption=consumption)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +130,11 @@ class TestSimulateVariance:
             assert np.all(b.variance >= 0.0)
 
     def test_memory_budget_error(self):
+        # one path over the budget; the check comes before any draw
         market = make_market()
+        n_paths = MAX_ELEMENTS // (4 * 251) + 1
         with pytest.raises(ResourceLimitError, match="chunk"):
-            simulate_variance(
-                market, LiftedFactors(5), TimeGrid(0.0, 1.0, 250), 10_000, 1,
-                max_elements=1_000_000,
-            )
+            simulate_variance(market, LiftedFactors(5), TimeGrid(0.0, 1.0, 250), n_paths, 1)
 
     def test_lifted_metadata_reports_fit_error(self):
         market = make_market(hurst=0.1)
@@ -180,13 +181,13 @@ class TestPathBlocks:
     )
     def test_terminal_wealth_from_blocks_is_bit_identical(self, scheme, objective):
         market = make_market(rate=0.01)
-        strategy = flat_strategy(self.GRID, 0.4)
         consumption = (np.full(self.GRID.n_steps + 1, 0.05)
                        if isinstance(objective, NonExpLogObjective) else None)
+        strategy = flat_strategy(self.GRID, 0.4, consumption)
 
         def wealth(paths):
             b = simulate_variance(market, scheme, self.GRID, paths, 31)
-            return simulate_wealth(b, market, strategy, objective, 1.0, consumption).wealth
+            return simulate_wealth(b, market, strategy, objective, 1.0).wealth
 
         full = wealth(self.N)
         blocks = [wealth(range(lo, min(lo + self.BLOCK, self.N)))
@@ -218,16 +219,50 @@ class TestPathBlocks:
 
         coef = np.linspace(0.2, 0.6, n + 1)
         strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
-        got = simulate_wealth(b, market, strategy, LogMVObjective(0.5, 1.0, delta=2.0), 1.0)
-        expo, th = (2.0 - 1.0) / (2.0 * 2.0), market.theta
-        log_w = np.empty_like(nu)
-        log_w[:, 0] = 0.0
+        th = market.theta
+        for delta in (1.0, 2.0):  # at delta = 1 the library's proportion is a scalar
+            got = simulate_wealth(b, market, strategy, LogMVObjective(0.5, 1.0, delta), 1.0)
+            expo = (delta - 1.0) / (2.0 * delta)
+            log_w = np.empty_like(nu)
+            log_w[:, 0] = 0.0
+            for i in range(n):
+                if expo == 0.0:
+                    pi = np.full(self.N, coef[i])
+                else:
+                    pi = coef[i] * np.maximum(nu[:, i], 1e-300) ** expo
+                drift = 0.01 + th * nu[:, i] * pi - 0.5 * pi**2 * nu[:, i]
+                log_w[:, i + 1] = (log_w[:, i] + drift * h
+                                   + pi * np.sqrt(nu[:, i]) * b.dW1[:, i])
+            assert got.log_wealth.tobytes() == log_w.tobytes()
+            assert got.wealth.tobytes() == np.exp(log_w).tobytes()
+
+    def test_consumption_march_matches_its_own_loop(self):
+        # the consumption problem's separate loop that the log-wealth loop
+        # replaced, drift r - c + (theta pi - pi^2/2) nu associated as it was
+        market = make_market(rate=0.01)
+        grid, n = self.GRID, self.GRID.n_steps
+        b = simulate_variance(market, LiftedFactors(10), grid, self.N, 12)
+        objective = NonExpLogObjective(ExponentialDiscount(0.1), 1.0)
+        consumption, coef = nonexp_log_strategy(market, objective.discount, 1.0, grid)
+        strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test",
+                                 consumption=consumption)
+        got = simulate_wealth(b, market, strategy, objective, 1.0)
+        h, th, nu = grid.spacing, market.theta, b.variance
+        rates = market.rate_curve.values_at(grid.nodes())
+        log_w = np.zeros_like(nu)
         for i in range(n):
-            pi = coef[i] * np.maximum(nu[:, i], 1e-300) ** expo
-            drift = 0.01 + th * nu[:, i] * pi - 0.5 * pi**2 * nu[:, i]
-            log_w[:, i + 1] = log_w[:, i] + drift * h + pi * np.sqrt(nu[:, i]) * b.dW1[:, i]
-        assert got.log_wealth.tobytes() == log_w.tobytes()
-        assert got.wealth.tobytes() == np.exp(log_w).tobytes()
+            drift = rates[i] - consumption[i] + (th * coef[i] - 0.5 * coef[i] ** 2) * nu[:, i]
+            log_w[:, i + 1] = log_w[:, i] + drift * h + coef[i] * np.sqrt(nu[:, i]) * b.dW1[:, i]
+        np.testing.assert_allclose(got.wealth, np.exp(log_w), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.log_wealth, log_w, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("steps", [12, 40_000, 10**6])
+    def test_block_paths_fill_the_memory_budget(self, steps):
+        grid = TimeGrid(0.0, 1.0, steps)
+        k = block_paths(grid)
+        assert 1 <= k <= PATH_BLOCK
+        assert 4 * k * (steps + 1) <= MAX_ELEMENTS
+        assert k == PATH_BLOCK or 4 * (k + 1) * (steps + 1) > MAX_ELEMENTS
 
     @pytest.mark.parametrize("paths", [0, range(0), range(-1, 3), 2.0, "3"])
     def test_bad_path_sets_rejected(self, paths):
@@ -335,8 +370,7 @@ class TestSimulateWealth:
         obj = NonExpLogObjective(ExponentialDiscount(0.0), 2.0)
         b = simulate_variance(market, LiftedFactors(10), grid, 5, 4)
         consumption = np.full(grid.n_steps + 1, 0.05)
-        b2 = simulate_wealth(b, market, flat_strategy(grid, 0.0), obj, 1.0,
-                             consumption=consumption)
+        b2 = simulate_wealth(b, market, flat_strategy(grid, 0.0, consumption), obj, 1.0)
         np.testing.assert_allclose(b2.wealth[:, -1], math.exp(-0.1), rtol=1e-12)
         with pytest.raises(ValueError, match="consumption"):
             simulate_wealth(b, market, flat_strategy(grid, 0.0), obj, 1.0)
@@ -369,6 +403,11 @@ class TestTerminalStats:
             simulate_variance(make_market(), LiftedFactors(2), grid, wealth.shape[0], 0),
             wealth=wealth,
         )
+
+    @pytest.mark.parametrize("value", [5e300, np.inf])
+    def test_unbinnable_range_is_named(self, value):
+        with pytest.raises(ValueError, match="terminal wealth range"):
+            terminal_stats(np.array([1.0, value] if value == np.inf else [value] * 3))
 
     def test_identical_paths(self):
         b = self._bundle_with_wealth(np.full((5, 3), 2.5))
