@@ -505,10 +505,8 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
         hursts = list(hursts) + [0.5]
     outputs = []
     for hurst in hursts[:2]:
-        p_hat, coef = nonexp_log_strategy(
-            _with_hurst(market, hurst), objective.discount, objective.horizon, grid
-        )
-        outputs.append((p_hat, coef, 1.0 / p_hat))
+        curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
+        outputs.append((curve.consumption, curve.total, 1.0 / curve.consumption))
     identical = all(
         np.array_equal(outputs[0][i], outputs[1][i]) for i in range(3)
     )

@@ -333,9 +333,9 @@ def simulate_wealth(
     log-wealth with proportion pi_t = total(t), times nu^((delta-1)/(2 delta))
     for log-MV when delta != 1.  Log-wealth then has diffusion
     pi sqrt(nu) dW1 and drift r - c + (theta pi - pi^2/2) nu, with c the
-    curve's consumption rate (0 without one); the consumption problem's
-    total(t) is the Merton fraction theta of nonexp_log_strategy, and its
-    curve must carry the consumption rate.
+    curve's consumption rate for the consumption problem and 0 otherwise;
+    the consumption problem's total(t) is the Merton fraction theta of
+    nonexp_log_strategy, and its curve must carry the consumption rate.
     The march runs over the bundle's time-major arrays; the paths come back
     as (n_paths, n_nodes) views.
     """
@@ -368,10 +368,9 @@ def simulate_wealth(
         if strategy.consumption is None:
             raise ValueError("the consumption problem needs a curve with a consumption rate")
         expo = 0.0
+        rates = rates - strategy.consumption
     else:
         raise TypeError(f"unknown objective {type(objective).__name__}")
-    if strategy.consumption is not None:
-        rates = rates - strategy.consumption
     log_w = np.empty(nu.shape)
     log_w[0] = np.log(x0)
     for i in range(n):

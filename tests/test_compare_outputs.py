@@ -41,8 +41,7 @@ def test_a_tree_against_itself(tmp_path, capsys):
     config.write_text(json.dumps({"objective": {"variant": "log_mv", "gamma": 0.5,
                                                 "horizon": 1.0}}))
     argv = [str(ROOT), str(ROOT), "--config", str(config), "--command", "strategy",
-            "--command", "nonexp", "--cli-args", "--steps-per-year 20",
-            "--work", str(tmp_path / "work")]
+            "--command", "nonexp", "--cli-args", "--steps-per-year 20"]
     assert compare.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["strategy c.json: exit 0/0, stderr equal",

@@ -375,6 +375,18 @@ class TestSimulateWealth:
         with pytest.raises(ValueError, match="consumption"):
             simulate_wealth(b, market, flat_strategy(grid, 0.0), obj, 1.0)
 
+    @pytest.mark.parametrize("objective", [ConstMVObjective(0.5, 1.0),
+                                           LogMVObjective(0.5, 1.0),
+                                           LogMVObjective(0.5, 1.0, delta=2.0)])
+    def test_consumption_is_read_only_by_the_consumption_problem(self, objective):
+        market = make_market(rate=0.01)
+        grid = TimeGrid(0.0, 1.0, 100)
+        b = simulate_variance(market, LiftedFactors(10), grid, 5, 4)
+        consumption = np.full(grid.n_steps + 1, 0.05)
+        with_c = simulate_wealth(b, market, flat_strategy(grid, 0.5, consumption), objective, 1.0)
+        without = simulate_wealth(b, market, flat_strategy(grid, 0.5), objective, 1.0)
+        assert np.array_equal(with_c.wealth, without.wealth)
+
     def test_log_mv_delta_changes_paths(self):
         market = make_market()
         grid = TimeGrid(0.0, 1.0, 250)

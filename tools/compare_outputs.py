@@ -1,12 +1,12 @@
 """Compare the data files that two source trees write for the same commands.
 
     python tools/compare_outputs.py TREE_A TREE_B [--config FILE ...]
-        [--command NAME ...] [--cli-args="ARGS"] [--work DIR]
+        [--command NAME ...] [--cli-args="ARGS"]
 
 Each tree is a repository root; its ``src/`` is put on PYTHONPATH and
 ``python -m roughmv.cli COMMAND --config FILE --out out`` runs in a fresh
-directory per tree, so the manifests record the same output path.  By
-default every command runs on every config in this repository's
+temporary directory per tree, so the manifests record the same output
+path.  By default every command runs on every config in this repository's
 ``configs/``.  For each run the script prints the two exit codes, whether
 stderr matches, and per file either ``identical`` (same bytes) or, per
 column of a CSV file or per key of a JSON file, how many values changed and
@@ -124,8 +124,6 @@ def main(argv=None) -> int:
                         help="command (repeatable; default: all five)")
     parser.add_argument("--cli-args", default="",
                         help="extra arguments for every run, e.g. --cli-args=\"--paths 500\"")
-    parser.add_argument("--work", type=Path, default=None,
-                        help="directory for the runs' outputs (default: a temporary one)")
     args = parser.parse_args(argv)
     configs = [c.resolve() for c in args.config or sorted((ROOT / "configs").glob("*.json"))]
     commands = args.command or list(COMMANDS)
@@ -133,7 +131,7 @@ def main(argv=None) -> int:
     trees = (args.tree_a.resolve(), args.tree_b.resolve())
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
+        work = Path(tmp)
         same = True
         for config in configs:
             for command in commands:
