@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, rgamma as _rgamma
 
 
 class KernelDomainError(ValueError):
@@ -168,7 +167,7 @@ def kernel_eval(spec: Kernel, t):
             raise KernelDomainError(
                 f"fractional kernel with alpha={spec.alpha} is singular at t = 0"
             )
-        out = spec.c * t_arr ** (spec.alpha - 1.0) / _gamma(spec.alpha)
+        out = spec.c * t_arr ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
     else:
         w, r = _exponential_terms(spec)
         out = np.exp(-t_arr[..., None] * np.asarray(r)) @ np.asarray(w)
@@ -181,7 +180,7 @@ def kernel_integral(spec: Kernel, t):
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
     if is_singular(spec):
-        out = spec.c * t_arr ** spec.alpha / _gamma(spec.alpha + 1.0)
+        out = spec.c * t_arr ** spec.alpha / math.gamma(spec.alpha + 1.0)
     else:
         # summed from the first term, so one term keeps its own signed zero
         out = functools.reduce(np.add, (
@@ -207,8 +206,8 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
     a, b = edges[:-1], edges[1:]
     if is_singular(spec):
         al = spec.alpha
-        i0 = spec.c * (b**al - a**al) / _gamma(al + 1.0)
-        i1 = spec.c * (b ** (al + 1.0) - a ** (al + 1.0)) / ((al + 1.0) * _gamma(al))
+        i0 = spec.c * (b**al - a**al) / math.gamma(al + 1.0)
+        i1 = spec.c * (b ** (al + 1.0) - a ** (al + 1.0)) / ((al + 1.0) * math.gamma(al))
     else:
         h = np.asarray(h, dtype=float)
         terms = (_exp_cell_moments(w, r, a, b, h) for w, r in zip(*_exponential_terms(spec)))
@@ -253,14 +252,19 @@ def _exp_cell_moments(c, beta, a, b, h):
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-# For z >= 0 every series term is positive, so summation in log space is
-# accurate up to overflow.  For z < 0 the series cancels catastrophically
-# (worst term grows like exp(|z|^(1/alpha))), so moderate negative arguments
-# are summed in arbitrary precision and far-negative ones (alpha < 1,
-# |z|^(1/alpha) >= 38, where the optimally-truncated remainder ~ e^-38 is
-# negligible) use the algebraic asymptotic expansion.  A naive
-# switch-at-|z|=5 rule cannot reach 1e-10 relative accuracy on the negative
-# axis, hence this three-branch layout.
+# Branches of _ml_array, each one pass over its share of the array:
+#   z > 0                  float series in log space: every term is positive,
+#                          so it is accurate up to overflow;
+#   -1.5 <= z < 0          plain float series: no term exceeds 1.5^n/Gamma;
+#   z < -1.5               the series cancels catastrophically (the worst
+#                          term grows like exp(|z|^(1/alpha))), so it is
+#                          summed in arbitrary precision;
+#   |z|^(1/alpha) >= 38    (alpha < 1) the algebraic asymptotic expansion,
+#                          whose optimally-truncated remainder ~ e^-38 is
+#                          negligible.
+# The float branches take the gamma-function coefficient of each term index
+# once, for all their arguments.  A naive switch-at-|z|=5 rule cannot reach
+# 1e-10 relative accuracy on the negative axis, hence this layout.
 _ML_NEG_FLOAT_CUTOFF = -1.5
 _ML_ASYMPTOTIC_PEAK = 38.0
 _ML_MAX_EXPONENT = 700.0  # exp argument beyond which float64 overflows
@@ -271,10 +275,25 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     return float(_ml_array(alpha, beta, float(z)))
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x): 0 at the poles 0, -1, -2, ... and where Gamma(x) overflows.
+
+    math.gamma raises at a pole and beyond its overflow (x > 171.62), where
+    1/Gamma(x) is below the smallest normal double.
+    """
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
+
+
 def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     """E_{alpha,beta} elementwise over a float array z, same shape.
 
-    The branch of every element is decided once for the whole array, and all
+    The branch of every element is decided once for the whole array, and
+    each branch sums the series of all its arguments in one pass; all
     arguments that need arbitrary precision go to one _ml_series_mp call, so
     they share its reciprocal-gamma coefficients.
     """
@@ -290,14 +309,14 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     out = np.empty(zf.shape)
     out[zf == 0.0] = _rgamma(beta)
     pos = zf > 0
-    out[pos] = [_ml_series_positive(alpha, beta, v) for v in zf[pos].tolist()]
+    out[pos] = _ml_series_positive(alpha, beta, zf[pos])
     small = (zf < 0) & (zf >= _ML_NEG_FLOAT_CUTOFF)
     out[small] = _ml_series_small_negative(alpha, beta, zf[small])
     far = zf < _ML_NEG_FLOAT_CUTOFF
     if alpha < 1.0:
         with np.errstate(over="ignore"):  # inf is past the seam all the same
             asym = far & (np.abs(zf) ** (1.0 / alpha) >= _ML_ASYMPTOTIC_PEAK)
-        out[asym] = [_ml_asymptotic_negative(alpha, beta, -v) for v in zf[asym].tolist()]
+        out[asym] = _ml_asymptotic_negative(alpha, beta, -zf[asym])
         far &= ~asym
     if far.any():
         out[far] = _ml_series_mp(alpha, beta, zf[far])
@@ -305,25 +324,33 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
 
 
 def _ml_series_positive(alpha, beta, z):
-    # All terms positive; work in log space because z^n may overflow long
+    # Series over an array z > 0 in log space, because z^n may overflow long
     # before the Gamma denominator catches up (small alpha, moderate z).
-    if z ** (1.0 / alpha) > _ML_MAX_EXPONENT:
+    # Every element stops adding terms at its own convergence, past its peak
+    # term and below 1e-18 of its sum, as a scalar loop would.
+    with np.errstate(over="ignore"):  # inf is past the limit all the same
+        peaks = z ** (1.0 / alpha)
+    over = peaks > _ML_MAX_EXPONENT
+    if over.any():
         raise OverflowError(
-            f"E_{{{alpha},{beta}}}({z}) overflows double precision "
+            f"E_{{{alpha},{beta}}}({z[over][0]}) overflows double precision "
             f"(growth ~ exp(z^(1/alpha)))"
         )
-    log_z = math.log(z)
-    n_peak = z ** (1.0 / alpha) / alpha
-    total = 0.0
-    for n in range(int(n_peak) + 10_000):
+    log_z = np.log(z)
+    n_peak = peaks / alpha
+    total = np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
+    for n in range(int(n_peak.max(initial=0.0)) + 10_000):
         log_term = n * log_z - math.lgamma(alpha * n + beta)
-        if log_term > 709.0:
-            raise OverflowError(f"Mittag-Leffler series overflowed for z={z}")
-        term = math.exp(log_term)
-        total += term
-        if n > n_peak and term < 1e-18 * total:
+        over = log_term > 709.0  # never true once stopped: terms fall past the peak
+        if over.any():
+            raise OverflowError(f"Mittag-Leffler series overflowed for z={z[over][0]}")
+        term = np.exp(log_term)
+        total = np.where(live, total + term, total)
+        live &= (n <= n_peak) | (term >= 1e-18 * total)
+        if not live.any():
             return total
-    raise RuntimeError(f"Mittag-Leffler series failed to converge for z={z}")
+    raise RuntimeError(f"Mittag-Leffler series failed to converge for z={z[live][0]}")
 
 
 def _ml_series_small_negative(alpha, beta, z):
@@ -417,35 +444,38 @@ def _ml_series_mp(alpha, beta, z):
 
 
 def _ml_asymptotic_negative(alpha, beta, x):
-    # E_{a,b}(-x) = sum_{k>=1} (-1)^(k-1) x^(-k) / Gamma(b - a k) + O(opt),
-    # valid for 0 < alpha < 1.  Truncation is decided on a smooth envelope:
-    # once b - a k < 0 the raw terms carry an oscillating |sin(pi(b - a k))|
-    # factor (reflection formula) that would trip a naive smallest-term rule,
-    # so the envelope drops the sine via x^-k Gamma(1 - b + a k) / pi.
-    log_x = math.log(x)
+    # E_{a,b}(-x) = sum_{k>=1} (-1)^(k-1) x^(-k) / Gamma(b - a k) + O(opt) over
+    # an array x, valid for 0 < alpha < 1.  Truncation is decided on a smooth
+    # envelope: once b - a k < 1/2 the raw terms carry an oscillating
+    # |sin(pi(b - a k))| factor (reflection formula) that would trip a naive
+    # smallest-term rule, so the envelope drops the sine via
+    # x^-k Gamma(1 - b + a k) / pi.  Each element stops before the term
+    # where its envelope rises, or that is 40 e-folds below its sum.
+    log_x = np.log(x)
     log_pi = math.log(math.pi)
-    total = 0.0
-    sign = 1.0
-    prev_env = math.inf
+    total = np.zeros_like(x)
+    prev_env = np.full(x.shape, np.inf)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, 400):
-        refl_arg = 1.0 - beta + alpha * k
-        if refl_arg > 0.5:
-            log_env = -k * log_x + math.lgamma(refl_arg) - log_pi
-            # term assembled in log space: x^-k / Gamma(b-ak) can pair an
-            # underflowing power with an overflowing reciprocal gamma
-            term = sign * math.exp(log_env) * math.sin(math.pi * (beta - alpha * k))
+        arg = beta - alpha * k
+        sign = 1.0 if k % 2 else -1.0
+        if arg < 0.5:
+            # reflection: 1/Gamma(arg) = Gamma(1 - arg) sin(pi arg) / pi
+            log_coef, factor = math.lgamma(1.0 - arg) - log_pi, sign * math.sin(math.pi * arg)
         else:
-            # Gamma(b - a k) still regular here; raw magnitude is smooth
-            term = sign * math.exp(-k * log_x) * float(_rgamma(beta - alpha * k))
-            mag = abs(term)
-            log_env = math.log(mag) if mag > 0 else prev_env
-        if log_env > prev_env and k > 1:
+            # Gamma(arg) regular and positive: the envelope is the term itself
+            log_coef, factor = -math.lgamma(arg), sign
+        # in log space: x^-k / Gamma(b - a k) can pair an underflowing power
+        # with an overflowing reciprocal gamma
+        log_env = log_coef - k * log_x
+        if k > 1:
+            live &= log_env <= prev_env
+        if k > 2:
+            live &= log_env >= np.log(np.maximum(np.abs(total), 1e-300)) - 40.0
+        if not live.any():
             break
-        if k > 2 and log_env < math.log(max(abs(total), 1e-300)) - 40.0:
-            break
+        total = np.where(live, total + np.exp(log_env) * factor, total)
         prev_env = log_env
-        total += term
-        sign = -sign
     return total
 
 

@@ -58,7 +58,11 @@ from .strategies import (
 # Paths per block when a command streams a simulation (see cli.cmd_simulate).
 PATH_BLOCK = 1024
 
-# Array elements one simulate_variance call may hold: four per path and node.
+# Arrays a block of log-MV paths holds, one element each per path and node:
+# variance, dW1, dB, log-wealth and wealth.
+BLOCK_ARRAYS = 5
+
+# Array elements one block of paths may hold: BLOCK_ARRAYS per path and node.
 MAX_ELEMENTS = 150_000_000
 
 
@@ -206,7 +210,7 @@ def _path_range(paths: int | range) -> range:
 def block_paths(grid: TimeGrid) -> int:
     """Paths per streamed block on this grid: PATH_BLOCK, or as many as fit
     in MAX_ELEMENTS (at least one)."""
-    return max(1, min(PATH_BLOCK, MAX_ELEMENTS // (4 * (grid.n_steps + 1))))
+    return max(1, min(PATH_BLOCK, MAX_ELEMENTS // (BLOCK_ARRAYS * (grid.n_steps + 1))))
 
 
 def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: int):
@@ -249,7 +253,7 @@ def simulate_variance(
         raise ValueError("simulation grid must start at t = 0")
     paths = _path_range(paths)
     n = grid.n_steps
-    if 4 * len(paths) * (n + 1) > MAX_ELEMENTS:
+    if BLOCK_ARRAYS * len(paths) * (n + 1) > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"{len(paths)} paths x {n + 1} nodes exceeds the memory budget of "
             f"{MAX_ELEMENTS} array elements; simulate in smaller chunks "

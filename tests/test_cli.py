@@ -734,7 +734,8 @@ class TestSimulateBlocks:
             return original(market, scheme, grid, paths, seed)
 
         monkeypatch.setattr(cli, "simulate_variance", spy)
-        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 4 * 13 * 6 + 5)  # 6 paths of 13 nodes
+        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS",
+                            montecarlo.BLOCK_ARRAYS * 13 * 6 + 5)  # 6 paths of 13 nodes
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         assert [len(r) for r in seen] == [6, 6, 6, 2]
         for name in ("paths.csv", "terminal_stats.json"):

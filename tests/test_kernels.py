@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from roughmv.kernels import (
     TAU_BLOCK,
     _lag_weights,
     _ml_array,
+    _rgamma,
     _vie_solve,
     cell_moments,
 )
@@ -201,6 +204,20 @@ class TestMittagLeffler:
         got = mittag_leffler(alpha, 1.0, -x)
         assert abs(got * math.gamma(1.0 - alpha) * x - 1.0) <= 0.05
 
+    def test_asymptotic_branch_through_gamma_poles(self):
+        # E_{1/2,1}(-x) = exp(x^2) erfc(x).  From x = 6.2 on (x^2 >= 38) it
+        # takes the asymptotic branch, whose coefficients 1/Gamma(1 - k/2)
+        # vanish at every even k; x is a multiple of 1/8, so x^2 is exact
+        for x in np.arange(50, 209) / 8.0:
+            exact = math.exp(x * x) * math.erfc(x)
+            assert mittag_leffler(0.5, 1.0, -x) == pytest.approx(exact, rel=1e-13), x
+
+    def test_rgamma_poles_and_overflow(self):
+        for x in (0.0, -1.0, -2.0, 200.0):
+            assert _rgamma(x) == 0.0
+        assert _rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+        assert _rgamma(-0.5) == pytest.approx(-0.5 / math.sqrt(math.pi), rel=1e-15)
+
 
 class TestMittagLefflerArray:
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.8, 1.0])
@@ -220,6 +237,16 @@ class TestMittagLefflerArray:
         np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
         scalar = np.array([mittag_leffler(alpha, beta, v) for v in z])
         np.testing.assert_allclose(got, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.55, 0.55), (0.55, 1.0), (0.8, 0.8),
+                                             (0.8, 1.0), (1.0, 1.0)])
+    def test_dense_positive_sweep(self, alpha, beta):
+        # up to just below the overflow limit z^(1/alpha) = 700, so the
+        # elements of one call stop their series at very different n
+        z = np.geomspace(1e-3, 0.95 * 700.0**alpha, 33)
+        got = _ml_array(alpha, beta, z)
+        ref = np.array([ml_reference(alpha, beta, v) for v in z])
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
 
     def test_shape_is_kept(self):
         z = np.array([[-3.0, -0.5], [0.0, 1.0]])
@@ -262,21 +289,41 @@ class TestMittagLefflerArray:
 
 def test_importing_roughmv_leaves_mpmath_unloaded():
     # commands that never reach the arbitrary-precision branch do not load
-    # mpmath, and no command needs the heavier scipy subpackages at import
-    # time (start-up is measured); run in a fresh interpreter because the
-    # oracles import them here
+    # mpmath, and the library never loads scipy (start-up is measured); run
+    # in a fresh interpreter because the oracles import both here
     import roughmv
 
     src = str(Path(roughmv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = (
-        "import sys, roughmv.cli; print(sorted(m for m in ('mpmath', 'scipy.linalg', "
-        "'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        "import sys, roughmv.cli; "
+        "print(sorted(m for m in ('mpmath', 'scipy') if m in sys.modules))"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_runtime_imports_are_the_listed_dependencies():
+    # every third-party module the library imports, at module level or inside
+    # a function, is a runtime dependency of pyproject.toml, and vice versa
+    import roughmv
+
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+
+    package = Path(roughmv.__file__).resolve().parent
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"roughmv"}
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    assert third_party == listed
 
 
 # ---------------------------------------------------------------------------

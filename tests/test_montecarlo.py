@@ -30,7 +30,13 @@ from roughmv import (
     solve_linear_vie,
     terminal_stats,
 )
-from roughmv.montecarlo import MAX_ELEMENTS, PATH_BLOCK, _as_factor_kernel, block_paths
+from roughmv.montecarlo import (
+    BLOCK_ARRAYS,
+    MAX_ELEMENTS,
+    PATH_BLOCK,
+    _as_factor_kernel,
+    block_paths,
+)
 from oracles import lognormal_terminal_mean
 
 
@@ -132,7 +138,7 @@ class TestSimulateVariance:
     def test_memory_budget_error(self):
         # one path over the budget; the check comes before any draw
         market = make_market()
-        n_paths = MAX_ELEMENTS // (4 * 251) + 1
+        n_paths = MAX_ELEMENTS // (BLOCK_ARRAYS * 251) + 1
         with pytest.raises(ResourceLimitError, match="chunk"):
             simulate_variance(market, LiftedFactors(5), TimeGrid(0.0, 1.0, 250), n_paths, 1)
 
@@ -261,8 +267,8 @@ class TestPathBlocks:
         grid = TimeGrid(0.0, 1.0, steps)
         k = block_paths(grid)
         assert 1 <= k <= PATH_BLOCK
-        assert 4 * k * (steps + 1) <= MAX_ELEMENTS
-        assert k == PATH_BLOCK or 4 * (k + 1) * (steps + 1) > MAX_ELEMENTS
+        assert BLOCK_ARRAYS * k * (steps + 1) <= MAX_ELEMENTS
+        assert k == PATH_BLOCK or BLOCK_ARRAYS * (k + 1) * (steps + 1) > MAX_ELEMENTS
 
     @pytest.mark.parametrize("paths", [0, range(0), range(-1, 3), 2.0, "3"])
     def test_bad_path_sets_rejected(self, paths):
