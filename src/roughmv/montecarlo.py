@@ -18,7 +18,9 @@ max(nu, 0) and nu is stored post-truncation, so every sample is >= 0.
 
 Reproducibility: path i draws from its own substream
 SeedSequence(seed, spawn_key=(i,)), so it depends only on (seed, i), never on
-which paths are simulated with it, and reductions use fixed-order einsum sums
+which paths are simulated with it.  The four words that seed each path's
+PCG64 are derived for a whole block in one array pass (_path_seed_words), bit
+for bit those of NumPy's SeedSequence.  Reductions use fixed-order einsum sums
 rather than shape-dependent BLAS kernels.  A range of path indices can
 therefore be simulated in blocks of PATH_BLOCK paths, which gives the rows of
 one call over the whole range bit for bit with memory O(block x steps).
@@ -31,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -213,16 +216,139 @@ def block_paths(grid: TimeGrid) -> int:
     return max(1, min(PATH_BLOCK, MAX_ELEMENTS // (BLOCK_ARRAYS * (grid.n_steps + 1))))
 
 
+# NumPy's SeedSequence algorithm (numpy/random/bit_generator.pyx), which is
+# fixed under NumPy's stream-compatibility policy: a pool of four uint32 words,
+# hashed and mixed with these constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hashmix(value, hash_const: int):
+    """(hashmix(value), next hash constant) for a uint32 Python int or array.
+
+    The hash constant is a Python int: it evolves independently of the data.
+    """
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_pool(seed) -> tuple[list[int], int]:
+    """The pool of SeedSequence(seed, spawn_key=key) before the words of a
+    non-empty key are mixed in, and the hash constant they start from."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    entropy = []  # little-endian uint32 words of the seed, at least one
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # a sequence with a spawn key pads its seed with zeros to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], mixed)
+    return pool, hash_const
+
+
+def _path_seed_words(seed, paths: range) -> np.ndarray:
+    """(len(paths), 4) uint64, C order: row k equals
+    SeedSequence(seed, spawn_key=(paths[k],)).generate_state(4, np.uint64).
+
+    The seed's part of the pool is mixed once; the spawn-key words of all the
+    ids are mixed as arrays.  An id below 2^32 is one key word, and larger ids
+    have more: word j is mixed into the rows whose ids reach 2^(32 j).
+    """
+    seed_pool, seed_hash = _seed_pool(seed)
+    top = max(paths)
+    ids = np.fromiter(paths, np.uint64 if top < 2**64 else object, len(paths))
+    pool = np.empty((_POOL_SIZE, len(paths)), dtype=np.uint32)
+    pool[:] = np.array(seed_pool, dtype=np.uint32)[:, None]
+    hash_const = seed_hash
+    for j in range(max(1, -(-top.bit_length() // 32))):
+        rows = ids >= 2 ** (32 * j) if j else slice(None)  # id 0 has one word too
+        word = ((ids[rows] >> (32 * j)) & _MASK32).astype(np.uint32)
+        block = pool[:, rows]
+        for dst in range(_POOL_SIZE):
+            mixed, hash_const = _hashmix(word, hash_const)
+            block[dst] = _mix(block[dst], mixed)
+        pool[:, rows] = block
+    # generate_state(4, uint64): eight uint32 words that cycle over the pool,
+    # paired little-endian into uint64
+    state = np.empty((len(paths), 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value *= hash_const
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type():
+    """A seed sequence that returns precomputed PCG64 seeding words.
+
+    Made on first use: numpy.random takes 15-18 ms to import, which the
+    commands that never simulate do not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words  # four C-contiguous uint64
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly this; any other request would need the
+            # full SeedSequence, so it fails rather than change a stream
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"SeedWords holds 4 uint64 words, not {n_words} {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return SeedWords
+
+
 def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: int):
     """Time-major (dW1, dB), each (n_steps, n_paths); column k draws from
     SeedSequence(seed, spawn_key=(paths[k],)), the stream
     SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k]."""
+    from numpy.random import PCG64, Generator
+
+    seed_words = _seed_words_type()
+    words = _path_seed_words(seed, paths)
     n = grid.n_steps
     draws = np.empty((2, n, len(paths)))
     z = np.empty((2, n))  # one path's stream: its dW1 row, then its dW2 row
-    for k, i in enumerate(paths):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        rng.standard_normal(out=z)
+    for k in range(len(paths)):
+        Generator(PCG64(seed_words(words[k]))).standard_normal(out=z)
         draws[:, :, k] = z
     dW1, dB = draws
     sqrt_h = np.sqrt(grid.spacing)

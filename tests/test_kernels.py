@@ -289,8 +289,9 @@ class TestMittagLefflerArray:
 
 def test_importing_roughmv_leaves_mpmath_unloaded():
     # commands that never reach the arbitrary-precision branch do not load
-    # mpmath, and the library never loads scipy (start-up is measured); run
-    # in a fresh interpreter because the oracles import both here
+    # mpmath, the commands that never simulate do not load numpy.random, and
+    # the library never loads scipy (start-up is measured); run in a fresh
+    # interpreter because the oracles import all three here
     import roughmv
 
     src = str(Path(roughmv.__file__).resolve().parents[1])
@@ -298,7 +299,7 @@ def test_importing_roughmv_leaves_mpmath_unloaded():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = (
         "import sys, roughmv.cli; "
-        "print(sorted(m for m in ('mpmath', 'scipy') if m in sys.modules))"
+        "print(sorted(m for m in ('mpmath', 'numpy.random', 'scipy') if m in sys.modules))"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

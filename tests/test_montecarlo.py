@@ -35,6 +35,9 @@ from roughmv.montecarlo import (
     MAX_ELEMENTS,
     PATH_BLOCK,
     _as_factor_kernel,
+    _draw_increments,
+    _path_seed_words,
+    _seed_words_type,
     block_paths,
 )
 from oracles import lognormal_terminal_mean
@@ -149,6 +152,60 @@ class TestSimulateVariance:
         heston = make_market(hurst=0.5)
         b2 = simulate_variance(heston, LiftedFactors(20), TimeGrid(0.0, 1.0, 50), 2, 1)
         assert b2.metadata["kernel_fit_l2_error"] == 0.0
+
+
+class TestPathSeedWords:
+    """The seeding words of a block equal those of NumPy's SeedSequence."""
+
+    # ids of one, two (2^32 - 2 .. 2^32 + 1, 2^40) spawn-key words
+    IDS = [*range(2048), *range(2**32 - 2, 2**32 + 2), 2**40]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127, 10**30, 2**200 + 3],
+                             ids=["0", "1", "2^32-1", "2^32", "2^127", "10^30", "2^200+3"])
+    def test_words_equal_seed_sequence_state(self, seed):
+        # 2^200 + 3 has seven words, more than the pool of four holds
+        words = np.concatenate([_path_seed_words(seed, r) for r in (
+            range(2048), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 1))])
+        expected = np.array([
+            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            for i in self.IDS])
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert words.tobytes() == expected.tobytes()
+
+    def test_ids_of_any_width_and_order(self):
+        for paths in (range(2**70 + 3, 2**70 - 10, -4), range(0, 2**64 + 5, 2**64 - 1),
+                      range(10, -1, -3)):
+            expected = np.array([
+                np.random.SeedSequence(5, spawn_key=(i,)).generate_state(4, np.uint64)
+                for i in paths])
+            assert _path_seed_words(5, paths).tobytes() == expected.tobytes()
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _path_seed_words(-1, range(3))
+
+    def test_draws_equal_per_path_default_rng(self):
+        # the per-path seeding the block pass replaced, written out
+        grid, rho, paths, seed = TimeGrid(0.0, 1.0, 40), -0.7, range(1000, 1300), 97
+        dW1, dB = _draw_increments(make_market(rho=rho), grid, paths, seed)
+        sqrt_h = np.sqrt(grid.spacing)
+        for k, i in enumerate(paths):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            z = rng.standard_normal((2, grid.n_steps))
+            w1 = z[0] * sqrt_h
+            b = z[1] * sqrt_h
+            b *= np.sqrt(1.0 - rho**2)
+            b += rho * w1
+            assert dW1[:, k].tobytes() == w1.tobytes()
+            assert dB[:, k].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64), (4, np.int64)])
+    def test_shim_refuses_any_other_request(self, n_words, dtype):
+        seed_words = _seed_words_type()(_path_seed_words(3, range(1))[0])
+        assert seed_words.generate_state(4, np.uint64) is seed_words.words
+        with pytest.raises(ValueError, match="4 uint64"):
+            seed_words.generate_state(n_words, dtype)
 
 
 class TestPathBlocks:
