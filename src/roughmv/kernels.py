@@ -276,17 +276,20 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
 
 
 def _rgamma(x: float) -> float:
-    """1/Gamma(x): 0 at the poles 0, -1, -2, ... and where Gamma(x) overflows.
+    """1/Gamma(x): 0 at the poles 0, -1, -2, ... and where Gamma(x) overflows,
+    +-inf where it underflows.
 
     math.gamma raises at a pole and beyond its overflow (x > 171.62), where
-    1/Gamma(x) is below the smallest normal double.
+    1/Gamma(x) is below the smallest normal double.  Far down the negative
+    axis (x < -180 or so) it underflows to a zero that keeps Gamma's sign.
     """
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     try:
-        return 1.0 / math.gamma(x)
+        gamma = math.gamma(x)
     except OverflowError:
         return 0.0
+    return 1.0 / gamma if gamma else math.copysign(math.inf, gamma)
 
 
 def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
@@ -709,15 +712,22 @@ def integrated_resolvent_ratio(spec: Kernel, lam: float, tau: float) -> float:
     return float(integrated_resolvent_ratio_curve(spec, lam, [tau])[0])
 
 
+# |z| up to which the singular-kernel ratio takes the E_{a,a+1} form; within it
+# both Mittag-Leffler calls stay on the float series branches
+_RATIO_NEAR_ZERO = 1.5
+
+
 def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarray:
     """int_0^tau R_lam(s)/lam ds over an array of tau >= 0, continuous in lam at 0.
 
     lam = 0 reduces to int_0^tau K.  Singular fractional kernels use the
-    Mittag-Leffler identity (1 - E_{a,1}(-lam c tau^a))/lam; a one-term kernel
-    c exp(-beta t) (constant, alpha = 1 included: beta = 0) integrates its
-    resolvent exactly, c (1 - exp(-(beta + lam c) tau))/(beta + lam c); a sum
-    of two or more exponentials falls back to trapezoid quadrature of the
-    numeric resolvent (see _numeric_resolvent_ratio).
+    Mittag-Leffler identity (1 - E_{a,1}(z))/lam with z = -lam c tau^a, or
+    its equal c tau^a E_{a,a+1}(z) where |z| <= 1.5, which does not cancel;
+    a one-term kernel c exp(-beta t) (constant, alpha = 1 included:
+    beta = 0) integrates its resolvent exactly,
+    c (1 - exp(-(beta + lam c) tau))/(beta + lam c); a sum of two or more
+    exponentials falls back to trapezoid quadrature of the numeric resolvent
+    (see _numeric_resolvent_ratio).
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
@@ -725,8 +735,15 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     if lam == 0.0:
         return np.asarray(kernel_integral(spec, taus), dtype=float)
     if is_singular(spec):
-        ml = _ml_array(spec.alpha, 1.0, -lam * spec.c * taus**spec.alpha)
-        return (1.0 - ml) / lam
+        z = -lam * spec.c * taus**spec.alpha
+        # 1 - E_{a,1}(z) cancels for small |z|; there the ratio is
+        # c tau^a E_{a,a+1}(z) exactly, and each node takes one of the forms
+        near = np.abs(z) <= _RATIO_NEAR_ZERO
+        out = np.empty_like(z)
+        out[near] = spec.c * taus[near] ** spec.alpha * _ml_array(
+            spec.alpha, spec.alpha + 1.0, z[near])
+        out[~near] = (1.0 - _ml_array(spec.alpha, 1.0, z[~near])) / lam
+        return out
     weights, rates = _exponential_terms(spec)
     if len(weights) > 1:
         out = _numeric_resolvent_ratio(spec, lam, taus)

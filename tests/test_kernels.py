@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,13 @@ class TestMittagLeffler:
             assert _rgamma(x) == 0.0
         assert _rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
         assert _rgamma(-0.5) == pytest.approx(-0.5 / math.sqrt(math.pi), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [-171.5, -172.5, -200.5, -201.5])
+    def test_rgamma_beyond_gamma_underflow(self, x):
+        # 1/Gamma overflows to inf with Gamma's sign, where math.gamma is a
+        # subnormal (-171.5, -172.5) or a signed zero (-200.5, -201.5)
+        assert _rgamma(x) == math.copysign(math.inf, float(mpmath.rgamma(x)))
+        assert _rgamma(math.floor(x)) == 0.0
 
 
 class TestMittagLefflerArray:
@@ -446,6 +454,34 @@ class TestIntegratedResolventRatio:
 
     def test_tau_zero(self):
         assert integrated_resolvent_ratio(FractionalKernel(1.0, 0.6), 0.7, 0.0) == 0.0
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3])
+    def test_small_argument_against_reference(self, hurst):
+        # the configs/hedge_curves.json market: lam = kappa + rho sigma theta
+        # = -0.015 and T = 3 at 250 steps/yr, so |z| = |lam c tau^a| < 0.05 at
+        # every node, where (1 - E_{a,1}(z))/lam cancels to 3.6e-13
+        spec = FractionalKernel.from_hurst(hurst)
+        lam = 0.3 - 0.7 * 0.3 * 1.5
+        taus = 3.0 - TimeGrid.for_horizon(3.0, 250).nodes()
+        got = integrated_resolvent_ratio_curve(spec, lam, taus)
+        scaled = spec.c * taus**spec.alpha
+        ref = np.array([s * ml_reference(spec.alpha, spec.alpha + 1.0, -lam * s)
+                        for s in scaled.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert got[-1] == 0.0 and math.copysign(1.0, got[-1]) == 1.0  # +0.0 at tau = 0
+
+    @pytest.mark.parametrize("lam", [1.3, -1.3])
+    def test_both_forms_across_the_seam(self, lam):
+        # |z| runs through 1.5, where the E_{a,a+1} form hands over to
+        # (1 - E_{a,1}(z))/lam; z < -1.5 reaches the arbitrary-precision branch
+        spec = FractionalKernel(0.9, 0.6)
+        taus = np.linspace(0.0, 4.0, 81)
+        got = integrated_resolvent_ratio_curve(spec, lam, taus)
+        scaled = spec.c * taus**spec.alpha
+        assert np.any(np.abs(lam * scaled) < 1.5) and np.any(np.abs(lam * scaled) > 1.5)
+        ref = np.array([s * ml_reference(spec.alpha, spec.alpha + 1.0, -lam * s)
+                        for s in scaled.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
     def test_continuity_in_lambda_at_zero(self, tau):
