@@ -230,13 +230,14 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
-def _hashmix(value, hash_const: int):
-    """(hashmix(value), next hash constant) for a uint32 Python int or array.
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """(hashmix(value), next hash constant) for a uint32 Python int or array;
+    with mult = _MULT_B it is one output word of generate_state.
 
     The hash constant is a Python int: it evolves independently of the data.
     """
     value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
+    hash_const = (hash_const * mult) & _MASK32
     value = (value * hash_const) & _MASK32
     return value ^ (value >> _XSHIFT), hash_const
 
@@ -252,12 +253,8 @@ def _seed_pool(seed) -> tuple[list[int], int]:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    entropy = []  # little-endian uint32 words of the seed, at least one
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
+    # the little-endian uint32 words of the seed, at least one
+    entropy = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # a sequence with a spawn key pads its seed with zeros to the pool size
     entropy += [0] * (_POOL_SIZE - len(entropy))
     hash_const = _INIT_A
@@ -286,12 +283,12 @@ def _path_seed_words(seed, paths: range) -> np.ndarray:
     have more: word j is mixed into the rows whose ids reach 2^(32 j).
     """
     seed_pool, seed_hash = _seed_pool(seed)
-    top = max(paths)
+    top = max(paths[0], paths[-1])  # a range is monotone
     ids = np.fromiter(paths, np.uint64 if top < 2**64 else object, len(paths))
     pool = np.empty((_POOL_SIZE, len(paths)), dtype=np.uint32)
     pool[:] = np.array(seed_pool, dtype=np.uint32)[:, None]
     hash_const = seed_hash
-    for j in range(max(1, -(-top.bit_length() // 32))):
+    for j in range(max(1, (top.bit_length() + 31) // 32)):
         rows = ids >= 2 ** (32 * j) if j else slice(None)  # id 0 has one word too
         word = ((ids[rows] >> (32 * j)) & _MASK32).astype(np.uint32)
         block = pool[:, rows]
@@ -304,10 +301,7 @@ def _path_seed_words(seed, paths: range) -> np.ndarray:
     state = np.empty((len(paths), 8), dtype=np.uint32)
     hash_const = _INIT_B
     for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value *= hash_const
-        state[:, k] = value ^ (value >> _XSHIFT)
+        state[:, k], hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

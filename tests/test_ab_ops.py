@@ -1,0 +1,43 @@
+"""tools/ab_ops.py: whole CLI ops of two trees, timed op by op."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_ops", ROOT / "tools" / "ab_ops.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def _small_desk_sim_ops(n):
+    return [op for op in ab.make_rounds("desk-sim", 1, 1)[0] if op.kind == "lifted/1000"][:n]
+
+
+def test_a_tree_against_itself(tmp_path):
+    ops = _small_desk_sim_ops(2)
+    times, failed = ab.run_pairs((ROOT, ROOT), ops, ab.warmup_op("desk-sim"),
+                                 tmp_path / "configs", tmp_path / "out")
+    assert failed == []
+    assert list(times) == ["lifted/1000"]
+    assert len(times["lifted/1000"]) == 2
+    assert all(seconds > 0 for pair in times["lifted/1000"] for seconds in pair)
+    assert not any((tmp_path / "out").glob("r00-*"))  # op outputs are removed
+
+
+def test_a_failing_op_is_reported(tmp_path):
+    op = _small_desk_sim_ops(1)[0]
+    bad = dataclasses.replace(op, config=dict(op.config, sim=dict(op.config["sim"], n_paths=1)))
+    times, failed = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
+                                 tmp_path / "configs", tmp_path / "out")
+    assert failed == [f"{op.op_id} (lifted/1000) on A: exit 2",
+                      f"{op.op_id} (lifted/1000) on B: exit 2"]
+
+
+def test_report_totals_per_kind():
+    lines = ab.report({"x": [[1.0, 0.5], [1.0, 1.5]], "y": [[2.0, 1.0]]})
+    assert [line.split() for line in lines[1:]] == [
+        ["x", "2", "2.000", "2.000", "1.000"],
+        ["y", "1", "2.000", "1.000", "0.500"],
+        ["all", "3", "4.000", "3.000", "0.750"],
+    ]

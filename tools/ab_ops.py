@@ -1,0 +1,157 @@
+"""Time whole CLI ops of two source trees, interleaved op by op.
+
+    python tools/ab_ops.py TREE_A TREE_B --workload W [--rounds N] [--seed S]
+
+The ops are the first N rounds of a benchmark workload, built once with this
+checkout's ``perfbench/workloads.py`` and written as JSON configs that both
+trees run.  Each tree gets one worker process with its ``src/`` on
+PYTHONPATH and the benchmark's thread pins.  A worker first runs the
+workload's warm-up op untimed, then times ``roughmv.cli.main([...])`` on
+each op it is sent.  Every op runs on both trees back to back, and which
+tree goes first swaps from one op to the next, so a drift of the host's
+speed falls on both trees alike.
+
+Prints the total op time of each tree per op kind and over all ops, with the
+ratio B/A (below 1: B is faster).  Exit status: 0 when every op exits 0 on
+both trees; 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import THREAD_PINS  # noqa: E402
+from workloads import (  # noqa: E402
+    WORKLOADS,
+    make_rounds,
+    sum_of_exp_fitter,
+    warmup_op,
+    write_configs,
+)
+
+# Reads one JSON argv per line from stdin, answers one JSON line per op:
+# [exit code or null when main raised, seconds].  The command's own output
+# goes to stderr, so that stdout carries only the answers.
+WORKER = """\
+import contextlib, json, sys, time, traceback
+import roughmv.cli as cli
+answers = sys.stdout
+for line in sys.stdin:
+    argv = json.loads(line)
+    t0 = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            rc = cli.main(argv)
+    except Exception:  # a failed op, reported; the worker serves the next one
+        traceback.print_exc()
+        rc = None
+    answers.write(json.dumps([rc, time.perf_counter() - t0]) + "\\n")
+    answers.flush()
+"""
+
+
+class Worker:
+    """One tree's worker process."""
+
+    def __init__(self, tree: Path):
+        env = dict(os.environ, **THREAD_PINS, PYTHONPATH=str(tree / "src"))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+
+    def run(self, argv: list[str]) -> tuple[int | None, float]:
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        answer = self.proc.stdout.readline()
+        if not answer:
+            raise RuntimeError(f"worker exited with {self.proc.wait()}")
+        rc, seconds = json.loads(answer)
+        return rc, seconds
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
+    """{kind: [[seconds on A, seconds on B], ...]} and the failed runs.
+
+    Op k runs on A first when k is even and on B first when it is odd.
+    """
+    paths = write_configs([*ops, warmup], config_dir)
+    workers = [Worker(tree) for tree in trees]
+    times = defaultdict(list)
+    failed = []
+    try:
+        for w, label in zip(workers, "AB"):
+            rc, _ = w.run([warmup.command, "--config", str(paths[warmup.op_id]),
+                           "--out", str(out_dir / f"warmup-{label}")])
+            if rc != 0:
+                failed.append(f"warm-up on {label}: exit {rc}")
+        for k, op in enumerate(ops):
+            pair = [0.0, 0.0]
+            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+                argv = [op.command, "--config", str(paths[op.op_id]),
+                        "--out", str(out_dir / f"{op.op_id}-{'AB'[j]}")]
+                rc, pair[j] = workers[j].run(argv)
+                shutil.rmtree(argv[-1], ignore_errors=True)
+                if rc != 0:
+                    failed.append(f"{op.op_id} ({op.kind}) on {'AB'[j]}: exit {rc}")
+            times[op.kind].append(pair)
+    finally:
+        for w in workers:
+            w.close()
+    return dict(times), failed
+
+
+def report(times) -> list[str]:
+    lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"]
+    rows = sorted(times.items()) + [("all", [p for ps in times.values() for p in ps])]
+    for kind, pairs in rows:
+        a = sum(p[0] for p in pairs)
+        b = sum(p[1] for p in pairs)
+        lines.append(f"{kind:<24} {len(pairs):>4} {a:>9.3f} {b:>9.3f} {b / a:>7.3f}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+
+    trees = (args.tree_a.resolve(), args.tree_b.resolve())
+    fit = None
+    if args.workload == "curves":  # its sum-of-exponentials kernels are fitted here
+        sys.path.insert(0, str(ROOT / "src"))
+        fit = sum_of_exp_fitter()
+    ops = [op for r in make_rounds(args.workload, args.seed, args.rounds, fit) for op in r]
+    with tempfile.TemporaryDirectory() as tmp:
+        times, failed = run_pairs(trees, ops, warmup_op(args.workload, fit),
+                                  Path(tmp) / "configs", Path(tmp) / "out")
+    print(f"A = {trees[0]}\nB = {trees[1]}")
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(ops)} ops")
+    print("\n".join(report(times)))
+    for line in failed:
+        print(f"FAILED {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
