@@ -30,6 +30,7 @@ from roughmv.kernels import (
     TAU_BLOCK,
     _lag_weights,
     _ml_array,
+    _ml_series_mp,
     _rgamma,
     _vie_solve,
     cell_moments,
@@ -274,39 +275,76 @@ class TestMittagLefflerArray:
         with pytest.raises(OverflowError):
             _ml_array(0.55, 1.0, np.array([-40.0, -3.0, 0.5, 50.0]))
 
-    def test_mp_coefficients_are_shared_across_a_curve(self, monkeypatch):
+    def test_a_curve_takes_one_band_call(self, monkeypatch):
         # the T = 10 curve of configs/simulation_comparison.json: H = 0.1,
         # lam = kappa + rho sigma theta, 2500 steps; most of its 2501 nodes
-        # take the arbitrary-precision branch, which must compute one set of
-        # reciprocal gammas for all of them, not one per node
-        import mpmath
+        # lie below -1.5 and before the asymptotic seam, and the contour
+        # evaluates all of them in one call, not one per node
+        from roughmv import kernels
 
+        band = kernels._ml_series_mp
         calls = []
-        for name in ("gamma", "rgamma"):
-            fn = getattr(mpmath, name)
-            monkeypatch.setattr(mpmath, name,
-                                lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+        monkeypatch.setattr(kernels, "_ml_series_mp",
+                            lambda a, b, z: calls.append(z.size) or band(a, b, z))
         lam = 1.0 + 0.7 * 0.3 * 1.5
         taus = 10.0 - np.linspace(0.0, 10.0, 2501)
         kernel = FractionalKernel.from_hurst(0.1)
         integrated_resolvent_ratio_curve(kernel, lam, taus)
-        mp_nodes = np.sum(-lam * taus**kernel.alpha < -1.5)
-        assert mp_nodes > 2000
-        assert 0 < len(calls) <= 300
+        z = -lam * taus**kernel.alpha
+        band_nodes = np.sum((z < -1.5) & ((-z) ** (1.0 / kernel.alpha) < 38.0))
+        assert band_nodes > 2000
+        assert calls == [band_nodes]
+
+
+class TestMittagLefflerContour:
+    """The band z < -1.5 before the asymptotic seam, where the series cancels
+    and the Laplace transform is inverted on a fixed parabolic contour."""
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.7, 0.9, 0.99])
+    def test_band_sweep_against_reference(self, alpha):
+        z = -np.linspace(1.5, 38.0**alpha, 20)
+        z[0] = np.nextafter(-1.5, -2.0)
+        for beta in (alpha, 1.0, alpha + 1.0):
+            got = _ml_series_mp(alpha, beta, z)
+            ref = np.array([ml_reference(alpha, beta, v) for v in z])
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0, err_msg=f"beta={beta}")
+            np.testing.assert_array_equal(_ml_array(alpha, beta, z[:-1]), got[:-1])
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_alpha_one_far_down_the_axis(self, beta):
+        # E_{1,beta}(z) = 1F1(1; beta; z)/Gamma(beta); at alpha = 1 the band
+        # has no asymptotic seam, so it reaches every z < -1.5
+        z = -np.geomspace(1.5 + 1e-9, 900.0, 20)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.hyp1f1(1, beta, v) / mpmath.gamma(beta)) for v in z])
+        np.testing.assert_allclose(_ml_array(1.0, beta, z), ref, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (0.6, 2.6)])
+    def test_outside_the_contour_domain_raises(self, alpha, beta):
+        # alpha > 1, or beta > alpha + 1: the contour does not apply
+        with pytest.raises(ValueError, match=r"alpha <= 1 and beta <= alpha \+ 1"):
+            mittag_leffler(alpha, beta, -3.0)
+        assert mittag_leffler(alpha, beta, -1.0) == pytest.approx(
+            ml_reference(alpha, beta, -1.0), rel=1e-13)
 
 
 def test_importing_roughmv_leaves_mpmath_unloaded():
-    # commands that never reach the arbitrary-precision branch do not load
-    # mpmath, the commands that never simulate do not load numpy.random, and
-    # the library never loads scipy (start-up is measured); run in a fresh
-    # interpreter because the oracles import all three here
+    # the library never loads mpmath or scipy, not even for a Mittag-Leffler
+    # argument in the band below -1.5 or for the T = 10 curve of
+    # configs/simulation_comparison.json, and the commands that never
+    # simulate do not load numpy.random (start-up is measured); run in a
+    # fresh interpreter because the oracles import all three here
     import roughmv
 
     src = str(Path(roughmv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = (
-        "import sys, roughmv.cli; "
+        "import sys, numpy as np, roughmv.cli; "
+        "from roughmv import FractionalKernel, integrated_resolvent_ratio_curve, mittag_leffler; "
+        "mittag_leffler(0.6, 1.0, -3.0); "
+        "integrated_resolvent_ratio_curve(FractionalKernel.from_hurst(0.1), 1.315, "
+        "10.0 - np.linspace(0.0, 10.0, 2501)); "
         "print(sorted(m for m in ('mpmath', 'numpy.random', 'scipy') if m in sys.modules))"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
