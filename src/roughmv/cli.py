@@ -53,9 +53,11 @@ from .strategies import (
     TabulatedDiscount,
     columns_to_csv,
     const_mv_strategy,
+    format_columns,
     log_mv_strategy,
     nonexp_log_strategy,
     prefer_rough_crossover,
+    strategy_text,
     strategy_to_csv,
     strategy_to_json,
 )
@@ -421,7 +423,7 @@ def cmd_hedge_curve(cfg: dict, out_dir: Path) -> int:
     for hurst, curve in curves.items():
         cols = {"t": grid.nodes(), "myopic": curve.myopic, "hedge": curve.hedge,
                 "total": curve.total}
-        _write(out_dir, f"hedge_curve_H{hurst:g}.csv", columns_to_csv(cols))
+        _write(out_dir, f"hedge_curve_H{hurst:g}.csv", columns_to_csv(format_columns(cols)))
     _write_manifest(out_dir, "hedge-curve", cfg)
     return 0
 
@@ -445,8 +447,8 @@ def cmd_crossover(cfg: dict, out_dir: Path) -> int:
         t_l = prefer_rough_crossover(
             rough, smooth, LogMVObjective(gamma, objective.horizon), grid
         )
-        fmt = lambda v: "" if v is None else f"{v:.17g}"
-        rows.append(f"{gamma:.17g},{fmt(t_c)},{fmt(t_l)}")
+        fmt = lambda v: "" if v is None else repr(float(v))
+        rows.append(f"{fmt(gamma)},{fmt(t_c)},{fmt(t_l)}")
     _write(out_dir, "crossover.csv", "\n".join(rows) + "\n")
     _write_manifest(out_dir, "crossover", cfg)
     return 0
@@ -455,6 +457,12 @@ def cmd_crossover(cfg: dict, out_dir: Path) -> int:
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     market = build_market(cfg)
     objective = build_objective(cfg)
+    if isinstance(objective, LogMVObjective) and not objective.delta > 0.5:
+        # simulate_wealth refuses it too, but only after the strategy is solved
+        raise ConfigError(
+            f"simulate needs objective.delta > 0.5 for log_mv, got {objective.delta!r}: "
+            "below it the log-wealth coefficients diverge, or are lost, at nu = 0"
+        )
     grid = build_grid(cfg, objective.horizon)
     sim = build_sim(cfg)
     strategy = _strategy_for(market, objective, grid)
@@ -515,7 +523,7 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
     p_hat, coef, v1 = outputs[0]
     cols = {"t": grid.nodes(), "consumption_rate": p_hat,
             "investment_coefficient": coef, "V1": v1}
-    _write(out_dir, "nonexp_strategy.csv", columns_to_csv(cols))
+    _write(out_dir, "nonexp_strategy.csv", columns_to_csv(format_columns(cols)))
     _write(
         out_dir,
         "kernel_invariance.json",
@@ -534,11 +542,12 @@ def cmd_strategy(cfg: dict, out_dir: Path) -> int:
     market = build_market(cfg)
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
-    curve = _strategy_for(market, objective, grid)
+    # every value is formatted once, and both files are written from that text
+    text = strategy_text(_strategy_for(market, objective, grid))
     if "csv" in cfg["output"]["formats"]:
-        _write(out_dir, "strategy.csv", strategy_to_csv(curve))
+        _write(out_dir, "strategy.csv", strategy_to_csv(text))
     if "json" in cfg["output"]["formats"]:
-        _write(out_dir, "strategy.json", strategy_to_json(curve) + "\n")
+        _write(out_dir, "strategy.json", strategy_to_json(text) + "\n")
     _write_manifest(out_dir, "strategy", cfg)
     return 0
 

@@ -496,6 +496,11 @@ def simulate_wealth(
         return dataclasses.replace(bundle, wealth=wealth.T)
 
     if isinstance(objective, LogMVObjective):
+        # pi sqrt(nu) ~ nu^((2 delta - 1)/(2 delta)) and pi^2 nu diverge at the
+        # truncated nu = 0 for delta < 1/2; at delta = 1/2 they tend to total
+        # and total^2 as nu -> 0, but the march would take 0 for both there
+        if not objective.delta > 0.5:
+            raise ValueError(f"log-MV wealth needs delta > 1/2, got {objective.delta!r}")
         expo = (objective.delta - 1.0) / (2.0 * objective.delta)
     elif isinstance(objective, NonExpLogObjective):
         if strategy.consumption is None:
@@ -551,13 +556,13 @@ PATHS_CSV_HEADER = "path_id,t,nu,wealth\n"
 def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
     """The rows of the bundle's paths in paths.csv, one string per path.
 
-    Each row is path_id,t,nu,wealth at full precision (wealth empty when the
-    bundle has none), with the path's global index as path_id.
+    Each row is path_id,t,nu,wealth with every float as its repr (wealth
+    empty when the bundle has none), with the path's global index as path_id.
     """
     has_wealth = bundle.wealth is not None
-    cell = ",%.17g,%.17g\n" if has_wealth else ",%.17g,\n"
+    cell = ",%r,%r\n" if has_wealth else ",%r,\n"
     # one template per path: the node times are formatted once
-    template = "".join(f"%d,{t:.17g}{cell}" for t in bundle.grid.nodes().tolist())
+    template = "".join(f"%d,{t!r}{cell}" for t in bundle.grid.nodes().tolist())
     columns = [bundle.variance, bundle.wealth] if has_wealth else [bundle.variance]
     cells = np.empty(bundle.variance.shape + (1 + len(columns),))
     for j, col in enumerate(columns, start=1):

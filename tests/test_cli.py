@@ -21,7 +21,14 @@ from roughmv.cli import (
     main,
 )
 from roughmv.montecarlo import PATH_BLOCK
-from roughmv.strategies import nonexp_log_strategy, strategy_columns
+from roughmv.strategies import (
+    StrategyCurve,
+    nonexp_log_strategy,
+    strategy_columns,
+    strategy_text,
+    strategy_to_csv,
+    strategy_to_json,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -600,8 +607,47 @@ def _per_element_csv(cols):
     lines = [",".join(cols)]
     arrays = list(cols.values())
     for i in range(len(arrays[0])):
-        lines.append(",".join(f"{a[i]:.17g}" for a in arrays))
+        lines.append(",".join(repr(float(a[i])) for a in arrays))
     return "\n".join(lines) + "\n"
+
+
+def _assert_same_doubles(csv_text, json_text):
+    """Every CSV column parses to its JSON column bit for bit."""
+    header, *rows = csv_text.splitlines()
+    payload = json.loads(json_text)
+    for j, name in enumerate(header.split(",")):
+        from_csv = np.array([float(row.split(",")[j]) for row in rows])
+        assert from_csv.tobytes() == np.array(payload[name], dtype=float).tobytes(), name
+
+
+class TestCsvJsonAgreement:
+    """strategy.csv and strategy.json are written from one text of the curve."""
+
+    @pytest.mark.parametrize("objective", [
+        {"variant": "const_mv", "gamma": 0.5, "horizon": 3.0},
+        {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0, "delta": 2.0},
+        {"variant": "nonexp_log", "horizon": 3.0,
+         "discount": {"variant": "hyperbolic", "a": 0.5, "b": 0.8}},
+    ], ids=["const_mv", "log_mv", "nonexp"])
+    def test_strategy_files_hold_the_same_doubles(self, tmp_path, objective):
+        cfg = write_config(tmp_path, base_config(objective=objective))
+        out = tmp_path / "o"
+        assert main(["strategy", "--config", cfg, "--out", str(out)]) == 0
+        _assert_same_doubles((out / "strategy.csv").read_text(),
+                             (out / "strategy.json").read_text())
+
+    def test_edge_values(self, grid750):
+        n = grid750.n_steps + 1
+        odd = np.linspace(-1.0, 1.0, n)
+        odd[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        curve = StrategyCurve(grid750, np.ones(n), np.zeros(n), np.ones(n),
+                              {"V1": odd, "g0": np.full(n, 1e300)}, kind="edge")
+        text = strategy_text(curve)
+        csv_text, json_text = strategy_to_csv(text), strategy_to_json(text)
+        _assert_same_doubles(csv_text, json_text)
+        v1 = [row.split(",")[4] for row in csv_text.splitlines()[1:6]]
+        assert v1 == ["nan", "inf", "-inf", "-0.0", "5e-324"]
+        assert '"V1": [\n    NaN,\n    Infinity,\n    -Infinity,\n    -0.0,' in json_text
 
 
 class TestCurveFileFormatting:
@@ -777,6 +823,50 @@ class TestSimulateBlocks:
         assert peak_mb < 70.0
 
 
+class TestExtremeMarkets:
+    """Perfect correlation, near-zero roughness index and a start far above phi."""
+
+    @staticmethod
+    def _payload(rho, hurst, nu0_factor, objective="const_mv"):
+        payload = base_config()
+        payload["market"].update(rho=rho, nu0=nu0_factor * payload["market"]["phi"],
+                                 kernel={"variant": "fractional", "c": 1.0, "hurst": hurst})
+        payload["objective"] = {"variant": objective, "gamma": 0.5, "horizon": 1.0}
+        payload["grid"] = {"steps_per_year": 100}
+        payload["sim"] = {"n_paths": 200}
+        return payload
+
+    @pytest.mark.parametrize("objective", ["const_mv", "log_mv"])
+    @pytest.mark.parametrize("nu0_factor", [1, 100])
+    @pytest.mark.parametrize("hurst", [0.01, 0.1])
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_strategy_and_simulate_write_finite_files(self, tmp_path, rho, hurst,
+                                                      nu0_factor, objective):
+        cfg = write_config(tmp_path, self._payload(rho, hurst, nu0_factor, objective))
+        for command in ("strategy", "simulate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        _, data = read_csv(tmp_path / "strategy" / "strategy.csv")
+        assert np.all(np.isfinite(data))
+        payload = json.loads((tmp_path / "strategy" / "strategy.json").read_text())
+        assert all(np.all(np.isfinite(v)) for k, v in payload.items() if k != "kind")
+        stats = json.loads((tmp_path / "simulate" / "terminal_stats.json").read_text())
+        assert np.all(np.isfinite([stats["mean"], stats["variance"],
+                                   *stats["histogram"]["bin_edges"]]))
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    @pytest.mark.parametrize("nu0_factor", [1, 100])
+    def test_truncation_reached_only_from_phi(self, tmp_path, rho, nu0_factor):
+        cfg = load_config(write_config(tmp_path, self._payload(rho, 0.01, nu0_factor)))
+        sim = build_sim(cfg)
+        bundle = simulate_variance(build_market(cfg), sim.scheme, build_grid(cfg, 1.0),
+                                   sim.n_paths, sim.seed)
+        truncated = np.mean(bundle.variance[:, 1:] == 0.0)
+        if nu0_factor == 1:
+            assert truncated > 0.0
+        else:
+            assert truncated == 0.0
+
+
 class TestSubObjectValidation:
     def test_unknown_kernel_field_rejected(self, tmp_path):
         payload = base_config()
@@ -811,6 +901,28 @@ class TestSimulateOtherObjectives:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         stats = json.loads((out / "terminal_stats.json").read_text())
         assert stats["mean"] > 0.0  # proportional strategies keep wealth positive
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    def test_log_mv_delta_at_most_half_refused(self, tmp_path, capsys, delta):
+        # delta = 0.1 overflowed in the wealth march (exit 3); at 0.5 the march
+        # took 0 at nu = 0 for coefficients whose limits there are not 0
+        objective = {"variant": "log_mv", "gamma": 0.5, "horizon": 1.0, "delta": delta}
+        cfg = write_config(tmp_path, self._cfg(objective))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "objective.delta" in capsys.readouterr().err
+        assert not out.exists()
+        for command in ("strategy", "hedge-curve"):  # a curve needs only delta > 0
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+
+    def test_log_mv_delta_just_above_half(self, tmp_path):
+        objective = {"variant": "log_mv", "gamma": 0.5, "horizon": 1.0, "delta": 0.51}
+        cfg = write_config(tmp_path, self._cfg(objective))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        stats = json.loads((out / "terminal_stats.json").read_text())
+        assert np.all(np.isfinite([stats["mean"], stats["variance"],
+                                   *stats["histogram"]["bin_edges"]]))
 
     def test_nonexp_simulation(self, tmp_path):
         payload = self._cfg({

@@ -21,6 +21,19 @@ def test_csv_reports_changed_values_per_column():
     assert compare.describe("f.csv", a, b) == "differs; y: 2 of 3 changed, max rel 0.25"
 
 
+def test_a_value_changes_bit_for_bit():
+    # -0 against 0 is a changed double; NaN against NaN is not
+    a = b"t,x\n0,-0.0\n1,nan\n"
+    b = b"t,x\n0,0.0\n1,nan\n"
+    assert compare.describe("f.csv", a, b) == "differs; x: 1 of 2 changed, max rel 0"
+
+
+def test_text_only_change():
+    a = b"t,x\n0.10000000000000001,1\n2,1e+300\n"
+    b = b"t,x\n0.1,1.0\n2.0,1e300\n"
+    assert compare.describe("f.csv", a, b) == "text only, values identical"
+
+
 def test_json_leaves_are_grouped_by_key_path():
     a = json.dumps({"mean": 1.0, "histogram": {"counts": [1, 2], "bin_edges": [0.0, 1.0]}})
     b = json.dumps({"mean": 1.0, "histogram": {"counts": [1, 3], "bin_edges": [0.0, 1.0]}})

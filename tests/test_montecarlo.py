@@ -459,6 +459,18 @@ class TestSimulateWealth:
                              LogMVObjective(0.5, 1.0, delta=2.0), 1.0)
         assert not np.array_equal(w1.wealth, w2.wealth)
 
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    def test_log_mv_delta_at_most_half_rejected(self, delta):
+        # the log-wealth coefficients diverge (delta < 1/2) or are lost
+        # (delta = 1/2) at the truncated nu = 0, which this market reaches
+        market = make_market(sigma=1.5, nu0=0.02)
+        grid = TimeGrid(0.0, 0.5, 10)
+        b = simulate_variance(market, LiftedFactors(5), grid, 4, 7)
+        assert (b.variance == 0.0).any()
+        with pytest.raises(ValueError, match="delta > 1/2"):
+            simulate_wealth(b, market, flat_strategy(grid, 0.3),
+                            LogMVObjective(0.5, 0.5, delta=delta), 1.0)
+
     def test_grid_mismatch_rejected(self):
         market = make_market()
         b = simulate_variance(market, LiftedFactors(10), TimeGrid(0.0, 1.0, 250), 3, 4)
@@ -542,8 +554,8 @@ class TestExports:
         lines = ["path_id,t,nu,wealth"]
         for k, p in enumerate(b.paths):
             for j, t in enumerate(grid.nodes()):
-                w = "" if b.wealth is None else f"{b.wealth[k, j]:.17g}"
-                lines.append(f"{p},{t:.17g},{b.variance[k, j]:.17g},{w}")
+                w = "" if b.wealth is None else repr(float(b.wealth[k, j]))
+                lines.append(f"{p},{repr(float(t))},{repr(float(b.variance[k, j]))},{w}")
         assert bundle_to_csv(b) == "\n".join(lines) + "\n"
 
 

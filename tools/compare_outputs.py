@@ -10,7 +10,10 @@ path.  By default every command runs on every config in this repository's
 ``configs/``.  For each run the script prints the two exit codes, whether
 stderr matches, and per file either ``identical`` (same bytes) or, per
 column of a CSV file or per key of a JSON file, how many values changed and
-the largest relative change |b - a| / |a|.
+the largest relative change |b - a| / |a|.  A numeric cell changes when its
+double changes bit for bit, so -0 against 0 counts and NaN against NaN does
+not; a file whose text differs but whose values all match reads ``text
+only, values identical``.
 
 Exit status: 0 when every run has equal exit codes, equal stderr and
 byte-identical files; 1 otherwise.
@@ -23,6 +26,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import tempfile
@@ -82,11 +86,23 @@ def as_number(value):
     return number if math.isfinite(number) else None
 
 
-def column_change(a: list, b: list) -> str:
-    """'k of n changed, max rel r' for two columns of equal length."""
+def same_value(x, y) -> bool:
+    """x and y parse to the same double bit for bit, or, when either is not a
+    number, are equal."""
+    if not (isinstance(x, bool) or isinstance(y, bool)):
+        try:
+            return struct.pack("<d", float(x)) == struct.pack("<d", float(y))
+        except (TypeError, ValueError, OverflowError):  # text, null, a huge int
+            pass
+    return x == y
+
+
+def column_change(a: list, b: list) -> str | None:
+    """'k of n changed, max rel r' for two columns of equal length, or None
+    when no value changed."""
     changed, worst = 0, 0.0
     for x, y in zip(a, b):
-        if x == y:
+        if same_value(x, y):
             continue
         changed += 1
         fx, fy = as_number(x), as_number(y)
@@ -94,7 +110,7 @@ def column_change(a: list, b: list) -> str:
             worst = math.inf
         elif fx != fy:
             worst = max(worst, abs(fy - fx) / abs(fx) if fx else math.inf)
-    return f"{changed} of {len(a)} changed, max rel {worst:.3g}"
+    return f"{changed} of {len(a)} changed, max rel {worst:.3g}" if changed else None
 
 
 def describe(name: str, a: bytes, b: bytes) -> str:
@@ -109,9 +125,11 @@ def describe(name: str, a: bytes, b: bytes) -> str:
         len(cols_a[k]) != len(cols_b[k]) for k in cols_a
     ):
         return "differs in its columns or their lengths"
-    parts = [f"{k}: {column_change(cols_a[k], cols_b[k])}"
-             for k in cols_a if cols_a[k] != cols_b[k]]
-    return "differs; " + "; ".join(parts) if parts else "differs in layout only"
+    changes = {k: column_change(cols_a[k], cols_b[k]) for k in cols_a}
+    parts = [f"{k}: {change}" for k, change in changes.items() if change]
+    if parts:
+        return "differs; " + "; ".join(parts)
+    return "differs in layout only" if cols_a == cols_b else "text only, values identical"
 
 
 def main(argv=None) -> int:
