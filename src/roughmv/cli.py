@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 config error, 3 numeric or I/O error.
 
 Every command writes a manifest.json holding the fully resolved config, the
 library version, and the seed; pointing --config at a manifest reruns the
-command and reproduces the data files byte-for-byte.
+command and reproduces the data files byte-for-byte.  A run commits its data
+files and the manifest together, or leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -353,48 +355,59 @@ class OutputError(Exception):
     """An output file could not be written."""
 
 
-@contextlib.contextmanager
-def _writing(path: Path):
-    """Turn an OSError while writing path into an OutputError that names it;
-    a failed write, unlike a failed open, carries no file name."""
-    try:
-        yield
-    except OSError as exc:
-        raise OutputError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
+class _Outputs(contextlib.AbstractContextManager):
+    """The files of one run, committed together or not at all.
 
+    Each file is written as <name>.part.  After the run, manifest.json is
+    written last and the parts are renamed into place in order, so the
+    manifest lands last.  On any error the parts and the directories the run
+    made are removed; only a rename that fails midway leaves the files renamed
+    before it.  An OSError becomes an OutputError naming its file, or else the
+    part being written.
+    """
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
-    with _writing(path):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    return path
+    def __init__(self, out_dir: Path, command: str, cfg: dict):
+        self.out_dir = out_dir
+        self.manifest = {"command": command, "version": __version__,
+                         "seed": cfg["sim"]["seed"], "config": cfg}
+        self._parts: list[Path] = []
+        self._missing = list(itertools.takewhile(lambda d: not d.exists(),
+                                                 (out_dir, *out_dir.parents)))
 
+    @contextlib.contextmanager
+    def open(self, name: str):
+        """A text handle on <name>.part, closed however the block ends."""
+        if not self._parts:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        part = self.out_dir / f"{name}.part"
+        self._parts.append(part)
+        with part.open("w") as fh:
+            yield fh
 
-@contextlib.contextmanager
-def _streamed(out_dir: Path, name: str):
-    """A text file written as <name>.part and renamed to <name> when the block
-    exits cleanly; on an error the partial file is removed."""
-    part = out_dir / f"{name}.part"
-    with _writing(part):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    def write(self, name: str, *texts: str):
+        with self.open(name) as fh:
+            fh.writelines(texts)
+
+    def __exit__(self, kind, exc, tb):
         try:
-            with part.open("w") as fh:
-                yield fh
-        except BaseException:
-            part.unlink(missing_ok=True)
-            raise
-        part.replace(out_dir / name)
-
-
-def _write_manifest(out_dir: Path, command: str, cfg: dict):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": cfg["sim"]["seed"],
-        "config": cfg,
-    }
-    _write(out_dir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+            if exc is None:
+                self.write("manifest.json", json.dumps(self.manifest, sort_keys=True, indent=2),
+                           "\n")
+                for part in self._parts:  # the manifest was written last
+                    part.replace(part.with_suffix(""))
+                return
+        except BaseException as failure:
+            exc = failure
+        for part in self._parts:
+            with contextlib.suppress(OSError):
+                part.unlink(missing_ok=True)
+        for directory in self._missing:  # deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        if isinstance(exc, OSError):
+            path = exc.filename or (self._parts[-1] if self._parts else self.out_dir)
+            raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+        raise exc
 
 
 def _strategy_for(market, objective, grid) -> StrategyCurve:
@@ -414,21 +427,22 @@ def _strategy_for(market, objective, grid) -> StrategyCurve:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_hedge_curve(cfg: dict, out_dir: Path) -> int:
+def cmd_hedge_curve(cfg: dict, outputs: _Outputs):
     market = build_market(cfg)
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
-    curves = {hurst: _strategy_for(_with_hurst(market, hurst), objective, grid)
-              for hurst in cfg["hurst_values"]}  # all of them before any file
-    for hurst, curve in curves.items():
+    names = [f"hedge_curve_H{hurst:g}.csv" for hurst in cfg["hurst_values"]]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"hurst_values {cfg['hurst_values']!r} give two files one name "
+                          "(hedge_curve_H<value>.csv keeps 6 significant digits)")
+    for hurst, name in zip(cfg["hurst_values"], names):
+        curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
         cols = {"t": grid.nodes(), "myopic": curve.myopic, "hedge": curve.hedge,
                 "total": curve.total}
-        _write(out_dir, f"hedge_curve_H{hurst:g}.csv", columns_to_csv(format_columns(cols)))
-    _write_manifest(out_dir, "hedge-curve", cfg)
-    return 0
+        outputs.write(name, columns_to_csv(format_columns(cols)))
 
 
-def cmd_crossover(cfg: dict, out_dir: Path) -> int:
+def cmd_crossover(cfg: dict, outputs: _Outputs):
     if len(cfg["hurst_values"]) != 2:
         raise ConfigError(
             f"crossover needs exactly two hurst_values, got {cfg['hurst_values']}"
@@ -449,12 +463,10 @@ def cmd_crossover(cfg: dict, out_dir: Path) -> int:
         )
         fmt = lambda v: "" if v is None else repr(float(v))
         rows.append(f"{fmt(gamma)},{fmt(t_c)},{fmt(t_l)}")
-    _write(out_dir, "crossover.csv", "\n".join(rows) + "\n")
-    _write_manifest(out_dir, "crossover", cfg)
-    return 0
+    outputs.write("crossover.csv", "\n".join(rows), "\n")
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> int:
+def cmd_simulate(cfg: dict, outputs: _Outputs):
     market = build_market(cfg)
     objective = build_objective(cfg)
     if isinstance(objective, LogMVObjective) and not objective.delta > 0.5:
@@ -473,7 +485,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     block_size = block_paths(grid)
     terminal = np.empty(sim.n_paths)
     write_paths = sim.write_paths and "csv" in cfg["output"]["formats"]
-    sink = _streamed(out_dir, "paths.csv") if write_paths else contextlib.nullcontext()
+    sink = outputs.open("paths.csv") if write_paths else contextlib.nullcontext()
     with sink as paths_csv:
         if paths_csv is not None:
             paths_csv.write(PATHS_CSV_HEADER)
@@ -497,12 +509,10 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         },
         "kernel_fit_l2_error": fit_error,
     }
-    _write(out_dir, "terminal_stats.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out_dir, "simulate", cfg)
-    return 0
+    outputs.write("terminal_stats.json", json.dumps(payload, sort_keys=True, indent=2), "\n")
 
 
-def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
+def cmd_nonexp(cfg: dict, outputs: _Outputs):
     market = build_market(cfg)
     objective = build_objective(cfg)
     if not isinstance(objective, NonExpLogObjective):
@@ -511,45 +521,32 @@ def cmd_nonexp(cfg: dict, out_dir: Path) -> int:
     hursts = cfg["hurst_values"]
     if len(hursts) < 2:
         hursts = list(hursts) + [0.5]
-    outputs = []
+    results = []
     for hurst in hursts[:2]:
         curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
-        outputs.append((curve.consumption, curve.total, 1.0 / curve.consumption))
-    identical = all(
-        np.array_equal(outputs[0][i], outputs[1][i]) for i in range(3)
-    )
+        results.append((curve.consumption, curve.total, 1.0 / curve.consumption))
+    identical = all(np.array_equal(a, b) for a, b in zip(*results))
     if not identical:
         raise RuntimeError("kernel invariance violated for the consumption problem")
-    p_hat, coef, v1 = outputs[0]
+    p_hat, coef, v1 = results[0]
     cols = {"t": grid.nodes(), "consumption_rate": p_hat,
             "investment_coefficient": coef, "V1": v1}
-    _write(out_dir, "nonexp_strategy.csv", columns_to_csv(format_columns(cols)))
-    _write(
-        out_dir,
-        "kernel_invariance.json",
-        json.dumps(
-            {"hurst_pair": hursts[:2], "bitwise_identical": identical},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
-    _write_manifest(out_dir, "nonexp", cfg)
-    return 0
+    outputs.write("nonexp_strategy.csv", columns_to_csv(format_columns(cols)))
+    outputs.write("kernel_invariance.json", json.dumps(
+        {"hurst_pair": hursts[:2], "bitwise_identical": identical}, sort_keys=True, indent=2,
+    ), "\n")
 
 
-def cmd_strategy(cfg: dict, out_dir: Path) -> int:
+def cmd_strategy(cfg: dict, outputs: _Outputs):
     market = build_market(cfg)
     objective = build_objective(cfg)
     grid = build_grid(cfg, objective.horizon)
     # every value is formatted once, and both files are written from that text
     text = strategy_text(_strategy_for(market, objective, grid))
     if "csv" in cfg["output"]["formats"]:
-        _write(out_dir, "strategy.csv", strategy_to_csv(text))
+        outputs.write("strategy.csv", strategy_to_csv(text))
     if "json" in cfg["output"]["formats"]:
-        _write(out_dir, "strategy.json", strategy_to_json(text) + "\n")
-    _write_manifest(out_dir, "strategy", cfg)
-    return 0
+        outputs.write("strategy.json", strategy_to_json(text), "\n")
 
 
 COMMANDS = {
@@ -600,11 +597,12 @@ def main(argv=None) -> int:
         # every manifest records these sections, so they are checked always
         build_sim(cfg)
         check_sweeps(cfg)
-        out_dir = build_output(cfg)
+        outputs = _Outputs(build_output(cfg), args.command, cfg)
         # a float overflow, a division by zero or an invalid operation is a
         # numeric error, not a warning after which the run goes on with inf or NaN
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return COMMANDS[args.command](cfg, out_dir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"), outputs:
+            COMMANDS[args.command](cfg, outputs)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,9 @@
+import contextlib
+import errno
+import os
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from roughmv import FractionalKernel, MarketParams, RateCurve, TimeGrid
@@ -35,3 +41,45 @@ def market_rough() -> MarketParams:
 @pytest.fixture
 def market_smooth() -> MarketParams:
     return study_market(0.5)
+
+
+class _DiskFillsUp:
+    """A file handle whose first write lands and then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+@contextlib.contextmanager
+def disk_full_at_part(k=None, at="write"):
+    """Path.open of the k-th <name>.part (from 0; None: no failure) fails as
+    on a full disk, at the open or at the first write.  Yields the list of
+    (name, real handle) of every part opened."""
+    real_open = Path.open
+    opened = []
+
+    def open_(path, *args, **kwargs):
+        if path.suffix != ".part":
+            return real_open(path, *args, **kwargs)
+        if len(opened) == k and at == "open":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        fh = real_open(path, *args, **kwargs)
+        opened.append((path.name, fh))
+        return _DiskFillsUp(fh) if len(opened) - 1 == k else fh
+
+    with mock.patch.object(Path, "open", open_):
+        yield opened

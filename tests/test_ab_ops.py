@@ -35,9 +35,12 @@ def test_a_failing_op_is_reported(tmp_path):
 
 
 def test_report_totals_per_kind():
-    lines = ab.report({"x": [[1.0, 0.5], [1.0, 1.5]], "y": [[2.0, 1.0]]})
+    # kind, ops, total on A, total on B, their ratio, median per-op ratio, ops B won
+    lines = ab.report({"x": [[1.0, 0.5], [1.0, 1.5]], "y": [[2.0, 1.0]],
+                       "z": [[1.0, 0.9], [1.0, 0.9], [0.1, 2.0]]})
     assert [line.split() for line in lines[1:]] == [
-        ["x", "2", "2.000", "2.000", "1.000"],
-        ["y", "1", "2.000", "1.000", "0.500"],
-        ["all", "3", "4.000", "3.000", "0.750"],
+        ["x", "2", "2.000", "2.000", "1.000", "1.000", "1"],
+        ["y", "1", "2.000", "1.000", "0.500", "0.500", "1"],
+        ["z", "3", "2.100", "3.800", "1.810", "0.900", "2"],
+        ["all", "6", "6.100", "6.800", "1.115", "0.900", "4"],
     ]

@@ -30,6 +30,8 @@ from roughmv.strategies import (
     strategy_to_json,
 )
 
+from conftest import disk_full_at_part
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -112,6 +114,17 @@ class TestHedgeCurve:
         assert main(["hedge-curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("hursts", [[0.1, 0.1000001], [0.3, 0.1, 0.3]],
+                             ids=["near", "exact"])
+    def test_two_values_naming_one_file_exit_2(self, tmp_path, capsys, monkeypatch, hursts):
+        # 0.1000001 was written over the H0.1 file, which the manifest did not say
+        monkeypatch.setattr(cli, "_strategy_for", lambda *a: pytest.fail("curve computed"))
+        cfg = write_config(tmp_path, base_config(hurst_values=hursts))
+        out = tmp_path / "o"
+        assert main(["hedge-curve", "--config", cfg, "--out", str(out)]) == 2
+        assert "hurst_values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonexp_objective(self, tmp_path):
         # the consumption problem's investment is the Merton fraction, unhedged
@@ -536,49 +549,82 @@ class TestNumericErrors:
         assert not (tmp_path / "o").exists()
 
 
-class FullDisk(io.StringIO):
-    """A text file whose every write fails as on a full disk."""
-
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
 class TestWriteErrors:
     """An OSError while writing an output file exits 3 with one line naming it."""
-
-    @staticmethod
-    def full_disk(self, *args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def assert_io_error(self, capsys, path):
         err = capsys.readouterr().err
         assert err == f"io error: {path}: {os.strerror(errno.ENOSPC)}\n"
 
-    def test_strategy(self, tmp_path, capsys, monkeypatch):
+    def test_strategy(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
-        monkeypatch.setattr(Path, "write_text", self.full_disk)
         out = tmp_path / "o"
-        assert main(["strategy", "--config", cfg, "--out", str(out)]) == 3
-        self.assert_io_error(capsys, out / "strategy.csv")
+        with disk_full_at_part(0):
+            assert main(["strategy", "--config", cfg, "--out", str(out)]) == 3
+        self.assert_io_error(capsys, out / "strategy.csv.part")
 
-    def test_simulate(self, tmp_path, capsys, monkeypatch):
+    def test_simulate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sim": {"n_paths": 20, "write_paths": False}})
-        monkeypatch.setattr(Path, "write_text", self.full_disk)
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--steps-per-year", "25"]) == 3
-        self.assert_io_error(capsys, out / "terminal_stats.json")
+        with disk_full_at_part(0):
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         "--steps-per-year", "25"]) == 3
+        self.assert_io_error(capsys, out / "terminal_stats.json.part")
 
-    def test_simulate_streamed_paths(self, tmp_path, capsys, monkeypatch):
+    def test_simulate_streamed_paths(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sim": {"n_paths": 20, "write_paths": True}})
-        real_open = Path.open
-        monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: (
-            FullDisk() if self.suffix == ".part" else real_open(self, *args, **kwargs)))
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--steps-per-year", "25"]) == 3
+        with disk_full_at_part(0):
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         "--steps-per-year", "25"]) == 3
         self.assert_io_error(capsys, out / "paths.csv.part")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+
+class TestAllOrNothing:
+    """A run commits all its data files and the manifest, or leaves the
+    output directory as it was, whichever part fails to be written."""
+
+    NONEXP = {"variant": "nonexp_log", "horizon": 1.0,
+              "discount": {"variant": "hyperbolic", "a": 0.5, "b": 0.8}}
+
+    def config(self, tmp_path, command, steps_per_year):
+        payload = base_config(grid={"steps_per_year": steps_per_year},
+                              sim={"n_factors": 8, "n_paths": 20, "write_paths": True})
+        payload["objective"]["horizon"] = 1.0
+        if command == "crossover":
+            payload["hurst_values"] = [0.1, 0.5]
+        if command == "nonexp":
+            payload["objective"] = self.NONEXP
+        return write_config(tmp_path, payload, f"{command}-{steps_per_year}.json")
+
+    @staticmethod
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("at", ["open", "write"])
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_a_failed_part_leaves_the_directory_as_it_was(self, tmp_path, capsys, command, at):
+        out = tmp_path / "o"
+        assert main([command, "--config", self.config(tmp_path, command, 12),
+                     "--out", str(out)]) == 0
+        before = self.snapshot(out)
+        argv = [command, "--config", self.config(tmp_path, command, 13)]
+        with disk_full_at_part() as opened:
+            assert main([*argv, "--out", str(tmp_path / "probe")]) == 0
+        parts = [name for name, _ in opened]
+        assert parts[-1] == "manifest.json.part"
+        assert len(parts) == len(before)  # each file of the first run is rewritten
+        capsys.readouterr()
+        for k, part in enumerate(parts):
+            for target in (out, tmp_path / "fresh" / "sub"):
+                with disk_full_at_part(k, at) as opened:
+                    assert main([*argv, "--out", str(target)]) == 3
+                assert capsys.readouterr().err == (
+                    f"io error: {target / part}: {os.strerror(errno.ENOSPC)}\n")
+                assert all(fh.closed for _, fh in opened)
+            assert self.snapshot(out) == before
+            assert not (tmp_path / "fresh").exists()
 
 
 class TestShippedConfigs:
@@ -800,7 +846,7 @@ class TestSimulateBlocks:
         cfg_path = write_config(tmp_path, self._payload(PATH_BLOCK + 3))
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 3
         assert "injected failure" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         # 5000 paths x 750 lifted steps: whole-array simulation peaked at

@@ -1,7 +1,9 @@
 """Mutated JSON configs fed to every command of the CLI.
 
 Whatever a config holds, main() returns 0, 2 or 3, raises nothing, and never
-leaves a data file in the output directory without a manifest.json.  The
+leaves a data file in the output directory without a manifest.json, also when
+the disk fills up at the open or at the first write of one of its files: a
+run that fails leaves no output directory behind.  The
 mutations keep every run small: at most 400 grid cells (steps_per_year <= 100
 and horizon <= 4, or a grid far over cli.MAX_GRID_STEPS, which is refused
 before anything is allocated), at most 50 paths and 50 factors.
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from roughmv.cli import COMMANDS, main
+from conftest import disk_full_at_part
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -143,20 +146,27 @@ def with_market(**fields):
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(command=st.sampled_from(sorted(COMMANDS)), cfg=mutated_configs())
+@given(command=st.sampled_from(sorted(COMMANDS)), cfg=mutated_configs(),
+       full_disk=st.one_of(st.none(), st.tuples(st.integers(0, 4),
+                                                st.sampled_from(["open", "write"]))))
 # a market scalar that is no number was a TypeError traceback, a rate far
 # below the grid spacing a ZeroDivisionError one
-@example(command="strategy", cfg=with_market(kappa=None))
+@example(command="strategy", cfg=with_market(kappa=None), full_disk=None)
 @example(command="simulate", cfg=with_market(
-    kernel={"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]}))
-def test_main_exits_0_2_or_3_and_writes_no_data_without_a_manifest(command, cfg):
+    kernel={"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]}),
+    full_disk=None)
+def test_main_exits_0_2_or_3_and_writes_no_data_without_a_manifest(command, cfg, full_disk):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         out = Path(tmp) / "out"
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()), \
+                disk_full_at_part(*(full_disk or (None,))) as opened:
             rc = main([command, "--config", str(path), "--out", str(out)])
         assert rc in (0, 2, 3)
+        assert all(fh.closed for _, fh in opened)
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
         if rc == 0 or written:
             assert "manifest.json" in written, (rc, written)
+        if rc == 3:
+            assert not out.exists()

@@ -20,8 +20,9 @@ from roughmv import (
     solve_riccati_volterra,
 )
 from roughmv.kernels import MARCH_BLOCK, _lag_weights, _ml_array, cell_moments
+from roughmv.strategies import log_mv_existence_margin
 from roughmv.volterra import negative_root, q1
-from conftest import STUDY
+from conftest import STUDY, study_market
 from oracles import heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
 
 UNIT = SumOfExponentialsKernel((1.0,), (0.0,))  # the constant kernel 1
@@ -292,6 +293,29 @@ class TestRiccatiBounds:
         assert np.all(sol.values[1:] > 0.0)
         assert np.all(sol.values[1:] <= -r1)
         assert np.all(-r1 < -w_star)
+
+
+# perfect correlation, near-zero roughness, extreme risk aversion and mean
+# reversion; markets without the bounded solution that log-MV needs are left out
+EXTREME_MARKETS = [
+    (rho, hurst, gamma, kappa)
+    for rho in (-1.0, 1.0) for hurst in (0.01, 0.1)
+    for gamma in (0.05, 5.0, 50.0) for kappa in (0.05, 3.0)
+    if log_mv_existence_margin(study_market(hurst, rho=rho, kappa=kappa), gamma) > 0
+]
+
+
+class TestRiccatiAtExtremeMarkets:
+    @pytest.mark.parametrize("rho,hurst,gamma,kappa", EXTREME_MARKETS)
+    def test_psi_runs_and_keeps_its_bounds(self, rho, hurst, gamma, kappa):
+        # T = 1 at 50 steps a year; at 10 steps a year psi overshoots -r1 by up
+        # to 31 % of its largest value at H = 0.01, a coarse-grid error
+        market = study_market(hurst, rho=rho, kappa=kappa)
+        coeffs = RiccatiCoefficients.log_mv(kappa, rho, market.sigma, market.theta, gamma)
+        sol = solve_riccati_volterra(market.kernel, coeffs, TimeGrid(0.0, 1.0, 50))
+        bound = -riccati_bound_curve(coeffs, market.kernel, sol.grid.nodes()[1:])
+        assert np.all(sol.values[1:] > 0.0)
+        assert np.all(sol.values[1:] <= bound + 1e-6 * bound.max())
 
 
 # ---------------------------------------------------------------------------

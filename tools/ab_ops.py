@@ -12,8 +12,10 @@ tree goes first swaps from one op to the next, so a drift of the host's
 speed falls on both trees alike.
 
 Prints the total op time of each tree per op kind and over all ops, with the
-ratio B/A (below 1: B is faster).  Exit status: 0 when every op exits 0 on
-both trees; 1 otherwise.
+ratio B/A (below 1: B is faster), the median of the per-op ratios B/A and
+the number of ops on which B was faster.  One slow op can swing a total; the
+median and the count it moves by one op at most.  Exit status: 0 when every
+op exits 0 on both trees; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -116,12 +119,16 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
 
 
 def report(times) -> list[str]:
-    lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"]
+    lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"
+             f" {'median':>7} {'B won':>6}"]
     rows = sorted(times.items()) + [("all", [p for ps in times.values() for p in ps])]
     for kind, pairs in rows:
         a = sum(p[0] for p in pairs)
         b = sum(p[1] for p in pairs)
-        lines.append(f"{kind:<24} {len(pairs):>4} {a:>9.3f} {b:>9.3f} {b / a:>7.3f}")
+        median = statistics.median(p[1] / p[0] for p in pairs)
+        won = sum(p[1] < p[0] for p in pairs)
+        lines.append(f"{kind:<24} {len(pairs):>4} {a:>9.3f} {b:>9.3f} {b / a:>7.3f}"
+                     f" {median:>7.3f} {won:>6}")
     return lines
 
 
