@@ -58,6 +58,7 @@ from .strategies import (
     format_columns,
     log_mv_strategy,
     nonexp_log_strategy,
+    nonexp_v1,
     prefer_rough_crossover,
     strategy_text,
     strategy_to_csv,
@@ -524,13 +525,14 @@ def cmd_nonexp(cfg: dict, outputs: _Outputs):
     results = []
     for hurst in hursts[:2]:
         curve = _strategy_for(_with_hurst(market, hurst), objective, grid)
-        results.append((curve.consumption, curve.total, 1.0 / curve.consumption))
+        results.append((curve.consumption, curve.total))
     identical = all(np.array_equal(a, b) for a, b in zip(*results))
     if not identical:
         raise RuntimeError("kernel invariance violated for the consumption problem")
-    p_hat, coef, v1 = results[0]
-    cols = {"t": grid.nodes(), "consumption_rate": p_hat,
-            "investment_coefficient": coef, "V1": v1}
+    p_hat, coef = results[0]
+    # V1 as the library sums it; 1/p_hat would round it a second time
+    cols = {"t": grid.nodes(), "consumption_rate": p_hat, "investment_coefficient": coef,
+            "V1": nonexp_v1(objective.discount, objective.horizon, grid)}
     outputs.write("nonexp_strategy.csv", columns_to_csv(format_columns(cols)))
     outputs.write("kernel_invariance.json", json.dumps(
         {"hurst_pair": hursts[:2], "bitwise_identical": identical}, sort_keys=True, indent=2,

@@ -593,7 +593,8 @@ MARCH_BLOCK = 128  # nodes of _march whose earlier history enters as one product
 
 
 def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
-    """Node loop of every product-integration Volterra solve.
+    """Node loop of the product-integration Volterra solves that need one: the
+    Riccati (nonlinear in the unknown) and the linear solves of _vie_solve.
 
     At node i = 1..n, y[i] = node_rule(i, past) with the product-trapezoidal
     history past = sum_{m=1..i} a_w[m-1] y[i-m] + sum_{m=2..i} b_w[m-1] y[i-m+1],
@@ -654,12 +655,66 @@ def _vie_solve(lam, a_w, b_w, forcing):
     """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0.
 
     forcing has shape (n+1,) or, for a batch of rows, (n+1, rows) with the
-    lag weights of shape (n, rows); see _march.
+    lag weights of shape (n, rows); see _march.  Only resolvent_numeric and
+    _numeric_resolvent_ratio march a linear equation, because their rows are
+    pinned to each other bit for bit; every other linear solve is _vie_direct.
+    The closed-form sum-of-exponentials ratio (ROADMAP item 3) deletes
+    _numeric_resolvent_ratio and with it the pin, after which
+    resolvent_numeric can take _vie_direct and this march goes.
     """
     denom = 1.0 + lam * b_w[0]
     if np.ndim(forcing) == 1:  # a 1-D march runs on Python floats
         forcing, lam, denom = forcing.tolist(), float(lam), float(denom)
     return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
+
+
+def _series_inverse(t, m):
+    """The first m coefficients of the power series 1/t(z), t[0] != 0.
+
+    Newton doubling: c <- c (2 - t c) mod z^2k doubles the number of correct
+    coefficients k with two np.convolve per step.
+    """
+    c = np.array([1.0 / t[0]])
+    while len(c) < m:
+        k = min(2 * len(c), m)
+        e = -np.convolve(t[:k], c)[:k]
+        e[0] += 2.0
+        c = np.convolve(c, e)[:k]
+    return c
+
+
+def _vie_direct(lam, a_w, b_w, forcing):
+    """x_i + lam * (K*x)_i = f_i with x_0 = f_0, 1-D, without a node loop.
+
+    The same product-trapezoidal equations as _vie_solve, on the same blocks
+    of MARCH_BLOCK nodes.  Inside a block the system is lower-triangular
+    Toeplitz, t0 = 1 + lam b_w[0] on the diagonal and lam (a_w[m-1] + b_w[m])
+    on the m-th sub-diagonal, so the block is its right-hand side convolved
+    with the power series 1/t(z), taken once per solve.  The right-hand side
+    is the forcing less lam times the x[0] term and the far history of the
+    earlier blocks, one np.convolve as in _march.  Where the right-hand side
+    is much larger than the solution (large |lam|), the rounding of the
+    series' coefficients shows in the product (1.9e-12 of the largest value
+    at lam = 5000), so each block takes one step of iterative refinement,
+    which brings it back to the march's rounding level.
+    """
+    n = len(a_w)
+    lag = a_w.copy()
+    lag[:-1] += b_w[1:]
+    width = min(MARCH_BLOCK, n)
+    t = np.concatenate(([1.0 + lam * b_w[0]], lam * lag[: width - 1]))
+    inverse = _series_inverse(t, width)
+    x = np.empty(n + 1)
+    x[0] = forcing[0]
+    for s in range(1, n + 1, width):
+        size = min(width, n + 1 - s)
+        rhs = forcing[s : s + size] - lam * x[0] * a_w[s - 1 : s - 1 + size]
+        if s > 1:
+            rhs -= lam * np.convolve(lag[: s + size - 2], x[1:s], "valid")
+        y = np.convolve(inverse[:size], rhs)[:size]
+        y += np.convolve(inverse[:size], rhs - np.convolve(t[:size], y)[:size])[:size]
+        x[s : s + size] = y
+    return x
 
 
 def _vie_residual(lam, a_w, b_w, forcing, x):

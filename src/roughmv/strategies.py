@@ -499,14 +499,18 @@ def nonexp_log_strategy(
     h0 = float(discount.h(0.0))
     if abs(h0 - 1.0) > 1e-12:
         raise ValueError(f"discount h(0) = {h0} violates h(0) = 1")
-    taus = horizon - grid.nodes()
-    taus[-1] = 0.0
-    v1 = np.asarray(discount.integral(taus), dtype=float) + np.asarray(
-        discount.h(taus), dtype=float
-    )
-    consumption = 1.0 / v1
+    consumption = 1.0 / nonexp_v1(discount, horizon, grid)
     investment = np.full(grid.n_steps + 1, float(market.theta))
     return consumption, investment
+
+
+def nonexp_v1(discount: Discount, horizon: float, grid: TimeGrid) -> np.ndarray:
+    """V1(t) = int_0^{T-t} h + h(T-t) at the grid's nodes, the last one taken as T."""
+    taus = horizon - grid.nodes()
+    taus[-1] = 0.0
+    return np.asarray(discount.integral(taus), dtype=float) + np.asarray(
+        discount.h(taus), dtype=float
+    )
 
 
 def nonexp_forward_variance(
@@ -577,11 +581,7 @@ def nonexp_value_coeffs(
     h_spacing = grid.spacing
     th = market.theta
 
-    tau_from_node = horizon - nodes
-    tau_from_node[-1] = 0.0
-    v1 = np.asarray(discount.integral(tau_from_node), dtype=float) + np.asarray(
-        discount.h(tau_from_node), dtype=float
-    )
+    v1 = nonexp_v1(discount, horizon, grid)
 
     rates = market.rate_curve.values_at(nodes)
     integrand = rates - 1.0 / v1
@@ -692,12 +692,28 @@ TEXT_PIECE = 64
 
 def format_columns(cols: dict[str, np.ndarray]) -> dict[str, list[str]]:
     """Each column as pieces of up to TEXT_PIECE values, the reprs of a piece
-    joined by ', ' (the repr of the piece's list without its brackets)."""
+    joined by ', ' (the repr of the piece's list without its brackets).
+
+    A column whose doubles equal an earlier column's bit for bit shares that
+    column's pieces, and a column of one double repeated takes its repr once.
+    Bits, not ==, decide, so 0.0 and -0.0 are told apart as repr tells them.
+    """
     text = {}
+    formatted = {}  # a column's bytes -> its pieces
     for name, col in cols.items():
         values = np.asarray(col, dtype=float)
-        text[name] = [repr(values[lo : lo + TEXT_PIECE].tolist())[1:-1]
-                      for lo in range(0, values.size, TEXT_PIECE)]
+        key = values.tobytes()
+        if key not in formatted:
+            bits = values.view(np.int64)
+            if values.size and (bits == bits[0]).all():
+                one = repr(float(values[0]))
+                full, rest = divmod(values.size, TEXT_PIECE)
+                formatted[key] = ([", ".join([one] * TEXT_PIECE)] * full
+                                  + [", ".join([one] * rest)] * (rest > 0))
+            else:
+                formatted[key] = [repr(values[lo : lo + TEXT_PIECE].tolist())[1:-1]
+                                  for lo in range(0, values.size, TEXT_PIECE)]
+        text[name] = formatted[key]
     return text
 
 

@@ -31,7 +31,7 @@ from .kernels import (
     kernel_integral,
     _lag_weights,
     _march,
-    _vie_solve,
+    _vie_direct,
 )
 
 
@@ -143,7 +143,16 @@ def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
         return f.copy()
     i0, i1 = cell_moments(problem.kernel, grid.spacing, grid.n_steps)
     a_w, b_w = _lag_weights(i0, i1, grid.spacing)
-    return _vie_solve(lam, a_w, b_w, f)
+    # np.convolve overflows without a floating-point error, so the result is
+    # checked as a whole, whatever np.errstate the caller has set
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = _vie_direct(lam, a_w, b_w, f)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(
+            f"linear Volterra solve is not finite (multiplier {lam:g}, "
+            f"{grid.n_steps} steps to t = {grid.t_end:g})"
+        )
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -43,4 +43,7 @@ def test_report_totals_per_kind():
         ["y", "1", "2.000", "1.000", "0.500", "0.500", "1"],
         ["z", "3", "2.100", "3.800", "1.810", "0.900", "2"],
         ["all", "6", "6.100", "6.800", "1.115", "0.900", "4"],
+        # nearest rank over all ops: A sorted 0.1 1 1 1 1 2, B 0.5 0.9 0.9 1 1.5 2
+        ["op_p50_s", "6", "1.0000", "0.9000", "0.900"],
+        ["op_p90_s", "6", "2.0000", "2.0000", "1.000"],
     ]

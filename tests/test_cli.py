@@ -24,6 +24,7 @@ from roughmv.montecarlo import PATH_BLOCK
 from roughmv.strategies import (
     StrategyCurve,
     nonexp_log_strategy,
+    nonexp_v1,
     strategy_columns,
     strategy_text,
     strategy_to_csv,
@@ -539,6 +540,21 @@ class TestNumericErrors:
         assert "numeric error: overflow" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_linear_solve_exits_3_naming_it(self, tmp_path, capsys):
+        # a negative kernel weight makes kappa K * V2 grow like exp(232 t);
+        # rho sigma theta = -0.999 keeps the hedge ratio's lam = 0.001 small,
+        # so the V2 solve is the first to leave the floats.  Its history sums
+        # are BLAS dot products, which overflow to inf without a numpy error.
+        payload = base_config()
+        payload["market"].update(kappa=1.0, sigma=1.0, rho=-1.0, theta=0.999,
+                                 kernel={"variant": "fractional", "c": -20.0, "hurst": 0.05})
+        cfg = write_config(tmp_path, payload)
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: linear Volterra solve is not finite "
+            "(multiplier 1, 750 steps to t = 3)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unbinnable_terminal_wealth_exits_3_naming_it(self, tmp_path, capsys):
         # every path ends at the same value near 5e300, a range numpy cannot
         # split into 50 bins
@@ -749,8 +765,12 @@ class TestCurveFileFormatting:
             _with_hurst(market, cfg["hurst_values"][0]), objective.discount,
             objective.horizon, grid,
         )
+        # V1 is the library's, bit for bit; 1 / (1 / V1) was 1 ulp off in 43
+        # of this config's 751 values
+        v1 = nonexp_v1(objective.discount, objective.horizon, grid)
+        assert np.any(v1 != 1.0 / p_hat)
         cols = {"t": grid.nodes(), "consumption_rate": p_hat,
-                "investment_coefficient": coef, "V1": 1.0 / p_hat}
+                "investment_coefficient": coef, "V1": v1}
         assert (out / "nonexp_strategy.csv").read_text() == _per_element_csv(cols)
 
 

@@ -27,11 +27,14 @@ from roughmv import (
     resolvent_numeric,
 )
 from roughmv.kernels import (
+    MARCH_BLOCK,
     TAU_BLOCK,
     _lag_weights,
     _ml_array,
     _ml_series_mp,
     _rgamma,
+    _series_inverse,
+    _vie_direct,
     _vie_solve,
     cell_moments,
 )
@@ -658,6 +661,76 @@ class TestBatchedMarch:
             assert a_w[:, r].tobytes() == a1.tobytes() and b_w[:, r].tobytes() == b1.tobytes()
             one = _vie_solve(lam, a1, b1, forcing[:, r].copy())
             assert batched[:, r].tobytes() == one.tobytes()
+
+
+class TestSeriesInverse:
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 100, 128])
+    @pytest.mark.parametrize("a", [0.5, -0.9, 1.1])
+    def test_geometric_series(self, a, m):
+        # 1/(1 - a z) = sum a^k z^k; the product is exact where a is a power of two
+        c = _series_inverse(np.array([1.0, -a]), m)
+        assert c.shape == (m,)
+        ref = a ** np.arange(m)
+        assert np.max(np.abs(c - ref) / np.abs(ref)) <= 1e-13
+        if a == 0.5:
+            assert c.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 127, 128])
+    def test_product_is_one_modulo_z_to_the_m(self, m):
+        t = np.random.default_rng(3).standard_normal(m) * 0.3
+        t[0] = 1.7
+        c = _series_inverse(t, m)
+        product = np.convolve(t, c)[:m]
+        product[0] -= 1.0
+        # zero to the rounding of the sums: relative to the sums of |terms|
+        scale = np.convolve(np.abs(t), np.abs(c))[:m]
+        assert np.max(np.abs(product) / scale) <= 1e-14
+
+
+# the direct solve against the march: one node, a block but one, a block, a
+# block and one, two blocks and three, and the longest grid of the benchmark
+DIRECT_SIZES = [1, MARCH_BLOCK - 1, MARCH_BLOCK, MARCH_BLOCK + 1, 2 * MARCH_BLOCK + 3, 2100]
+DIRECT_KERNELS = {
+    "H0.05": FractionalKernel.from_hurst(0.05),
+    "H0.1": FractionalKernel.from_hurst(0.1),
+    "H0.5": FractionalKernel.from_hurst(0.5),
+    "constant": constant(0.8),
+    "exp": exponential(0.5, 1.2),
+    "soe8": fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 2.0)[0],
+    "soe20": fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 20, 2.0)[0],
+}
+DIRECT_LAMS = [-20.0, -1.0, 0.3, 2.0, 50.0, 5000.0]
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("n", DIRECT_SIZES)
+    @pytest.mark.parametrize("name", DIRECT_KERNELS)
+    def test_matches_the_march(self, name, n):
+        # at lam = -20 the diagonal 1 + lam b_w[0] of both solves crosses 0
+        # where H = 0.05 and h is about 1/133, so [0, 1] would put n = 127..129
+        # next to a singular system; on [0, 0.5] every n stays clear of it
+        grid = TimeGrid(0.0, 0.5, n)
+        a_w, b_w = _lag_weights(*cell_moments(DIRECT_KERNELS[name], grid.spacing, n),
+                                grid.spacing)
+        f = np.cos(3.0 * grid.nodes()) + 0.5
+        for lam in DIRECT_LAMS:
+            ref = _vie_solve(lam, a_w, b_w, f)
+            assert np.all(np.isfinite(ref))
+            got = _vie_direct(lam, a_w, b_w, f)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), lam
+
+    @pytest.mark.parametrize("n", [MARCH_BLOCK - 1, MARCH_BLOCK + 1])
+    def test_refined_where_the_right_hand_side_dwarfs_the_solution(self, n):
+        # lam h near 116: the solution falls to 1e-3 of its start, while the
+        # right-hand side holds lam a_w x_0 near 87; the product with the
+        # series alone was 1.9e-12 off the march here
+        grid = TimeGrid(0.0, 3.0, n)
+        a_w, b_w = _lag_weights(*cell_moments(constant(1.0), grid.spacing, n), grid.spacing)
+        f = np.cos(3.0 * grid.nodes()) + 0.5
+        ref = _vie_solve(5000.0, a_w, b_w, f)
+        got = _vie_direct(5000.0, a_w, b_w, f)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestCompleteMonotonicity:

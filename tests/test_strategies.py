@@ -31,7 +31,7 @@ from roughmv import (
     strategy_to_csv,
     strategy_to_json,
 )
-from roughmv.strategies import strategy_columns
+from roughmv.strategies import TEXT_PIECE, format_columns, strategy_columns
 from conftest import STUDY, study_market
 from oracles import heston_const_mv_total, heston_log_mv_curves
 
@@ -492,3 +492,37 @@ class TestSerialization:
                        for k, v in strategy_columns(curve).items()}
             payload["kind"] = curve.kind
             assert strategy_to_json(curve) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 751])
+    def test_formatted_columns_are_the_reprs_of_their_values(self, n):
+        # constant and repeated columns are formatted once and shared; bits,
+        # not ==, decide, so -0.0 and 0.0 and the spellings of NaN and inf
+        # come out as repr writes them value by value
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(n)
+        signed_zeros = np.where(np.arange(n) % 2, -0.0, 0.0)  # all +0.0 at n = 1
+        odd = rng.choice([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5], n)
+        cols = {
+            "values": values,
+            "values again": values.copy(),
+            "zeros": np.zeros(n),
+            "negative zeros": np.full(n, -0.0),
+            "signed zeros": signed_zeros,
+            "zeros again": np.zeros(n),
+            "nan": np.full(n, np.nan),
+            "negative nan": np.full(n, -np.nan),
+            "inf": np.full(n, np.inf),
+            "minus inf": np.full(n, -np.inf),
+            "constant": np.full(n, 0.1),
+            "odd": odd,
+            "odd again": odd.copy(),
+        }
+        text = format_columns(cols)
+        assert list(text) == list(cols)
+        for name, col in cols.items():
+            reprs = [repr(float(v)) for v in col]
+            pieces = [", ".join(reprs[lo : lo + TEXT_PIECE]) for lo in range(0, n, TEXT_PIECE)]
+            assert text[name] == pieces, name
+        assert text["values again"] is text["values"]
+        assert text["zeros again"] is text["zeros"]
+        assert (text["signed zeros"] is text["zeros"]) == (n == 1)

@@ -105,6 +105,20 @@ class TestLinearVie:
         )
         np.testing.assert_allclose(x, grid.nodes() + 1.0)
 
+    def test_non_finite_solution_raises_naming_the_solve(self):
+        # the solution grows like exp(232 t), and its discretisation overflows
+        # before t = 3;
+        # the history sums overflow to inf inside np.convolve, which raises
+        # no floating-point error even under np.errstate(over="raise")
+        grid = TimeGrid(0.0, 3.0, 750)
+        problem = LinearVieProblem(FractionalKernel.from_hurst(0.05), -20.0,
+                                   np.ones(751), grid)
+        message = r"linear Volterra solve is not finite \(multiplier -20, 750 steps to t = 3\)"
+        with pytest.raises(ValueError, match=message):
+            solve_linear_vie(problem)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            solve_linear_vie(problem)
+
     def test_bad_grid_and_forcing(self):
         with pytest.raises(ValueError):
             solve_linear_vie(

@@ -14,8 +14,11 @@ speed falls on both trees alike.
 Prints the total op time of each tree per op kind and over all ops, with the
 ratio B/A (below 1: B is faster), the median of the per-op ratios B/A and
 the number of ops on which B was faster.  One slow op can swing a total; the
-median and the count it moves by one op at most.  Exit status: 0 when every
-op exits 0 on both trees; 1 otherwise.
+median and the count it moves by one op at most.  Then each tree's
+nearest-rank p50 and p90 over all its op times, as perfbench computes
+op_p50_s and op_p90_s: a change can speed up most ops and still move these
+the other way, when it changes which kinds of op sit at a percentile.
+Exit status: 0 when every op exits 0 on both trees; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import THREAD_PINS  # noqa: E402
+from run import THREAD_PINS, percentile  # noqa: E402
 from workloads import (  # noqa: E402
     WORKLOADS,
     make_rounds,
@@ -121,7 +124,8 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
 def report(times) -> list[str]:
     lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"
              f" {'median':>7} {'B won':>6}"]
-    rows = sorted(times.items()) + [("all", [p for ps in times.values() for p in ps])]
+    every = [p for ps in times.values() for p in ps]
+    rows = sorted(times.items()) + [("all", every)]
     for kind, pairs in rows:
         a = sum(p[0] for p in pairs)
         b = sum(p[1] for p in pairs)
@@ -129,6 +133,9 @@ def report(times) -> list[str]:
         won = sum(p[1] < p[0] for p in pairs)
         lines.append(f"{kind:<24} {len(pairs):>4} {a:>9.3f} {b:>9.3f} {b / a:>7.3f}"
                      f" {median:>7.3f} {won:>6}")
+    for name, q in (("op_p50_s", 0.5), ("op_p90_s", 0.9)):
+        a, b = (percentile([p[j] for p in every], q) for j in (0, 1))
+        lines.append(f"{name:<24} {len(every):>4} {a:>9.4f} {b:>9.4f} {b / a:>7.3f}")
     return lines
 
 
