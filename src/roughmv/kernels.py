@@ -196,20 +196,17 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (I0, I1) with I0[m-1] = int K(u) du and I1[m-1] = int u K(u) du over
     the m-th cell.  These are the building blocks of product-integration rules:
     integrating t^(alpha-1) exactly is what keeps quadrature stable at the
-    origin where the fractional kernel blows up.  An array h gives one column
-    of moments per spacing, shape (n,) + h.shape, each equal to its scalar-h
-    call bit for bit.
+    origin where the fractional kernel blows up.
     """
-    if not np.all(np.asarray(h) > 0) or n < 1:
+    if not h > 0 or n < 1:
         raise ValueError("need h > 0 and n >= 1")
-    edges = np.multiply.outer(np.arange(n + 1, dtype=float), h)
+    edges = np.arange(n + 1, dtype=float) * h
     a, b = edges[:-1], edges[1:]
     if is_singular(spec):
         al = spec.alpha
         i0 = spec.c * (b**al - a**al) / math.gamma(al + 1.0)
         i1 = spec.c * (b ** (al + 1.0) - a ** (al + 1.0)) / ((al + 1.0) * math.gamma(al))
     else:
-        h = np.asarray(h, dtype=float)
         terms = (_exp_cell_moments(w, r, a, b, h) for w, r in zip(*_exponential_terms(spec)))
         i0, i1 = next(terms)  # summed from the first term, as in kernel_integral
         for j0, j1 in terms:
@@ -240,8 +237,9 @@ def _exp_cell_moments(c, beta, a, b, h):
     x = beta * h
     small = x < _EXP_SERIES_CUTOFF
     xc = np.where(small, 1.0, x)  # x for the closed forms, 1 where the series is used
-    phi1 = np.where(small, np.polyval(_PHI1_SERIES, x), -np.expm1(-xc) / xc)
-    phi2 = np.where(small, np.polyval(_PHI2_SERIES, x), (phi1 - np.exp(-xc)) / xc)
+    xs = np.where(small, x, 0.0)  # and x for the series, whose powers of a large x overflow
+    phi1 = np.where(small, np.polyval(_PHI1_SERIES, xs), -np.expm1(-xc) / xc)
+    phi2 = np.where(small, np.polyval(_PHI2_SERIES, xs), (phi1 - np.exp(-xc)) / xc)
     p1 = h * phi1
     p2 = h * h * phi2
     ea = c * np.exp(-beta * a)
@@ -518,7 +516,8 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     Neumann terms sum_{k<=m} (-1)^(k-1) lam^k K^{*k} (closed-form powers
     c^k t^(k a - 1)/Gamma(k a)) are split off analytically, with m chosen so
     the remainder's forcing t^((m+1)a - 1) is C^1; only the smooth remainder
-    is solved numerically.  The node at t = 0 is stored as +-inf.
+    is solved numerically, by _vie_direct; a solve that is not finite raises
+    ValueError.  The node at t = 0 is stored as +-inf.
     """
     if grid.t_start != 0.0:
         raise ValueError("resolvent grid must start at t = 0")
@@ -560,7 +559,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
             * nodes**s
             * _rgamma((m + 1) * al)
         ) * lam
-        rem = _vie_solve(lam, a_w, b_w, forcing)
+        rem = _finite_vie_direct(lam, a_w, b_w, forcing, grid, "resolvent solve")
         resid = _vie_residual(lam, a_w, b_w, forcing, rem)
         values = np.empty(n + 1)
         values[0] = np.inf if spec.c * lam > 0 else -np.inf
@@ -568,22 +567,21 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
         scale = np.max(np.abs(lam * kernel_eval(spec, nodes[1:])))
     else:
         forcing = lam * kernel_eval(spec, nodes)
-        values = _vie_solve(lam, a_w, b_w, forcing)
+        values = _finite_vie_direct(lam, a_w, b_w, forcing, grid, "resolvent solve")
         resid = _vie_residual(lam, a_w, b_w, forcing, values)
         scale = np.max(np.abs(forcing))
 
     return ResolventSamples(grid, values, lam, float(resid / scale), warning)
 
 
-def _lag_weights(i0: np.ndarray, i1: np.ndarray, h):
+def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):
     """Product-trapezoidal lag weights from cell moments.
 
     For (K*x)(t_i) = sum_m A[m] x_{i-m} + B[m] x_{i-m+1} with x piecewise
     linear; A[m] + B[m] = I0[m] and the rule is exact for linear x.
-    Index m-1 holds lag m; an array h takes the moments of cell_moments with
-    that h and gives one column of weights per spacing.
+    Index m-1 holds lag m.
     """
-    m = np.arange(1, len(i0) + 1, dtype=float).reshape((-1,) + (1,) * np.ndim(h))
+    m = np.arange(1, len(i0) + 1, dtype=float)
     a_w = (i1 - (m - 1.0) * h * i0) / h
     b_w = (m * h * i0 - i1) / h
     return a_w, b_w
@@ -601,23 +599,16 @@ def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
     summed as a_w[i-1] y[0] + sum_{m=1..i-1} (a_w[m-1] + b_w[m]) y[i-m];
     node_rule owns the weight b_w[0] on y[i].  With rect_w, y[i] =
     node_rule(i, rect, past) also gets the product-rectangle history
-    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).  A 1-D
-    march hands node_rule Python floats.
+    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).  The
+    sums reach node_rule as Python floats.
 
     The grid is walked in blocks of MARCH_BLOCK nodes (Hairer, Lubich &
     Schlichte 1985).  The history from nodes before a block enters all of
-    the block's nodes at once, by one np.convolve per weight set (and row);
-    inside the block, each new node adds its own terms to the later nodes'
-    sums.
-
-    The state is time-major: y has shape (n+1,) + shape(y0), so an array y0
-    marches independent rows at once, each with its own column of weights
-    (shape (n,) + shape(y0)).  Each row runs the same operations as a 1-D
-    march, so it equals its own 1-D march bit for bit.
+    the block's nodes at once, by one np.convolve per weight set; inside the
+    block, each new node adds its own terms to the later nodes' sums.
     """
     n = len(a_w)
-    rows = np.shape(y0)
-    y = np.empty((n + 1,) + rows)
+    y = np.empty(n + 1)
     y[0] = y0
     lag = a_w.copy()
     lag[:-1] += b_w[1:]
@@ -629,8 +620,8 @@ def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
     width = min(MARCH_BLOCK, n)
     # the block's history sums and the near lags 1..width-1, node-major with
     # the weight sets interleaved, so that node k's sums are acc[k*m:(k+1)*m]
-    acc = np.empty((width * m,) + rows)
-    near = np.stack([w[: width - 1] for w, _ in sets], axis=1).reshape((-1,) + rows)
+    acc = np.empty(width * m)
+    near = np.stack([w[: width - 1] for w, _ in sets], axis=1).ravel()
     # node k: its own sums, the later nodes' sums and their weights on node k
     steps = [(acc[k * m : k * m + m], acc[k * m + m :], near[: (width - 1 - k) * m])
              for k in range(width)]
@@ -640,13 +631,10 @@ def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
         acc[m - 1 : size * m : m] = a_w[s - 1 : s - 1 + size] * y[0]
         for k, (w, first) in enumerate(sets):
             if s > first:
-                for r in np.ndindex(rows):
-                    acc[(slice(k, size * m, m),) + r] += np.convolve(
-                        w[(slice(s + size - 1 - first),) + r], y[(slice(first, s),) + r], "valid"
-                    )
+                acc[k : size * m : m] += np.convolve(w[: s + size - 1 - first], y[first:s], "valid")
         for k in range(size):
             hist, later, weights = steps[k]
-            y[s + k] = value = node_rule(s + k, *(hist if rows else hist.tolist()))
+            y[s + k] = value = node_rule(s + k, *hist.tolist())
             later += value * weights
     return y
 
@@ -654,17 +642,12 @@ def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
 def _vie_solve(lam, a_w, b_w, forcing):
     """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0.
 
-    forcing has shape (n+1,) or, for a batch of rows, (n+1, rows) with the
-    lag weights of shape (n, rows); see _march.  Only resolvent_numeric and
-    _numeric_resolvent_ratio march a linear equation, because their rows are
-    pinned to each other bit for bit; every other linear solve is _vie_direct.
-    The closed-form sum-of-exponentials ratio (ROADMAP item 3) deletes
-    _numeric_resolvent_ratio and with it the pin, after which
-    resolvent_numeric can take _vie_direct and this march goes.
+    No solve of the library marches a linear equation: they all take
+    _vie_direct, and this node-by-node march is the reference that the
+    direct solve is tested against.
     """
-    denom = 1.0 + lam * b_w[0]
-    if np.ndim(forcing) == 1:  # a 1-D march runs on Python floats
-        forcing, lam, denom = forcing.tolist(), float(lam), float(denom)
+    forcing, lam = forcing.tolist(), float(lam)
+    denom = 1.0 + lam * float(b_w[0])
     return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
 
 
@@ -714,6 +697,22 @@ def _vie_direct(lam, a_w, b_w, forcing):
         y = np.convolve(inverse[:size], rhs)[:size]
         y += np.convolve(inverse[:size], rhs - np.convolve(t[:size], y)[:size])[:size]
         x[s : s + size] = y
+    return x
+
+
+def _finite_vie_direct(lam, a_w, b_w, forcing, grid: TimeGrid, what: str):
+    """_vie_direct, raising ValueError that names the solve where it is not finite.
+
+    np.convolve overflows without a floating-point error, so the result is
+    checked as a whole, whatever np.errstate the caller has set.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = _vie_direct(lam, a_w, b_w, forcing)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(
+            f"{what} is not finite (multiplier {lam:g}, "
+            f"{grid.n_steps} steps to t = {grid.t_end:g})"
+        )
     return x
 
 
@@ -785,37 +784,50 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     return np.where(taus > 0, out, 0.0)  # +0.0 at tau = 0, whatever the signs
 
 
-TAU_BLOCK = 64  # tau nodes marched together by _numeric_resolvent_ratio
-
-
 def _numeric_resolvent_ratio(spec: Kernel, lam: float, taus: np.ndarray):
     """Trapezoid quadrature of the numeric resolvent over [0, tau], / lam.
 
     Each tau > 0 keeps its own grid of n = max(200, int(250 tau)) cells of
-    h = tau / n, and every value equals trapezoid quadrature of
-    resolvent_numeric(spec, lam, TimeGrid(0, tau, n)) bit for bit.  Blocks of
-    TAU_BLOCK taus share one batched _march, padded with zero forcing to their
-    largest n: node i reads only nodes < i, so the padding changes no row.
-    The forcing is evaluated per row on that row's own nodes, because a
-    kernel evaluation over the padded block would round differently.
-    The ratio is 0 at tau = 0.
+    h = tau / n, with the product-trapezoidal equations of resolvent_numeric.
+    There a term c exp(-x u) has the lag weights a q^(m-1) and b q^(m-1) at
+    lag m, q = exp(-x h), from the first cell's moments (a = I1/h, b = I0 - a),
+    so the history of node i is sum_j a_j q_j^(i-1) R_0 + (a_j + b_j q_j) S_j
+    with one state per term, S_j <- q_j S_j + R_i (the Markovian lift), and
+    the forcing is lam sum_j c_j q_j^i.  One time loop runs every tau: ordered
+    by n, the taus still running are a prefix.  The ratio is 0 at tau = 0.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau values must be finite")
     ratio = np.zeros_like(taus)
-    positive = np.flatnonzero(taus)
-    for lo in range(0, len(positive), TAU_BLOCK):
-        rows = positive[lo : lo + TAU_BLOCK]
-        grids = [TimeGrid(0.0, t, max(200, int(250 * t))) for t in taus[rows]]
-        h = np.array([g.spacing for g in grids])
-        n_max = max(g.n_steps for g in grids)
-        a_w, b_w = _lag_weights(*cell_moments(spec, h, n_max), h)
-        forcing = np.zeros((n_max + 1, len(rows)))
-        for r, g in enumerate(grids):
-            forcing[: g.n_steps + 1, r] = lam * kernel_eval(spec, g.nodes())
-        values = _vie_solve(lam, a_w, b_w, forcing)
-        for r, g in enumerate(grids):
-            ratio[rows[r]] = np.trapezoid(values[: g.n_steps + 1, r], dx=g.spacing) / lam
+    rows = np.flatnonzero(taus)
+    n = np.maximum(200, (250 * taus[rows]).astype(int))
+    order = np.argsort(-n, kind="stable")
+    rows, n = rows[order], n[order]
+    h = taus[rows] / n
+    c, x = (np.array(v) for v in _exponential_terms(spec))
+    q = np.exp(-h[:, None] * x)
+    i0, i1 = np.moveaxis([_exp_cell_moments(cj, xj, 0.0, h, h) for cj, xj in zip(c, x)], 0, -1)
+    a = i1 / h[:, None]
+    b = i0 - a
+    r0 = lam * c.sum()
+    # R_i = lam sum(w z) / denom over the state z = [q^(i-1), S]; each step
+    # multiplies it by [q, q] and adds R_i to S
+    w = np.hstack([c * q - a * r0, -(a + b * q)])
+    z = np.hstack([np.ones_like(q), np.zeros_like(q)])
+    decay = np.hstack([q, q])
+    denom = 1.0 + lam * b.sum(axis=1)
+    total = np.full(len(rows), r0)
+    last = np.empty(len(rows))
+    k = len(rows)
+    for i in range(1, n.max(initial=0) + 1):
+        while n[k - 1] < i:
+            k -= 1
+        r = lam * np.einsum("ij,ij->i", w[:k], z[:k]) / denom[:k]
+        total[:k] += r
+        last[:k] = r
+        z[:k] *= decay[:k]
+        z[:k, len(c):] += r[:, None]
+    ratio[rows] = h * (total - 0.5 * (r0 + last)) / lam
     return ratio

@@ -570,8 +570,3 @@ def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
     for k, path_id in enumerate(bundle.paths):
         cells[k, :, 0] = path_id
         yield template % tuple(cells[k].ravel().tolist())
-
-
-def bundle_to_csv(bundle: PathBundle) -> str:
-    """Columnar dump: a header, then one row per (path, node) with path_id,t,nu,wealth."""
-    return PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))

@@ -29,9 +29,9 @@ from .kernels import (
     cell_moments,
     discrete_convolution,
     kernel_integral,
+    _finite_vie_direct,
     _lag_weights,
     _march,
-    _vie_direct,
 )
 
 
@@ -143,16 +143,7 @@ def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
         return f.copy()
     i0, i1 = cell_moments(problem.kernel, grid.spacing, grid.n_steps)
     a_w, b_w = _lag_weights(i0, i1, grid.spacing)
-    # np.convolve overflows without a floating-point error, so the result is
-    # checked as a whole, whatever np.errstate the caller has set
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = _vie_direct(lam, a_w, b_w, f)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(
-            f"linear Volterra solve is not finite (multiplier {lam:g}, "
-            f"{grid.n_steps} steps to t = {grid.t_end:g})"
-        )
-    return x
+    return _finite_vie_direct(lam, a_w, b_w, f, grid, "linear Volterra solve")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import roughmv.cli as cli
 import roughmv.montecarlo as montecarlo
-from roughmv import bundle_to_csv, simulate_variance, simulate_wealth, terminal_stats
+from roughmv import simulate_variance, simulate_wealth, terminal_stats
 from roughmv.cli import (
     _strategy_for,
     _with_hurst,
@@ -20,7 +20,7 @@ from roughmv.cli import (
     load_config,
     main,
 )
-from roughmv.montecarlo import PATH_BLOCK
+from roughmv.montecarlo import PATH_BLOCK, PATHS_CSV_HEADER, bundle_csv_rows
 from roughmv.strategies import (
     StrategyCurve,
     nonexp_log_strategy,
@@ -811,7 +811,7 @@ class TestSimulateBlocks:
         bundle = simulate_variance(market, sim.scheme, grid, n_paths, sim.seed)
         bundle = simulate_wealth(bundle, market, _strategy_for(market, objective, grid),
                                  objective, 1.0)
-        assert (out / "paths.csv").read_text() == bundle_to_csv(bundle)
+        assert (out / "paths.csv").read_text() == PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
         stats = terminal_stats(bundle)
         payload = json.loads((out / "terminal_stats.json").read_text())
         assert payload["mean"] == stats.mean and payload["variance"] == stats.variance

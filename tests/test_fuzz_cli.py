@@ -3,7 +3,9 @@
 Whatever a config holds, main() returns 0, 2 or 3, raises nothing, and never
 leaves a data file in the output directory without a manifest.json, also when
 the disk fills up at the open or at the first write of one of its files: a
-run that fails leaves no output directory behind.  The
+run that fails leaves no output directory behind.  Most such configs are
+refused before any file opens, so a second property mutates configs only
+inside their valid ranges, where the runs reach the writes.  The
 mutations keep every run small: at most 400 grid cells (steps_per_year <= 100
 and horizon <= 4, or a grid far over cli.MAX_GRID_STEPS, which is refused
 before anything is allocated), at most 50 paths and 50 factors.
@@ -170,3 +172,72 @@ def test_main_exits_0_2_or_3_and_writes_no_data_without_a_manifest(command, cfg,
             assert "manifest.json" in written, (rc, written)
         if rc == 3:
             assert not out.exists()
+
+
+# fields of the bases and values inside their valid ranges, as small as above
+VALID_FIELDS = {
+    ("market", "nu0"): st.floats(0.0, 0.2),
+    ("market", "kappa"): st.floats(0.05, 3.0),
+    ("market", "phi"): st.floats(0.01, 0.2),
+    ("market", "sigma"): st.floats(0.05, 1.0),
+    ("market", "rho"): st.floats(-1.0, 1.0),
+    ("market", "theta"): st.floats(0.1, 3.0),
+    ("market", "rate"): st.floats(0.0, 0.05),
+    ("market", "kernel", "hurst"): st.floats(0.05, 0.5),
+    ("objective", "gamma"): st.floats(0.1, 5.0),
+    ("objective", "horizon"): st.floats(0.1, 4.0),
+    ("objective", "delta"): st.floats(0.6, 3.0),
+    ("grid", "steps_per_year"): st.integers(1, 100),
+    ("sim", "n_paths"): st.integers(2, 50),
+    ("sim", "n_factors"): st.integers(1, 20),
+    ("sim", "seed"): st.integers(0, 2**32),
+    ("sim", "write_paths"): st.booleans(),
+}
+
+
+def accepts(command, cfg):
+    """Whether the command runs on the base at all: the Hurst sweeps need a
+    fractional kernel, the crossover two Hurst values, nonexp its objective."""
+    fractional = cfg["market"]["kernel"]["variant"] == "fractional"
+    return {
+        "hedge-curve": fractional,
+        "crossover": fractional and len(cfg["hurst_values"]) == 2,
+        "nonexp": cfg["objective"]["variant"] == "nonexp_log",
+    }.get(command, True)
+
+
+@st.composite
+def valid_runs(draw):
+    command, base = draw(st.sampled_from(
+        [(c, b) for c in sorted(COMMANDS) for b in BASES if accepts(c, b)]))
+    cfg = copy.deepcopy(base)
+    for path in draw(st.lists(st.sampled_from(sorted(VALID_FIELDS)), max_size=4)):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if path[-1] in node:
+            node[path[-1]] = draw(VALID_FIELDS[path])
+    cfg["output"] = {"formats": draw(st.sampled_from([["csv"], ["json"], ["csv", "json"]]))}
+    return command, cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=valid_runs(), full_disk=st.tuples(st.integers(0, 3), st.sampled_from(["open", "write"])))
+def test_valid_configs_fail_whole_when_the_disk_fills(run, full_disk):
+    # every run of a valid config exits 0 or 3: 0 only if it opened no more
+    # parts than the drawn failure point, and 3 with no output directory
+    command, cfg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()), \
+                disk_full_at_part(*full_disk) as opened:
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert all(fh.closed for _, fh in opened)
+        if rc == 0:
+            assert len(opened) <= full_disk[0]
+            assert "manifest.json" in (p.name for p in out.iterdir())
+        else:
+            assert rc == 3 and not out.exists()

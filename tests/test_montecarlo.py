@@ -20,7 +20,6 @@ from roughmv import (
     ResourceLimitError,
     StrategyCurve,
     TimeGrid,
-    bundle_to_csv,
     fit_sum_of_exponentials,
     kernel_eval,
     kernel_integral,
@@ -34,11 +33,13 @@ from roughmv.montecarlo import (
     BLOCK_ARRAYS,
     MAX_ELEMENTS,
     PATH_BLOCK,
+    PATHS_CSV_HEADER,
     _as_factor_kernel,
     _draw_increments,
     _path_seed_words,
     _seed_words_type,
     block_paths,
+    bundle_csv_rows,
 )
 from oracles import lognormal_terminal_mean
 
@@ -48,6 +49,11 @@ def make_market(sigma=0.3, kappa=0.3, nu0=0.04, phi=0.04, rho=-0.7, rate=0.0, hu
         nu0=nu0, kappa=kappa, phi=phi, sigma=sigma, rho=rho, theta=1.5,
         rate_curve=RateCurve.flat(rate), kernel=FractionalKernel.from_hurst(hurst),
     )
+
+
+def paths_csv(bundle):
+    """paths.csv of a bundle as the CLI streams it."""
+    return PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
 
 
 def flat_strategy(grid, level, consumption=None):
@@ -337,7 +343,7 @@ class TestPathBlocks:
         grid = TimeGrid(0.0, 0.5, 4)
         full = simulate_variance(market, LiftedFactors(3), grid, 6, 2)
         part = simulate_variance(market, LiftedFactors(3), grid, range(4, 6), 2)
-        text_full, text_part = bundle_to_csv(full), bundle_to_csv(part)
+        text_full, text_part = paths_csv(full), paths_csv(part)
         rows = text_part.splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["4"] * 5 + ["5"] * 5
         assert text_full.endswith("".join(r + "\n" for r in rows))
@@ -536,7 +542,7 @@ class TestExports:
         grid = TimeGrid(0.0, 0.5, 10)
         b = simulate_variance(market, LiftedFactors(5), grid, 3, 7)
         b = simulate_wealth(b, market, flat_strategy(grid, 0.3), ConstMVObjective(0.5, 0.5), 1.0)
-        text = bundle_to_csv(b)
+        text = paths_csv(b)
         assert text.splitlines()[0] == "path_id,t,nu,wealth"
         data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
         assert data.shape == (3 * 11, 4)
@@ -556,7 +562,7 @@ class TestExports:
             for j, t in enumerate(grid.nodes()):
                 w = "" if b.wealth is None else repr(float(b.wealth[k, j]))
                 lines.append(f"{p},{repr(float(t))},{repr(float(b.variance[k, j]))},{w}")
-        assert bundle_to_csv(b) == "\n".join(lines) + "\n"
+        assert paths_csv(b) == "\n".join(lines) + "\n"
 
 
 class TestFitDegenerate:
