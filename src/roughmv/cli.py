@@ -493,7 +493,8 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
         for lo in range(0, sim.n_paths, block_size):
             block = range(lo, min(lo + block_size, sim.n_paths))
             bundle = simulate_variance(market, sim.scheme, grid, block, sim.seed)
-            bundle = simulate_wealth(bundle, market, strategy, objective, 1.0)
+            bundle = simulate_wealth(bundle, market, strategy, objective, 1.0,
+                                     keep_paths=write_paths)
             terminal[lo : block.stop] = bundle.wealth[:, -1]
             if paths_csv is not None:
                 paths_csv.writelines(bundle_csv_rows(bundle))

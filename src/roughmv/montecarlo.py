@@ -5,8 +5,8 @@ Two variance schemes:
 * EulerConvolution: direct kernel-weighted discretization
       nu_i = nu0 + sum_{j<i} K(t_i - t_j) [kappa (phi - nu_j) dt
                                            + sigma sqrt(nu_j) dB_j],
-  O(n_steps^2) work per path; fine for short horizons, slow beyond ~10^4
-  steps.
+  O(n_steps^2) work per path, most of it in matrix products over blocks of
+  steps; fine for short horizons, slow beyond ~10^4 steps.
 
 * LiftedFactors: the kernel is replaced by a fitted sum of exponentials and
   the resulting n-factor Markovian system is simulated with an exponential
@@ -21,7 +21,8 @@ SeedSequence(seed, spawn_key=(i,)), so it depends only on (seed, i), never on
 which paths are simulated with it.  The four words that seed each path's
 PCG64 are derived for a whole block in one array pass (_path_seed_words), bit
 for bit those of NumPy's SeedSequence.  Reductions use fixed-order einsum sums
-rather than shape-dependent BLAS kernels.  A range of path indices can
+rather than shape-dependent BLAS kernels, or BLAS products of one fixed shape
+(_euler_convolution_chunk).  A range of path indices can
 therefore be simulated in blocks of PATH_BLOCK paths, which gives the rows of
 one call over the whole range bit for bit with memory O(block x steps).
 A block is time-major from the draw to the wealth, so each step of a march
@@ -38,6 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     FractionalKernel,
@@ -61,12 +63,18 @@ from .strategies import (
 # Paths per block when a command streams a simulation (see cli.cmd_simulate).
 PATH_BLOCK = 1024
 
-# Arrays a block of log-MV paths holds, one element each per path and node:
-# variance, dW1, dB, log-wealth and wealth.
+# Arrays a block of log-MV paths holds when it keeps its wealth paths, one
+# element each per path and node: variance, dW1, dB, log-wealth and wealth.
 BLOCK_ARRAYS = 5
 
 # Array elements one block of paths may hold: BLOCK_ARRAYS per path and node.
 MAX_ELEMENTS = 150_000_000
+
+# The exact-kernel scheme's history: steps per block, whose earlier shocks
+# enter through one matrix product, and paths per product (see
+# _euler_convolution_chunk).
+_HISTORY_BLOCK = 64
+_HISTORY_GROUP = 32
 
 # Paths _draw_increments draws path-major before one transposed copy into the
 # time-major draws: a strided copy per path took a fifth of the draw stage,
@@ -100,6 +108,13 @@ SimScheme = EulerConvolution | LiftedFactors
 
 @dataclass(frozen=True)
 class PathBundle:
+    """Simulated paths of a block, one row per path.
+
+    wealth and log_wealth are None until simulate_wealth fills them (log_wealth
+    for log-MV and the consumption problem only): with the (n_paths, n_nodes)
+    paths under keep_paths, else with the (n_paths, 1) terminal column.
+    """
+
     grid: TimeGrid
     variance: np.ndarray           # (n_paths, n_nodes), all >= 0
     dW1: np.ndarray                # (n_paths, n_steps) stock-driving increments
@@ -419,17 +434,35 @@ def simulate_variance(
 
 
 def _euler_convolution_chunk(market, grid, kern_lag, nu, dB):
-    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major views."""
+    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major views.
+
+    Node i + 1 sums the shocks of nodes 0..i against kern_lag.  In blocks of
+    _HISTORY_BLOCK steps, the shocks from before a block enter all of its
+    steps through one matrix product with the Toeplitz slice of kern_lag; each
+    step then adds the lags inside its block.  The products run on groups of
+    _HISTORY_GROUP paths padded with zero rows, so every product has the same
+    shape whatever the number of paths, and a path's row does not depend on
+    the others (matmul takes other BLAS kernels for fewer rows, gemv for one,
+    which round differently).
+    """
     h = grid.spacing
     n = grid.n_steps
     kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
-    shocks = np.empty(dB.shape)  # C order: the lag sum runs along each path's row
-    shocks[:, 0] = kap * (phi - nu[:, 0]) * h + sig * np.sqrt(nu[:, 0]) * dB[:, 0]
-    for i in range(1, n + 1):
-        conv = np.einsum("pj,j->p", shocks[:, :i], kern_lag[i - 1 :: -1])
-        nu[:, i] = np.maximum(nu0 + conv, 0.0)
-        if i < n:
+    n_paths = nu.shape[0]
+    padded = np.zeros((-(-n_paths // _HISTORY_GROUP) * _HISTORY_GROUP, n))
+    groups = padded.reshape(-1, _HISTORY_GROUP, n)
+    shocks = padded[:n_paths]  # C order: the lag sums run along each path's row
+    for start in range(0, n, _HISTORY_BLOCK):
+        stop = min(start + _HISTORY_BLOCK, n)
+        # toeplitz[j, b] = kern_lag[start + b - j], the lag from node j to
+        # node start + b + 1; empty for the first block, whose far sums are 0
+        toeplitz = np.ascontiguousarray(
+            sliding_window_view(kern_lag[:stop], stop - start)[start:0:-1])
+        far = (groups[:, :, :start] @ toeplitz).reshape(len(padded), -1)[:n_paths]
+        for i in range(start, stop):
             shocks[:, i] = kap * (phi - nu[:, i]) * h + sig * np.sqrt(nu[:, i]) * dB[:, i]
+            near = np.einsum("pj,j->p", shocks[:, start : i + 1], kern_lag[i - start :: -1])
+            nu[:, i + 1] = np.maximum(nu0 + (far[:, i - start] + near), 0.0)
 
 
 def _lifted_chunk(market, grid, factors, nu, dB):
@@ -458,6 +491,7 @@ def simulate_wealth(
     strategy: StrategyCurve,
     objective: ObjectiveSpec,
     x0: float,
+    keep_paths: bool = True,
 ) -> PathBundle:
     """Euler wealth paths driven by the bundle's retained dW1 increments.
 
@@ -469,8 +503,10 @@ def simulate_wealth(
     curve's consumption rate for the consumption problem and 0 otherwise;
     the consumption problem's total(t) is the Merton fraction theta of
     nonexp_log_strategy, and its curve must carry the consumption rate.
-    The march runs over the bundle's time-major arrays; the paths come back
-    as (n_paths, n_nodes) views.
+    The march runs over the bundle's time-major arrays.  With keep_paths the
+    bundle's wealth (and log_wealth) are the (n_paths, n_nodes) paths;
+    without it the march keeps two rows and returns the (n_paths, 1)
+    terminal column, bit for bit the last column of the full paths.
     """
     if x0 <= 0:
         raise ValueError("x0 must be > 0")
@@ -486,14 +522,18 @@ def simulate_wealth(
     coef = strategy.total
     rates = market.rate_curve.values_at(nodes)
     th = market.theta
+    # node i lives in row i % rows: every node, or the last two
+    rows = n + 1 if keep_paths else 2
+    kept = slice(None) if keep_paths else [n % rows]
 
     if isinstance(objective, ConstMVObjective):
-        wealth = np.empty(nu.shape)
+        wealth = np.empty((rows, nu.shape[1]))
         wealth[0] = x0
         for i in range(n):
-            drift = rates[i] * wealth[i] + th * nu[i] * coef[i]
-            wealth[i + 1] = wealth[i] + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
-        return dataclasses.replace(bundle, wealth=wealth.T)
+            w = wealth[i % rows]
+            drift = rates[i] * w + th * nu[i] * coef[i]
+            wealth[(i + 1) % rows] = w + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
+        return dataclasses.replace(bundle, wealth=wealth[kept].T)
 
     if isinstance(objective, LogMVObjective):
         # pi sqrt(nu) ~ nu^((2 delta - 1)/(2 delta)) and pi^2 nu diverge at the
@@ -509,13 +549,14 @@ def simulate_wealth(
         rates = rates - strategy.consumption
     else:
         raise TypeError(f"unknown objective {type(objective).__name__}")
-    log_w = np.empty(nu.shape)
+    log_w = np.empty((rows, nu.shape[1]))
     log_w[0] = np.log(x0)
     for i in range(n):
         pi = coef[i] if expo == 0.0 else coef[i] * np.maximum(nu[i], 1e-300) ** expo
         # pi * pi: a numpy scalar's pi**2 is pow(), which may round unlike x * x
         drift = rates[i] + th * nu[i] * pi - 0.5 * (pi * pi) * nu[i]
-        log_w[i + 1] = log_w[i] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
+        log_w[(i + 1) % rows] = log_w[i % rows] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
+    log_w = log_w[kept]
     return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
 
 
@@ -558,8 +599,14 @@ def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
 
     Each row is path_id,t,nu,wealth with every float as its repr (wealth
     empty when the bundle has none), with the path's global index as path_id.
+    A bundle whose wealth is the terminal column only raises ValueError.
     """
     has_wealth = bundle.wealth is not None
+    if has_wealth and bundle.wealth.shape != bundle.variance.shape:
+        raise ValueError(
+            "the bundle holds terminal wealth only; simulate_wealth with "
+            "keep_paths=True keeps the paths that paths.csv needs"
+        )
     cell = ",%r,%r\n" if has_wealth else ",%r,\n"
     # one template per path: the node times are formatted once
     template = "".join(f"%d,{t!r}{cell}" for t in bundle.grid.nodes().tolist())

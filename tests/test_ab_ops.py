@@ -16,9 +16,11 @@ def _small_desk_sim_ops(n):
 
 def test_a_tree_against_itself(tmp_path):
     ops = _small_desk_sim_ops(2)
-    times, failed = ab.run_pairs((ROOT, ROOT), ops, ab.warmup_op("desk-sim"),
-                                 tmp_path / "configs", tmp_path / "out")
+    times, failed, peaks_mb = ab.run_pairs((ROOT, ROOT), ops, ab.warmup_op("desk-sim"),
+                                           tmp_path / "configs", tmp_path / "out")
     assert failed == []
+    # each worker's ru_maxrss: an interpreter with numpy and a simulated block
+    assert len(peaks_mb) == 2 and all(10.0 < mb < 4096.0 for mb in peaks_mb)
     assert list(times) == ["lifted/1000"]
     assert len(times["lifted/1000"]) == 2
     assert all(seconds > 0 for pair in times["lifted/1000"] for seconds in pair)
@@ -28,8 +30,8 @@ def test_a_tree_against_itself(tmp_path):
 def test_a_failing_op_is_reported(tmp_path):
     op = _small_desk_sim_ops(1)[0]
     bad = dataclasses.replace(op, config=dict(op.config, sim=dict(op.config["sim"], n_paths=1)))
-    times, failed = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
-                                 tmp_path / "configs", tmp_path / "out")
+    times, failed, _ = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
+                                    tmp_path / "configs", tmp_path / "out")
     assert failed == [f"{op.op_id} (lifted/1000) on A: exit 2",
                       f"{op.op_id} (lifted/1000) on B: exit 2"]
 
@@ -37,7 +39,7 @@ def test_a_failing_op_is_reported(tmp_path):
 def test_report_totals_per_kind():
     # kind, ops, total on A, total on B, their ratio, median per-op ratio, ops B won
     lines = ab.report({"x": [[1.0, 0.5], [1.0, 1.5]], "y": [[2.0, 1.0]],
-                       "z": [[1.0, 0.9], [1.0, 0.9], [0.1, 2.0]]})
+                       "z": [[1.0, 0.9], [1.0, 0.9], [0.1, 2.0]]}, [73.9, 64.7])
     assert [line.split() for line in lines[1:]] == [
         ["x", "2", "2.000", "2.000", "1.000", "1.000", "1"],
         ["y", "1", "2.000", "1.000", "0.500", "0.500", "1"],
@@ -46,4 +48,6 @@ def test_report_totals_per_kind():
         # nearest rank over all ops: A sorted 0.1 1 1 1 1 2, B 0.5 0.9 0.9 1 1.5 2
         ["op_p50_s", "6", "1.0000", "0.9000", "0.900"],
         ["op_p90_s", "6", "2.0000", "2.0000", "1.000"],
+        # each worker's peak resident memory, in MB, after the same ops
+        ["peak_rss_mb", "6", "73.90", "64.70", "0.876"],
     ]

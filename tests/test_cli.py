@@ -817,6 +817,23 @@ class TestSimulateBlocks:
         assert payload["mean"] == stats.mean and payload["variance"] == stats.variance
         assert payload["histogram"]["counts"] == stats.histogram[1].tolist()
 
+    @pytest.mark.parametrize("objective", [
+        {"variant": "const_mv", "gamma": 0.5, "horizon": 1.0},
+        {"variant": "log_mv", "gamma": 0.5, "horizon": 1.0, "delta": 2.0},
+    ], ids=["const_mv", "log_mv_delta2"])
+    def test_terminal_stats_do_not_depend_on_write_paths(self, tmp_path, objective):
+        # without paths.csv the wealth march keeps two rows, not the paths
+        payload = self._payload(PATH_BLOCK + 3, objective)
+        stats = []
+        for write_paths in (True, False):
+            payload["sim"]["write_paths"] = write_paths
+            cfg_path = write_config(tmp_path, payload, name=f"{write_paths}.json")
+            out = tmp_path / f"o-{write_paths}"
+            assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+            assert (out / "paths.csv").exists() == write_paths
+            stats.append((out / "terminal_stats.json").read_bytes())
+        assert stats[0] == stats[1]
+
     def test_no_call_exceeds_one_block(self, tmp_path, monkeypatch):
         seen = []
         original = cli.simulate_variance
@@ -856,10 +873,10 @@ class TestSimulateBlocks:
     def test_failed_run_leaves_no_partial_paths_file(self, tmp_path, monkeypatch, capsys):
         original = cli.simulate_wealth
 
-        def fail_on_second_block(bundle, *args):
+        def fail_on_second_block(bundle, *args, **kwargs):
             if bundle.paths.start > 0:
                 raise FloatingPointError("injected failure")
-            return original(bundle, *args)
+            return original(bundle, *args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_wealth", fail_on_second_block)
         out = tmp_path / "o"
@@ -868,13 +885,18 @@ class TestSimulateBlocks:
         assert "injected failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_memory_is_bounded_by_the_block(self, tmp_path):
+    @pytest.mark.parametrize("objective", [
+        {"variant": "const_mv", "gamma": 0.5, "horizon": 3.0},
+        {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0, "delta": 1.0},
+    ], ids=["const_mv", "log_mv_delta1"])
+    def test_memory_is_bounded_by_the_block(self, tmp_path, objective):
         # 5000 paths x 750 lifted steps: whole-array simulation peaked at
-        # about 143 MB under tracemalloc; one block's arrays take about 6 MB each
+        # about 143 MB under tracemalloc.  One block's arrays take about 6 MB
+        # each, and without paths.csv a block holds three: variance, dW1 and
+        # dB.  Full wealth paths, two for log-MV, peaked at 24.3 and 29.4 MB.
         import tracemalloc
 
-        payload = self._payload(5000, objective={"variant": "const_mv", "gamma": 0.5,
-                                                 "horizon": 3.0})
+        payload = self._payload(5000, objective=objective)
         payload["grid"] = {"steps_per_year": 250}
         payload["sim"]["n_factors"] = 20
         payload["sim"]["write_paths"] = False
@@ -886,7 +908,7 @@ class TestSimulateBlocks:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak_mb < 70.0
+        assert peak_mb < 22.0
 
 
 class TestExtremeMarkets:

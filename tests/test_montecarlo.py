@@ -33,6 +33,8 @@ from roughmv.montecarlo import (
     BLOCK_ARRAYS,
     MAX_ELEMENTS,
     PATH_BLOCK,
+    _HISTORY_BLOCK,
+    _HISTORY_GROUP,
     PATHS_CSV_HEADER,
     _as_factor_kernel,
     _draw_increments,
@@ -137,6 +139,32 @@ class TestSimulateVariance:
         se = math.hypot(xa.std(ddof=1) / math.sqrt(xa.size), xb.std(ddof=1) / math.sqrt(xb.size))
         assert abs(xa.mean() - xb.mean()) <= 3.0 * se
 
+    def test_blocked_history_matches_the_per_step_loop(self):
+        # the per-step lag sum over every earlier shock that the blocked
+        # history replaced; 500 steps are eight blocks, the last one ragged,
+        # and 40 paths two groups, the second padded.  Where paths sit at the
+        # zero floor, a one-ulp change of nu0 moves the per-step loop's own
+        # paths by up to 17 % of the peak (H = 0.3, sigma = 0.6), so rounding
+        # is compared on a market whose paths stay mostly off the floor
+        market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
+        grid, n_paths, seed = TimeGrid(0.0, 2.0, 500), 40, 11
+        assert grid.n_steps % _HISTORY_BLOCK and n_paths % _HISTORY_GROUP
+        assert grid.n_steps > 2 * _HISTORY_BLOCK and n_paths > _HISTORY_GROUP
+        got = simulate_variance(market, EulerConvolution(), grid, n_paths, seed).variance
+        _, dB = _draw_increments(market, grid, range(n_paths), seed)
+        h, n = grid.spacing, grid.n_steps
+        kern_lag = kernel_eval(market.kernel, h * np.arange(1, n + 1))
+        kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
+        nu = np.empty((n_paths, n + 1))
+        nu[:, 0] = nu0
+        shocks = np.empty((n_paths, n))
+        for i in range(n):
+            shocks[:, i] = kap * (phi - nu[:, i]) * h + sig * np.sqrt(nu[:, i]) * dB[i]
+            conv = np.einsum("pj,j->p", shocks[:, : i + 1], kern_lag[i::-1])
+            nu[:, i + 1] = np.maximum(nu0 + conv, 0.0)
+        assert np.mean(nu[:, 1:] == 0.0) < 0.1
+        assert np.max(np.abs(got - nu)) <= 1e-12 * np.max(nu)
+
     def test_variance_nonnegative_everywhere(self):
         # high vol-of-vol forces truncation to bite
         market = make_market(sigma=1.5, nu0=0.02)
@@ -229,6 +257,16 @@ class TestPathBlocks:
         for name in ("variance", "dW1", "dB"):
             assert getattr(part, name).tobytes() == getattr(full, name)[9:17].tobytes()
 
+    def test_blocked_history_rows_do_not_depend_on_the_call(self):
+        # 300 steps: the history from before each block of 64 steps enters by
+        # a matrix product, whose rounding could depend on how many rows it has
+        market, grid = make_market(), TimeGrid(0.0, 1.0, 300)
+        assert grid.n_steps > 2 * _HISTORY_BLOCK and 70 > 2 * _HISTORY_GROUP
+        full = simulate_variance(market, EulerConvolution(), grid, 70, 8).variance
+        for paths in (range(5, 6), range(9, 17), range(30, 70), range(69, 2, -3)):
+            part = simulate_variance(market, EulerConvolution(), grid, paths, 8).variance
+            assert part.tobytes() == full[paths].tobytes()
+
     def test_path_draws_are_the_spawned_substreams(self):
         rho = -0.7
         b = simulate_variance(make_market(rho=rho), LiftedFactors(3), self.GRID,
@@ -244,28 +282,44 @@ class TestPathBlocks:
     @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(10)])
     @pytest.mark.parametrize(
         "objective",
-        [ConstMVObjective(0.5, 1.0), LogMVObjective(0.5, 1.0, delta=2.0),
-         NonExpLogObjective(ExponentialDiscount(0.1), 1.0)],
-        ids=["const_mv", "log_mv_delta2", "nonexp"],
+        [ConstMVObjective(0.5, 1.0), LogMVObjective(0.5, 1.0, delta=1.0),
+         LogMVObjective(0.5, 1.0, delta=2.0), NonExpLogObjective(ExponentialDiscount(0.1), 1.0)],
+        ids=["const_mv", "log_mv_delta1", "log_mv_delta2", "nonexp"],
     )
     def test_terminal_wealth_from_blocks_is_bit_identical(self, scheme, objective):
+        # blocks of a range, with or without the paths kept, give the terminal
+        # column of one call over the range that keeps them
         market = make_market(rate=0.01)
         consumption = (np.full(self.GRID.n_steps + 1, 0.05)
                        if isinstance(objective, NonExpLogObjective) else None)
         strategy = flat_strategy(self.GRID, 0.4, consumption)
 
-        def wealth(paths):
+        def wealth(paths, keep_paths=True):
             b = simulate_variance(market, scheme, self.GRID, paths, 31)
-            return simulate_wealth(b, market, strategy, objective, 1.0).wealth
+            return simulate_wealth(b, market, strategy, objective, 1.0, keep_paths=keep_paths)
 
         full = wealth(self.N)
-        blocks = [wealth(range(lo, min(lo + self.BLOCK, self.N)))
-                  for lo in range(0, self.N, self.BLOCK)]
-        assert [b.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
-        terminal = np.concatenate([b[:, -1] for b in blocks])
-        assert terminal.tobytes() == full[:, -1].tobytes()
-        stats_full, stats_blocks = terminal_stats(full[:, -1]), terminal_stats(terminal)
-        assert (stats_full.mean, stats_full.variance) == (stats_blocks.mean, stats_blocks.variance)
+        assert full.wealth.shape == (self.N, self.GRID.n_steps + 1)
+        for keep_paths in (True, False):
+            blocks = [wealth(range(lo, min(lo + self.BLOCK, self.N)), keep_paths)
+                      for lo in range(0, self.N, self.BLOCK)]
+            assert [b.wealth.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
+            terminal = np.concatenate([b.wealth[:, -1] for b in blocks])
+            assert terminal.tobytes() == full.wealth[:, -1].tobytes()
+            stats_full, stats_blocks = terminal_stats(full), terminal_stats(terminal)
+            assert (stats_full.mean, stats_full.variance) == (stats_blocks.mean,
+                                                              stats_blocks.variance)
+
+        last = wealth(self.N, keep_paths=False)
+        assert last.wealth.shape == (self.N, 1)
+        assert last.wealth.tobytes() == full.wealth[:, -1:].tobytes()
+        if isinstance(objective, ConstMVObjective):
+            assert full.log_wealth is None and last.log_wealth is None
+        else:
+            assert last.log_wealth.shape == (self.N, 1)
+            assert last.log_wealth.tobytes() == full.log_wealth[:, -1:].tobytes()
+        stats_last, stats_full = terminal_stats(last), terminal_stats(full)
+        assert (stats_last.mean, stats_last.variance) == (stats_full.mean, stats_full.variance)
 
     def test_time_major_march_matches_path_major_reference(self):
         # the strided column loops the time-major marches replaced, written
@@ -337,6 +391,16 @@ class TestPathBlocks:
     def test_bad_path_sets_rejected(self, paths):
         with pytest.raises((ValueError, TypeError)):
             simulate_variance(make_market(), LiftedFactors(2), self.GRID, paths, 1)
+
+    def test_csv_rows_refuse_a_terminal_only_bundle(self):
+        # the (n_paths, 1) terminal column would broadcast over every node
+        market = make_market()
+        grid = TimeGrid(0.0, 0.5, 4)
+        b = simulate_variance(market, LiftedFactors(3), grid, 3, 2)
+        b = simulate_wealth(b, market, flat_strategy(grid, 0.3), ConstMVObjective(0.5, 0.5),
+                            1.0, keep_paths=False)
+        with pytest.raises(ValueError, match="terminal wealth only"):
+            paths_csv(b)
 
     def test_csv_rows_carry_global_path_ids(self):
         market = make_market()

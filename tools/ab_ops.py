@@ -18,6 +18,9 @@ median and the count it moves by one op at most.  Then each tree's
 nearest-rank p50 and p90 over all its op times, as perfbench computes
 op_p50_s and op_p90_s: a change can speed up most ops and still move these
 the other way, when it changes which kinds of op sit at a percentile.
+Last, each worker's peak resident memory (ru_maxrss, in MB, as perfbench
+computes peak_rss_mb): both trees ran the same ops, so the two peaks compare
+at equal op counts, which perfbench's fixed-time runs do not give.
 Exit status: 0 when every op exits 0 on both trees; 1 otherwise.
 """
 
@@ -46,10 +49,11 @@ from workloads import (  # noqa: E402
 )
 
 # Reads one JSON argv per line from stdin, answers one JSON line per op:
-# [exit code or null when main raised, seconds].  The command's own output
-# goes to stderr, so that stdout carries only the answers.
+# [exit code or null when main raised, seconds, the process's peak resident
+# memory so far in MB].  The command's own output goes to stderr, so that
+# stdout carries only the answers.
 WORKER = """\
-import contextlib, json, sys, time, traceback
+import contextlib, json, resource, sys, time, traceback
 import roughmv.cli as cli
 answers = sys.stdout
 for line in sys.stdin:
@@ -61,7 +65,9 @@ for line in sys.stdin:
     except Exception:  # a failed op, reported; the worker serves the next one
         traceback.print_exc()
         rc = None
-    answers.write(json.dumps([rc, time.perf_counter() - t0]) + "\\n")
+    seconds = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    answers.write(json.dumps([rc, seconds, peak_mb]) + "\\n")
     answers.flush()
 """
 
@@ -75,6 +81,7 @@ class Worker:
             [sys.executable, "-c", WORKER], env=env, text=True,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         )
+        self.peak_mb = 0.0
 
     def run(self, argv: list[str]) -> tuple[int | None, float]:
         self.proc.stdin.write(json.dumps(argv) + "\n")
@@ -82,7 +89,7 @@ class Worker:
         answer = self.proc.stdout.readline()
         if not answer:
             raise RuntimeError(f"worker exited with {self.proc.wait()}")
-        rc, seconds = json.loads(answer)
+        rc, seconds, self.peak_mb = json.loads(answer)
         return rc, seconds
 
     def close(self):
@@ -91,7 +98,8 @@ class Worker:
 
 
 def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
-    """{kind: [[seconds on A, seconds on B], ...]} and the failed runs.
+    """{kind: [[seconds on A, seconds on B], ...]}, the failed runs and
+    [peak resident MB of A's worker, of B's].
 
     Op k runs on A first when k is even and on B first when it is odd.
     """
@@ -118,10 +126,10 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
     finally:
         for w in workers:
             w.close()
-    return dict(times), failed
+    return dict(times), failed, [w.peak_mb for w in workers]
 
 
-def report(times) -> list[str]:
+def report(times, peaks_mb) -> list[str]:
     lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"
              f" {'median':>7} {'B won':>6}"]
     every = [p for ps in times.values() for p in ps]
@@ -136,6 +144,8 @@ def report(times) -> list[str]:
     for name, q in (("op_p50_s", 0.5), ("op_p90_s", 0.9)):
         a, b = (percentile([p[j] for p in every], q) for j in (0, 1))
         lines.append(f"{name:<24} {len(every):>4} {a:>9.4f} {b:>9.4f} {b / a:>7.3f}")
+    a, b = peaks_mb
+    lines.append(f"{'peak_rss_mb':<24} {len(every):>4} {a:>9.2f} {b:>9.2f} {b / a:>7.3f}")
     return lines
 
 
@@ -157,11 +167,11 @@ def main(argv=None) -> int:
         fit = sum_of_exp_fitter()
     ops = [op for r in make_rounds(args.workload, args.seed, args.rounds, fit) for op in r]
     with tempfile.TemporaryDirectory() as tmp:
-        times, failed = run_pairs(trees, ops, warmup_op(args.workload, fit),
-                                  Path(tmp) / "configs", Path(tmp) / "out")
+        times, failed, peaks_mb = run_pairs(trees, ops, warmup_op(args.workload, fit),
+                                            Path(tmp) / "configs", Path(tmp) / "out")
     print(f"A = {trees[0]}\nB = {trees[1]}")
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(ops)} ops")
-    print("\n".join(report(times)))
+    print("\n".join(report(times, peaks_mb)))
     for line in failed:
         print(f"FAILED {line}")
     return 1 if failed else 0
