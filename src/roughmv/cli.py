@@ -158,15 +158,18 @@ def build_kernel(spec: dict):
         if variant not in _KERNEL_FIELDS:
             raise ConfigError(f"unknown kernel variant '{variant}'")
         _reject_unknown(spec, _KERNEL_FIELDS[variant], "config.market.kernel")
+        if variant == "sum_of_exponentials":
+            # fitted sums alternate in sign, so their weights may be negative
+            return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
+        # a weight c <= 0 turns kappa K negative, and the solves grow without bound
+        c = float(spec.get("c", 1.0)) if variant == "fractional" else float(spec["c"])
+        if c <= 0:
+            raise ConfigError(f"market.kernel.c must be > 0 for the {variant} kernel, got {c}")
         if variant == "fractional":
-            c = float(spec.get("c", 1.0))
             if "hurst" in spec:
                 return FractionalKernel.from_hurst(float(spec["hurst"]), c=c)
             return FractionalKernel(c=c, alpha=float(spec["alpha"]))
-        if variant == "sum_of_exponentials":
-            return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
         # constant and exponential kernels are the one-term sums c exp(-beta t)
-        c = float(spec["c"])
         _check_weight(c)
         beta = float(spec["beta"]) if variant == "exponential" else 0.0
         if not (math.isfinite(beta) and beta >= 0):
@@ -194,8 +197,9 @@ def build_market(cfg: dict) -> MarketParams:
             scalars[name] = float(m[name])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad market.{name} {m[name]!r}: {exc}")
+    kernel = build_kernel(m["kernel"])
     try:
-        return MarketParams(**scalars, rate_curve=curve, kernel=build_kernel(m["kernel"]))
+        return MarketParams(**scalars, rate_curve=curve, kernel=kernel)
     except ValueError as exc:
         raise ConfigError(f"bad market parameters: {exc}")
 

@@ -587,68 +587,7 @@ def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):
     return a_w, b_w
 
 
-MARCH_BLOCK = 128  # nodes of _march whose earlier history enters as one product
-
-
-def _march(a_w, b_w, y0, node_rule, rect_w=None) -> np.ndarray:
-    """Node loop of the product-integration Volterra solves that need one: the
-    Riccati (nonlinear in the unknown) and the linear solves of _vie_solve.
-
-    At node i = 1..n, y[i] = node_rule(i, past) with the product-trapezoidal
-    history past = sum_{m=1..i} a_w[m-1] y[i-m] + sum_{m=2..i} b_w[m-1] y[i-m+1],
-    summed as a_w[i-1] y[0] + sum_{m=1..i-1} (a_w[m-1] + b_w[m]) y[i-m];
-    node_rule owns the weight b_w[0] on y[i].  With rect_w, y[i] =
-    node_rule(i, rect, past) also gets the product-rectangle history
-    rect = sum_{m=1..i} rect_w[m-1] y[i-m] (the Adams predictor).  The
-    sums reach node_rule as Python floats.
-
-    The grid is walked in blocks of MARCH_BLOCK nodes (Hairer, Lubich &
-    Schlichte 1985).  The history from nodes before a block enters all of
-    the block's nodes at once, by one np.convolve per weight set; inside the
-    block, each new node adds its own terms to the later nodes' sums.
-    """
-    n = len(a_w)
-    y = np.empty(n + 1)
-    y[0] = y0
-    lag = a_w.copy()
-    lag[:-1] += b_w[1:]
-    # weight sets in node_rule's argument order, each with the first node it
-    # weighs by lag: y[0] for the predictor, y[1] for the trapezoidal sum
-    # (whose weight on y[0] is a_w[i-1])
-    sets = ((lag, 1),) if rect_w is None else ((rect_w, 0), (lag, 1))
-    m = len(sets)
-    width = min(MARCH_BLOCK, n)
-    # the block's history sums and the near lags 1..width-1, node-major with
-    # the weight sets interleaved, so that node k's sums are acc[k*m:(k+1)*m]
-    acc = np.empty(width * m)
-    near = np.stack([w[: width - 1] for w, _ in sets], axis=1).ravel()
-    # node k: its own sums, the later nodes' sums and their weights on node k
-    steps = [(acc[k * m : k * m + m], acc[k * m + m :], near[: (width - 1 - k) * m])
-             for k in range(width)]
-    for s in range(1, n + 1, width):
-        size = min(width, n + 1 - s)
-        acc.fill(0.0)
-        acc[m - 1 : size * m : m] = a_w[s - 1 : s - 1 + size] * y[0]
-        for k, (w, first) in enumerate(sets):
-            if s > first:
-                acc[k : size * m : m] += np.convolve(w[: s + size - 1 - first], y[first:s], "valid")
-        for k in range(size):
-            hist, later, weights = steps[k]
-            y[s + k] = value = node_rule(s + k, *hist.tolist())
-            later += value * weights
-    return y
-
-
-def _vie_solve(lam, a_w, b_w, forcing):
-    """Sequential solve of x_i + lam * (K*x)_i = f_i with x_0 = f_0.
-
-    No solve of the library marches a linear equation: they all take
-    _vie_direct, and this node-by-node march is the reference that the
-    direct solve is tested against.
-    """
-    forcing, lam = forcing.tolist(), float(lam)
-    denom = 1.0 + lam * float(b_w[0])
-    return _march(a_w, b_w, forcing[0], lambda i, s: (forcing[i] - lam * s) / denom)
+MARCH_BLOCK = 128  # nodes per block of the Volterra solves; earlier blocks enter as one product
 
 
 def _series_inverse(t, m):
@@ -669,17 +608,17 @@ def _series_inverse(t, m):
 def _vie_direct(lam, a_w, b_w, forcing):
     """x_i + lam * (K*x)_i = f_i with x_0 = f_0, 1-D, without a node loop.
 
-    The same product-trapezoidal equations as _vie_solve, on the same blocks
-    of MARCH_BLOCK nodes.  Inside a block the system is lower-triangular
+    The product-trapezoidal equations of the lag weights, on blocks of
+    MARCH_BLOCK nodes.  Inside a block the system is lower-triangular
     Toeplitz, t0 = 1 + lam b_w[0] on the diagonal and lam (a_w[m-1] + b_w[m])
     on the m-th sub-diagonal, so the block is its right-hand side convolved
     with the power series 1/t(z), taken once per solve.  The right-hand side
     is the forcing less lam times the x[0] term and the far history of the
-    earlier blocks, one np.convolve as in _march.  Where the right-hand side
-    is much larger than the solution (large |lam|), the rounding of the
-    series' coefficients shows in the product (1.9e-12 of the largest value
-    at lam = 5000), so each block takes one step of iterative refinement,
-    which brings it back to the march's rounding level.
+    earlier blocks, one np.convolve.  Where the right-hand side is much
+    larger than the solution (large |lam|), the rounding of the series'
+    coefficients shows in the product (1.9e-12 of the largest value at
+    lam = 5000), so each block takes one step of iterative refinement, which
+    brings it back to the rounding level of a node-by-node solve.
     """
     n = len(a_w)
     lag = a_w.copy()

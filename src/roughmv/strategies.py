@@ -83,21 +83,9 @@ class RateCurve:
     def flat(cls, rate: float) -> "RateCurve":
         return cls(times=(0.0,), rates=(float(rate),))
 
-    def integral(self, t0: float, t1: float) -> float:
-        """int_t0^t1 rate(s) ds, exact."""
-        if t1 < t0:
-            raise ValueError("need t1 >= t0")
-        total = 0.0
-        edges = list(self.times) + [math.inf]
-        for j, r in enumerate(self.rates):
-            lo = max(t0, edges[j])
-            hi = min(t1, edges[j + 1])
-            if hi > lo:
-                total += r * (hi - lo)
-        return total
-
     def cumulative(self, nodes: np.ndarray) -> np.ndarray:
-        """int_0^{t_i} rate ds for each node t_i >= 0, added up as integral() does."""
+        """int_0^{t_i} rate ds for each node t_i >= 0: rates[j] times the length
+        of [0, t_i] inside interval j, summed over j."""
         total = np.zeros(len(nodes))
         edges = self.times + (math.inf,)
         for j, r in enumerate(self.rates):

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import (
+    MARCH_BLOCK,
     Kernel,
     TimeGrid,
     cell_moments,
@@ -31,7 +32,6 @@ from .kernels import (
     kernel_integral,
     _finite_vie_direct,
     _lag_weights,
-    _march,
 )
 
 
@@ -156,6 +156,19 @@ def solve_riccati_volterra(
     grid: TimeGrid,
     config: SolverConfig = SolverConfig(),
 ) -> PsiSolution:
+    """psi on the grid by the fractional Adams PECE step.
+
+    The step sums the history of the integrand g = rhs(psi): the predictor by
+    the product-rectangle weights i0 against g from node 0, the corrector by
+    the product-trapezoidal weights, as a_w[i-1] g[0] plus the combined lag
+    weights a_w[m-1] + b_w[m] against g from node 1; the corrector's weight
+    b_w[0] on the new node is b1.  The grid is walked in blocks of
+    MARCH_BLOCK nodes (Hairer, Lubich & Schlichte 1985): the history from
+    before a block enters all of its nodes by one np.convolve per sum, and
+    inside the block each new node adds its terms to the later nodes' sums.
+    Where |psi| passes the guard (divergence_factor times |w_star|, when the
+    bound applies) or leaves the floats, DivergenceError names the node.
+    """
     if grid.t_start != 0.0:
         raise ValueError("Riccati grid must start at t = 0")
     h = grid.spacing
@@ -168,26 +181,45 @@ def solve_riccati_volterra(
     if coeffs.H1 < 0 and coeffs.H0 < 0 and coeffs.H2 >= 0:
         guard = float(config.divergence_factor * abs(negative_root(coeffs)))
 
+    lag = a_w.copy()
+    lag[:-1] += b_w[1:]
+    rhs = coeffs.rhs
+    iterations, tol = config.corrector_iterations, config.corrector_tol
     psi = np.zeros(n + 1)
-
-    def pece(i, pred, past):  # the history is of the integrand g = rhs(psi)
-        g_new = coeffs.rhs(pred)
-        value = past + b1 * g_new
-        for _ in range(config.corrector_iterations):
-            prev = value
-            g_new = coeffs.rhs(value)
-            value = past + b1 * g_new
-            if config.corrector_tol is not None and abs(value - prev) <= config.corrector_tol:
-                break
-        if not math.isfinite(value) or abs(value) > guard:
-            raise DivergenceError(
-                f"psi diverged at node {i} (t = {i * h:.6g}): "
-                f"|psi| = {abs(value):.3g} exceeds {guard:.3g}"
-            )
-        psi[i] = value
-        return coeffs.rhs(value)
-
-    _march(a_w, b_w, coeffs.rhs(0.0), pece, rect_w=i0)
+    g = np.empty(n + 1)
+    g[0] = g0 = rhs(0.0)
+    width = min(MARCH_BLOCK, n)
+    # node k of a block keeps its (predictor, corrector) sums in acc[2k:2k+2],
+    # and near interleaves the two sums' weights on lags 1..width-1 alike;
+    # steps[k] holds node k's sums, the later nodes' sums and their weights
+    # on node k
+    acc = np.empty(2 * width)
+    near = np.stack((i0[: width - 1], lag[: width - 1]), axis=1).ravel()
+    steps = [(acc[2 * k : 2 * k + 2], acc[2 * k + 2 :], near[: 2 * (width - 1 - k)])
+             for k in range(width)]
+    for s in range(1, n + 1, width):
+        size = min(width, n + 1 - s)
+        acc.fill(0.0)
+        acc[1 : 2 * size : 2] = a_w[s - 1 : s - 1 + size] * g0
+        acc[0 : 2 * size : 2] += np.convolve(i0[: s + size - 1], g[:s], "valid")
+        if s > 1:
+            acc[1 : 2 * size : 2] += np.convolve(lag[: s + size - 2], g[1:s], "valid")
+        for i, (sums, later, weights) in enumerate(steps[:size], start=s):
+            pred, past = sums.tolist()
+            value = past + b1 * rhs(pred)
+            for _ in range(iterations):
+                prev = value
+                value = past + b1 * rhs(value)
+                if tol is not None and abs(value - prev) <= tol:
+                    break
+            if not math.isfinite(value) or abs(value) > guard:
+                raise DivergenceError(
+                    f"psi diverged at node {i} (t = {i * h:.6g}): "
+                    f"|psi| = {abs(value):.3g} exceeds {guard:.3g}"
+                )
+            psi[i] = value
+            g[i] = g_new = rhs(value)
+            later += g_new * weights
     return PsiSolution(grid=grid, values=psi, coefficients=coeffs, kernel=kernel)
 
 

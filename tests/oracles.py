@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from roughmv import RiccatiCoefficients
+from roughmv.kernels import MARCH_BLOCK
 
 
 def ml_reference(alpha: float, beta: float, z: float) -> float:
@@ -119,6 +120,32 @@ def riccati_lifted_ode(weights, rates, coeffs: RiccatiCoefficients, T: float) ->
     if not sol.success:
         raise RuntimeError(sol.message)
     return float(w @ sol.y[:, -1])
+
+
+def blocked_vie(lam, a_w, b_w, forcing):
+    """x_i + lam (K*x)_i = f_i with x_0 = f_0, node by node on the lag weights.
+
+    The product-trapezoidal history of node i is a_w[i-1] x_0 plus the lag
+    weights a_w[m-1] + b_w[m] against x_{i-m}, m = 1..i-1.  The part from
+    before each block of MARCH_BLOCK nodes is one np.convolve; each node adds
+    its in-block lags by a dot product.  Without the blocks the rounding
+    strays from the direct solve's by more than 1e-13 at H = 0.05.
+    """
+    n = len(a_w)
+    lag = a_w.copy()
+    lag[:-1] += b_w[1:]
+    denom = 1.0 + lam * b_w[0]
+    x = np.empty(n + 1)
+    x[0] = forcing[0]
+    for s in range(1, n + 1, MARCH_BLOCK):
+        size = min(MARCH_BLOCK, n + 1 - s)
+        far = a_w[s - 1 : s - 1 + size] * x[0]
+        if s > 1:
+            far += np.convolve(lag[: s + size - 2], x[1:s], "valid")
+        for k in range(size):
+            past = far[k] + lag[:k][::-1] @ x[s : s + k]
+            x[s + k] = (forcing[s + k] - lam * past) / denom
+    return x
 
 
 def q1_quadrature(coeffs: RiccatiCoefficients, w: float) -> float:

@@ -340,6 +340,15 @@ class TestConfigHandling:
              "decay rate beta must be finite and >= 0"),
             ({"market": {"kernel": {"variant": "exponential", "c": 10**400, "beta": 1.0}}},
              "market.kernel"),
+            # a kernel weight c <= 0 ran on to V2 near 1e286, or exit 3
+            ({"market": {"kernel": {"variant": "fractional", "c": -5.0, "alpha": 0.6}}},
+             "market.kernel.c must be > 0 for the fractional kernel"),
+            ({"market": {"kernel": {"variant": "fractional", "c": 0.0, "hurst": 0.1}}},
+             "market.kernel.c must be > 0"),
+            ({"market": {"kernel": {"variant": "constant", "c": -1.0}}},
+             "market.kernel.c must be > 0 for the constant kernel"),
+            ({"market": {"kernel": {"variant": "exponential", "c": "-Infinity", "beta": 1.0}}},
+             "market.kernel.c must be > 0 for the exponential kernel"),
         ],
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
@@ -540,19 +549,17 @@ class TestNumericErrors:
         assert "numeric error: overflow" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_non_finite_linear_solve_exits_3_naming_it(self, tmp_path, capsys):
-        # a negative kernel weight makes kappa K * V2 grow like exp(232 t);
-        # rho sigma theta = -0.999 keeps the hedge ratio's lam = 0.001 small,
-        # so the V2 solve is the first to leave the floats.  Its history sums
-        # are BLAS dot products, which overflow to inf without a numpy error.
+    def test_non_positive_kernel_weight_exits_2_naming_it(self, tmp_path, capsys):
+        # a negative kernel weight made kappa K * V2 grow like exp(232 t): the
+        # run exited 0 with V2 up to 2.6e286, or 3 where the solve left the
+        # floats, depending on the grid
         payload = base_config()
         payload["market"].update(kappa=1.0, sigma=1.0, rho=-1.0, theta=0.999,
                                  kernel={"variant": "fractional", "c": -20.0, "hurst": 0.05})
         cfg = write_config(tmp_path, payload)
-        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "numeric error: linear Volterra solve is not finite "
-            "(multiplier 1, 750 steps to t = 3)\n")
+            "config error: market.kernel.c must be > 0 for the fractional kernel, got -20.0\n")
         assert not (tmp_path / "o").exists()
 
     def test_unbinnable_terminal_wealth_exits_3_naming_it(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from roughmv import (
     FractionalKernel,
     KernelDomainError,
+    LinearVieProblem,
     SumOfExponentialsKernel,
     TimeGrid,
     UnsupportedVariantError,
@@ -25,6 +26,7 @@ from roughmv import (
     mittag_leffler,
     resolvent_closed_form,
     resolvent_numeric,
+    solve_linear_vie,
 )
 from roughmv.kernels import (
     MARCH_BLOCK,
@@ -35,11 +37,15 @@ from roughmv.kernels import (
     _rgamma,
     _series_inverse,
     _vie_direct,
-    _vie_solve,
     cell_moments,
 )
 from roughmv.montecarlo import LiftedFactors, _as_factor_kernel, fit_sum_of_exponentials
-from oracles import convolution_identity_residual, exp_cell_moments_reference, ml_reference
+from oracles import (
+    blocked_vie,
+    convolution_identity_residual,
+    exp_cell_moments_reference,
+    ml_reference,
+)
 
 
 def constant(c):
@@ -585,6 +591,38 @@ class TestIntegratedResolventRatio:
                     assert v == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 
+# Integrating R + lam K*R = lam K over [0, tau] gives an equation for the
+# ratio itself: F(tau) = int_0^tau R_lam/lam solves F + lam K*F = int_0^tau K,
+# a linear VIE with smooth forcing, so one solve on a grid gives F at every
+# node, with no resolvent and no closed form.  Each gate sits above the
+# solve's discretisation error at 250 steps a year; for the fits of H = 0.1,
+# scipy's expm of the lifted system is within 7.7e-4 of the solve.
+MULTI_TERM_RATIO = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the multi-term quadrature ratio is 3.8-7.1 % off")
+RATIO_BY_SOLVE = [
+    pytest.param(lambda: FractionalKernel.from_hurst(0.1), 1.0, 1e-3, id="H0.1"),
+    pytest.param(lambda: FractionalKernel.from_hurst(0.3), 3.0, 5e-5, id="H0.3"),
+    pytest.param(lambda: exponential(0.7, 1.5), 1.0, 5e-6, id="exp"),
+    pytest.param(lambda: fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 1.0)[0],
+                 1.0, 1e-3, id="soe8", marks=MULTI_TERM_RATIO),
+    pytest.param(lambda: fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 20, 1.0)[0],
+                 1.0, 1e-3, id="soe20", marks=MULTI_TERM_RATIO),
+]
+
+
+class TestRatioBySolve:
+    @pytest.mark.parametrize("make_spec, horizon, tol", RATIO_BY_SOLVE)
+    def test_matches_one_linear_solve(self, make_spec, horizon, tol):
+        spec = make_spec()
+        grid = TimeGrid.for_horizon(horizon, 250)
+        nodes = grid.nodes()
+        for lam in (-1.0, -0.315, 0.5, 2.0):
+            ratio = integrated_resolvent_ratio_curve(spec, lam, nodes)
+            by_solve = solve_linear_vie(
+                LinearVieProblem(spec, lam, kernel_integral(spec, nodes), grid))
+            assert np.max(np.abs(by_solve - ratio)) <= tol * np.max(np.abs(ratio)), lam
+
+
 class TestBatchedResolventRatio:
     """The sum-of-exponentials ratio advances every tau in one time loop; each
     value agrees with trapezoid quadrature of resolvent_numeric on its grid."""
@@ -650,12 +688,12 @@ class TestBatchedResolventRatio:
 
 
 def marched_ratio(spec, lam, taus):
-    """The ratio of each tau by the node-by-node march on its own grid."""
+    """The ratio of each tau by the blocked node loop on its own grid."""
     out = np.zeros_like(taus)
     for j in np.flatnonzero(taus):
         grid = TimeGrid(0.0, taus[j], max(200, int(250 * taus[j])))
         a_w, b_w = _lag_weights(*cell_moments(spec, grid.spacing, grid.n_steps), grid.spacing)
-        values = _vie_solve(lam, a_w, b_w, lam * kernel_eval(spec, grid.nodes()))
+        values = blocked_vie(lam, a_w, b_w, lam * kernel_eval(spec, grid.nodes()))
         out[j] = np.trapezoid(values, dx=grid.spacing) / lam
     return out
 
@@ -716,8 +754,9 @@ class TestSeriesInverse:
         assert np.max(np.abs(product) / scale) <= 1e-14
 
 
-# the direct solve against the march: one node, a block but one, a block, a
-# block and one, two blocks and three, and the longest grid of the benchmark
+# the direct solve against the node loop of oracles.blocked_vie: one node, a
+# block but one, a block, a block and one, two blocks and three, and the
+# longest grid of the benchmark
 DIRECT_SIZES = [1, MARCH_BLOCK - 1, MARCH_BLOCK, MARCH_BLOCK + 1, 2 * MARCH_BLOCK + 3, 2100]
 DIRECT_KERNELS = {
     "H0.05": FractionalKernel.from_hurst(0.05),
@@ -743,7 +782,7 @@ class TestDirectSolve:
                                 grid.spacing)
         f = np.cos(3.0 * grid.nodes()) + 0.5
         for lam in DIRECT_LAMS:
-            ref = _vie_solve(lam, a_w, b_w, f)
+            ref = blocked_vie(lam, a_w, b_w, f)
             assert np.all(np.isfinite(ref))
             got = _vie_direct(lam, a_w, b_w, f)
             assert got.shape == ref.shape
@@ -757,7 +796,7 @@ class TestDirectSolve:
         grid = TimeGrid(0.0, 3.0, n)
         a_w, b_w = _lag_weights(*cell_moments(constant(1.0), grid.spacing, n), grid.spacing)
         f = np.cos(3.0 * grid.nodes()) + 0.5
-        ref = _vie_solve(5000.0, a_w, b_w, f)
+        ref = blocked_vie(5000.0, a_w, b_w, f)
         got = _vie_direct(5000.0, a_w, b_w, f)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

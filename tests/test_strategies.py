@@ -45,11 +45,13 @@ TH, GAM, T = STUDY["theta"], STUDY["gamma"], STUDY["horizon"]
 class TestRateCurve:
     def test_flat_integral(self):
         c = RateCurve.flat(0.02)
-        assert c.integral(1.0, 3.5) == pytest.approx(0.05)
+        assert c.cumulative(np.array([0.0, 1.0, 3.5])) == pytest.approx([0.0, 0.02, 0.07])
 
     def test_piecewise_integral(self):
         c = RateCurve((0.0, 1.0, 2.0), (0.01, 0.03, 0.0))
-        assert c.integral(0.5, 2.5) == pytest.approx(0.5 * 0.01 + 1.0 * 0.03)
+        lo, hi = c.cumulative(np.array([0.5, 2.5]))
+        assert lo == pytest.approx(0.5 * 0.01)
+        assert hi - lo == pytest.approx(0.5 * 0.01 + 1.0 * 0.03)
         assert c.values_at(np.array([0.5, 1.5, 9.0])).tolist() == [0.01, 0.03, 0.0]
 
     def test_validation(self):
