@@ -31,8 +31,10 @@ def market(hurst):
 
 
 grid = TimeGrid.for_horizon(HORIZON)
-p_rough, coef_rough = nonexp_log_strategy(market(0.1), discount, HORIZON, grid)
-p_classic, coef_classic = nonexp_log_strategy(market(0.5), discount, HORIZON, grid)
+rough = nonexp_log_strategy(market(0.1), discount, grid)
+classic = nonexp_log_strategy(market(0.5), discount, grid)
+p_rough, coef_rough = rough.consumption, rough.total
+p_classic, coef_classic = classic.consumption, classic.total
 
 print("hyperbolic discount h(s) = (1 + 0.5 s)^(-1.6), T = 3\n")
 print(f"{'t':>5} {'consumption rate':>18} {'investment coef':>17}")

@@ -10,12 +10,12 @@ Run:  python3 demos/crossover_analysis.py
 """
 
 from roughmv import (
-    ConstMVObjective,
     FractionalKernel,
-    LogMVObjective,
     MarketParams,
     RateCurve,
     TimeGrid,
+    const_mv_strategy,
+    log_mv_strategy,
     prefer_rough_crossover,
 )
 
@@ -34,8 +34,10 @@ rough, smooth = market(0.1), market(0.5)
 
 print(f"{'gamma':>8} {'t* const-MV':>14} {'t* log-MV':>12}")
 for gamma in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-    t_const = prefer_rough_crossover(rough, smooth, ConstMVObjective(gamma, HORIZON), grid)
-    t_log = prefer_rough_crossover(rough, smooth, LogMVObjective(gamma, HORIZON), grid)
+    t_const, t_log = (
+        prefer_rough_crossover(strategy(rough, gamma, grid), strategy(smooth, gamma, grid))
+        for strategy in (const_mv_strategy, log_mv_strategy)
+    )
     print(f"{gamma:8.1f} {t_const:14.4f} {t_log:12.4f}")
 
 print("\nconst-MV: one number regardless of gamma;")

@@ -30,7 +30,7 @@ grid = TimeGrid.for_horizon(HORIZON)
 curves = {}
 for hurst in (0.1, 0.3, 0.5):
     market = MarketParams(**market_base, kernel=FractionalKernel.from_hurst(hurst))
-    curves[hurst] = const_mv_strategy(market, GAMMA, HORIZON, grid)
+    curves[hurst] = const_mv_strategy(market, GAMMA, grid)
 
 print(f"const-MV hedge term, T = {HORIZON}, gamma = {GAMMA} (myopic = theta/gamma = 3 at t = T)")
 print(f"{'t':>6} " + " ".join(f"H={h:<10}" for h in curves))

@@ -36,10 +36,10 @@ objective = ConstMVObjective(GAMMA, HORIZON)
 print(f"{N_PATHS} paths, {grid.n_steps} steps, x0 = 1, lifted scheme with 20 factors\n")
 for hurst in (0.1, 0.5):
     market = dataclasses.replace(base, kernel=FractionalKernel.from_hurst(hurst))
-    strategy = const_mv_strategy(market, GAMMA, HORIZON, grid)
+    strategy = const_mv_strategy(market, GAMMA, grid)
     bundle = simulate_variance(market, LiftedFactors(20), grid, N_PATHS, SEED)
     bundle = simulate_wealth(bundle, market, strategy, objective, 1.0)
-    stats = terminal_stats(bundle)
+    stats = terminal_stats(bundle.wealth[:, -1])
     fit = bundle.metadata.get("kernel_fit_l2_error", 0.0)
     label = "rough  " if hurst == 0.1 else "classic"
     print(

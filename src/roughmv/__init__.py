@@ -8,7 +8,6 @@ from .kernels import (
     SumOfExponentialsKernel,
     TimeGrid,
     UnsupportedVariantError,
-    integrated_resolvent_ratio,
     integrated_resolvent_ratio_curve,
     kernel_eval,
     kernel_integral,
@@ -24,7 +23,6 @@ from .volterra import (
     SolverConfig,
     convolve,
     riccati_bound_curve,
-    riccati_bounds,
     solve_linear_vie,
     solve_riccati_volterra,
 )

@@ -416,16 +416,12 @@ class _Outputs(contextlib.AbstractContextManager):
 
 
 def _strategy_for(market, objective, grid) -> StrategyCurve:
+    """The objective's equilibrium strategy on the grid over [0, objective.horizon]."""
     if isinstance(objective, ConstMVObjective):
-        return const_mv_strategy(market, objective.gamma, objective.horizon, grid)
+        return const_mv_strategy(market, objective.gamma, grid)
     if isinstance(objective, LogMVObjective):
-        return log_mv_strategy(
-            market, objective.gamma, objective.delta, objective.horizon, grid
-        )
-    # the consumption problem: the Merton fraction theta, no hedge, and 1/V1
-    p_hat, theta = nonexp_log_strategy(market, objective.discount, objective.horizon, grid)
-    return StrategyCurve(grid, theta, np.zeros_like(theta), theta, kind="nonexp_log",
-                         consumption=p_hat)
+        return log_mv_strategy(market, objective.gamma, grid)
+    return nonexp_log_strategy(market, objective.discount, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +455,15 @@ def cmd_crossover(cfg: dict, outputs: _Outputs):
     rough = _with_hurst(market, h_rough)
     smooth = _with_hurst(market, h_smooth)
     rows = ["gamma,t_star_const_mv,t_star_log_mv"]
+    fmt = lambda v: "" if v is None else repr(float(v))
     for gamma in cfg["gamma_values"]:
-        t_c = prefer_rough_crossover(
-            rough, smooth, ConstMVObjective(gamma, objective.horizon), grid
-        )
-        t_l = prefer_rough_crossover(
-            rough, smooth, LogMVObjective(gamma, objective.horizon), grid
-        )
-        fmt = lambda v: "" if v is None else repr(float(v))
-        rows.append(f"{fmt(gamma)},{fmt(t_c)},{fmt(t_l)}")
+        t_stars = [
+            prefer_rough_crossover(_strategy_for(rough, sweep, grid),
+                                   _strategy_for(smooth, sweep, grid))
+            for sweep in (ConstMVObjective(gamma, objective.horizon),
+                          LogMVObjective(gamma, objective.horizon))
+        ]
+        rows.append(",".join(map(fmt, [gamma, *t_stars])))
     outputs.write("crossover.csv", "\n".join(rows), "\n")
 
 
@@ -537,7 +533,7 @@ def cmd_nonexp(cfg: dict, outputs: _Outputs):
     p_hat, coef = results[0]
     # V1 as the library sums it; 1/p_hat would round it a second time
     cols = {"t": grid.nodes(), "consumption_rate": p_hat, "investment_coefficient": coef,
-            "V1": nonexp_v1(objective.discount, objective.horizon, grid)}
+            "V1": nonexp_v1(objective.discount, grid)}
     outputs.write("nonexp_strategy.csv", columns_to_csv(format_columns(cols)))
     outputs.write("kernel_invariance.json", json.dumps(
         {"hurst_pair": hursts[:2], "bitwise_identical": identical}, sort_keys=True, indent=2,

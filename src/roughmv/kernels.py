@@ -674,13 +674,6 @@ def discrete_convolution(a_w: np.ndarray, b_w: np.ndarray, x: np.ndarray) -> np.
 # Integrated resolvent ratio  int_0^tau R_lam(s)/lam ds
 # ---------------------------------------------------------------------------
 
-def integrated_resolvent_ratio(spec: Kernel, lam: float, tau: float) -> float:
-    """int_0^tau R_lam(s)/lam ds at one tau; see integrated_resolvent_ratio_curve."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return float(integrated_resolvent_ratio_curve(spec, lam, [tau])[0])
-
-
 # |z| up to which the singular-kernel ratio takes the E_{a,a+1} form; within it
 # both Mittag-Leffler calls stay on the float series branches
 _RATIO_NEAR_ZERO = 1.5

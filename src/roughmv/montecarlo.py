@@ -564,13 +564,9 @@ def simulate_wealth(
 # Statistics and exports
 # ---------------------------------------------------------------------------
 
-def terminal_stats(terminal: PathBundle | np.ndarray, n_bins: int = 50) -> TerminalStats:
-    """Mean, unbiased variance and histogram of terminal wealth, given as a
-    bundle with wealth paths or as the vector of terminal values."""
-    if isinstance(terminal, PathBundle):
-        if terminal.wealth is None:
-            raise ValueError("bundle has no wealth paths; run simulate_wealth first")
-        terminal = terminal.wealth[:, -1]
+def terminal_stats(terminal: np.ndarray, n_bins: int = 50) -> TerminalStats:
+    """Mean, unbiased variance and histogram of the terminal wealth vector
+    (for a bundle, bundle.wealth[:, -1])."""
     x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")

@@ -26,7 +26,6 @@ simulator.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ from .kernels import (
 from .volterra import (
     LinearVieProblem,
     RiccatiCoefficients,
-    SolverConfig,
     solve_linear_vie,
     solve_riccati_volterra,
 )
@@ -333,11 +331,9 @@ class ThetaCurve:
         return cls(anchor, times, np.full(n + 1, float(value)))
 
 
-def _check_grid(grid: TimeGrid, horizon: float):
-    if grid.t_start != 0.0 or abs(grid.t_end - horizon) > 1e-12:
-        raise ValueError(
-            f"grid must cover [0, {horizon}], got [{grid.t_start}, {grid.t_end}]"
-        )
+def _check_grid(grid: TimeGrid):
+    if grid.t_start != 0.0:
+        raise ValueError(f"grid must start at t = 0, got [{grid.t_start}, {grid.t_end}]")
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -350,23 +346,22 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 # Const-MV
 # ---------------------------------------------------------------------------
 
-def const_mv_strategy(
-    market: MarketParams, gamma: float, horizon: float, grid: TimeGrid
-) -> StrategyCurve:
-    """Equilibrium dollar-amount coefficient under constant risk aversion.
+def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> StrategyCurve:
+    """Equilibrium dollar-amount coefficient under constant risk aversion, on
+    the grid over [0, T], T = grid.t_end.
 
     The caller multiplies total(t) by sqrt(nu_t) to get the control u_t;
     u_t / sqrt(nu_t) is the dollar amount held in the stock.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    _check_grid(grid, horizon)
+    _check_grid(grid)
     th, rho, sig, kap, phi = (
         market.theta, market.rho, market.sigma, market.kappa, market.phi,
     )
     lam = kap + rho * sig * th
     nodes = grid.nodes()
-    taus = horizon - nodes
+    taus = grid.t_end - nodes
     taus[-1] = 0.0
 
     irr_cal = integrated_resolvent_ratio_curve(market.kernel, lam, taus)
@@ -377,18 +372,15 @@ def const_mv_strategy(
     hedge = -(rho * sig * th**2 / gamma) * disc * irr_cal
     total = myopic + hedge
 
-    # value coefficients, solved on the time-to-maturity grid and flipped back
-    n = grid.n_steps
-    tau_grid = TimeGrid(0.0, horizon, n)
+    # value coefficients, solved in time to maturity (the grid read as a tau
+    # grid) and flipped back
     irr_tau = irr_cal[::-1].copy()
     psi_conv = (th**2 / gamma) * irr_tau  # int_t^T g2(s) K(s-t) ds at tau
     forcing = (th - gamma * sig * rho * psi_conv) ** 2 / (2.0 * gamma) \
         - (gamma * sig**2 / 2.0) * psi_conv**2
-    v2_tau = solve_linear_vie(
-        LinearVieProblem(market.kernel, kap, forcing, tau_grid)
-    )
-    g0_tau = kap * phi * _cumtrapz(psi_conv, tau_grid.spacing)
-    v0_tau = phi * _cumtrapz(forcing - v2_tau, tau_grid.spacing)
+    v2_tau = solve_linear_vie(LinearVieProblem(market.kernel, kap, forcing, grid))
+    g0_tau = kap * phi * _cumtrapz(psi_conv, grid.spacing)
+    v0_tau = phi * _cumtrapz(forcing - v2_tau, grid.spacing)
 
     g1 = 1.0 / disc
     coeffs = {
@@ -412,25 +404,17 @@ def log_mv_existence_margin(market: MarketParams, gamma: float) -> float:
         / (1.0 + gamma) ** 2
 
 
-def log_mv_strategy(
-    market: MarketParams,
-    gamma: float,
-    delta: float,
-    horizon: float,
-    grid: TimeGrid,
-    solver_config: SolverConfig = SolverConfig(),
-) -> StrategyCurve:
-    """Equilibrium proportional-investment coefficient for log-return MV.
+def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> StrategyCurve:
+    """Equilibrium proportional-investment coefficient for log-return MV, on
+    the grid over [0, T], T = grid.t_end.
 
-    For delta != 1 the curve returned is the state-independent factor; the
-    control multiplies nu^((delta-1)/(2 delta)) on top of it (the factor
-    itself does not depend on delta).
+    The curve is the state-independent factor, which does not depend on the
+    generalized-Heston exponent delta; for delta != 1 the control multiplies
+    nu^((delta-1)/(2 delta)) on top of it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    _check_grid(grid, horizon)
+    _check_grid(grid)
     margin = log_mv_existence_margin(market, gamma)
     if margin <= 0:
         raise ValueError(
@@ -441,26 +425,22 @@ def log_mv_strategy(
     th, rho, sig, kap, phi = (
         market.theta, market.rho, market.sigma, market.kappa, market.phi,
     )
-    n = grid.n_steps
-    tau_grid = TimeGrid(0.0, horizon, n)
+    # psi and the value coefficients are solved in time to maturity, on the
+    # grid read as a tau grid, and flipped back
     coeffs = RiccatiCoefficients.log_mv(kap, rho, sig, th, gamma)
-    psi = solve_riccati_volterra(market.kernel, coeffs, tau_grid, solver_config)
-    psi_tau = psi.values
+    psi_tau = solve_riccati_volterra(market.kernel, coeffs, grid).values
 
-    myopic = np.full(n + 1, th / (1.0 + gamma))
+    myopic = np.full(grid.n_steps + 1, th / (1.0 + gamma))
     hedge = -(gamma * rho * sig / (1.0 + gamma)) * psi_tau[::-1]
     total = myopic + hedge
 
     forcing = (th - gamma * rho * sig * psi_tau) ** 2 / (2.0 * (1.0 + gamma)) \
         - (gamma * sig**2 / 2.0) * psi_tau**2
-    v2_tau = solve_linear_vie(
-        LinearVieProblem(market.kernel, kap, forcing, tau_grid)
-    )
-    nodes = grid.nodes()
-    rate_cum = market.rate_curve.cumulative(nodes)
+    v2_tau = solve_linear_vie(LinearVieProblem(market.kernel, kap, forcing, grid))
+    rate_cum = market.rate_curve.cumulative(grid.nodes())
     rate_to_maturity = (rate_cum[-1] - rate_cum)[::-1]  # indexed by tau
-    g0_tau = rate_to_maturity + kap * phi * _cumtrapz(psi_tau, tau_grid.spacing)
-    v0_tau = rate_to_maturity + phi * _cumtrapz(forcing - v2_tau, tau_grid.spacing)
+    g0_tau = rate_to_maturity + kap * phi * _cumtrapz(psi_tau, grid.spacing)
+    v0_tau = rate_to_maturity + phi * _cumtrapz(forcing - v2_tau, grid.spacing)
 
     value = {
         "V2": v2_tau[::-1].copy(),
@@ -475,26 +455,29 @@ def log_mv_strategy(
 # ---------------------------------------------------------------------------
 
 def nonexp_log_strategy(
-    market: MarketParams, discount: Discount, horizon: float, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """(consumption rate 1/V1(t), investment coefficient theta) on the grid.
+    market: MarketParams, discount: Discount, grid: TimeGrid
+) -> StrategyCurve:
+    """The consumption problem's strategy on the grid over [0, T], T = grid.t_end:
+    the Merton fraction theta as total (no hedge), and the consumption rate
+    1/V1(t), V1(t) = int_0^{T-t} h + h(T-t).
 
-    V1(t) = int_0^{T-t} h + h(T-t).  Neither output reads the kernel or the
-    rate curve: roughness and rates move the value function only, so the
-    curves are bitwise identical across kernels by construction.
+    Neither reads the kernel or the rate curve: roughness and rates move the
+    value function only, so the curves are bitwise identical across kernels by
+    construction.
     """
-    _check_grid(grid, horizon)
+    _check_grid(grid)
     h0 = float(discount.h(0.0))
     if abs(h0 - 1.0) > 1e-12:
         raise ValueError(f"discount h(0) = {h0} violates h(0) = 1")
-    consumption = 1.0 / nonexp_v1(discount, horizon, grid)
-    investment = np.full(grid.n_steps + 1, float(market.theta))
-    return consumption, investment
+    theta = np.full(grid.n_steps + 1, float(market.theta))
+    return StrategyCurve(grid, theta, np.zeros_like(theta), theta, kind="nonexp_log",
+                         consumption=1.0 / nonexp_v1(discount, grid))
 
 
-def nonexp_v1(discount: Discount, horizon: float, grid: TimeGrid) -> np.ndarray:
-    """V1(t) = int_0^{T-t} h + h(T-t) at the grid's nodes, the last one taken as T."""
-    taus = horizon - grid.nodes()
+def nonexp_v1(discount: Discount, grid: TimeGrid) -> np.ndarray:
+    """V1(t) = int_0^{T-t} h + h(T-t) at the grid's nodes, T = grid.t_end, the
+    last node taken as T."""
+    taus = grid.t_end - grid.nodes()
     taus[-1] = 0.0
     return np.asarray(discount.integral(taus), dtype=float) + np.asarray(
         discount.h(taus), dtype=float
@@ -569,7 +552,7 @@ def nonexp_value_coeffs(
     h_spacing = grid.spacing
     th = market.theta
 
-    v1 = nonexp_v1(discount, horizon, grid)
+    v1 = nonexp_v1(discount, grid)
 
     rates = market.rate_curve.values_at(nodes)
     integrand = rates - 1.0 / v1
@@ -599,33 +582,18 @@ def nonexp_value_coeffs(
 # Crossover analysis and admissibility
 # ---------------------------------------------------------------------------
 
-def _strategy_total(market: MarketParams, objective: ObjectiveSpec, grid: TimeGrid):
-    if isinstance(objective, ConstMVObjective):
-        return const_mv_strategy(market, objective.gamma, objective.horizon, grid).total
-    if isinstance(objective, LogMVObjective):
-        return log_mv_strategy(
-            market, objective.gamma, objective.delta, objective.horizon, grid
-        ).total
-    raise ValueError("crossover analysis supports const-MV and log-MV objectives")
+def prefer_rough_crossover(rough: StrategyCurve, smooth: StrategyCurve) -> float | None:
+    """Latest calendar time where the rough and smooth curves' totals cross.
 
-
-def prefer_rough_crossover(
-    market_rough: MarketParams,
-    market_smooth: MarketParams,
-    objective: ObjectiveSpec,
-    grid: TimeGrid,
-) -> float | None:
-    """Latest calendar time where the rough and smooth coefficients cross.
-
-    Returns None when the difference never changes sign.  The last strict
-    sign change is used (curves can touch numerically far from maturity),
-    with the crossing located by linear interpolation in the bracketing cell.
+    The two curves must share their grid.  Returns None when the difference
+    never changes sign.  The last strict sign change is used (curves can touch
+    numerically far from maturity), with the crossing located by linear
+    interpolation in the bracketing cell.
     """
-    if dataclasses.replace(market_rough, kernel=market_smooth.kernel) != market_smooth:
-        raise ValueError("markets must differ only in their kernel")
-    total_r = _strategy_total(market_rough, objective, grid)
-    total_s = _strategy_total(market_smooth, objective, grid)
-    diff = total_r - total_s
+    grid = rough.grid
+    if smooth.grid != grid:
+        raise ValueError(f"curves must share their grid, got {grid} and {smooth.grid}")
+    diff = rough.total - smooth.total
     sign_flip = diff[:-1] * diff[1:] < 0.0
     idx = np.nonzero(sign_flip)[0]
     if idx.size == 0:

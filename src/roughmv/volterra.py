@@ -290,26 +290,16 @@ def _q1_inverse(coeffs: RiccatiCoefficients, m) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def riccati_bounds(
-    coeffs: RiccatiCoefficients, kernel: Kernel, t: float
-) -> tuple[float, float]:
-    """(w_star, r1(t)) with w_star < r1(t) < 0; -r1 dominates psi pointwise.
+def riccati_bound_curve(
+    coeffs: RiccatiCoefficients, kernel: Kernel, taus
+) -> np.ndarray:
+    """r1 at an array of times > 0, with negative_root(coeffs) < r1(t) < 0;
+    -r1 dominates psi pointwise.
 
     r1(t) solves Q1(r1) = int_0^t K; since Q1 inverts in closed form the
     root is exact up to rounding.
     """
     _check_bound_preconditions(coeffs)
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    w_star = negative_root(coeffs)
-    target = float(kernel_integral(kernel, t))
-    return float(w_star), float(_q1_inverse(coeffs, target))
-
-
-def riccati_bound_curve(
-    coeffs: RiccatiCoefficients, kernel: Kernel, taus
-) -> np.ndarray:
-    """r1 at an array of times > 0."""
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0):
         raise ValueError("all times must be > 0")

@@ -17,11 +17,9 @@ import numpy as np
 import pytest
 
 from roughmv import (
-    ConstMVObjective,
     ExponentialDiscount,
     FractionalKernel,
     LiftedFactors,
-    LogMVObjective,
     MarketParams,
     RateCurve,
     RiccatiCoefficients,
@@ -29,7 +27,7 @@ from roughmv import (
     SumOfExponentialsKernel,
     TimeGrid,
     const_mv_strategy,
-    integrated_resolvent_ratio,
+    integrated_resolvent_ratio_curve,
     log_mv_existence_margin,
     log_mv_strategy,
     mittag_leffler,
@@ -65,7 +63,7 @@ def test_criterion_1_heston_limit_oracle():
         grid = TimeGrid(0.0, T, 750)
         market = MarketParams(0.04, STUDY["kappa"], 0.04, STUDY["sigma"], STUDY["rho"],
                               TH, RateCurve.flat(0.0), FractionalKernel(1.0, 1.0))
-        curve = const_mv_strategy(market, GAM, T, grid)
+        curve = const_mv_strategy(market, GAM, grid)
         ref = heston_const_mv_total(
             TH, STUDY["rho"], STUDY["sigma"], STUDY["kappa"], GAM, T, 0.0,
             T - grid.nodes(),
@@ -81,8 +79,8 @@ def test_criterion_2_investment_horizon_effect():
         grid = TimeGrid(0.0, T, 750)
         crossings = {}
         for label, build in (
-            ("const_mv", lambda m: const_mv_strategy(m, GAM, T, grid).total),
-            ("log_mv", lambda m: log_mv_strategy(m, GAM, 1.0, T, grid).total),
+            ("const_mv", lambda m: const_mv_strategy(m, GAM, grid).total),
+            ("log_mv", lambda m: log_mv_strategy(m, GAM, grid).total),
         ):
             diff = build(study_market(0.1)) - build(study_market(0.5))
             flips = np.nonzero(diff[:-1] * diff[1:] < 0.0)[0]
@@ -103,9 +101,9 @@ def test_criterion_3_integrated_resolvent_monotone_in_alpha():
         lam = STUDY["kappa"] + STUDY["rho"] * STUDY["sigma"] * TH
         assert lam == pytest.approx(-0.015)
         alphas = [0.55, 0.7, 0.85, 1.0]
-        long_tau = [integrated_resolvent_ratio(FractionalKernel(1.0, a), lam, 50.0)
+        long_tau = [integrated_resolvent_ratio_curve(FractionalKernel(1.0, a), lam, [50.0])[0]
                     for a in alphas]
-        short_tau = [integrated_resolvent_ratio(FractionalKernel(1.0, a), lam, 0.01)
+        short_tau = [integrated_resolvent_ratio_curve(FractionalKernel(1.0, a), lam, [0.01])[0]
                      for a in alphas]
         assert all(x < y for x, y in zip(long_tau, long_tau[1:]))
         assert all(x > y for x, y in zip(short_tau, short_tau[1:]))
@@ -197,14 +195,11 @@ def test_criterion_7_crossover_gamma_structure():
     with Stopwatch() as sw:
         grid = TimeGrid(0.0, T, 750)
         rough, smooth = study_market(0.1), study_market(0.5)
-        const_stars = [
-            prefer_rough_crossover(rough, smooth, ConstMVObjective(g, T), grid)
-            for g in (0.1, 1.0, 10.0)
-        ]
-        log_stars = [
-            prefer_rough_crossover(rough, smooth, LogMVObjective(g, T), grid)
-            for g in (0.1, 1.0, 10.0)
-        ]
+        const_stars, log_stars = (
+            [prefer_rough_crossover(strategy(rough, g, grid), strategy(smooth, g, grid))
+             for g in (0.1, 1.0, 10.0)]
+            for strategy in (const_mv_strategy, log_mv_strategy)
+        )
         assert max(const_stars) - min(const_stars) <= grid.spacing
         assert log_stars[0] > log_stars[1] > log_stars[2]
     assert sw.elapsed < 10.0
@@ -247,17 +242,17 @@ def test_criterion_8_monte_carlo_desk_scale():
             market = dataclasses.replace(
                 base, kernel=FractionalKernel.from_hurst(hurst)
             )
-            strat = const_mv_strategy(market, objective.gamma, objective.horizon, grid)
+            strat = const_mv_strategy(market, objective.gamma, grid)
             b = simulate_variance(market, scheme, grid, n_paths, seed)
             b = simulate_wealth(b, market, strat, objective, 1.0)
-            stats[hurst] = terminal_stats(b)
+            stats[hurst] = terminal_stats(b.wealth[:, -1])
             bundles[hurst] = b
         assert stats[0.1].mean > stats[0.5].mean
         assert stats[0.1].variance > stats[0.5].variance
 
         # (c) seeded rerun is byte-exact
         market = dataclasses.replace(base, kernel=FractionalKernel.from_hurst(0.1))
-        strat = const_mv_strategy(market, objective.gamma, objective.horizon, grid)
+        strat = const_mv_strategy(market, objective.gamma, grid)
         again = simulate_variance(market, scheme, grid, n_paths, seed)
         again = simulate_wealth(again, market, strat, objective, 1.0)
         assert again.variance.tobytes() == bundles[0.1].variance.tobytes()
@@ -275,16 +270,16 @@ def test_criterion_9_nonexp_kernel_invariance():
     with Stopwatch() as sw:
         grid = TimeGrid(0.0, T, 750)
         outs = [
-            nonexp_log_strategy(study_market(h), ExponentialDiscount(0.0), T, grid)
+            nonexp_log_strategy(study_market(h), ExponentialDiscount(0.0), grid)
             for h in (0.1, 0.5)  # alpha = 0.6 vs alpha = 1.0
         ]
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.array_equal(outs[0][1], outs[1][1])
-        assert outs[0][0][0] == 0.25
+        assert np.array_equal(outs[0].consumption, outs[1].consumption)
+        assert np.array_equal(outs[0].total, outs[1].total)
+        assert outs[0].consumption[0] == 0.25
     assert sw.elapsed < 1.0
     print(
         "PASS criterion 9 (consumption kernel invariance): bitwise identical, "
-        f"p(0) = {outs[0][0][0]}, {sw.elapsed:.2f}s"
+        f"p(0) = {outs[0].consumption[0]}, {sw.elapsed:.2f}s"
     )
 
 
@@ -316,8 +311,8 @@ def test_roughness_adjustment_on_a_market_grid():
     with Stopwatch() as sw:
         grid = TimeGrid.for_horizon(3.0, 250)
         builders = {
-            "const_mv": lambda m, gamma: const_mv_strategy(m, gamma, 3.0, grid).total,
-            "log_mv": lambda m, gamma: log_mv_strategy(m, gamma, 1.0, 3.0, grid).total,
+            "const_mv": lambda m, gamma: const_mv_strategy(m, gamma, grid).total,
+            "log_mv": lambda m, gamma: log_mv_strategy(m, gamma, grid).total,
         }
         worst = {kind: (0.0, None) for kind in builders}
         log_mv_markets = 0

@@ -158,6 +158,41 @@ class TestCrossover:
         assert main(["crossover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestOneDispatch:
+    """Every command reaches the strategy functions through cli._strategy_for."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"const_mv": 0, "log_mv": 0}
+        for kind in calls:
+            original = getattr(cli, f"{kind}_strategy")
+
+            def counted(*args, _kind=kind, _original=original, **kwargs):
+                calls[_kind] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, f"{kind}_strategy", counted)
+        return calls
+
+    def test_crossover(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        cfg = str(CONFIG_DIR / "crossover.json")
+        assert main(["crossover", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # one curve per gamma (6), Hurst value (2) and objective
+        assert calls == {"const_mv": 12, "log_mv": 12}
+
+    @pytest.mark.parametrize("variant", ["const_mv", "log_mv"])
+    @pytest.mark.parametrize("command", ["strategy", "hedge-curve", "simulate"])
+    def test_other_commands(self, tmp_path, monkeypatch, command, variant):
+        calls = self._count_calls(monkeypatch)
+        payload = base_config(hurst_values=[0.1, 0.5], grid={"steps_per_year": 50})
+        payload["objective"] = {"variant": variant, "gamma": 0.5, "horizon": 1.0}
+        cfg = write_config(tmp_path, payload)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--paths", "20"]
+        assert main(argv) == 0
+        assert calls[variant] >= 1
+
+
 class TestSimulate:
     def _sim_config(self, **market_overrides):
         payload = base_config()
@@ -232,11 +267,11 @@ class TestStrategyCommand:
         assert header == ["t", "myopic", "hedge", "total", "consumption"]
         cfg = load_config(cfg_path)
         objective = build_objective(cfg)
-        p_hat, coef = nonexp_log_strategy(build_market(cfg), objective.discount,
-                                          objective.horizon,
-                                          build_grid(cfg, objective.horizon))
+        curve = nonexp_log_strategy(build_market(cfg), objective.discount,
+                                    build_grid(cfg, objective.horizon))
+        p_hat = curve.consumption
         assert data[:, 4].tobytes() == p_hat.tobytes()
-        assert data[:, 3].tobytes() == coef.tobytes() and not data[:, 2].any()
+        assert data[:, 3].tobytes() == curve.total.tobytes() and not data[:, 2].any()
         payload = json.loads((out / "strategy.json").read_text())
         assert np.array(payload["consumption"]).tobytes() == p_hat.tobytes()
         assert payload["kind"] == "nonexp_log"
@@ -768,16 +803,16 @@ class TestCurveFileFormatting:
         out = tmp_path / "o"
         assert main(["nonexp", "--config", cfg_path, "--out", str(out)]) == 0
         cfg, market, objective, grid = self._setup(cfg_path)
-        p_hat, coef = nonexp_log_strategy(
-            _with_hurst(market, cfg["hurst_values"][0]), objective.discount,
-            objective.horizon, grid,
+        curve = nonexp_log_strategy(
+            _with_hurst(market, cfg["hurst_values"][0]), objective.discount, grid,
         )
+        p_hat = curve.consumption
         # V1 is the library's, bit for bit; 1 / (1 / V1) was 1 ulp off in 43
         # of this config's 751 values
-        v1 = nonexp_v1(objective.discount, objective.horizon, grid)
+        v1 = nonexp_v1(objective.discount, grid)
         assert np.any(v1 != 1.0 / p_hat)
         cols = {"t": grid.nodes(), "consumption_rate": p_hat,
-                "investment_coefficient": coef, "V1": v1}
+                "investment_coefficient": curve.total, "V1": v1}
         assert (out / "nonexp_strategy.csv").read_text() == _per_element_csv(cols)
 
 
@@ -819,7 +854,7 @@ class TestSimulateBlocks:
         bundle = simulate_wealth(bundle, market, _strategy_for(market, objective, grid),
                                  objective, 1.0)
         assert (out / "paths.csv").read_text() == PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
-        stats = terminal_stats(bundle)
+        stats = terminal_stats(bundle.wealth[:, -1])
         payload = json.loads((out / "terminal_stats.json").read_text())
         assert payload["mean"] == stats.mean and payload["variance"] == stats.variance
         assert payload["histogram"]["counts"] == stats.histogram[1].tolist()

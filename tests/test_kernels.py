@@ -19,7 +19,6 @@ from roughmv import (
     SumOfExponentialsKernel,
     TimeGrid,
     UnsupportedVariantError,
-    integrated_resolvent_ratio,
     integrated_resolvent_ratio_curve,
     kernel_eval,
     kernel_integral,
@@ -382,6 +381,30 @@ def test_runtime_imports_are_the_listed_dependencies():
     assert third_party == listed
 
 
+def test_module_level_imports_are_used():
+    # every name a library module imports at module level is read in that
+    # module; __init__.py imports in order to export
+    import roughmv
+
+    package = Path(roughmv.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
+
+
 # ---------------------------------------------------------------------------
 # Resolvents
 # ---------------------------------------------------------------------------
@@ -494,14 +517,15 @@ class TestNumericResolvent:
 
 class TestIntegratedResolventRatio:
     def test_lambda_zero_alpha_one(self):
-        assert integrated_resolvent_ratio(FractionalKernel(1.0, 1.0), 0.0, 2.0) == pytest.approx(2.0)
+        got = integrated_resolvent_ratio_curve(FractionalKernel(1.0, 1.0), 0.0, [2.0])[0]
+        assert got == pytest.approx(2.0)
 
     def test_lambda_zero_fractional(self):
-        got = integrated_resolvent_ratio(FractionalKernel(1.0, 0.6), 0.0, 1.0)
+        got = integrated_resolvent_ratio_curve(FractionalKernel(1.0, 0.6), 0.0, [1.0])[0]
         assert got == pytest.approx(1.1191749540701223, rel=1e-13)
 
     def test_alpha_one_exponential_closed_form(self):
-        got = integrated_resolvent_ratio(FractionalKernel(1.0, 1.0), -0.015, 3.0)
+        got = integrated_resolvent_ratio_curve(FractionalKernel(1.0, 1.0), -0.015, [3.0])[0]
         assert got == pytest.approx(3.0685239939144628, rel=1e-12)
 
     def test_cross_check_quadrature_of_numeric_resolvent(self):
@@ -511,7 +535,7 @@ class TestIntegratedResolventRatio:
         assert via_quad == pytest.approx(3.0685239939144628, rel=1e-6)
 
     def test_tau_zero(self):
-        assert integrated_resolvent_ratio(FractionalKernel(1.0, 0.6), 0.7, 0.0) == 0.0
+        assert integrated_resolvent_ratio_curve(FractionalKernel(1.0, 0.6), 0.7, [0.0])[0] == 0.0
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3])
     def test_small_argument_against_reference(self, hurst):
@@ -544,15 +568,18 @@ class TestIntegratedResolventRatio:
     @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
     def test_continuity_in_lambda_at_zero(self, tau):
         spec = FractionalKernel(1.0, 0.6)
-        a = integrated_resolvent_ratio(spec, 1e-8, tau)
-        b = integrated_resolvent_ratio(spec, 0.0, tau)
+        a = integrated_resolvent_ratio_curve(spec, 1e-8, [tau])[0]
+        b = integrated_resolvent_ratio_curve(spec, 0.0, [tau])[0]
         assert abs(a - b) <= 1e-6
 
     def test_monotone_in_alpha_large_and_small_tau(self):
         lam = -0.015
         alphas = [0.55, 0.7, 0.85, 1.0]
-        at_50 = [integrated_resolvent_ratio(FractionalKernel(1.0, a), lam, 50.0) for a in alphas]
-        at_001 = [integrated_resolvent_ratio(FractionalKernel(1.0, a), lam, 0.01) for a in alphas]
+        at_50, at_001 = (
+            [integrated_resolvent_ratio_curve(FractionalKernel(1.0, a), lam, [tau])[0]
+             for a in alphas]
+            for tau in (50.0, 0.01)
+        )
         assert all(x < y for x, y in zip(at_50, at_50[1:]))
         assert all(x > y for x, y in zip(at_001, at_001[1:]))
 
@@ -566,14 +593,15 @@ class TestIntegratedResolventRatio:
         ]:
             r = resolvent_closed_form(spec, lam)
             ref, _ = quad(lambda s: r(s) / lam, 0.0, 1.5)
-            assert integrated_resolvent_ratio(spec, lam, 1.5) == pytest.approx(ref, rel=1e-9)
+            got = integrated_resolvent_ratio_curve(spec, lam, [1.5])[0]
+            assert got == pytest.approx(ref, rel=1e-9)
 
     def test_sum_of_exponentials_fallback(self):
         # two terms at one rate: the quadrature fallback against the one-term form
         sum_spec = SumOfExponentialsKernel((0.2, 0.3), (1.2, 1.2))
         exp_spec = exponential(0.5, 1.2)
-        got = integrated_resolvent_ratio(sum_spec, 0.4, 1.5)
-        ref = integrated_resolvent_ratio(exp_spec, 0.4, 1.5)
+        got = integrated_resolvent_ratio_curve(sum_spec, 0.4, [1.5])[0]
+        ref = integrated_resolvent_ratio_curve(exp_spec, 0.4, [1.5])[0]
         assert got == pytest.approx(ref, rel=1e-5)
 
     def test_curve_matches_scalar(self):
@@ -587,7 +615,7 @@ class TestIntegratedResolventRatio:
             for lam in (0.3, 0.0):
                 curve = integrated_resolvent_ratio_curve(spec, lam, taus)
                 for t, v in zip(taus, curve):
-                    scalar = integrated_resolvent_ratio(spec, lam, t)
+                    scalar = integrated_resolvent_ratio_curve(spec, lam, [t])[0]
                     assert v == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 

@@ -306,7 +306,7 @@ class TestPathBlocks:
             assert [b.wealth.shape[0] for b in blocks] == [5, 5, 5, 5, 3]
             terminal = np.concatenate([b.wealth[:, -1] for b in blocks])
             assert terminal.tobytes() == full.wealth[:, -1].tobytes()
-            stats_full, stats_blocks = terminal_stats(full), terminal_stats(terminal)
+            stats_full, stats_blocks = terminal_stats(full.wealth[:, -1]), terminal_stats(terminal)
             assert (stats_full.mean, stats_full.variance) == (stats_blocks.mean,
                                                               stats_blocks.variance)
 
@@ -318,7 +318,7 @@ class TestPathBlocks:
         else:
             assert last.log_wealth.shape == (self.N, 1)
             assert last.log_wealth.tobytes() == full.log_wealth[:, -1:].tobytes()
-        stats_last, stats_full = terminal_stats(last), terminal_stats(full)
+        stats_last, stats_full = (terminal_stats(b.wealth[:, -1]) for b in (last, full))
         assert (stats_last.mean, stats_last.variance) == (stats_full.mean, stats_full.variance)
 
     def test_time_major_march_matches_path_major_reference(self):
@@ -366,9 +366,8 @@ class TestPathBlocks:
         grid, n = self.GRID, self.GRID.n_steps
         b = simulate_variance(market, LiftedFactors(10), grid, self.N, 12)
         objective = NonExpLogObjective(ExponentialDiscount(0.1), 1.0)
-        consumption, coef = nonexp_log_strategy(market, objective.discount, 1.0, grid)
-        strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test",
-                                 consumption=consumption)
+        strategy = nonexp_log_strategy(market, objective.discount, grid)
+        consumption, coef = strategy.consumption, strategy.total
         got = simulate_wealth(b, market, strategy, objective, 1.0)
         h, th, nu = grid.spacing, market.theta, b.variance
         rates = market.rate_curve.values_at(grid.nodes())
@@ -554,46 +553,32 @@ class TestSimulateWealth:
 # ---------------------------------------------------------------------------
 
 class TestTerminalStats:
-    def _bundle_with_wealth(self, wealth):
-        grid = TimeGrid(0.0, 1.0, wealth.shape[1] - 1)
-        return dataclasses.replace(
-            simulate_variance(make_market(), LiftedFactors(2), grid, wealth.shape[0], 0),
-            wealth=wealth,
-        )
-
     @pytest.mark.parametrize("value", [5e300, np.inf])
     def test_unbinnable_range_is_named(self, value):
         with pytest.raises(ValueError, match="terminal wealth range"):
             terminal_stats(np.array([1.0, value] if value == np.inf else [value] * 3))
 
     def test_identical_paths(self):
-        b = self._bundle_with_wealth(np.full((5, 3), 2.5))
-        st_ = terminal_stats(b, n_bins=4)
+        st_ = terminal_stats(np.full(5, 2.5), n_bins=4)
         assert st_.mean == 2.5 and st_.variance == 0.0
         assert st_.histogram[1].sum() == 5
 
     def test_two_paths_hand_computed(self):
-        wealth = np.array([[1.0, 1.0], [1.0, 3.0]])
-        st_ = terminal_stats(self._bundle_with_wealth(wealth), n_bins=2)
+        st_ = terminal_stats(np.array([1.0, 3.0]), n_bins=2)
         assert st_.mean == 2.0
         assert st_.variance == 2.0  # unbiased
         assert st_.histogram[1].tolist() == [1, 1]
 
     def test_single_path_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            terminal_stats(self._bundle_with_wealth(np.ones((1, 3))))
-
-    def test_wealth_required(self):
-        b = simulate_variance(make_market(), LiftedFactors(2), TimeGrid(0.0, 1.0, 10), 3, 0)
-        with pytest.raises(ValueError, match="wealth"):
-            terminal_stats(b)
+            terminal_stats(np.ones(1))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=12))
     def test_histogram_counts_sum_to_paths(self, n_paths, n_bins):
         rng = np.random.default_rng(n_paths * 100 + n_bins)
-        wealth = rng.lognormal(size=(n_paths, 2))
-        st_ = terminal_stats(self._bundle_with_wealth(wealth), n_bins=n_bins)
+        terminal = rng.lognormal(size=(n_paths, 2))[:, -1]
+        st_ = terminal_stats(terminal, n_bins=n_bins)
         assert st_.histogram[1].sum() == n_paths
         assert st_.variance >= 0.0
 
@@ -652,7 +637,7 @@ class TestMeanDynamics:
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01, hurst=hurst)
         horizon = 2.0
         grid = TimeGrid(0.0, horizon, 500)
-        strat = const_mv_strategy(market, 0.5, horizon, grid)
+        strat = const_mv_strategy(market, 0.5, grid)
         b = simulate_variance(market, LiftedFactors(20), grid, 4000, 55)
         b = simulate_wealth(b, market, strat, ConstMVObjective(0.5, horizon), 1.0)
         x = b.wealth[:, -1]

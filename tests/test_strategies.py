@@ -31,6 +31,7 @@ from roughmv import (
     strategy_to_csv,
     strategy_to_json,
 )
+from roughmv.cli import _strategy_for
 from roughmv.strategies import TEXT_PIECE, format_columns, strategy_columns
 from conftest import STUDY, study_market
 from oracles import heston_const_mv_total, heston_log_mv_curves
@@ -98,40 +99,40 @@ class TestMarketValidation:
 
 class TestConstMV:
     def test_boundary_at_maturity(self, market_rough, grid750):
-        curve = const_mv_strategy(market_rough, GAM, T, grid750)
+        curve = const_mv_strategy(market_rough, GAM, grid750)
         assert curve.hedge[-1] == 0.0
         assert curve.total[-1] == pytest.approx(TH / GAM, rel=1e-14)
 
     def test_rho_zero_kills_hedge(self, grid750):
-        curve = const_mv_strategy(study_market(0.1, rho=0.0), GAM, T, grid750)
+        curve = const_mv_strategy(study_market(0.1, rho=0.0), GAM, grid750)
         assert np.all(curve.hedge == 0.0)
         np.testing.assert_allclose(curve.total, TH / GAM, rtol=1e-14)
 
     def test_heston_hedge_at_zero(self, market_smooth, grid750):
         # lam = kappa + rho sigma theta = -0.015; hedge(0) =
         # 0.945 * (1 - e^{0.045})/(-0.015), frozen from the exp oracle
-        curve = const_mv_strategy(market_smooth, GAM, T, grid750)
+        curve = const_mv_strategy(market_smooth, GAM, grid750)
         assert curve.hedge[0] == pytest.approx(2.8997551742491674, rel=1e-12)
 
     def test_gamma_precondition(self, market_rough, grid750):
         with pytest.raises(ValueError):
-            const_mv_strategy(market_rough, 0.0, T, grid750)
+            const_mv_strategy(market_rough, 0.0, grid750)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.01, max_value=20.0))
     def test_gamma_scaling(self, gamma):
         grid = TimeGrid(0.0, T, 150)
         market = study_market(0.1)
-        base = const_mv_strategy(market, gamma, T, grid)
-        double = const_mv_strategy(market, 2.0 * gamma, T, grid)
+        base = const_mv_strategy(market, gamma, grid)
+        double = const_mv_strategy(market, 2.0 * gamma, grid)
         np.testing.assert_allclose(base.total, 2.0 * double.total, rtol=1e-12)
 
     def test_g1_equals_v1(self, market_rough, grid750):
-        curve = const_mv_strategy(market_rough, GAM, T, grid750)
+        curve = const_mv_strategy(market_rough, GAM, grid750)
         np.testing.assert_array_equal(curve.value_coeffs["g1"], curve.value_coeffs["V1"])
 
     def test_terminal_value_coefficients(self, market_rough, grid750):
-        curve = const_mv_strategy(market_rough, GAM, T, grid750)
+        curve = const_mv_strategy(market_rough, GAM, grid750)
         vc = curve.value_coeffs
         assert vc["V1"][-1] == 1.0 and vc["g1"][-1] == 1.0
         assert vc["V0"][-1] == 0.0 and vc["g0"][-1] == 0.0
@@ -140,7 +141,7 @@ class TestConstMV:
     def test_heston_oracle_full_curve(self, grid750):
         market = MarketParams(0.04, STUDY["kappa"], 0.04, STUDY["sigma"], STUDY["rho"],
                               TH, RateCurve.flat(0.0), FractionalKernel(1.0, 1.0))
-        curve = const_mv_strategy(market, GAM, T, grid750)
+        curve = const_mv_strategy(market, GAM, grid750)
         ref = heston_const_mv_total(
             TH, STUDY["rho"], STUDY["sigma"], STUDY["kappa"], GAM, T, 0.0,
             T - grid750.nodes(),
@@ -150,21 +151,24 @@ class TestConstMV:
     def test_nonzero_rate_discounting(self):
         grid = TimeGrid(0.0, 2.0, 100)
         market = study_market(0.5, rate=0.05)
-        curve = const_mv_strategy(market, GAM, 2.0, grid)
+        curve = const_mv_strategy(market, GAM, grid)
         assert curve.myopic[0] == pytest.approx((TH / GAM) * math.exp(-0.1), rel=1e-13)
         assert curve.value_coeffs["V1"][0] == pytest.approx(math.exp(0.1), rel=1e-13)
 
     def test_horizon_effect_long_horizon(self):
         grid = TimeGrid(0.0, 10.0, 2500)
-        rough = const_mv_strategy(study_market(0.1), GAM, 10.0, grid)
-        smooth = const_mv_strategy(study_market(0.5), GAM, 10.0, grid)
+        rough = const_mv_strategy(study_market(0.1), GAM, grid)
+        smooth = const_mv_strategy(study_market(0.5), GAM, grid)
         i_near_end = int(np.searchsorted(grid.nodes(), 10.0 - 0.05))
         assert rough.total[0] < smooth.total[0]
         assert rough.total[i_near_end] > smooth.total[i_near_end]
 
-    def test_grid_horizon_mismatch(self, market_rough):
-        with pytest.raises(ValueError):
-            const_mv_strategy(market_rough, GAM, 3.0, TimeGrid(0.0, 2.0, 100))
+    def test_grid_must_start_at_zero(self, market_rough):
+        for strategy in (const_mv_strategy, log_mv_strategy):
+            with pytest.raises(ValueError, match="start at t = 0"):
+                strategy(market_rough, GAM, TimeGrid(1.0, 3.0, 100))
+        with pytest.raises(ValueError, match="start at t = 0"):
+            nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), TimeGrid(1.0, 3.0, 100))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +177,16 @@ class TestConstMV:
 
 class TestLogMV:
     def test_small_gamma_limit(self, market_rough, grid750):
-        curve = log_mv_strategy(market_rough, 1e-12, 1.0, T, grid750)
+        curve = log_mv_strategy(market_rough, 1e-12, grid750)
         np.testing.assert_allclose(curve.total, TH, rtol=1e-9)
 
     def test_boundary_at_maturity(self, market_rough, grid750):
-        curve = log_mv_strategy(market_rough, GAM, 1.0, T, grid750)
+        curve = log_mv_strategy(market_rough, GAM, grid750)
         assert curve.hedge[-1] == 0.0
         assert curve.total[-1] == pytest.approx(TH / (1.0 + GAM), rel=1e-14)
 
     def test_hedge_positive_under_leverage(self, market_rough, grid750):
-        curve = log_mv_strategy(market_rough, GAM, 1.0, T, grid750)
+        curve = log_mv_strategy(market_rough, GAM, grid750)
         assert np.all(curve.hedge[:-1] > 0.0)
         assert np.all(curve.total[:-1] > TH / (1.0 + GAM))
 
@@ -192,18 +196,19 @@ class TestLogMV:
         gamma = 5.0
         assert log_mv_existence_margin(market, gamma) <= 0
         with pytest.raises(ValueError, match="existence"):
-            log_mv_strategy(market, gamma, 1.0, T, grid750)
+            log_mv_strategy(market, gamma, grid750)
 
     def test_delta_does_not_change_coefficient(self, market_rough, grid750):
-        base = log_mv_strategy(market_rough, GAM, 1.0, T, grid750)
-        gen = log_mv_strategy(market_rough, GAM, 2.0, T, grid750)
+        # the objective's delta reaches the simulator, not the strategy
+        base = _strategy_for(market_rough, LogMVObjective(GAM, T, 1.0), grid750)
+        gen = _strategy_for(market_rough, LogMVObjective(GAM, T, 2.0), grid750)
         np.testing.assert_array_equal(base.total, gen.total)
 
     def test_heston_oracle_curves(self):
         grid = TimeGrid(0.0, T, 3000)
         market = MarketParams(0.04, STUDY["kappa"], 0.04, STUDY["sigma"], STUDY["rho"],
                               TH, RateCurve.flat(0.0), FractionalKernel(1.0, 1.0))
-        curve = log_mv_strategy(market, GAM, 1.0, T, grid)
+        curve = log_mv_strategy(market, GAM, grid)
         taus = T - grid.nodes()
         psi_ref, v2_ref, v0_ref, g0_ref = heston_log_mv_curves(
             TH, STUDY["rho"], STUDY["sigma"], STUDY["kappa"], 0.04, GAM, 0.0, taus
@@ -216,8 +221,8 @@ class TestLogMV:
 
     def test_horizon_effect_long_horizon(self):
         grid = TimeGrid(0.0, 10.0, 2500)
-        rough = log_mv_strategy(study_market(0.1), GAM, 1.0, 10.0, grid)
-        smooth = log_mv_strategy(study_market(0.5), GAM, 1.0, 10.0, grid)
+        rough = log_mv_strategy(study_market(0.1), GAM, grid)
+        smooth = log_mv_strategy(study_market(0.5), GAM, grid)
         i_near_end = int(np.searchsorted(grid.nodes(), 10.0 - 0.05))
         assert rough.total[0] < smooth.total[0]
         assert rough.total[i_near_end] > smooth.total[i_near_end]
@@ -229,32 +234,34 @@ class TestLogMV:
 
 class TestNonExpStrategy:
     def test_unit_discount(self, market_rough, grid750):
-        p_hat, coef = nonexp_log_strategy(market_rough, ExponentialDiscount(0.0), T, grid750)
-        assert p_hat[0] == 0.25  # V1(0) = 3 + 1 exactly for h = 1
-        assert np.all(coef == TH)
+        curve = nonexp_log_strategy(market_rough, ExponentialDiscount(0.0), grid750)
+        assert curve.kind == "nonexp_log"
+        assert curve.consumption[0] == 0.25  # V1(0) = 3 + 1 exactly for h = 1
+        assert np.all(curve.total == TH) and np.all(curve.myopic == TH)
+        assert np.all(curve.hedge == 0.0)
 
     def test_exponential_discount_value(self, market_rough):
         grid = TimeGrid(0.0, 1.0, 250)
-        p_hat, _ = nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), 1.0, grid)
+        p_hat = nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), grid).consumption
         assert p_hat[0] == pytest.approx(0.53865866002908129, rel=1e-13)
 
     def test_kernel_invariance_is_bitwise(self, grid750):
         disc = HyperbolicDiscount(0.5, 0.8)
         outs = [
-            nonexp_log_strategy(study_market(h), disc, T, grid750)
+            nonexp_log_strategy(study_market(h), disc, grid750)
             for h in (0.1, 0.5)
         ]
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.array_equal(outs[0][1], outs[1][1])
+        assert np.array_equal(outs[0].consumption, outs[1].consumption)
+        assert np.array_equal(outs[0].total, outs[1].total)
 
     def test_h0_violation_rejected(self, market_rough, grid750):
         bad = dataclasses.replace(ExponentialDiscount(0.0))
         object.__setattr__(bad, "h", lambda s: np.asarray(s) * 0.0 + 0.999)
         with pytest.raises(ValueError):
-            nonexp_log_strategy(market_rough, bad, T, grid750)
+            nonexp_log_strategy(market_rough, bad, grid750)
 
     def test_consumption_rises_toward_maturity(self, market_rough, grid750):
-        p_hat, _ = nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), T, grid750)
+        p_hat = nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), grid750).consumption
         assert np.all(np.diff(p_hat) > 0)
         assert p_hat[-1] == pytest.approx(1.0)  # V1(T) = h(0) = 1
 
@@ -383,15 +390,13 @@ class TestNonExpValueCoeffs:
 
 class TestCrossover:
     def test_identical_kernels_return_none(self, market_rough, grid750):
-        assert prefer_rough_crossover(
-            market_rough, market_rough, ConstMVObjective(GAM, T), grid750
-        ) is None
+        curve = const_mv_strategy(market_rough, GAM, grid750)
+        assert prefer_rough_crossover(curve, curve) is None
 
     def test_const_mv_gamma_invariance(self, market_rough, market_smooth, grid750):
         stars = [
-            prefer_rough_crossover(
-                market_rough, market_smooth, ConstMVObjective(g, T), grid750
-            )
+            prefer_rough_crossover(const_mv_strategy(market_rough, g, grid750),
+                                   const_mv_strategy(market_smooth, g, grid750))
             for g in (0.1, 1.0, 10.0)
         ]
         assert stars[0] is not None
@@ -400,18 +405,18 @@ class TestCrossover:
     def test_log_mv_more_risk_averse_prefers_rough_earlier(
         self, market_rough, market_smooth, grid750
     ):
-        t_low = prefer_rough_crossover(
-            market_rough, market_smooth, LogMVObjective(0.5, T), grid750
-        )
-        t_high = prefer_rough_crossover(
-            market_rough, market_smooth, LogMVObjective(5.0, T), grid750
+        t_low, t_high = (
+            prefer_rough_crossover(log_mv_strategy(market_rough, g, grid750),
+                                   log_mv_strategy(market_smooth, g, grid750))
+            for g in (0.5, 5.0)
         )
         assert t_high < t_low
 
-    def test_non_kernel_difference_rejected(self, market_rough, grid750):
-        other = dataclasses.replace(study_market(0.5), sigma=0.4)
-        with pytest.raises(ValueError, match="kernel"):
-            prefer_rough_crossover(market_rough, other, ConstMVObjective(GAM, T), grid750)
+    def test_curves_on_different_grids_rejected(self, market_rough, market_smooth, grid750):
+        rough = const_mv_strategy(market_rough, GAM, grid750)
+        smooth = const_mv_strategy(market_smooth, GAM, TimeGrid(0.0, T, 300))
+        with pytest.raises(ValueError, match="share their grid"):
+            prefer_rough_crossover(rough, smooth)
 
 
 class TestAdmissibility:
@@ -433,7 +438,7 @@ class TestAdmissibility:
         assert admissibility_constant(1.5, flat, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_p_must_exceed_one(self, market_rough, grid750):
-        curve = log_mv_strategy(market_rough, GAM, 1.0, T, grid750)
+        curve = log_mv_strategy(market_rough, GAM, grid750)
         with pytest.raises(ValueError):
             admissibility_constant(TH, curve, 1.0)
 
@@ -451,7 +456,7 @@ class TestAdmissibility:
 
 class TestSerialization:
     def test_csv_round_trip_lossless(self, market_rough, grid750):
-        curve = const_mv_strategy(market_rough, GAM, T, grid750)
+        curve = const_mv_strategy(market_rough, GAM, grid750)
         text = strategy_to_csv(curve)
         header, *rows = text.strip().split("\n")
         assert header.split(",") == [
@@ -463,14 +468,14 @@ class TestSerialization:
         np.testing.assert_array_equal(parsed[:, 8], curve.value_coeffs["g2"])
 
     def test_log_mv_columns(self, market_rough, grid750):
-        curve = log_mv_strategy(market_rough, GAM, 1.0, T, grid750)
+        curve = log_mv_strategy(market_rough, GAM, grid750)
         header = strategy_to_csv(curve).split("\n", 1)[0]
         assert header.split(",") == ["t", "myopic", "hedge", "total", "V2", "V0", "g0"]
 
     def test_json_round_trip(self, market_rough, grid750):
         import json
 
-        curve = const_mv_strategy(market_rough, GAM, T, grid750)
+        curve = const_mv_strategy(market_rough, GAM, grid750)
         payload = json.loads(strategy_to_json(curve))
         assert payload["kind"] == "const_mv"
         np.testing.assert_array_equal(np.array(payload["total"]), curve.total)
@@ -484,8 +489,8 @@ class TestSerialization:
         odd = np.linspace(-1.0, 1.0, n)
         odd[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
         curves = [
-            const_mv_strategy(market_rough, GAM, T, grid750),
-            log_mv_strategy(market_rough, GAM, 1.0, T, grid750),
+            const_mv_strategy(market_rough, GAM, grid750),
+            log_mv_strategy(market_rough, GAM, grid750),
             StrategyCurve(grid750, np.ones(n), np.zeros(n), np.ones(n),
                           {"V1": odd, "g0": np.full(n, 1e300)}, kind="edge \"case\""),
         ]

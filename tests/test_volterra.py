@@ -14,8 +14,8 @@ from roughmv import (
     convolve,
     fit_sum_of_exponentials,
     integrated_resolvent_ratio_curve,
+    kernel_integral,
     riccati_bound_curve,
-    riccati_bounds,
     solve_linear_vie,
     solve_riccati_volterra,
 )
@@ -257,27 +257,32 @@ class TestDiscreteResidual:
 class TestRiccatiBounds:
     def test_quadratic_root_example(self):
         coeffs = RiccatiCoefficients(0.5, -1.5, -0.5)
-        w_star, r1 = riccati_bounds(coeffs, FractionalKernel(1.0, 0.6), 1.0)
+        w_star = negative_root(coeffs)
+        (r1,) = riccati_bound_curve(coeffs, FractionalKernel(1.0, 0.6), [1.0])
         assert w_star == pytest.approx(-0.30277563773199465, rel=1e-12)
         assert w_star < r1 < 0.0
 
     def test_linear_root(self):
-        coeffs = RiccatiCoefficients(0.0, -0.7, -0.3)
-        w_star, _ = riccati_bounds(coeffs, FractionalKernel(1.0, 1.0), 1.0)
+        w_star = negative_root(RiccatiCoefficients(0.0, -0.7, -0.3))
         assert w_star == pytest.approx(-0.3 / 0.7, rel=1e-14)
 
     def test_r1_vanishes_at_short_times(self):
         coeffs = RiccatiCoefficients(0.5, -1.5, -0.5)
-        _, r1 = riccati_bounds(coeffs, FractionalKernel(1.0, 0.6), 1e-9)
+        (r1,) = riccati_bound_curve(coeffs, FractionalKernel(1.0, 0.6), [1e-9])
         assert -1e-4 < r1 < 0.0
 
     def test_precondition_errors(self):
-        with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, 0.1, -0.5), UNIT, 1.0)
-        with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, -1.5, 0.1), UNIT, 1.0)
-        with pytest.raises(ValueError):
-            riccati_bounds(RiccatiCoefficients(0.5, -1.5, -0.5), UNIT, 0.0)
+        # outside its preconditions the curve is no bound; H0 > 0 gave a
+        # positive r1
+        for coeffs, field in [
+            (RiccatiCoefficients(0.5, 0.1, -0.5), "H1"),
+            (RiccatiCoefficients(0.5, -1.5, 0.1), "H0"),
+            (RiccatiCoefficients(-0.5, -1.5, -0.5), "H2"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                riccati_bound_curve(coeffs, UNIT, [0.5, 1.0])
+        with pytest.raises(ValueError, match="> 0"):
+            riccati_bound_curve(RiccatiCoefficients(0.5, -1.5, -0.5), UNIT, [0.0, 1.0])
 
     @pytest.mark.parametrize("w", [-0.05, -0.15, -0.25, -0.3])
     def test_q1_closed_form_against_quadrature(self, w):
@@ -289,13 +294,15 @@ class TestRiccatiBounds:
         for w in (-0.1, -0.3, -0.42):
             assert q1(coeffs, w) == pytest.approx(q1_quadrature(coeffs, w), rel=1e-10)
 
-    def test_bound_curve_matches_scalar_api(self):
+    def test_bound_curve_solves_q1_pointwise(self):
+        # r1(t) solves Q1(r1) = int_0^t K, at each time alone as in the array
         coeffs = fig_coeffs()
         kernel = FractionalKernel(1.0, 0.6)
         taus = np.array([0.1, 0.5, 1.5, 3.0])
         curve = riccati_bound_curve(coeffs, kernel, taus)
         for t, v in zip(taus, curve):
-            assert v == pytest.approx(riccati_bounds(coeffs, kernel, t)[1], rel=1e-12)
+            assert v == pytest.approx(riccati_bound_curve(coeffs, kernel, [t])[0], rel=1e-12)
+            assert q1(coeffs, v) == pytest.approx(kernel_integral(kernel, t), rel=1e-12)
 
     def test_psi_respects_bounds(self):
         coeffs = fig_coeffs()
