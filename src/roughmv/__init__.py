@@ -21,7 +21,6 @@ from .volterra import (
     PsiSolution,
     RiccatiCoefficients,
     SolverConfig,
-    convolve,
     riccati_bound_curve,
     solve_linear_vie,
     solve_riccati_volterra,

@@ -1,17 +1,24 @@
 """Path simulation of the Volterra Heston model and terminal-wealth statistics.
 
-Two variance schemes:
+Both variance schemes are the Euler step of the Volterra equation
 
-* EulerConvolution: direct kernel-weighted discretization
-      nu_i = nu0 + sum_{j<i} K(t_i - t_j) [kappa (phi - nu_j) dt
-                                           + sigma sqrt(nu_j) dB_j],
-  O(n_steps^2) work per path, most of it in matrix products over blocks of
-  steps; fine for short horizons, slow beyond ~10^4 steps.
+    nu_{i+1} = nu0 + sum_{j<=i} K((i + 1 - j) h) [kappa (phi - nu_j) h
+                                                 + sigma sqrt(nu_j) dB_j],
 
-* LiftedFactors: the kernel is replaced by a fitted sum of exponentials and
-  the resulting n-factor Markovian system is simulated with an exponential
-  Euler step, O(n_steps * n_factors) per path.  Exact (zero fit error) for
-  every kernel that is not singular: those are sums of exponentials already.
+run by one time-major stepper (_volterra_march) on a kernel's lag values:
+
+* EulerConvolution: on the model's kernel K.  The shocks from before a
+  block of steps enter through Toeplitz products over the whole history,
+  O(n_steps^2) work per path; fine for short horizons, slow beyond ~10^4
+  steps.
+* LiftedFactors: on a fitted sum of exponentials K(t) = sum_m w_m e^{-x_m t},
+  the n-factor Markovian lift.  The history lives in the factor state,
+  which enters and is updated by two small products per block,
+  O(n_steps * n_factors) per path.  Exact (zero fit error) for every kernel
+  that is not singular: those are sums of exponentials already.
+
+Inside a block each step adds its lags as a sum over the rows of the
+block's shocks, which runs in row order for every path.
 
 Negative variance is handled by full truncation: updates read the stored
 max(nu, 0) and nu is stored post-truncation, so every sample is >= 0.
@@ -20,13 +27,16 @@ Reproducibility: path i draws from its own substream
 SeedSequence(seed, spawn_key=(i,)), so it depends only on (seed, i), never on
 which paths are simulated with it.  The four words that seed each path's
 PCG64 are derived for a whole block in one array pass (_path_seed_words), bit
-for bit those of NumPy's SeedSequence.  Reductions use fixed-order einsum sums
-rather than shape-dependent BLAS kernels, or BLAS products of one fixed shape
-(_euler_convolution_chunk).  A range of path indices can
-therefore be simulated in blocks of PATH_BLOCK paths, which gives the rows of
-one call over the whole range bit for bit with memory O(block x steps).
-A block is time-major from the draw to the wealth, so each step of a march
-reads one contiguous row; PathBundle holds (n_paths, .) views of its arrays.
+for bit those of NumPy's SeedSequence.  Every reduction is elementwise in the
+paths: sums over time-major rows, which run in row order for every path, or
+BLAS products of one fixed shape on groups of _HISTORY_GROUP paths
+(_padded_groups).  (A sum along a path's own row, einsum("pm,m->p"), is
+vectorised instead: on AVX-512 it rounds unlike a loop over m, if alike for
+every path.)  A range of path indices can therefore be simulated
+in blocks of PATH_BLOCK paths, which gives the rows of one call over the
+whole range bit for bit with memory O(block x steps).  A block is
+time-major from the draw to the wealth, so each step of a march reads one
+contiguous row; PathBundle holds (n_paths, .) views of its arrays.
 """
 
 from __future__ import annotations
@@ -63,22 +73,29 @@ from .strategies import (
 # Paths per block when a command streams a simulation (see cli.cmd_simulate).
 PATH_BLOCK = 1024
 
-# Arrays a block of log-MV paths holds when it keeps its wealth paths, one
-# element each per path and node: variance, dW1, dB, log-wealth and wealth.
-BLOCK_ARRAYS = 5
-
-# Array elements one block of paths may hold: BLOCK_ARRAYS per path and node.
+# Array elements one block of paths may hold: block_arrays per path and node.
 MAX_ELEMENTS = 150_000_000
 
-# The exact-kernel scheme's history: steps per block, whose earlier shocks
-# enter through one matrix product, and paths per product (see
-# _euler_convolution_chunk).
+# Steps per block of the exact-kernel scheme, whose earlier shocks enter
+# through one Toeplitz product (see _exact_history), and paths per product
+# of either scheme's history (see _padded_groups).
 _HISTORY_BLOCK = 64
 _HISTORY_GROUP = 32
+
+# Steps per block of the lifted scheme, whose earlier shocks enter through
+# its factor state, and the powers of a factor's decay below which they are
+# 0 (see _lifted_history).
+_LIFTED_BLOCK = 8
+_POWER_FLOOR = 2.0**-500
+
+# Steps whose wealth terms that do not read the wealth are taken at once
+# (see simulate_wealth); their arrays add to the block's peak memory.
+_WEALTH_CHUNK = 16
 
 # Paths _draw_increments draws path-major before one transposed copy into the
 # time-major draws: a strided copy per path took a fifth of the draw stage,
 # and a larger buffer is barely faster but adds to the block's peak memory.
+# Also the steps per pass that mix dW1 into dB, for the same reason.
 _DRAW_CHUNK = 32
 
 
@@ -230,10 +247,18 @@ def _path_range(paths: int | range) -> range:
     return ids
 
 
-def block_paths(grid: TimeGrid) -> int:
+def block_arrays(scheme: SimScheme, keep_paths: bool) -> int:
+    """Arrays of one element per path and node that a block holds: variance,
+    dW1 and dB; the exact kernel's shock history; with keep_paths the wealth
+    and log-wealth paths."""
+    return 3 + isinstance(scheme, EulerConvolution) + 2 * keep_paths
+
+
+def block_paths(grid: TimeGrid, scheme: SimScheme, keep_paths: bool) -> int:
     """Paths per streamed block on this grid: PATH_BLOCK, or as many as fit
     in MAX_ELEMENTS (at least one)."""
-    return max(1, min(PATH_BLOCK, MAX_ELEMENTS // (BLOCK_ARRAYS * (grid.n_steps + 1))))
+    per_path = block_arrays(scheme, keep_paths) * (grid.n_steps + 1)
+    return max(1, min(PATH_BLOCK, MAX_ELEMENTS // per_path))
 
 
 # NumPy's SeedSequence algorithm (numpy/random/bit_generator.pyx), which is
@@ -375,7 +400,8 @@ def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: i
     # dB = rho dW1 + sqrt(1 - rho^2) dW2, with every product rounded as written
     dB *= sqrt_h
     dB *= np.sqrt(1.0 - rho**2)
-    dB += rho * dW1
+    for lo in range(0, n, _DRAW_CHUNK):
+        dB[lo : lo + _DRAW_CHUNK] += rho * dW1[lo : lo + _DRAW_CHUNK]
     return dW1, dB
 
 
@@ -397,7 +423,7 @@ def simulate_variance(
         raise ValueError("simulation grid must start at t = 0")
     paths = _path_range(paths)
     n = grid.n_steps
-    if BLOCK_ARRAYS * len(paths) * (n + 1) > MAX_ELEMENTS:
+    if block_arrays(scheme, False) * len(paths) * (n + 1) > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"{len(paths)} paths x {n + 1} nodes exceeds the memory budget of "
             f"{MAX_ELEMENTS} array elements; simulate in smaller chunks "
@@ -409,17 +435,20 @@ def simulate_variance(
     nu[0] = market.nu0
     metadata: dict = {}
 
+    h = grid.spacing
     if isinstance(scheme, EulerConvolution):
-        kern_lag = kernel_eval(market.kernel, grid.spacing * np.arange(1, n + 1))
-        _euler_convolution_chunk(market, grid, kern_lag, nu.T, dB.T)
+        kern_lag = kernel_eval(market.kernel, h * np.arange(1, n + 1))
+        history = _exact_history(market, kern_lag, len(paths))
     elif isinstance(scheme, LiftedFactors):
         factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
         metadata["kernel_fit_l2_error"] = fit_err
         metadata["kernel_fit_sq_integral"] = fit_sq
         metadata["n_factors"] = factors.n_factors
-        _lifted_chunk(market, grid, factors, nu, dB)
+        kern_lag = kernel_eval(factors, h * np.arange(1, _LIFTED_BLOCK + 1))
+        history = _lifted_history(market, factors, grid, len(paths))
     else:
         raise TypeError(f"unknown scheme {type(scheme).__name__}")
+    _volterra_march(market, grid, kern_lag, nu, dB, history)
 
     return PathBundle(
         grid=grid,
@@ -433,52 +462,96 @@ def simulate_variance(
     )
 
 
-def _euler_convolution_chunk(market, grid, kern_lag, nu, dB):
-    """nu (n_paths, n_nodes) and dB (n_paths, n_steps), path-major views.
+def _volterra_march(market, grid, kern_lag, nu, dB, history):
+    """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major.
 
-    Node i + 1 sums the shocks of nodes 0..i against kern_lag.  In blocks of
-    _HISTORY_BLOCK steps, the shocks from before a block enter all of its
-    steps through one matrix product with the Toeplitz slice of kern_lag; each
-    step then adds the lags inside its block.  The products run on groups of
-    _HISTORY_GROUP paths padded with zero rows, so every product has the same
-    shape whatever the number of paths, and a path's row does not depend on
-    the others (matmul takes other BLAS kernels for fewer rows, gemv for one,
-    which round differently).
+    Node i + 1 is nu0 plus the shocks of nodes 0..i summed against kern_lag:
+    kern_lag[l - 1] weighs the shock l steps back.  The steps run in the
+    blocks that history yields as (steps, far, shocks): row r of far holds
+    nu0 plus the shocks from before the block, summed for node
+    steps[r] + 1, and the march writes the block's shocks into the rows of
+    shocks, whose columns past n_paths stay 0.  Each step then adds the lags
+    inside its block as a sum over rows, which runs in row order for every
+    path.
     """
     h = grid.spacing
-    n = grid.n_steps
-    kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
-    n_paths = nu.shape[0]
-    padded = np.zeros((-(-n_paths // _HISTORY_GROUP) * _HISTORY_GROUP, n))
-    groups = padded.reshape(-1, _HISTORY_GROUP, n)
-    shocks = padded[:n_paths]  # C order: the lag sums run along each path's row
+    kap_h, phi, sig = market.kappa * h, market.phi, market.sigma
+    n_paths = nu.shape[1]
+    for steps, far, shocks in history:
+        shocks = shocks[: len(steps), :n_paths]
+        # a row holds its step's noise until the step writes its shock there
+        np.multiply(sig, dB[steps.start : steps.stop], out=shocks)
+        for r, i in enumerate(steps):
+            root = np.sqrt(nu[i])
+            root *= shocks[r]
+            dz = np.subtract(phi, nu[i], out=shocks[r])
+            dz *= kap_h
+            dz += root
+            near = np.einsum("jp,j->p", shocks[: r + 1], kern_lag[r::-1])
+            near += far[r]
+            np.maximum(near, 0.0, out=nu[i + 1])
+
+
+def _padded_groups(rows, n_paths):
+    """(rows, n_paths rounded up to _HISTORY_GROUP) zeros, and its
+    (groups, rows, _HISTORY_GROUP) view.  A matrix product per group has the
+    same shape whatever the number of paths, so a path's row does not depend
+    on the others (matmul takes other BLAS kernels for fewer columns, gemv for
+    one, which round differently)."""
+    padded = np.zeros((rows, -(-n_paths // _HISTORY_GROUP) * _HISTORY_GROUP))
+    return padded, padded.reshape(rows, -1, _HISTORY_GROUP).transpose(1, 0, 2)
+
+
+def _exact_history(market, kern_lag, n_paths):
+    """(steps, far, shocks) per _HISTORY_BLOCK steps of _volterra_march on
+    the exact kernel: far is one Toeplitz product over every earlier shock."""
+    n = len(kern_lag)
+    shocks, shock_groups = _padded_groups(n, n_paths)
+    far, far_groups = _padded_groups(_HISTORY_BLOCK, n_paths)
     for start in range(0, n, _HISTORY_BLOCK):
         stop = min(start + _HISTORY_BLOCK, n)
-        # toeplitz[j, b] = kern_lag[start + b - j], the lag from node j to
-        # node start + b + 1; empty for the first block, whose far sums are 0
+        # toeplitz[b, j] = kern_lag[start + b - j], the lag from node j to
+        # node start + b + 1; the first block has no earlier shocks
         toeplitz = np.ascontiguousarray(
-            sliding_window_view(kern_lag[:stop], stop - start)[start:0:-1])
-        far = (groups[:, :, :start] @ toeplitz).reshape(len(padded), -1)[:n_paths]
-        for i in range(start, stop):
-            shocks[:, i] = kap * (phi - nu[:, i]) * h + sig * np.sqrt(nu[:, i]) * dB[:, i]
-            near = np.einsum("pj,j->p", shocks[:, start : i + 1], kern_lag[i - start :: -1])
-            nu[:, i + 1] = np.maximum(nu0 + (far[:, i - start] + near), 0.0)
+            sliding_window_view(kern_lag[:stop], stop - start)[start:0:-1].T)
+        if start:
+            np.matmul(toeplitz, shock_groups[:, :start], out=far_groups[:, : stop - start])
+        far += market.nu0
+        yield range(start, stop), far[: stop - start, :n_paths], shocks[start:stop]
 
 
-def _lifted_chunk(market, grid, factors, nu, dB):
-    """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major and contiguous."""
-    h = grid.spacing
-    n = grid.n_steps
-    kap, phi, sig, nu0 = market.kappa, market.phi, market.sigma, market.nu0
+def _lifted_history(market, factors, grid, n_paths):
+    """(steps, far, shocks) per _LIFTED_BLOCK steps of _volterra_march on the
+    factor kernel sum_m w_m exp(-x_m t).
+
+    The earlier shocks live in the factor state U_m = sum_j shock_j
+    q_m^(start - j), q_m = exp(-x_m h): far = (w q^(1..b)) @ U, and after the
+    block U <- U q^b + q^(b..1) @ shocks, b factors at a time through far's
+    rows, so that no product needs a buffer the size of the state.  Powers
+    below _POWER_FLOOR are 0: their products with the state, which carries
+    one more power of q and a shock, would be subnormal, which is slow, and
+    the terms they drop are below 1e-150 of nu.
+    """
+    n, b = grid.n_steps, _LIFTED_BLOCK
     w = np.asarray(factors.weights)
-    x = np.asarray(factors.rates)
-    scale = np.exp(-x * h)
-    u = np.zeros((nu.shape[1], len(w)))  # path-major, so the einsum sums in factor order
-    for i in range(n):
-        dz = kap * (phi - nu[i]) * h + sig * np.sqrt(nu[i]) * dB[i]
-        u += dz[:, None]
-        u *= scale
-        np.maximum(nu0 + np.einsum("pm,m->p", u, w), 0.0, out=nu[i + 1])
+    powers = np.exp(-np.outer(grid.spacing * np.arange(1, b + 1), factors.rates))
+    powers[powers < _POWER_FLOOR] = 0.0
+    far_weights = powers * w       # [r, m] = w_m q_m^(r + 1)
+    decay = powers[-1][:, None]    # q^b per factor
+    push = powers[::-1].T.copy()   # [m, r] = q_m^(b - r)
+    shocks, shock_groups = _padded_groups(b, n_paths)
+    far, far_groups = _padded_groups(b, n_paths)
+    state, state_groups = _padded_groups(len(w), n_paths)
+    for start in range(0, n, b):
+        if start:  # the previous block's shocks join the state
+            state *= decay
+            for m in range(0, len(w), b):
+                k = len(push[m : m + b])
+                np.matmul(push[m : m + b], shock_groups, out=far_groups[:, :k])
+                state[m : m + k] += far[:k]
+        np.matmul(far_weights, state_groups, out=far_groups)
+        far += market.nu0
+        yield range(start, min(start + b, n)), far[:, :n_paths], shocks
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +576,13 @@ def simulate_wealth(
     curve's consumption rate for the consumption problem and 0 otherwise;
     the consumption problem's total(t) is the Merton fraction theta of
     nonexp_log_strategy, and its curve must carry the consumption rate.
-    The march runs over the bundle's time-major arrays.  With keep_paths the
-    bundle's wealth (and log_wealth) are the (n_paths, n_nodes) paths;
-    without it the march keeps two rows and returns the (n_paths, 1)
-    terminal column, bit for bit the last column of the full paths.
+    The march runs over the bundle's time-major arrays: per chunk of
+    _WEALTH_CHUNK steps it takes the terms that read only nu, pi and dW1 at
+    once, then steps the wealth through the chunk row by row, associated as
+    (w + drift h) + pi sqrt(nu) dW1.  With keep_paths the bundle's wealth
+    (and log_wealth) are the (n_paths, n_nodes) paths; without it the march
+    steps one row in place and returns the (n_paths, 1) terminal column, bit
+    for bit the last column of the full paths.
     """
     if x0 <= 0:
         raise ValueError("x0 must be > 0")
@@ -522,20 +598,9 @@ def simulate_wealth(
     coef = strategy.total
     rates = market.rate_curve.values_at(nodes)
     th = market.theta
-    # node i lives in row i % rows: every node, or the last two
-    rows = n + 1 if keep_paths else 2
-    kept = slice(None) if keep_paths else [n % rows]
-
     if isinstance(objective, ConstMVObjective):
-        wealth = np.empty((rows, nu.shape[1]))
-        wealth[0] = x0
-        for i in range(n):
-            w = wealth[i % rows]
-            drift = rates[i] * w + th * nu[i] * coef[i]
-            wealth[(i + 1) % rows] = w + drift * h + coef[i] * np.sqrt(nu[i]) * dW1[i]
-        return dataclasses.replace(bundle, wealth=wealth[kept].T)
-
-    if isinstance(objective, LogMVObjective):
+        expo = 0.0
+    elif isinstance(objective, LogMVObjective):
         # pi sqrt(nu) ~ nu^((2 delta - 1)/(2 delta)) and pi^2 nu diverge at the
         # truncated nu = 0 for delta < 1/2; at delta = 1/2 they tend to total
         # and total^2 as nu -> 0, but the march would take 0 for both there
@@ -549,15 +614,44 @@ def simulate_wealth(
         rates = rates - strategy.consumption
     else:
         raise TypeError(f"unknown objective {type(objective).__name__}")
-    log_w = np.empty((rows, nu.shape[1]))
-    log_w[0] = np.log(x0)
-    for i in range(n):
-        pi = coef[i] if expo == 0.0 else coef[i] * np.maximum(nu[i], 1e-300) ** expo
+    log = not isinstance(objective, ConstMVObjective)
+    # wealth or log-wealth; node i lives in row i % rows: every node, or one
+    # row stepped in place
+    rows = n + 1 if keep_paths else 1
+    x = np.empty((rows, nu.shape[1]))
+    x[0] = np.log(x0) if log else x0
+    for lo in range(0, n, _WEALTH_CHUNK):
+        chunk = slice(lo, min(lo + _WEALTH_CHUNK, n))
+        nu_c, pi = nu[chunk], coef[chunk, None]
+        if expo != 0.0:
+            pi = pi * np.maximum(nu_c, 1e-300) ** expo
+        # theta nu pi, and for log-wealth its whole drift term
+        # (r + theta nu pi - (pi^2 / 2) nu) h, associated as written;
         # pi * pi: a numpy scalar's pi**2 is pow(), which may round unlike x * x
-        drift = rates[i] + th * nu[i] * pi - 0.5 * (pi * pi) * nu[i]
-        log_w[(i + 1) % rows] = log_w[i % rows] + drift * h + pi * np.sqrt(nu[i]) * dW1[i]
-    log_w = log_w[kept]
-    return dataclasses.replace(bundle, log_wealth=log_w.T, wealth=np.exp(log_w).T)
+        drift = th * nu_c
+        drift *= pi
+        noise = None
+        if log:
+            np.add(rates[chunk, None], drift, out=drift)
+            noise = np.multiply(0.5 * (pi * pi), nu_c)
+            drift -= noise
+            drift *= h
+        noise = np.sqrt(nu_c, out=noise)  # pi sqrt(nu) dW1
+        np.multiply(pi, noise, out=noise)
+        noise *= dW1[chunk]
+        for r, i in enumerate(range(chunk.start, chunk.stop)):
+            now, nxt = x[i % rows], x[(i + 1) % rows]
+            if log:
+                np.add(now, drift[r], out=nxt)
+            else:  # (r w + theta nu pi) h
+                step = rates[i] * now
+                step += drift[r]
+                step *= h
+                np.add(now, step, out=nxt)
+            nxt += noise[r]
+    if log:
+        return dataclasses.replace(bundle, log_wealth=x.T, wealth=np.exp(x).T)
+    return dataclasses.replace(bundle, wealth=x.T)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +701,9 @@ def bundle_csv_rows(bundle: PathBundle) -> Iterator[str]:
     # one template per path: the node times are formatted once
     template = "".join(f"%d,{t!r}{cell}" for t in bundle.grid.nodes().tolist())
     columns = [bundle.variance, bundle.wealth] if has_wealth else [bundle.variance]
-    cells = np.empty(bundle.variance.shape + (1 + len(columns),))
-    for j, col in enumerate(columns, start=1):
-        cells[:, :, j] = col
+    cells = np.empty((bundle.variance.shape[1], 1 + len(columns)))  # one path's rows
     for k, path_id in enumerate(bundle.paths):
-        cells[k, :, 0] = path_id
-        yield template % tuple(cells[k].ravel().tolist())
+        cells[:, 0] = path_id
+        for j, col in enumerate(columns, start=1):
+            cells[:, j] = col[k]
+        yield template % tuple(cells.ravel().tolist())

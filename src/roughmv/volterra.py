@@ -28,7 +28,6 @@ from .kernels import (
     Kernel,
     TimeGrid,
     cell_moments,
-    discrete_convolution,
     kernel_integral,
     _finite_vie_direct,
     _lag_weights,
@@ -114,23 +113,8 @@ class PsiSolution:
 
 
 # ---------------------------------------------------------------------------
-# Convolution and linear solve
+# Linear solve
 # ---------------------------------------------------------------------------
-
-def convolve(kernel: Kernel, curve: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """(K * curve)(t_i) on the grid by product-trapezoidal quadrature.
-
-    Exact for piecewise-linear curves (hence for constants: K*1 equals
-    int_0^t K at every node, bit-for-bit with kernel_integral up to rounding).
-    """
-    curve = np.asarray(curve, dtype=float)
-    nodes = grid.nodes()
-    if curve.shape != nodes.shape:
-        raise ValueError(f"curve has shape {curve.shape}, expected {nodes.shape}")
-    i0, i1 = cell_moments(kernel, grid.spacing, grid.n_steps)
-    a_w, b_w = _lag_weights(i0, i1, grid.spacing)
-    return discrete_convolution(a_w, b_w, curve)
-
 
 def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
     """Solution samples of x + multiplier*(K*x) = forcing on the grid."""

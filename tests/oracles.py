@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from roughmv import RiccatiCoefficients
-from roughmv.kernels import MARCH_BLOCK
+from roughmv.kernels import MARCH_BLOCK, _lag_weights, cell_moments, discrete_convolution
 
 
 def ml_reference(alpha: float, beta: float, z: float) -> float:
@@ -202,3 +202,20 @@ def exp_cell_moments_reference(c: float, beta: float, a: float, b: float) -> tup
             i0 = c * (ea - eb) / bt
             i1 = c * (ea * (bt * a_mp + 1) - eb * (bt * b_mp + 1)) / bt**2
         return float(i0), float(i1)
+
+
+def convolve(kernel, curve, grid):
+    """(K * curve)(t_i) on the grid by product-trapezoidal quadrature.
+
+    Not independent: the library's own lag weights against the curve, the
+    sums that the linear and Riccati solves' discrete equations hold.  Exact
+    for piecewise-linear curves (hence for constants: K*1 equals int_0^t K
+    at every node, bit-for-bit with kernel_integral up to rounding).
+    """
+    curve = np.asarray(curve, dtype=float)
+    nodes = grid.nodes()
+    if curve.shape != nodes.shape:
+        raise ValueError(f"curve has shape {curve.shape}, expected {nodes.shape}")
+    i0, i1 = cell_moments(kernel, grid.spacing, grid.n_steps)
+    a_w, b_w = _lag_weights(i0, i1, grid.spacing)
+    return discrete_convolution(a_w, b_w, curve)

@@ -16,9 +16,13 @@ def _small_desk_sim_ops(n):
 
 def test_a_tree_against_itself(tmp_path):
     ops = _small_desk_sim_ops(2)
-    times, failed, peaks_mb = ab.run_pairs((ROOT, ROOT), ops, ab.warmup_op("desk-sim"),
-                                           tmp_path / "configs", tmp_path / "out")
+    times, by_hurst, failed, peaks_mb = ab.run_pairs(
+        (ROOT, ROOT), ops, ab.warmup_op("desk-sim"), tmp_path / "configs", tmp_path / "out")
     assert failed == []
+    # every desk-sim op names its Hurst value; the pairs are the same objects
+    hursts = [op.expect["hurst"] for op in ops]
+    assert sorted(by_hurst) == sorted(set(hursts))
+    assert sorted(map(id, sum(by_hurst.values(), []))) == sorted(map(id, times["lifted/1000"]))
     # each worker's ru_maxrss: an interpreter with numpy and a simulated block
     assert len(peaks_mb) == 2 and all(10.0 < mb < 4096.0 for mb in peaks_mb)
     assert list(times) == ["lifted/1000"]
@@ -30,8 +34,8 @@ def test_a_tree_against_itself(tmp_path):
 def test_a_failing_op_is_reported(tmp_path):
     op = _small_desk_sim_ops(1)[0]
     bad = dataclasses.replace(op, config=dict(op.config, sim=dict(op.config["sim"], n_paths=1)))
-    times, failed, _ = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
-                                    tmp_path / "configs", tmp_path / "out")
+    times, _, failed, _ = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
+                                       tmp_path / "configs", tmp_path / "out")
     assert failed == [f"{op.op_id} (lifted/1000) on A: exit 2",
                       f"{op.op_id} (lifted/1000) on B: exit 2"]
 
@@ -51,3 +55,18 @@ def test_report_totals_per_kind():
         # each worker's peak resident memory, in MB, after the same ops
         ["peak_rss_mb", "6", "73.90", "64.70", "0.876"],
     ]
+
+
+def test_report_totals_per_hurst():
+    # the ops whose expect names a Hurst value, after the kinds and all ops
+    times = {"x": [[1.0, 0.5], [1.0, 1.5]], "y": [[2.0, 1.0]]}
+    by_hurst = {0.5: [times["x"][1]], 0.1: [times["x"][0], times["y"][0]]}
+    lines = ab.report(times, [73.9, 64.7], by_hurst)
+    assert [line.split() for line in lines[3:6]] == [
+        ["all", "3", "4.000", "3.000", "0.750", "0.500", "2"],
+        ["H=0.1", "2", "3.000", "1.500", "0.500", "0.500", "2"],
+        ["H=0.5", "1", "1.000", "1.500", "1.500", "1.500", "0"],
+    ]
+    assert lines[6].split()[0] == "op_p50_s"
+    # without such ops, no rows
+    assert ab.report(times, [73.9, 64.7], {}) == ab.report(times, [73.9, 64.7])

@@ -905,8 +905,9 @@ class TestSimulateBlocks:
             return original(market, scheme, grid, paths, seed)
 
         monkeypatch.setattr(cli, "simulate_variance", spy)
-        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS",
-                            montecarlo.BLOCK_ARRAYS * 13 * 6 + 5)  # 6 paths of 13 nodes
+        # a lifted block writing paths.csv holds 5 arrays: 6 paths of 13 nodes
+        assert montecarlo.block_arrays(montecarlo.LiftedFactors(), True) == 5
+        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 5 * 13 * 6 + 5)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         assert [len(r) for r in seen] == [6, 6, 6, 2]
         for name in ("paths.csv", "terminal_stats.json"):

@@ -30,16 +30,17 @@ from roughmv import (
     terminal_stats,
 )
 from roughmv.montecarlo import (
-    BLOCK_ARRAYS,
     MAX_ELEMENTS,
     PATH_BLOCK,
     _HISTORY_BLOCK,
     _HISTORY_GROUP,
+    _LIFTED_BLOCK,
     PATHS_CSV_HEADER,
     _as_factor_kernel,
     _draw_increments,
     _path_seed_words,
     _seed_words_type,
+    block_arrays,
     block_paths,
     bundle_csv_rows,
 )
@@ -56,6 +57,23 @@ def make_market(sigma=0.3, kappa=0.3, nu0=0.04, phi=0.04, rho=-0.7, rate=0.0, hu
 def paths_csv(bundle):
     """paths.csv of a bundle as the CLI streams it."""
     return PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
+
+
+def factor_recursion(market, scheme, grid, dB):
+    """Variance paths of the lifted scheme by the per-step update of every
+    factor: u <- q (u + shock), nu = max(nu0 + w . u, 0)."""
+    factors = _as_factor_kernel(market.kernel, scheme, grid.t_end)[0]
+    h, w = grid.spacing, np.asarray(factors.weights)
+    scale = np.exp(-np.asarray(factors.rates) * h)
+    nu = np.empty((dB.shape[0], grid.n_steps + 1))
+    nu[:, 0] = market.nu0
+    u = np.zeros((dB.shape[0], len(w)))
+    for i in range(grid.n_steps):
+        dz = (market.kappa * (market.phi - nu[:, i]) * h
+              + market.sigma * np.sqrt(nu[:, i]) * dB[:, i])
+        u = scale[None, :] * (u + dz[:, None])
+        nu[:, i + 1] = np.maximum(market.nu0 + np.einsum("pm,m->p", u, w), 0.0)
+    return nu
 
 
 def flat_strategy(grid, level, consumption=None):
@@ -175,9 +193,10 @@ class TestSimulateVariance:
     def test_memory_budget_error(self):
         # one path over the budget; the check comes before any draw
         market = make_market()
-        n_paths = MAX_ELEMENTS // (BLOCK_ARRAYS * 251) + 1
-        with pytest.raises(ResourceLimitError, match="chunk"):
-            simulate_variance(market, LiftedFactors(5), TimeGrid(0.0, 1.0, 250), n_paths, 1)
+        for scheme, arrays in ((LiftedFactors(5), 3), (EulerConvolution(), 4)):
+            n_paths = MAX_ELEMENTS // (arrays * 251) + 1
+            with pytest.raises(ResourceLimitError, match="chunk"):
+                simulate_variance(market, scheme, TimeGrid(0.0, 1.0, 250), n_paths, 1)
 
     def test_lifted_metadata_reports_fit_error(self):
         market = make_market(hurst=0.1)
@@ -322,27 +341,22 @@ class TestPathBlocks:
         assert (stats_last.mean, stats_last.variance) == (stats_full.mean, stats_full.variance)
 
     def test_time_major_march_matches_path_major_reference(self):
-        # the strided column loops the time-major marches replaced, written
-        # out with every expression associated as in the library
-        market = make_market(rate=0.01)
+        # the per-step update of every factor that the blocked march replaced,
+        # on a market whose paths stay mostly off the zero floor (see
+        # test_blocked_history_matches_the_per_step_loop); and the strided
+        # column loop of the wealth, written out with every expression
+        # associated as in the library
+        market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
         grid, n = self.GRID, self.GRID.n_steps
         b = simulate_variance(market, LiftedFactors(10), grid, self.N, 12)
-        factors = _as_factor_kernel(market.kernel, LiftedFactors(10), grid.t_end)[0]
-        h, w = grid.spacing, np.asarray(factors.weights)
-        scale = np.exp(-np.asarray(factors.rates) * h)
-        nu = np.empty((self.N, n + 1))
-        nu[:, 0] = market.nu0
-        u = np.zeros((self.N, len(w)))
-        for i in range(n):
-            dz = (market.kappa * (market.phi - nu[:, i]) * h
-                  + market.sigma * np.sqrt(nu[:, i]) * b.dB[:, i])
-            u = scale[None, :] * (u + dz[:, None])
-            nu[:, i + 1] = np.maximum(market.nu0 + np.einsum("pm,m->p", u, w), 0.0)
-        assert b.variance.tobytes() == nu.tobytes()
+        nu = factor_recursion(market, LiftedFactors(10), grid, b.dB)
+        assert np.mean(nu[:, 1:] == 0.0) < 0.1
+        assert np.max(np.abs(b.variance - nu)) <= 1e-12 * np.max(nu)
 
+        nu = b.variance
         coef = np.linspace(0.2, 0.6, n + 1)
         strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
-        th = market.theta
+        h, th = grid.spacing, market.theta
         for delta in (1.0, 2.0):  # at delta = 1 the library's proportion is a scalar
             got = simulate_wealth(b, market, strategy, LogMVObjective(0.5, 1.0, delta), 1.0)
             expo = (delta - 1.0) / (2.0 * delta)
@@ -358,6 +372,53 @@ class TestPathBlocks:
                                    + pi * np.sqrt(nu[:, i]) * b.dW1[:, i])
             assert got.log_wealth.tobytes() == log_w.tobytes()
             assert got.wealth.tobytes() == np.exp(log_w).tobytes()
+
+        got = simulate_wealth(b, market, strategy, ConstMVObjective(0.5, 1.0), 1.0)
+        wealth = np.empty_like(nu)
+        wealth[:, 0] = 1.0
+        for i in range(n):
+            drift = 0.01 * wealth[:, i] + th * nu[:, i] * coef[i]
+            wealth[:, i + 1] = (wealth[:, i] + drift * h
+                                + coef[i] * np.sqrt(nu[:, i]) * b.dW1[:, i])
+        assert got.wealth.tobytes() == wealth.tobytes()
+
+    @pytest.mark.parametrize("n_steps, n_paths, hurst, horizon", [
+        (61, 40, 0.1, 1.0),    # a ragged last block; a padded second group
+        (5, 40, 0.1, 1.0),     # fewer steps than one block
+        (60, 1, 0.1, 1.0),     # one path
+        (60, 33, 0.5, 1.0),    # a one-factor kernel
+        (125, 40, 0.1, 0.5),   # the fastest factor's q^9 is subnormal
+    ], ids=["ragged", "short", "one_path", "one_factor", "subnormal_powers"])
+    def test_blocked_factor_march_matches_the_per_step_recursion(
+            self, n_steps, n_paths, hurst, horizon):
+        market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01, hurst=hurst)
+        grid = TimeGrid(0.0, horizon, n_steps)
+        got = simulate_variance(market, LiftedFactors(20), grid, n_paths, 12)
+        nu = factor_recursion(market, LiftedFactors(20), grid, got.dB)
+        assert np.mean(nu[:, 1:] == 0.0) < 0.1
+        assert np.max(np.abs(got.variance - nu)) <= 1e-12 * np.max(nu)
+
+    def test_no_subnormal_reaches_the_factor_products(self):
+        # at T = 0.5 and 250 steps a year the fastest factor decays by
+        # q = exp(-80) a step, and q^9 is below the normal range: the march
+        # sets such powers to 0, so no product underflows
+        market, grid = make_market(nu0=0.09, kappa=1.0, rho=0.7), TimeGrid(0.0, 0.5, 125)
+        factors = _as_factor_kernel(market.kernel, LiftedFactors(20), grid.t_end)[0]
+        q = math.exp(-max(factors.rates) * grid.spacing)
+        assert q**_LIFTED_BLOCK > np.finfo(float).tiny > q ** (_LIFTED_BLOCK + 1)
+        with np.errstate(under="raise"):
+            b = simulate_variance(market, LiftedFactors(20), grid, 40, 3)
+        assert np.all(np.isfinite(b.variance))
+
+    def test_factor_state_rows_do_not_depend_on_the_call(self):
+        # the factor state enters each block of 8 steps by matrix products,
+        # whose rounding could depend on how many paths they carry
+        market, grid = make_market(), TimeGrid(0.0, 1.0, 101)
+        assert grid.n_steps % _LIFTED_BLOCK and 70 > 2 * _HISTORY_GROUP
+        full = simulate_variance(market, LiftedFactors(20), grid, 70, 8).variance
+        for paths in (range(5, 6), range(9, 17), range(30, 70), range(69, 2, -3)):
+            part = simulate_variance(market, LiftedFactors(20), grid, paths, 8).variance
+            assert part.tobytes() == full[paths].tobytes()
 
     def test_consumption_march_matches_its_own_loop(self):
         # the consumption problem's separate loop that the log-wealth loop
@@ -380,11 +441,23 @@ class TestPathBlocks:
 
     @pytest.mark.parametrize("steps", [12, 40_000, 10**6])
     def test_block_paths_fill_the_memory_budget(self, steps):
+        # the arrays a block holds: variance, dW1 and dB; the exact kernel's
+        # shock history; wealth and log-wealth when paths.csv is written
         grid = TimeGrid(0.0, 1.0, steps)
-        k = block_paths(grid)
-        assert 1 <= k <= PATH_BLOCK
-        assert BLOCK_ARRAYS * k * (steps + 1) <= MAX_ELEMENTS
-        assert k == PATH_BLOCK or BLOCK_ARRAYS * (k + 1) * (steps + 1) > MAX_ELEMENTS
+        for scheme, keep_paths, arrays in [
+            (LiftedFactors(), False, 3), (EulerConvolution(), False, 4),
+            (LiftedFactors(), True, 5), (EulerConvolution(), True, 6),
+        ]:
+            assert block_arrays(scheme, keep_paths) == arrays
+            k = block_paths(grid, scheme, keep_paths)
+            assert 1 <= k <= PATH_BLOCK
+            assert arrays * k * (steps + 1) <= MAX_ELEMENTS
+            assert k == PATH_BLOCK or arrays * (k + 1) * (steps + 1) > MAX_ELEMENTS
+
+    def test_desk_sim_grids_keep_full_blocks(self):
+        # the benchmark's simulations: T up to 3 at 250 steps a year
+        for scheme in (LiftedFactors(), EulerConvolution()):
+            assert block_paths(TimeGrid(0.0, 3.0, 750), scheme, False) == PATH_BLOCK
 
     @pytest.mark.parametrize("paths", [0, range(0), range(-1, 3), 2.0, "3"])
     def test_bad_path_sets_rejected(self, paths):

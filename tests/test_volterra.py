@@ -11,7 +11,6 @@ from roughmv import (
     SolverConfig,
     SumOfExponentialsKernel,
     TimeGrid,
-    convolve,
     fit_sum_of_exponentials,
     integrated_resolvent_ratio_curve,
     kernel_integral,
@@ -23,7 +22,7 @@ from roughmv.kernels import MARCH_BLOCK, _lag_weights, _ml_array, cell_moments
 from roughmv.strategies import log_mv_existence_margin
 from roughmv.volterra import negative_root, q1
 from conftest import STUDY, study_market
-from oracles import heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
+from oracles import convolve, heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
 
 UNIT = SumOfExponentialsKernel((1.0,), (0.0,))  # the constant kernel 1
 

@@ -14,8 +14,10 @@ speed falls on both trees alike.
 Prints the total op time of each tree per op kind and over all ops, with the
 ratio B/A (below 1: B is faster), the median of the per-op ratios B/A and
 the number of ops on which B was faster.  One slow op can swing a total; the
-median and the count it moves by one op at most.  Then each tree's
-nearest-rank p50 and p90 over all its op times, as perfbench computes
+median and the count it moves by one op at most.  The same follows per Hurst
+value for the ops whose ``expect`` names one, since a change can speed up
+one kernel and not another (the one-factor kernel of H = 0.5, say).  Then
+each tree's nearest-rank p50 and p90 over all its op times, as perfbench computes
 op_p50_s and op_p90_s: a change can speed up most ops and still move these
 the other way, when it changes which kinds of op sit at a percentile.
 Last, each worker's peak resident memory (ru_maxrss, in MB, as perfbench
@@ -98,14 +100,16 @@ class Worker:
 
 
 def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
-    """{kind: [[seconds on A, seconds on B], ...]}, the failed runs and
-    [peak resident MB of A's worker, of B's].
+    """{kind: [[seconds on A, seconds on B], ...]}, the same pairs as
+    {Hurst value: pairs} for the ops whose expect names one, the failed runs
+    and [peak resident MB of A's worker, of B's].
 
     Op k runs on A first when k is even and on B first when it is odd.
     """
     paths = write_configs([*ops, warmup], config_dir)
     workers = [Worker(tree) for tree in trees]
     times = defaultdict(list)
+    by_hurst = defaultdict(list)
     failed = []
     try:
         for w, label in zip(workers, "AB"):
@@ -123,17 +127,20 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
                 if rc != 0:
                     failed.append(f"{op.op_id} ({op.kind}) on {'AB'[j]}: exit {rc}")
             times[op.kind].append(pair)
+            if "hurst" in op.expect:
+                by_hurst[op.expect["hurst"]].append(pair)
     finally:
         for w in workers:
             w.close()
-    return dict(times), failed, [w.peak_mb for w in workers]
+    return dict(times), dict(by_hurst), failed, [w.peak_mb for w in workers]
 
 
-def report(times, peaks_mb) -> list[str]:
+def report(times, peaks_mb, by_hurst=None) -> list[str]:
     lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"
              f" {'median':>7} {'B won':>6}"]
     every = [p for ps in times.values() for p in ps]
     rows = sorted(times.items()) + [("all", every)]
+    rows += [(f"H={hurst:g}", pairs) for hurst, pairs in sorted((by_hurst or {}).items())]
     for kind, pairs in rows:
         a = sum(p[0] for p in pairs)
         b = sum(p[1] for p in pairs)
@@ -167,11 +174,11 @@ def main(argv=None) -> int:
         fit = sum_of_exp_fitter()
     ops = [op for r in make_rounds(args.workload, args.seed, args.rounds, fit) for op in r]
     with tempfile.TemporaryDirectory() as tmp:
-        times, failed, peaks_mb = run_pairs(trees, ops, warmup_op(args.workload, fit),
-                                            Path(tmp) / "configs", Path(tmp) / "out")
+        times, by_hurst, failed, peaks_mb = run_pairs(
+            trees, ops, warmup_op(args.workload, fit), Path(tmp) / "configs", Path(tmp) / "out")
     print(f"A = {trees[0]}\nB = {trees[1]}")
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(ops)} ops")
-    print("\n".join(report(times, peaks_mb)))
+    print("\n".join(report(times, peaks_mb, by_hurst)))
     for line in failed:
         print(f"FAILED {line}")
     return 1 if failed else 0
