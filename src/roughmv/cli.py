@@ -37,6 +37,7 @@ from .montecarlo import (
     EulerConvolution,
     LiftedFactors,
     SimScheme,
+    _as_factor_kernel,
     block_paths,
     bundle_csv_rows,
     simulate_variance,
@@ -478,6 +479,15 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
         )
     grid = build_grid(cfg, objective.horizon)
     sim = build_sim(cfg)
+    if isinstance(sim.scheme, LiftedFactors):
+        # the fit is memoised, so the blocks reuse it
+        try:
+            _as_factor_kernel(market.kernel, sim.scheme, grid.t_end)
+        except RuntimeError as exc:
+            raise ConfigError(
+                f"sim.n_factors = {sim.scheme.n_factors} and sim.rate_spread = "
+                f"{sim.scheme.rate_spread!r} give no kernel fit: {exc}"
+            ) from None
     strategy = _strategy_for(market, objective, grid)
 
     # Blocks of at most PATH_BLOCK paths: memory is O(block x steps) whatever

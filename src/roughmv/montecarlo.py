@@ -36,7 +36,11 @@ every path.)  A range of path indices can therefore be simulated
 in blocks of PATH_BLOCK paths, which gives the rows of one call over the
 whole range bit for bit with memory O(block x steps).  A block is
 time-major from the draw to the wealth, so each step of a march reads one
-contiguous row; PathBundle holds (n_paths, .) views of its arrays.
+contiguous row; PathBundle holds (n_paths, .) views of its arrays.  A block
+holds two arrays of one element per path and node: dW1, which the wealth
+march reads, and the variance, stored over the variance's own increments dB
+(row i + 1 of the variance replaces row i of dB once the march has read it),
+so the bundle keeps no dB.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ class PathBundle:
     grid: TimeGrid
     variance: np.ndarray           # (n_paths, n_nodes), all >= 0
     dW1: np.ndarray                # (n_paths, n_steps) stock-driving increments
-    dB: np.ndarray                 # (n_paths, n_steps) variance-driving increments
+    dB: None                       # always: the variance is stored over dB
     seed: int
     scheme: SimScheme
     paths: range                   # global index of each row
@@ -191,10 +195,10 @@ def fit_sum_of_exponentials(
     target = kernel_eval(kernel, t_fit)
     weights, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < n_factors:
-        raise RuntimeError(
-            f"degenerate exponential fit (rank {rank} < {n_factors}); "
-            f"try fewer factors"
-        )
+        # rank 1: every rate is the same (a unit rate spread), which fewer
+        # factors would not change, short of one
+        hint = "the rates coincide; widen rate_spread" if rank == 1 else "try fewer factors"
+        raise RuntimeError(f"degenerate exponential fit (rank {rank} < {n_factors}): {hint}")
     if np.any(weights == 0.0):
         raise RuntimeError("exponential fit produced a zero weight; try fewer factors")
     approx = SumOfExponentialsKernel(tuple(weights), tuple(rates))
@@ -248,10 +252,10 @@ def _path_range(paths: int | range) -> range:
 
 
 def block_arrays(scheme: SimScheme, keep_paths: bool) -> int:
-    """Arrays of one element per path and node that a block holds: variance,
-    dW1 and dB; the exact kernel's shock history; with keep_paths the wealth
-    and log-wealth paths."""
-    return 3 + isinstance(scheme, EulerConvolution) + 2 * keep_paths
+    """Arrays of one element per path and node that a block holds: dW1 and
+    the variance, stored over dB; the exact kernel's shock history; with
+    keep_paths the wealth and log-wealth paths."""
+    return 2 + isinstance(scheme, EulerConvolution) + 2 * keep_paths
 
 
 def block_paths(grid: TimeGrid, scheme: SimScheme, keep_paths: bool) -> int:
@@ -378,22 +382,30 @@ def _seed_words_type():
 def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: int):
     """Time-major (dW1, dB), each (n_steps, n_paths); column k draws from
     SeedSequence(seed, spawn_key=(paths[k],)), the stream
-    SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k]."""
+    SeedSequence(seed).spawn(n)[paths[k]] gives for any n > paths[k].
+
+    dB is rows 1.. of an (n_steps + 1, n_paths) array, dB.base, whose row 0
+    is left to the caller: simulate_variance stores the variance there, each
+    node over the row of dB its step has read.  dW1 is an allocation of its
+    own, which the wealth march reads after the variance is done.
+    """
     from numpy.random import PCG64, Generator
 
     seed_words = _seed_words_type()
     words = _path_seed_words(seed, paths)
     n = grid.n_steps
-    draws = np.empty((2, n, len(paths)))
+    dW1 = np.empty((n, len(paths)))
+    dB = np.empty((n + 1, len(paths)))[1:]
     # path-major: buf[k] is one path's stream, its dW1 row then its dW2 row;
-    # a chunk of paths goes into the time-major draws in one transposed copy
+    # a chunk of paths goes into each time-major array in one transposed copy
     buf = np.empty((min(_DRAW_CHUNK, len(paths)), 2, n))
     for start in range(0, len(paths), _DRAW_CHUNK):
         chunk = buf[:len(paths) - start]
         for k, z in enumerate(chunk, start):
             Generator(PCG64(seed_words(words[k]))).standard_normal(out=z)
-        draws[:, :, start:start + len(chunk)] = chunk.transpose(1, 2, 0)
-    dW1, dB = draws
+        cols = slice(start, start + len(chunk))
+        dW1[:, cols] = chunk[:, 0].T
+        dB[:, cols] = chunk[:, 1].T
     sqrt_h = np.sqrt(grid.spacing)
     rho = market.rho
     dW1 *= sqrt_h
@@ -413,8 +425,10 @@ def simulate_variance(
     seed: int,
 ) -> PathBundle:
     """Simulate the variance of the paths with indices `paths` (an int n means
-    range(n)); Brownian increments are retained in the bundle so wealth can be
-    coupled to the same shocks afterwards.
+    range(n)); the stock's increments dW1 are retained in the bundle so wealth
+    can be coupled to the same shocks afterwards.  The variance's own
+    increments dB are not: the variance is stored over them (bundle.dB is
+    None).
 
     Row k of the result is path paths[k], a function of (seed, paths[k]) only,
     so the rows of range(a, b) equal rows a:b of one call over range(b).
@@ -431,7 +445,7 @@ def simulate_variance(
         )
 
     dW1, dB = _draw_increments(market, grid, paths, seed)
-    nu = np.empty((n + 1, len(paths)))  # time-major: each step writes one row
+    nu = dB.base  # time-major: each step writes one row, over the dB it read
     nu[0] = market.nu0
     metadata: dict = {}
 
@@ -454,7 +468,7 @@ def simulate_variance(
         grid=grid,
         variance=nu.T,
         dW1=dW1.T,
-        dB=dB.T,
+        dB=None,
         seed=int(seed),
         scheme=scheme,
         metadata=metadata,
@@ -463,7 +477,8 @@ def simulate_variance(
 
 
 def _volterra_march(market, grid, kern_lag, nu, dB, history):
-    """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major.
+    """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major; dB may
+    be nu[1:], which the march then overwrites.
 
     Node i + 1 is nu0 plus the shocks of nodes 0..i summed against kern_lag:
     kern_lag[l - 1] weighs the shock l steps back.  The steps run in the
@@ -472,7 +487,9 @@ def _volterra_march(market, grid, kern_lag, nu, dB, history):
     steps[r] + 1, and the march writes the block's shocks into the rows of
     shocks, whose columns past n_paths stay 0.  Each step then adds the lags
     inside its block as a sum over rows, which runs in row order for every
-    path.
+    path.  A block copies its rows of dB into shocks before any of its steps
+    writes a node, and step i writes only node i + 1, which is dB's row i:
+    a row of dB is read before it is written over.
     """
     h = grid.spacing
     kap_h, phi, sig = market.kappa * h, market.phi, market.sigma

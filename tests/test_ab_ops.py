@@ -16,7 +16,7 @@ def _small_desk_sim_ops(n):
 
 def test_a_tree_against_itself(tmp_path):
     ops = _small_desk_sim_ops(2)
-    times, by_hurst, failed, peaks_mb = ab.run_pairs(
+    times, by_hurst, failed, warmup_mb, peaks_mb = ab.run_pairs(
         (ROOT, ROOT), ops, ab.warmup_op("desk-sim"), tmp_path / "configs", tmp_path / "out")
     assert failed == []
     # every desk-sim op names its Hurst value; the pairs are the same objects
@@ -25,6 +25,8 @@ def test_a_tree_against_itself(tmp_path):
     assert sorted(map(id, sum(by_hurst.values(), []))) == sorted(map(id, times["lifted/1000"]))
     # each worker's ru_maxrss: an interpreter with numpy and a simulated block
     assert len(peaks_mb) == 2 and all(10.0 < mb < 4096.0 for mb in peaks_mb)
+    # the warm-up op also simulates; ru_maxrss only rises from there
+    assert len(warmup_mb) == 2 and all(10.0 < mb <= peak for mb, peak in zip(warmup_mb, peaks_mb))
     assert list(times) == ["lifted/1000"]
     assert len(times["lifted/1000"]) == 2
     assert all(seconds > 0 for pair in times["lifted/1000"] for seconds in pair)
@@ -34,7 +36,7 @@ def test_a_tree_against_itself(tmp_path):
 def test_a_failing_op_is_reported(tmp_path):
     op = _small_desk_sim_ops(1)[0]
     bad = dataclasses.replace(op, config=dict(op.config, sim=dict(op.config["sim"], n_paths=1)))
-    times, _, failed, _ = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
+    times, _, failed, _, _ = ab.run_pairs((ROOT, ROOT), [bad], ab.warmup_op("desk-sim"),
                                        tmp_path / "configs", tmp_path / "out")
     assert failed == [f"{op.op_id} (lifted/1000) on A: exit 2",
                       f"{op.op_id} (lifted/1000) on B: exit 2"]
@@ -70,3 +72,14 @@ def test_report_totals_per_hurst():
     assert lines[6].split()[0] == "op_p50_s"
     # without such ops, no rows
     assert ab.report(times, [73.9, 64.7], {}) == ab.report(times, [73.9, 64.7])
+
+
+def test_report_peak_after_the_warm_up():
+    # set-up's peak, after no timed op, then the peak after every op
+    times = {"x": [[1.0, 0.5], [1.0, 1.5]]}
+    lines = ab.report(times, [64.95, 56.6], None, [53.3, 53.2])
+    assert [line.split() for line in lines[-2:]] == [
+        ["warmup_rss_mb", "0", "53.30", "53.20", "0.998"],
+        ["peak_rss_mb", "2", "64.95", "56.60", "0.871"],
+    ]
+    assert lines[:-2] == ab.report(times, [64.95, 56.6])[:-1]

@@ -408,6 +408,20 @@ class TestConfigHandling:
         assert main(["strategy", "--config", write_config(tmp_path, payload)]) == 2
         assert "output.directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sim, reason", [
+        ({"n_factors": 500}, "< 500): try fewer factors"),
+        ({"rate_spread": 1.0}, "(rank 1 < 20): the rates coincide; widen rate_spread"),
+    ], ids=["too_many_factors", "unit_rate_spread"])
+    def test_degenerate_kernel_fit_exits_2_naming_the_fields(self, tmp_path, capsys, sim,
+                                                             reason):
+        # both exited 3 as numeric errors, the unit spread advising fewer factors
+        cfg = write_config(tmp_path, {"sim": dict(sim, n_paths=50)})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.n_factors = ")
+        assert "sim.rate_spread = " in err and reason in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sim_field_stops_simulate_before_writing(self, tmp_path, capsys):
         # a string write_paths used to count as true and write paths.csv
         cfg = write_config(tmp_path, {"sim": {"write_paths": "no", "n_paths": 50}})
@@ -905,9 +919,9 @@ class TestSimulateBlocks:
             return original(market, scheme, grid, paths, seed)
 
         monkeypatch.setattr(cli, "simulate_variance", spy)
-        # a lifted block writing paths.csv holds 5 arrays: 6 paths of 13 nodes
-        assert montecarlo.block_arrays(montecarlo.LiftedFactors(), True) == 5
-        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 5 * 13 * 6 + 5)
+        # a lifted block writing paths.csv holds 4 arrays: 6 paths of 13 nodes
+        assert montecarlo.block_arrays(montecarlo.LiftedFactors(), True) == 4
+        monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 4 * 13 * 6 + 4)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         assert [len(r) for r in seen] == [6, 6, 6, 2]
         for name in ("paths.csv", "terminal_stats.json"):
@@ -935,8 +949,11 @@ class TestSimulateBlocks:
     def test_memory_is_bounded_by_the_block(self, tmp_path, objective):
         # 5000 paths x 750 lifted steps: whole-array simulation peaked at
         # about 143 MB under tracemalloc.  One block's arrays take about 6 MB
-        # each, and without paths.csv a block holds three: variance, dW1 and
-        # dB.  Full wealth paths, two for log-MV, peaked at 24.3 and 29.4 MB.
+        # each, and without paths.csv a block holds two: dW1, and the
+        # variance stored over dB, for a peak of 12.7 MB (0.9 MB more where
+        # the run imports numpy.random).  A third array, dB apart from the
+        # variance, peaked at 18.6 MB; full wealth paths, two for log-MV, at
+        # 24.3 and 29.4 MB.
         import tracemalloc
 
         payload = self._payload(5000, objective=objective)
@@ -951,7 +968,7 @@ class TestSimulateBlocks:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak_mb < 22.0
+        assert peak_mb < 15.0
 
 
 class TestExtremeMarkets:

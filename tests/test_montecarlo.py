@@ -38,8 +38,11 @@ from roughmv.montecarlo import (
     PATHS_CSV_HEADER,
     _as_factor_kernel,
     _draw_increments,
+    _exact_history,
+    _lifted_history,
     _path_seed_words,
     _seed_words_type,
+    _volterra_march,
     block_arrays,
     block_paths,
     bundle_csv_rows,
@@ -193,7 +196,7 @@ class TestSimulateVariance:
     def test_memory_budget_error(self):
         # one path over the budget; the check comes before any draw
         market = make_market()
-        for scheme, arrays in ((LiftedFactors(5), 3), (EulerConvolution(), 4)):
+        for scheme, arrays in ((LiftedFactors(5), 2), (EulerConvolution(), 3)):
             n_paths = MAX_ELEMENTS // (arrays * 251) + 1
             with pytest.raises(ResourceLimitError, match="chunk"):
                 simulate_variance(market, scheme, TimeGrid(0.0, 1.0, 250), n_paths, 1)
@@ -273,8 +276,12 @@ class TestPathBlocks:
         full = simulate_variance(market, scheme, self.GRID, self.N, 8)
         part = simulate_variance(market, scheme, self.GRID, range(9, 17), 8)
         assert part.paths == range(9, 17)
-        for name in ("variance", "dW1", "dB"):
+        for name in ("variance", "dW1"):
             assert getattr(part, name).tobytes() == getattr(full, name)[9:17].tobytes()
+        # the bundle keeps no dB: the variance is stored over it
+        full_dB = _draw_increments(market, self.GRID, range(self.N), 8)[1]
+        part_dB = _draw_increments(market, self.GRID, range(9, 17), 8)[1]
+        assert part_dB.tobytes() == full_dB[:, 9:17].tobytes()
 
     def test_blocked_history_rows_do_not_depend_on_the_call(self):
         # 300 steps: the history from before each block of 64 steps enters by
@@ -290,13 +297,14 @@ class TestPathBlocks:
         rho = -0.7
         b = simulate_variance(make_market(rho=rho), LiftedFactors(3), self.GRID,
                               range(3, 5), 4)
+        dB = _draw_increments(make_market(rho=rho), self.GRID, range(3, 5), 4)[1]
         sqrt_h = np.sqrt(self.GRID.spacing)
         for k, i in enumerate(range(3, 5)):
             child = np.random.SeedSequence(4).spawn(i + 1)[i]
             z = np.random.default_rng(child).standard_normal((2, self.GRID.n_steps))
             dW1, dW2 = sqrt_h * z[0], sqrt_h * z[1]
             assert b.dW1[k].tobytes() == dW1.tobytes()
-            assert b.dB[k].tobytes() == (rho * dW1 + np.sqrt(1.0 - rho**2) * dW2).tobytes()
+            assert dB[:, k].tobytes() == (rho * dW1 + np.sqrt(1.0 - rho**2) * dW2).tobytes()
 
     @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(10)])
     @pytest.mark.parametrize(
@@ -349,7 +357,8 @@ class TestPathBlocks:
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
         grid, n = self.GRID, self.GRID.n_steps
         b = simulate_variance(market, LiftedFactors(10), grid, self.N, 12)
-        nu = factor_recursion(market, LiftedFactors(10), grid, b.dB)
+        dB = _draw_increments(market, grid, range(self.N), 12)[1].T
+        nu = factor_recursion(market, LiftedFactors(10), grid, dB)
         assert np.mean(nu[:, 1:] == 0.0) < 0.1
         assert np.max(np.abs(b.variance - nu)) <= 1e-12 * np.max(nu)
 
@@ -394,9 +403,42 @@ class TestPathBlocks:
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01, hurst=hurst)
         grid = TimeGrid(0.0, horizon, n_steps)
         got = simulate_variance(market, LiftedFactors(20), grid, n_paths, 12)
-        nu = factor_recursion(market, LiftedFactors(20), grid, got.dB)
+        dB = _draw_increments(market, grid, range(n_paths), 12)[1].T
+        nu = factor_recursion(market, LiftedFactors(20), grid, dB)
         assert np.mean(nu[:, 1:] == 0.0) < 0.1
         assert np.max(np.abs(got.variance - nu)) <= 1e-12 * np.max(nu)
+
+    @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(20)],
+                             ids=["exact", "lifted"])
+    @pytest.mark.parametrize("n_steps, n_paths", [
+        (101, 33),  # a ragged last block of either scheme; a padded second group
+        (101, 1),
+        (50, 33),   # fewer steps than one exact-kernel block
+        (5, 33),    # fewer steps than one block of either scheme
+        (1, 1),
+    ])
+    def test_variance_is_stored_over_the_draws(self, scheme, n_steps, n_paths):
+        # node i + 1 is written over row i of dB, which the march has read by
+        # then: the variance is byte for byte a march over a separate copy
+        market, grid = make_market(), TimeGrid(0.0, n_steps / 250, n_steps)
+        b = simulate_variance(market, scheme, grid, n_paths, 21)
+        assert b.dB is None
+        assert not np.shares_memory(b.variance, b.dW1)
+
+        dB = _draw_increments(market, grid, range(n_paths), 21)[1].copy()
+        nu = np.empty((n_steps + 1, n_paths))
+        nu[0] = market.nu0
+        h = grid.spacing
+        if isinstance(scheme, EulerConvolution):
+            kern_lag = kernel_eval(market.kernel, h * np.arange(1, n_steps + 1))
+            history = _exact_history(market, kern_lag, n_paths)
+        else:
+            factors = _as_factor_kernel(market.kernel, scheme, grid.t_end)[0]
+            kern_lag = kernel_eval(factors, h * np.arange(1, _LIFTED_BLOCK + 1))
+            history = _lifted_history(market, factors, grid, n_paths)
+        _volterra_march(market, grid, kern_lag, nu, dB, history)
+        assert not np.shares_memory(nu, dB)
+        assert b.variance.tobytes() == nu.T.tobytes()
 
     def test_no_subnormal_reaches_the_factor_products(self):
         # at T = 0.5 and 250 steps a year the fastest factor decays by
@@ -441,12 +483,13 @@ class TestPathBlocks:
 
     @pytest.mark.parametrize("steps", [12, 40_000, 10**6])
     def test_block_paths_fill_the_memory_budget(self, steps):
-        # the arrays a block holds: variance, dW1 and dB; the exact kernel's
-        # shock history; wealth and log-wealth when paths.csv is written
+        # the arrays a block holds: dW1 and the variance, stored over dB; the
+        # exact kernel's shock history; wealth and log-wealth when paths.csv
+        # is written
         grid = TimeGrid(0.0, 1.0, steps)
         for scheme, keep_paths, arrays in [
-            (LiftedFactors(), False, 3), (EulerConvolution(), False, 4),
-            (LiftedFactors(), True, 5), (EulerConvolution(), True, 6),
+            (LiftedFactors(), False, 2), (EulerConvolution(), False, 3),
+            (LiftedFactors(), True, 4), (EulerConvolution(), True, 5),
         ]:
             assert block_arrays(scheme, keep_paths) == arrays
             k = block_paths(grid, scheme, keep_paths)
@@ -689,9 +732,14 @@ class TestExports:
 
 class TestFitDegenerate:
     def test_duplicated_rates_raise(self):
-        # a unit rate spread collapses the geometric ladder onto one rate
-        with pytest.raises(RuntimeError, match="fewer factors"):
+        # a unit rate spread collapses the geometric ladder onto one rate,
+        # which fewer factors would not cure
+        with pytest.raises(RuntimeError, match=r"rank 1 < 3\): the rates coincide; widen rate_spread"):
             fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), 3, 10.0, rate_spread=1.0)
+
+    def test_too_many_factors_raise(self):
+        with pytest.raises(RuntimeError, match=r"< 500\): try fewer factors"):
+            fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), 500, 10.0)
 
     def test_metadata_reports_squared_integral(self):
         market = make_market(hurst=0.1)

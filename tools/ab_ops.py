@@ -21,8 +21,11 @@ each tree's nearest-rank p50 and p90 over all its op times, as perfbench compute
 op_p50_s and op_p90_s: a change can speed up most ops and still move these
 the other way, when it changes which kinds of op sit at a percentile.
 Last, each worker's peak resident memory (ru_maxrss, in MB, as perfbench
-computes peak_rss_mb): both trees ran the same ops, so the two peaks compare
-at equal op counts, which perfbench's fixed-time runs do not give.
+computes peak_rss_mb), first after its warm-up op and then after every op:
+both trees ran the same ops, so the two peaks compare at equal op counts,
+which perfbench's fixed-time runs do not give.  The first reading is the
+set-up's; a rise from it to the second is a high-water mark that the timed
+ops set, often the first large one.
 Exit status: 0 when every op exits 0 on both trees; 1 otherwise.
 """
 
@@ -101,8 +104,9 @@ class Worker:
 
 def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
     """{kind: [[seconds on A, seconds on B], ...]}, the same pairs as
-    {Hurst value: pairs} for the ops whose expect names one, the failed runs
-    and [peak resident MB of A's worker, of B's].
+    {Hurst value: pairs} for the ops whose expect names one, the failed runs,
+    [peak resident MB of A's worker, of B's] after the warm-up op, and the
+    same after the last op.
 
     Op k runs on A first when k is even and on B first when it is odd.
     """
@@ -117,6 +121,7 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
                            "--out", str(out_dir / f"warmup-{label}")])
             if rc != 0:
                 failed.append(f"warm-up on {label}: exit {rc}")
+        warmup_mb = [w.peak_mb for w in workers]
         for k, op in enumerate(ops):
             pair = [0.0, 0.0]
             for j in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -132,10 +137,10 @@ def run_pairs(trees, ops, warmup, config_dir: Path, out_dir: Path):
     finally:
         for w in workers:
             w.close()
-    return dict(times), dict(by_hurst), failed, [w.peak_mb for w in workers]
+    return dict(times), dict(by_hurst), failed, warmup_mb, [w.peak_mb for w in workers]
 
 
-def report(times, peaks_mb, by_hurst=None) -> list[str]:
+def report(times, peaks_mb, by_hurst=None, warmup_mb=None) -> list[str]:
     lines = [f"{'kind':<24} {'ops':>4} {'A s':>9} {'B s':>9} {'B/A':>7}"
              f" {'median':>7} {'B won':>6}"]
     every = [p for ps in times.values() for p in ps]
@@ -151,8 +156,12 @@ def report(times, peaks_mb, by_hurst=None) -> list[str]:
     for name, q in (("op_p50_s", 0.5), ("op_p90_s", 0.9)):
         a, b = (percentile([p[j] for p in every], q) for j in (0, 1))
         lines.append(f"{name:<24} {len(every):>4} {a:>9.4f} {b:>9.4f} {b / a:>7.3f}")
-    a, b = peaks_mb
-    lines.append(f"{'peak_rss_mb':<24} {len(every):>4} {a:>9.2f} {b:>9.2f} {b / a:>7.3f}")
+    # ru_maxrss after the warm-up (no timed op yet), then after every op
+    for name, ops_run, peaks in (("warmup_rss_mb", 0, warmup_mb),
+                                 ("peak_rss_mb", len(every), peaks_mb)):
+        if peaks is not None:
+            a, b = peaks
+            lines.append(f"{name:<24} {ops_run:>4} {a:>9.2f} {b:>9.2f} {b / a:>7.3f}")
     return lines
 
 
@@ -174,11 +183,11 @@ def main(argv=None) -> int:
         fit = sum_of_exp_fitter()
     ops = [op for r in make_rounds(args.workload, args.seed, args.rounds, fit) for op in r]
     with tempfile.TemporaryDirectory() as tmp:
-        times, by_hurst, failed, peaks_mb = run_pairs(
+        times, by_hurst, failed, warmup_mb, peaks_mb = run_pairs(
             trees, ops, warmup_op(args.workload, fit), Path(tmp) / "configs", Path(tmp) / "out")
     print(f"A = {trees[0]}\nB = {trees[1]}")
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(ops)} ops")
-    print("\n".join(report(times, peaks_mb, by_hurst)))
+    print("\n".join(report(times, peaks_mb, by_hurst, warmup_mb)))
     for line in failed:
         print(f"FAILED {line}")
     return 1 if failed else 0
