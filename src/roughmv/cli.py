@@ -3,7 +3,9 @@ emission, and the data recipes behind the hedge-term, crossover, simulation,
 and consumption figures.
 
 Subcommands: hedge-curve, crossover, simulate, nonexp, strategy.
-Exit codes: 0 success, 2 config error, 3 numeric or I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric or I/O error.  load_config
+checks every field name and variant once, and main builds each input once
+(Inputs) before any work: a field at fault exits 2, named, whatever the command.
 
 Every command writes a manifest.json holding the fully resolved config, the
 library version, and the seed; pointing --config at a manifest reruns the
@@ -30,9 +32,9 @@ from .kernels import (
     FractionalKernel,
     SumOfExponentialsKernel,
     TimeGrid,
-    _check_weight,
 )
 from .montecarlo import (
+    MAX_ELEMENTS,
     PATHS_CSV_HEADER,
     EulerConvolution,
     LiftedFactors,
@@ -93,26 +95,48 @@ DEFAULT_CONFIG = {
 }
 
 
-def _reject_unknown(section: dict, allowed, path: str):
-    for key in section:
+# Sections whose fields depend on their "variant": path -> variant -> the
+# fields it takes besides "variant".  Such a section replaces its default whole.
+_VARIANT_FIELDS = {
+    "config.market.kernel": {
+        "fractional": {"c", "hurst", "alpha"},
+        "constant": {"c"},
+        "exponential": {"c", "beta"},
+        "sum_of_exponentials": {"weights", "rates"},
+    },
+    "config.objective": {
+        "const_mv": {"gamma", "horizon"},
+        "log_mv": {"gamma", "horizon", "delta"},
+        "nonexp_log": {"discount", "horizon"},
+    },
+    "config.objective.discount": {
+        "exponential": {"rate"},
+        "hyperbolic": {"a", "b"},
+        "tabulated": {"times", "values"},
+    },
+}
+
+
+def _merge(base: dict, override, path: str = "config") -> dict:
+    """base with override's fields, each checked against base's or its variant's."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    allowed = base.keys()
+    if path in _VARIANT_FIELDS:  # no default is merged into the section
+        variants = _VARIANT_FIELDS[path]
+        variant = override.get("variant")
+        if not (isinstance(variant, str) and variant in variants):
+            raise ConfigError(f"unknown {path.removeprefix('config.')} variant {variant!r}")
+        base, allowed = override, {"variant", *variants[variant]}
+    for key in override:
         if key not in allowed:
             raise ConfigError(f"unknown config field '{path}.{key}'")
-
-
-def _merge(base: dict, override: dict, path: str = "config") -> dict:
-    _reject_unknown(override, base.keys(), path)
     merged = {}
     for key, default in base.items():
-        if key in override:
-            value = override[key]
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"'{path}.{key}' must be an object")
-                merged[key] = _merge(default, value, f"{path}.{key}")
-            else:
-                merged[key] = value
-        else:
-            merged[key] = default
+        value = override.get(key, default)
+        if isinstance(default, dict) or f"{path}.{key}" in _VARIANT_FIELDS:
+            value = _merge(default, value, f"{path}.{key}")
+        merged[key] = value
     return merged
 
 
@@ -130,35 +154,23 @@ def load_config(path: str | None) -> dict:
         raw = raw["config"]
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    for key in ("market", "objective"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise ConfigError(f"'config.{key}' must be an object")
-    # kernel/objective sections carry variant-dependent fields; validate there
-    kernel_raw = raw.get("market", {}).pop("kernel", None) if "market" in raw else None
-    objective_raw = raw.pop("objective", None)
-    cfg = _merge(
-        {k: v for k, v in DEFAULT_CONFIG.items() if k != "objective"},
-        raw,
-    )
-    cfg["objective"] = objective_raw if objective_raw is not None else DEFAULT_CONFIG["objective"]
-    cfg["market"]["kernel"] = kernel_raw if kernel_raw is not None else DEFAULT_CONFIG["market"]["kernel"]
-    return cfg
+    return _merge(DEFAULT_CONFIG, raw)
 
 
-_KERNEL_FIELDS = {
-    "fractional": {"variant", "c", "hurst", "alpha"},
-    "constant": {"variant", "c"},
-    "exponential": {"variant", "c", "beta"},
-    "sum_of_exponentials": {"variant", "weights", "rates"},
-}
+@contextlib.contextmanager
+def _config_errors(section: str, spec):
+    """A library error in the block becomes ConfigError("bad <section> <spec>: ...")."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {section} {spec!r}: {exc}")
 
 
 def build_kernel(spec: dict):
-    try:
+    with _config_errors("market.kernel", spec):
         variant = spec["variant"]
-        if variant not in _KERNEL_FIELDS:
-            raise ConfigError(f"unknown kernel variant '{variant}'")
-        _reject_unknown(spec, _KERNEL_FIELDS[variant], "config.market.kernel")
         if variant == "sum_of_exponentials":
             # fitted sums alternate in sign, so their weights may be negative
             return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
@@ -171,33 +183,22 @@ def build_kernel(spec: dict):
                 return FractionalKernel.from_hurst(float(spec["hurst"]), c=c)
             return FractionalKernel(c=c, alpha=float(spec["alpha"]))
         # constant and exponential kernels are the one-term sums c exp(-beta t)
-        _check_weight(c)
         beta = float(spec["beta"]) if variant == "exponential" else 0.0
-        if not (math.isfinite(beta) and beta >= 0):
-            raise ValueError(f"decay rate beta must be finite and >= 0, got {beta}")
         return SumOfExponentialsKernel((c,), (beta,))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad market.kernel {spec}: {exc}")
 
 
 def build_market(cfg: dict) -> MarketParams:
     m = cfg["market"]
     rate = m["rate"]
-    try:
+    with _config_errors("market.rate", rate):
         if isinstance(rate, dict):
             curve = RateCurve(tuple(rate["times"]), tuple(rate["rates"]))
         else:
             curve = RateCurve.flat(float(rate))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad market.rate {rate!r}: {exc}")
     scalars = {}
     for name in ("nu0", "kappa", "phi", "sigma", "rho", "theta"):
-        try:
+        with _config_errors(f"market.{name}", m[name]):
             scalars[name] = float(m[name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad market.{name} {m[name]!r}: {exc}")
     kernel = build_kernel(m["kernel"])
     try:
         return MarketParams(**scalars, rate_curve=curve, kernel=kernel)
@@ -205,61 +206,33 @@ def build_market(cfg: dict) -> MarketParams:
         raise ConfigError(f"bad market parameters: {exc}")
 
 
-_DISCOUNT_FIELDS = {
-    "exponential": {"variant", "rate"},
-    "hyperbolic": {"variant", "a", "b"},
-    "tabulated": {"variant", "times", "values"},
-}
-
-
 def build_discount(spec: dict):
-    try:
-        variant = spec["variant"]
-        if variant not in _DISCOUNT_FIELDS:
-            raise ConfigError(f"unknown discount variant '{variant}'")
-        _reject_unknown(spec, _DISCOUNT_FIELDS[variant], "config.objective.discount")
-        if variant == "exponential":
+    with _config_errors("objective.discount", spec):
+        if spec["variant"] == "exponential":
             return ExponentialDiscount(float(spec["rate"]))
-        if variant == "hyperbolic":
+        if spec["variant"] == "hyperbolic":
             return HyperbolicDiscount(float(spec["a"]), float(spec["b"]))
         return TabulatedDiscount(tuple(spec["times"]), tuple(spec["values"]))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad objective.discount {spec}: {exc}")
 
 
 def build_objective(cfg: dict):
     o = cfg["objective"]
-    allowed = {
-        "const_mv": {"variant", "gamma", "horizon"},
-        "log_mv": {"variant", "gamma", "horizon", "delta"},
-        "nonexp_log": {"variant", "discount", "horizon"},
-    }
-    try:
-        variant = o["variant"]
-        if variant not in allowed:
-            raise ConfigError(f"unknown objective variant '{variant}'")
-        _reject_unknown(o, allowed[variant], "config.objective")
+    with _config_errors("objective", o):
         horizon = float(o["horizon"])
-        if variant == "const_mv":
+        if o["variant"] == "const_mv":
             return ConstMVObjective(float(o["gamma"]), horizon)
-        if variant == "log_mv":
+        if o["variant"] == "log_mv":
             return LogMVObjective(float(o["gamma"]), horizon, float(o.get("delta", 1.0)))
         return NonExpLogObjective(build_discount(o["discount"]), horizon)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad objective spec {o}: {exc}")
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    try:
+    try:  # an int is compared exactly: 10**30 != float(10**30)
         number = int(value)
-        integral = not isinstance(value, bool) and number == float(value)
+        integral = isinstance(value, int) or number == float(value)
     except (TypeError, ValueError, OverflowError):
         integral = False
-    if not integral:
+    if isinstance(value, bool) or not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {number}")
@@ -292,21 +265,27 @@ def build_sim(cfg: dict) -> SimSettings:
     """The validated sim section; every field is checked whatever the scheme."""
     s = cfg["sim"]
     n_paths = _integer(s["n_paths"], "sim.n_paths", 2)  # a sample variance needs 2
+    if n_paths > MAX_ELEMENTS:  # the terminal values alone would exceed the budget
+        raise ConfigError(f"sim.n_paths = {n_paths} exceeds the memory budget of "
+                          f"{MAX_ELEMENTS} terminal values")
     seed = _integer(s["seed"], "sim.seed", 0)
     n_factors = _integer(s["n_factors"], "sim.n_factors", 1)
-    try:
+    with _config_errors("sim.rate_spread", s["rate_spread"]):
         lifted = LiftedFactors(n_factors, float(s["rate_spread"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad sim.rate_spread {s['rate_spread']!r}: {exc}")
     if not isinstance(s["write_paths"], bool):
         raise ConfigError(f"sim.write_paths must be true or false, got {s['write_paths']!r}")
-    if s["scheme"] == "lifted":
-        scheme = lifted
-    elif s["scheme"] == "euler_convolution":
-        scheme = EulerConvolution()
-    else:
+    if s["scheme"] not in ("lifted", "euler_convolution"):
         raise ConfigError(f"unknown sim.scheme {s['scheme']!r}")
+    scheme = lifted if s["scheme"] == "lifted" else EulerConvolution()
     return SimSettings(scheme, n_paths, seed, s["write_paths"])
+
+
+class Inputs(NamedTuple):
+    """What the commands read of the config, built once by main."""
+    market: MarketParams
+    objective: ConstMVObjective | LogMVObjective | NonExpLogObjective
+    grid: TimeGrid
+    sim: SimSettings
 
 
 def _finite_number(value) -> bool:
@@ -429,10 +408,8 @@ def _strategy_for(market, objective, grid) -> StrategyCurve:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_hedge_curve(cfg: dict, outputs: _Outputs):
-    market = build_market(cfg)
-    objective = build_objective(cfg)
-    grid = build_grid(cfg, objective.horizon)
+def cmd_hedge_curve(cfg: dict, inputs: Inputs, outputs: _Outputs):
+    market, objective, grid, _ = inputs
     names = [f"hedge_curve_H{hurst:g}.csv" for hurst in cfg["hurst_values"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"hurst_values {cfg['hurst_values']!r} give two files one name "
@@ -444,14 +421,12 @@ def cmd_hedge_curve(cfg: dict, outputs: _Outputs):
         outputs.write(name, columns_to_csv(format_columns(cols)))
 
 
-def cmd_crossover(cfg: dict, outputs: _Outputs):
+def cmd_crossover(cfg: dict, inputs: Inputs, outputs: _Outputs):
     if len(cfg["hurst_values"]) != 2:
         raise ConfigError(
             f"crossover needs exactly two hurst_values, got {cfg['hurst_values']}"
         )
-    market = build_market(cfg)
-    objective = build_objective(cfg)
-    grid = build_grid(cfg, objective.horizon)
+    market, objective, grid, _ = inputs
     h_rough, h_smooth = sorted(cfg["hurst_values"])
     rough = _with_hurst(market, h_rough)
     smooth = _with_hurst(market, h_smooth)
@@ -468,17 +443,14 @@ def cmd_crossover(cfg: dict, outputs: _Outputs):
     outputs.write("crossover.csv", "\n".join(rows), "\n")
 
 
-def cmd_simulate(cfg: dict, outputs: _Outputs):
-    market = build_market(cfg)
-    objective = build_objective(cfg)
+def cmd_simulate(cfg: dict, inputs: Inputs, outputs: _Outputs):
+    market, objective, grid, sim = inputs
     if isinstance(objective, LogMVObjective) and not objective.delta > 0.5:
         # simulate_wealth refuses it too, but only after the strategy is solved
         raise ConfigError(
             f"simulate needs objective.delta > 0.5 for log_mv, got {objective.delta!r}: "
             "below it the log-wealth coefficients diverge, or are lost, at nu = 0"
         )
-    grid = build_grid(cfg, objective.horizon)
-    sim = build_sim(cfg)
     if isinstance(sim.scheme, LiftedFactors):
         # the fit is memoised, so the blocks reuse it
         try:
@@ -524,12 +496,10 @@ def cmd_simulate(cfg: dict, outputs: _Outputs):
     outputs.write("terminal_stats.json", json.dumps(payload, sort_keys=True, indent=2), "\n")
 
 
-def cmd_nonexp(cfg: dict, outputs: _Outputs):
-    market = build_market(cfg)
-    objective = build_objective(cfg)
+def cmd_nonexp(cfg: dict, inputs: Inputs, outputs: _Outputs):
+    market, objective, grid, _ = inputs
     if not isinstance(objective, NonExpLogObjective):
         raise ConfigError("nonexp needs objective.variant = 'nonexp_log'")
-    grid = build_grid(cfg, objective.horizon)
     hursts = cfg["hurst_values"]
     if len(hursts) < 2:
         hursts = list(hursts) + [0.5]
@@ -547,10 +517,8 @@ def cmd_nonexp(cfg: dict, outputs: _Outputs):
     ), "\n")
 
 
-def cmd_strategy(cfg: dict, outputs: _Outputs):
-    market = build_market(cfg)
-    objective = build_objective(cfg)
-    grid = build_grid(cfg, objective.horizon)
+def cmd_strategy(cfg: dict, inputs: Inputs, outputs: _Outputs):
+    market, objective, grid, _ = inputs
     # every value is formatted once, and both files are written from that text
     text = strategy_text(_strategy_for(market, objective, grid))
     if "csv" in cfg["output"]["formats"]:
@@ -604,14 +572,15 @@ def main(argv=None) -> int:
             cfg["grid"]["steps_per_year"] = args.steps_per_year
         if args.paths is not None:
             cfg["sim"]["n_paths"] = args.paths
-        # every manifest records these sections, so they are checked always
-        build_sim(cfg)
-        check_sweeps(cfg)
-        outputs = _Outputs(build_output(cfg), args.command, cfg)
         # a float overflow, a division by zero or an invalid operation is a
         # numeric error, not a warning after which the run goes on with inf or NaN
-        with np.errstate(over="raise", divide="raise", invalid="raise"), outputs:
-            COMMANDS[args.command](cfg, outputs)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sim = build_sim(cfg)
+            check_sweeps(cfg)
+            market, objective = build_market(cfg), build_objective(cfg)
+            inputs = Inputs(market, objective, build_grid(cfg, objective.horizon), sim)
+            with _Outputs(build_output(cfg), args.command, cfg) as outputs:
+                COMMANDS[args.command](cfg, inputs, outputs)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

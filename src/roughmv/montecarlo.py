@@ -102,6 +102,10 @@ _WEALTH_CHUNK = 16
 # Also the steps per pass that mix dW1 into dB, for the same reason.
 _DRAW_CHUNK = 32
 
+# Sample points of the sum-of-exponentials fit: the rank of its design, so the
+# most factors a fit can tell apart.
+_FIT_POINTS = 400
+
 
 class ResourceLimitError(RuntimeError):
     """Simulation would exceed the configured memory budget."""
@@ -173,7 +177,8 @@ def fit_sum_of_exponentials(
     """Least-squares sum-of-exponentials surrogate for a fractional kernel.
 
     Rates form a geometric ladder on [1/horizon, rate_spread/horizon]; weights
-    are fitted to K on a log-spaced grid over [horizon/1e4, horizon].  Returns
+    are fitted to K at _FIT_POINTS log-spaced points of [horizon/1e4, horizon],
+    and more factors than points raise RuntimeError before any work.  Returns
     the surrogate and the relative L2 error sqrt(int (K-Khat)^2 / int K^2).
     The alpha = 1 kernel is already exponential (rate 0), returned exactly.
     """
@@ -185,12 +190,15 @@ def fit_sum_of_exponentials(
         raise ValueError("horizon must be > 0")
     if kernel.alpha == 1.0:
         return SumOfExponentialsKernel((kernel.c,), (0.0,)), 0.0
+    if n_factors > _FIT_POINTS:  # refused before the design is allocated
+        raise RuntimeError(f"degenerate exponential fit (rank <= {_FIT_POINTS} < {n_factors}): "
+                           "try fewer factors")
 
     if n_factors == 1:
         rates = np.array([np.sqrt(rate_spread) / horizon])
     else:
         rates = np.geomspace(1.0 / horizon, rate_spread / horizon, n_factors)
-    t_fit = np.geomspace(horizon / 1.0e4, horizon, 400)
+    t_fit = np.geomspace(horizon / 1.0e4, horizon, _FIT_POINTS)
     design = np.exp(-np.outer(t_fit, rates))
     target = kernel_eval(kernel, t_fit)
     weights, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)

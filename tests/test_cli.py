@@ -161,6 +161,24 @@ class TestCrossover:
 class TestOneDispatch:
     """Every command reaches the strategy functions through cli._strategy_for."""
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_main_builds_each_input_once(self, tmp_path, monkeypatch, command):
+        calls = dict.fromkeys(["build_market", "build_objective", "build_grid", "build_sim"], 0)
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        payload = base_config(hurst_values=[0.1, 0.5], grid={"steps_per_year": 20},
+                              sim={"n_factors": 8, "n_paths": 20})
+        payload["objective"] = TestAllOrNothing.NONEXP
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == dict.fromkeys(calls, 1)
+
     @staticmethod
     def _count_calls(monkeypatch):
         calls = {"const_mv": 0, "log_mv": 0}
@@ -359,7 +377,7 @@ class TestConfigHandling:
             ({"market": {"kernel": {"variant": "fractional", "c": "NaN", "hurst": 0.1}}},
              "kernel weight c must be finite"),
             ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": "NaN"}}},
-             "decay rate beta must be finite"),
+             ("bad market.kernel", "kernel rates must be finite and >= 0")),
             ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, "NaN"],
                                     "rates": [1, 2]}}}, "kernel weights must be finite"),
             ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, 2],
@@ -370,9 +388,9 @@ class TestConfigHandling:
             ({"market": {"rho": {}}}, "market.rho"),
             ({"market": {"nu0": 10**400}}, "market.nu0"),
             ({"market": {"kernel": {"variant": "constant", "c": "NaN"}}},
-             "kernel weight c must be finite"),
+             ("bad market.kernel", "kernel weights must be finite and nonzero")),
             ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": -1.0}}},
-             "decay rate beta must be finite and >= 0"),
+             ("bad market.kernel", "kernel rates must be finite and >= 0")),
             ({"market": {"kernel": {"variant": "exponential", "c": 10**400, "beta": 1.0}}},
              "market.kernel"),
             # a kernel weight c <= 0 ran on to V2 near 1e286, or exit 3
@@ -384,12 +402,35 @@ class TestConfigHandling:
              "market.kernel.c must be > 0 for the constant kernel"),
             ({"market": {"kernel": {"variant": "exponential", "c": "-Infinity", "beta": 1.0}}},
              "market.kernel.c must be > 0 for the exponential kernel"),
+            # the variant sections: an unknown variant, an unknown field, no object
+            ({"market": {"kernel": {"variant": "rough", "c": 1.0}}},
+             "unknown market.kernel variant 'rough'"),
+            ({"market": {"kernel": {"c": 1.0, "hurst": 0.1}}},
+             "unknown market.kernel variant None"),
+            ({"market": {"kernel": {"variant": "constant", "c": 1.0, "hurst": 0.1}}},
+             "unknown config field 'config.market.kernel.hurst'"),
+            ({"market": {"kernel": None}}, "'config.market.kernel' must be an object"),
+            ({"objective": {"variant": "power", "gamma": 0.5, "horizon": 3.0}},
+             "unknown objective variant 'power'"),
+            ({"objective": {"variant": "const_mv", "gamma": 0.5, "horizon": 3.0, "delta": 2.0}},
+             "unknown config field 'config.objective.delta'"),
+            ({"objective": [1]}, "'config.objective' must be an object"),
+            ({"objective": {"variant": "nonexp_log", "horizon": 3.0,
+                            "discount": {"variant": "quasi", "a": 0.5}}},
+             "unknown objective.discount variant 'quasi'"),
+            ({"objective": {"variant": "nonexp_log", "horizon": 3.0,
+                            "discount": {"variant": "exponential", "rate": 0.1, "b": 0.5}}},
+             "unknown config field 'config.objective.discount.b'"),
+            ({"objective": {"variant": "nonexp_log", "horizon": 3.0, "discount": 0.1}},
+             "'config.objective.discount' must be an object"),
         ],
+        ids=lambda value: " / ".join(value) if isinstance(value, tuple) else None,
     )
     def test_malformed_or_non_finite_input_exits_2(self, tmp_path, capsys, payload, field):
         cfg = write_config(tmp_path, payload)
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(text in err for text in ((field,) if isinstance(field, str) else field))
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["hedge-curve", "crossover", "nonexp"])
@@ -410,11 +451,13 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("sim, reason", [
         ({"n_factors": 500}, "< 500): try fewer factors"),
+        ({"n_factors": 10**30}, f"(rank <= 400 < {10**30}): try fewer factors"),
         ({"rate_spread": 1.0}, "(rank 1 < 20): the rates coincide; widen rate_spread"),
-    ], ids=["too_many_factors", "unit_rate_spread"])
+    ], ids=["too_many_factors", "far_too_many_factors", "unit_rate_spread"])
     def test_degenerate_kernel_fit_exits_2_naming_the_fields(self, tmp_path, capsys, sim,
                                                              reason):
-        # both exited 3 as numeric errors, the unit spread advising fewer factors
+        # 500 factors and the unit spread exited 3 as numeric errors, the unit
+        # spread advising fewer factors; 10^30 factors read "not an integer"
         cfg = write_config(tmp_path, {"sim": dict(sim, n_paths=50)})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -465,6 +508,38 @@ class TestConfigHandling:
         assert manifest["seed"] == 99
         assert manifest["config"]["sim"]["seed"] == 99
         assert "version" in manifest
+
+    def test_an_override_leaves_the_defaults_as_they_were(self, tmp_path):
+        # the merged config shared the default sections, so --seed and --out
+        # on a config without them changed the defaults of every later run
+        cfg = write_config(tmp_path, {"objective": {"variant": "const_mv", "gamma": 0.5,
+                                                    "horizon": 0.5}})
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "99"]) == 0
+        assert load_config(None) == cli.DEFAULT_CONFIG
+        assert cli.DEFAULT_CONFIG["sim"]["seed"] == 12345
+        assert cli.DEFAULT_CONFIG["output"]["directory"] == "out"
+
+    @pytest.mark.parametrize("n_paths", [100_000_000_000, 10**30])
+    def test_n_paths_over_the_memory_budget_exits_2_before_the_strategy(
+        self, tmp_path, capsys, monkeypatch, n_paths
+    ):
+        # 10^11 paths were refused as out of memory (exit 3) at the terminal
+        # vector, after the strategy was solved; 10^30 as "not an integer"
+        monkeypatch.setattr(cli, "_strategy_for", lambda *a: pytest.fail("strategy computed"))
+        cfg = write_config(tmp_path, {"sim": {"n_paths": n_paths}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: sim.n_paths = {n_paths} exceeds the memory budget of "
+            f"{montecarlo.MAX_ELEMENTS} terminal values\n")
+
+    def test_a_kernel_that_needs_no_fit_simulates_with_any_factor_count(self, tmp_path):
+        payload = base_config(sim={"n_factors": 10**30, "n_paths": 20},
+                              grid={"steps_per_year": 20})
+        payload["market"]["kernel"] = {"variant": "exponential", "c": 0.7, "beta": 1.5}
+        payload["objective"]["horizon"] = 1.0
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
     def test_output_path_that_cannot_be_a_directory_exits_2(

@@ -7,8 +7,11 @@ run that fails leaves no output directory behind.  Most such configs are
 refused before any file opens, so a second property mutates configs only
 inside their valid ranges, where the runs reach the writes.  The
 mutations keep every run small: at most 400 grid cells (steps_per_year <= 100
-and horizon <= 4, or a grid far over cli.MAX_GRID_STEPS, which is refused
-before anything is allocated), at most 50 paths and 50 factors.
+and horizon <= 4), at most 50 paths and 50 factors, or else a size far over
+its budget, which is refused before anything of that size is allocated: a
+grid far over cli.MAX_GRID_STEPS, n_paths over montecarlo.MAX_ELEMENTS, or
+more factors than the kernel fit has sample points (a kernel that needs no
+fit runs with any number of factors).
 """
 
 import contextlib
@@ -57,8 +60,8 @@ def size(high):
 SIZE_FIELDS = {
     ("grid", "steps_per_year"): size(100),
     ("objective", "horizon"): st.one_of(JUNK, st.floats(-1.0, 4.0), st.just(1e9)),
-    ("sim", "n_paths"): size(50),
-    ("sim", "n_factors"): size(50),
+    ("sim", "n_paths"): st.one_of(size(50), st.just(10**11), st.just(10**30)),
+    ("sim", "n_factors"): st.one_of(size(50), st.just(10**30), st.just(20_000)),
 }
 # kernel decay rates, whose size against the grid spacing picks a branch
 RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 0.5, 1e3, 1e300]), NUMBERS)

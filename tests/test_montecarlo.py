@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from roughmv.montecarlo import (
     PATH_BLOCK,
     _HISTORY_BLOCK,
     _HISTORY_GROUP,
+    _FIT_POINTS,
     _LIFTED_BLOCK,
     PATHS_CSV_HEADER,
     _as_factor_kernel,
@@ -538,9 +540,11 @@ class TestFit:
         assert err <= 0.05
 
     def test_alpha_one_is_exact_single_factor(self):
-        approx, err = fit_sum_of_exponentials(FractionalKernel(1.0, 1.0), 7, 10.0)
-        assert approx.weights == (1.0,) and approx.rates == (0.0,)
-        assert err == 0.0
+        # whatever the factor count: a kernel that needs no fit is never refused
+        for n_factors in (7, 10**12):
+            approx, err = fit_sum_of_exponentials(FractionalKernel(1.0, 1.0), n_factors, 10.0)
+            assert approx.weights == (1.0,) and approx.rates == (0.0,)
+            assert err == 0.0
 
     def test_error_decreases_with_factors(self):
         errs = [
@@ -738,8 +742,20 @@ class TestFitDegenerate:
             fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), 3, 10.0, rate_spread=1.0)
 
     def test_too_many_factors_raise(self):
-        with pytest.raises(RuntimeError, match=r"< 500\): try fewer factors"):
-            fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), 500, 10.0)
+        # as many factors as fit points: the design is square but its rank short
+        with pytest.raises(RuntimeError, match=rf"< {_FIT_POINTS}\): try fewer factors"):
+            fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), _FIT_POINTS, 10.0)
+
+    def test_more_factors_than_fit_points_raise_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError,
+                               match=rf"rank <= {_FIT_POINTS} < 20000\): try fewer factors"):
+                fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), 20_000, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the design alone would be 400 x 20000 doubles, 64 MB
 
     def test_metadata_reports_squared_integral(self):
         market = make_market(hurst=0.1)
