@@ -96,7 +96,8 @@ DEFAULT_CONFIG = {
 
 
 # Sections whose fields depend on their "variant": path -> variant -> the
-# fields it takes besides "variant".  Such a section replaces its default whole.
+# fields it takes besides "variant".  Such a section replaces its default
+# whole; build_kernel, build_discount and build_objective take it so checked.
 _VARIANT_FIELDS = {
     "config.market.kernel": {
         "fractional": {"c", "hurst", "alpha"},
@@ -227,9 +228,9 @@ def build_objective(cfg: dict):
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    try:  # an int is compared exactly: 10**30 != float(10**30)
+    try:  # an int is compared exactly (10**30 != float(10**30)) within the float range
         number = int(value)
-        integral = isinstance(value, int) or number == float(value)
+        integral = number == float(value) or isinstance(value, int)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if isinstance(value, bool) or not integral:

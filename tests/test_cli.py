@@ -423,6 +423,9 @@ class TestConfigHandling:
              "unknown config field 'config.objective.discount.b'"),
             ({"objective": {"variant": "nonexp_log", "horizon": 3.0, "discount": 0.1}},
              "'config.objective.discount' must be an object"),
+            # an integer beyond the float range: spy x horizon overflowed, exit 3
+            ({"grid": {"steps_per_year": 10**400}}, "grid.steps_per_year"),
+            ({"sim": {"seed": 10**400}}, "sim.seed"),
         ],
         ids=lambda value: " / ".join(value) if isinstance(value, tuple) else None,
     )
@@ -453,7 +456,8 @@ class TestConfigHandling:
         ({"n_factors": 500}, "< 500): try fewer factors"),
         ({"n_factors": 10**30}, f"(rank <= 400 < {10**30}): try fewer factors"),
         ({"rate_spread": 1.0}, "(rank 1 < 20): the rates coincide; widen rate_spread"),
-    ], ids=["too_many_factors", "far_too_many_factors", "unit_rate_spread"])
+        ({"n_factors": 400}, "(rank 49 < 400): try fewer factors"),
+    ], ids=["too_many_factors", "far_too_many_factors", "unit_rate_spread", "rank_short"])
     def test_degenerate_kernel_fit_exits_2_naming_the_fields(self, tmp_path, capsys, sim,
                                                              reason):
         # 500 factors and the unit spread exited 3 as numeric errors, the unit
