@@ -7,20 +7,16 @@ from .kernels import (
     ResolventSamples,
     SumOfExponentialsKernel,
     TimeGrid,
-    UnsupportedVariantError,
     integrated_resolvent_ratio_curve,
     kernel_eval,
     kernel_integral,
     mittag_leffler,
-    resolvent_closed_form,
     resolvent_numeric,
 )
 from .volterra import (
     DivergenceError,
     LinearVieProblem,
-    PsiSolution,
     RiccatiCoefficients,
-    SolverConfig,
     riccati_bound_curve,
     solve_linear_vie,
     solve_riccati_volterra,

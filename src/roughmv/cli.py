@@ -149,8 +149,10 @@ def load_config(path: str | None) -> dict:
             raw = json.loads(Path(path).read_text())
         except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable
             raise ConfigError(f"cannot read config file {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
+        # a syntax error (JSONDecodeError), an integer past int()'s digit
+        # limit, or arrays nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}")
     if isinstance(raw, dict) and "config" in raw and "command" in raw:  # a manifest
         raw = raw["config"]
     if not isinstance(raw, dict):

@@ -34,10 +34,6 @@ class KernelDomainError(ValueError):
     """Kernel evaluated outside its domain (e.g. t <= 0 for a singular kernel)."""
 
 
-class UnsupportedVariantError(ValueError):
-    """Operation has no closed form for this kernel variant."""
-
-
 # ---------------------------------------------------------------------------
 # Kernel variants
 # ---------------------------------------------------------------------------
@@ -460,38 +456,6 @@ def _ml_asymptotic_negative(alpha, beta, x):
 # Resolvents of the second kind
 # ---------------------------------------------------------------------------
 
-def resolvent_closed_form(spec: Kernel, lam: float):
-    """Closed-form R_lam as a vectorized callable of t > 0.
-
-    lam = 0 returns the zero function.  A sum of two or more exponentials has
-    no tabulated closed form here; use resolvent_numeric for it.
-    """
-    if not is_singular(spec) and len(_exponential_terms(spec)[0]) > 1:
-        raise UnsupportedVariantError(
-            "no closed-form resolvent for a sum of two or more exponentials; "
-            "use resolvent_numeric"
-        )
-    return functools.partial(_closed_form_resolvent, spec, lam)
-
-
-def _closed_form_resolvent(spec: Kernel, lam: float, t):
-    """R_lam(t) for a singular fractional or a one-term kernel (see module doc)."""
-    t_arr = np.asarray(t, dtype=float)
-    if lam == 0.0:
-        out = np.zeros_like(t_arr)
-    elif is_singular(spec):
-        lc = lam * spec.c
-        al = spec.alpha
-        if np.any(t_arr <= 0):
-            raise KernelDomainError("fractional resolvent is singular at t <= 0")
-        out = lc * t_arr ** (al - 1.0) * _ml_array(al, al, -lc * t_arr**al)
-    else:
-        (c,), (beta,) = _exponential_terms(spec)
-        lc = lam * c
-        out = lc * np.exp(-(beta + lc) * t_arr)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ResolventSamples:
     """R_lam sampled on a grid, with the discrete-identity residual attached.
@@ -506,7 +470,6 @@ class ResolventSamples:
     values: np.ndarray
     lam: float
     residual: float
-    warning: str | None = None
 
 
 def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamples:
@@ -527,15 +490,8 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     n = grid.n_steps
     h = grid.spacing
 
-    warning = None
-    if is_singular(spec) and spec.alpha < 0.55 and n < 50:
-        warning = (
-            f"grid with {n} steps is too coarse to resolve the t^(alpha-1) "
-            f"singularity at alpha={spec.alpha}; refine the grid"
-        )
-
     if lam == 0.0:
-        return ResolventSamples(grid, np.zeros(n + 1), 0.0, 0.0, warning)
+        return ResolventSamples(grid, np.zeros(n + 1), 0.0, 0.0)
 
     i0, i1 = cell_moments(spec, h, n)
     a_w, b_w = _lag_weights(i0, i1, h)
@@ -571,7 +527,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
         resid = _vie_residual(lam, a_w, b_w, forcing, values)
         scale = np.max(np.abs(forcing))
 
-    return ResolventSamples(grid, values, lam, float(resid / scale), warning)
+    return ResolventSamples(grid, values, lam, float(resid / scale))
 
 
 def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):

@@ -428,7 +428,7 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
     # psi and the value coefficients are solved in time to maturity, on the
     # grid read as a tau grid, and flipped back
     coeffs = RiccatiCoefficients.log_mv(kap, rho, sig, th, gamma)
-    psi_tau = solve_riccati_volterra(market.kernel, coeffs, grid).values
+    psi_tau = solve_riccati_volterra(market.kernel, coeffs, grid)
 
     myopic = np.full(grid.n_steps + 1, th / (1.0 + gamma))
     hedge = -(gamma * rho * sig / (1.0 + gamma)) * psi_tau[::-1]

@@ -6,8 +6,8 @@ piecewise-linear interpolant of x, which stays stable across the t^(alpha-1)
 singularity at the origin.
 
 The quadratic (Riccati) equation is solved by the fractional Adams
-predictor-corrector: product-rectangle prediction, product-trapezoidal
-correction, one PECE sweep by default.  The solved equation is
+predictor-corrector: product-rectangle prediction, then two
+product-trapezoidal corrections.  The solved equation is
 
     psi(t) = int_0^t K(t-s) * (-H2 psi^2 + H1 psi - H0)(s) ds,
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,6 +33,10 @@ from .kernels import (
 )
 
 
+# the Riccati solve stops where |psi| passes this many times |w_star|
+_DIVERGENCE_FACTOR = 10.0
+
+
 class DivergenceError(RuntimeError):
     """Riccati iteration blew past the theoretical bound."""
 
@@ -44,19 +47,14 @@ class LinearVieProblem:
 
     kernel: Kernel
     multiplier: float
-    forcing: np.ndarray | Callable[[np.ndarray], np.ndarray]
+    forcing: np.ndarray
     grid: TimeGrid
 
     def forcing_samples(self) -> np.ndarray:
-        nodes = self.grid.nodes()
-        if callable(self.forcing):
-            f = np.asarray(self.forcing(nodes), dtype=float)
-        else:
-            f = np.asarray(self.forcing, dtype=float)
-        if f.shape != nodes.shape:
-            raise ValueError(
-                f"forcing has shape {f.shape}, expected {nodes.shape}"
-            )
+        f = np.asarray(self.forcing, dtype=float)
+        shape = (self.grid.n_steps + 1,)
+        if f.shape != shape:
+            raise ValueError(f"forcing has shape {f.shape}, expected {shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("forcing must be finite on the grid")
         return f
@@ -91,27 +89,6 @@ class RiccatiCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    corrector_iterations: int = 1
-    corrector_tol: float | None = None
-    divergence_factor: float = 10.0
-
-    def __post_init__(self):
-        if self.corrector_iterations < 1:
-            raise ValueError("corrector_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class PsiSolution:
-    """psi sampled on a time-to-maturity grid; psi(0) = 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    coefficients: RiccatiCoefficients
-    kernel: Kernel
-
-
 # ---------------------------------------------------------------------------
 # Linear solve
 # ---------------------------------------------------------------------------
@@ -131,27 +108,28 @@ def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Riccati-Volterra solver (fractional Adams PECE)
+# Riccati-Volterra solver (fractional Adams predictor-corrector)
 # ---------------------------------------------------------------------------
 
 def solve_riccati_volterra(
     kernel: Kernel,
     coeffs: RiccatiCoefficients,
     grid: TimeGrid,
-    config: SolverConfig = SolverConfig(),
-) -> PsiSolution:
-    """psi on the grid by the fractional Adams PECE step.
+) -> np.ndarray:
+    """psi on the grid by the fractional Adams step; psi[0] = 0.
 
-    The step sums the history of the integrand g = rhs(psi): the predictor by
-    the product-rectangle weights i0 against g from node 0, the corrector by
-    the product-trapezoidal weights, as a_w[i-1] g[0] plus the combined lag
-    weights a_w[m-1] + b_w[m] against g from node 1; the corrector's weight
-    b_w[0] on the new node is b1.  The grid is walked in blocks of
-    MARCH_BLOCK nodes (Hairer, Lubich & Schlichte 1985): the history from
-    before a block enters all of its nodes by one np.convolve per sum, and
-    inside the block each new node adds its terms to the later nodes' sums.
-    Where |psi| passes the guard (divergence_factor times |w_star|, when the
-    bound applies) or leaves the floats, DivergenceError names the node.
+    Each node is predicted by the product-rectangle rule and then corrected
+    twice by the product-trapezoidal rule.  The step sums the history of the
+    integrand g = rhs(psi): the predictor by the product-rectangle weights i0
+    against g from node 0, the corrector by the product-trapezoidal weights,
+    as a_w[i-1] g[0] plus the combined lag weights a_w[m-1] + b_w[m] against
+    g from node 1; the corrector's weight b_w[0] on the new node is b1.  The
+    grid is walked in blocks of MARCH_BLOCK nodes (Hairer, Lubich & Schlichte
+    1985): the history from before a block enters all of its nodes by one
+    np.convolve per sum, and inside the block each new node adds its terms to
+    the later nodes' sums.
+    Where |psi| passes the guard (_DIVERGENCE_FACTOR times |w_star|, when
+    the bound applies) or leaves the floats, DivergenceError names the node.
     """
     if grid.t_start != 0.0:
         raise ValueError("Riccati grid must start at t = 0")
@@ -163,12 +141,11 @@ def solve_riccati_volterra(
 
     guard = math.inf
     if coeffs.H1 < 0 and coeffs.H0 < 0 and coeffs.H2 >= 0:
-        guard = float(config.divergence_factor * abs(negative_root(coeffs)))
+        guard = float(_DIVERGENCE_FACTOR * abs(negative_root(coeffs)))
 
     lag = a_w.copy()
     lag[:-1] += b_w[1:]
     rhs = coeffs.rhs
-    iterations, tol = config.corrector_iterations, config.corrector_tol
     psi = np.zeros(n + 1)
     g = np.empty(n + 1)
     g[0] = g0 = rhs(0.0)
@@ -190,12 +167,9 @@ def solve_riccati_volterra(
             acc[1 : 2 * size : 2] += np.convolve(lag[: s + size - 2], g[1:s], "valid")
         for i, (sums, later, weights) in enumerate(steps[:size], start=s):
             pred, past = sums.tolist()
+            # two corrections: another count changes psi and every file with it
             value = past + b1 * rhs(pred)
-            for _ in range(iterations):
-                prev = value
-                value = past + b1 * rhs(value)
-                if tol is not None and abs(value - prev) <= tol:
-                    break
+            value = past + b1 * rhs(value)
             if not math.isfinite(value) or abs(value) > guard:
                 raise DivergenceError(
                     f"psi diverged at node {i} (t = {i * h:.6g}): "
@@ -204,7 +178,7 @@ def solve_riccati_volterra(
             psi[i] = value
             g[i] = g_new = rhs(value)
             later += g_new * weights
-    return PsiSolution(grid=grid, values=psi, coefficients=coeffs, kernel=kernel)
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,17 @@ def test_criterion_4_psi_bounds_on_parameter_grid():
                 coeffs = RiccatiCoefficients.log_mv(
                     STUDY["kappa"], STUDY["rho"], STUDY["sigma"], TH, gamma
                 )
-                coarse = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, T, 750))
+                grid = TimeGrid(0.0, T, 750)
+                coarse = solve_riccati_volterra(kernel, coeffs, grid)
                 fine = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, T, 1500))
                 # discretization margin for the bound comparison: at H=0.5 the
                 # continuous bound -r1 EQUALS psi, so the sampled psi may sit
                 # above it by its own O(h^2) error; 4x the Richardson estimate
                 # covers that without loosening the rough cases (margin ~1e-7
                 # versus genuine gaps >= 2e-7 at H<0.5)
-                margin = 4.0 * float(np.max(np.abs(fine.values[::2] - coarse.values)))
-                psi = coarse.values[1:]
-                taus = coarse.grid.nodes()[1:]
+                margin = 4.0 * float(np.max(np.abs(fine[::2] - coarse)))
+                psi = coarse[1:]
+                taus = grid.nodes()[1:]
                 r1 = riccati_bound_curve(coeffs, kernel, taus)
                 w_star = negative_root(coeffs)
                 assert np.all(psi > 0.0), f"psi not positive at gamma={gamma}, H={hurst}"
@@ -157,7 +158,7 @@ def test_criterion_5_adams_self_convergence():
         sols = {
             spy: solve_riccati_volterra(
                 kernel, coeffs, TimeGrid(0.0, T, spy * 3)
-            ).values
+            )
             for spy in (250, 500, 1000)
         }
         d1 = float(np.max(np.abs(sols[500][::2] - sols[250])))

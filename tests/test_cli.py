@@ -314,10 +314,17 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, payload)
         assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_invalid_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"sim": {"seed": ' + "9" * 5000 + "}}",  # past int()'s digit limit
+        '{"notes": ' + "[" * 200_000 + "]" * 200_000 + "}",  # past the recursion limit
+    ], ids=["syntax", "long_integer", "deep_nesting"])
+    def test_invalid_json_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         assert main(["strategy", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["strategy", "--config", str(tmp_path / "nope.json"),

@@ -8,7 +8,6 @@ from roughmv import (
     FractionalKernel,
     LinearVieProblem,
     RiccatiCoefficients,
-    SolverConfig,
     SumOfExponentialsKernel,
     TimeGrid,
     fit_sum_of_exponentials,
@@ -18,6 +17,7 @@ from roughmv import (
     solve_linear_vie,
     solve_riccati_volterra,
 )
+from roughmv import volterra
 from roughmv.kernels import MARCH_BLOCK, _lag_weights, _ml_array, cell_moments
 from roughmv.strategies import log_mv_existence_margin
 from roughmv.volterra import negative_root, q1
@@ -100,7 +100,7 @@ class TestLinearVie:
     def test_callable_forcing(self):
         grid = TimeGrid(0.0, 1.0, 50)
         x = solve_linear_vie(
-            LinearVieProblem(UNIT, 0.0, lambda t: t + 1.0, grid)
+            LinearVieProblem(UNIT, 0.0, grid.nodes() + 1.0, grid)
         )
         np.testing.assert_allclose(x, grid.nodes() + 1.0)
 
@@ -148,21 +148,21 @@ class TestRiccatiVolterra:
         # H2 = 0, H1 = -kappa, H0 = -q gives psi' = -kappa psi + q
         kappa, q = 0.7, 0.3
         coeffs = RiccatiCoefficients(0.0, -kappa, -q)
-        sol = solve_riccati_volterra(FractionalKernel(1.0, 1.0), coeffs, TimeGrid(0.0, 3.0, 1500))
-        t = sol.grid.nodes()
-        ref = (q / kappa) * (1.0 - np.exp(-kappa * t))
-        assert np.max(np.abs(sol.values - ref)) <= 1e-6
+        grid = TimeGrid(0.0, 3.0, 1500)
+        psi = solve_riccati_volterra(FractionalKernel(1.0, 1.0), coeffs, grid)
+        ref = (q / kappa) * (1.0 - np.exp(-kappa * grid.nodes()))
+        assert np.max(np.abs(psi - ref)) <= 1e-6
 
     def test_zero_fixed_point(self):
         coeffs = RiccatiCoefficients(0.5, 0.3, 0.0)
-        sol = solve_riccati_volterra(FractionalKernel(1.0, 0.6), coeffs, TimeGrid(0.0, 2.0, 100))
-        assert np.all(sol.values == 0.0)
+        psi = solve_riccati_volterra(FractionalKernel(1.0, 0.6), coeffs, TimeGrid(0.0, 2.0, 100))
+        assert np.all(psi == 0.0)
 
     def test_self_convergence_against_refined_grid(self):
         coeffs = fig_coeffs()
         kernel = FractionalKernel(1.0, 0.6)
-        coarse = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, 750)).values
-        fine = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, 1500)).values
+        coarse = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, 750))
+        fine = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, 1500))
         assert np.max(np.abs(fine[::2] - coarse)) <= 1e-3
 
     def test_adams_convergence_order(self):
@@ -170,7 +170,7 @@ class TestRiccatiVolterra:
         coeffs = fig_coeffs()
         kernel = FractionalKernel(1.0, 0.6)
         sols = {
-            n: solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, n)).values
+            n: solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, n))
             for n in (750, 1500, 3000, 6000)
         }
         diffs = [
@@ -182,41 +182,37 @@ class TestRiccatiVolterra:
     def test_heston_limit_matches_adaptive_ode(self):
         coeffs = fig_coeffs()
         grid = TimeGrid(0.0, 3.0, 3000)
-        sol = solve_riccati_volterra(FractionalKernel(1.0, 1.0), coeffs, grid)
+        psi = solve_riccati_volterra(FractionalKernel(1.0, 1.0), coeffs, grid)
         psi_ref, _, _, _ = heston_log_mv_curves(
             STUDY["theta"], STUDY["rho"], STUDY["sigma"], STUDY["kappa"],
             0.04, STUDY["gamma"], 0.0, grid.nodes(),
         )
-        assert np.max(np.abs(sol.values - psi_ref)) <= 1e-6
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-6
 
     def test_rho_zero_reduces_to_linear_vie(self):
-        # H2 = 0 at rho = 0: the converged corrector fixed point coincides
-        # with the implicit product-trapezoidal solve node for node
+        # H2 = 0 at rho = 0: the converged corrector fixed point, iterated on
+        # the reference march, coincides with the implicit product-trapezoidal
+        # solve node for node
         coeffs = RiccatiCoefficients.log_mv(
             STUDY["kappa"], 0.0, STUDY["sigma"], STUDY["theta"], STUDY["gamma"]
         )
         assert coeffs.H2 == 0.0
         kernel = FractionalKernel(1.0, 0.6)
         grid = TimeGrid(0.0, 3.0, 750)
-        config = SolverConfig(corrector_iterations=100, corrector_tol=1e-16)
-        psi = solve_riccati_volterra(kernel, coeffs, grid, config).values
+        psi = reference_riccati(kernel, coeffs, grid, **CONVERGED)
         from roughmv import kernel_integral
 
         forcing = -coeffs.H0 * kernel_integral(kernel, grid.nodes())
         lin = solve_linear_vie(LinearVieProblem(kernel, -coeffs.H1, forcing, grid))
         assert np.max(np.abs(psi - lin)) <= 1e-10
 
-    def test_divergence_guard_names_node(self):
+    def test_divergence_guard_names_node(self, monkeypatch):
         coeffs = fig_coeffs()
-        config = SolverConfig(divergence_factor=0.05)
+        monkeypatch.setattr(volterra, "_DIVERGENCE_FACTOR", 0.05)
         with pytest.raises(DivergenceError, match="node"):
             solve_riccati_volterra(
-                FractionalKernel(1.0, 0.6), coeffs, TimeGrid(0.0, 3.0, 750), config
+                FractionalKernel(1.0, 0.6), coeffs, TimeGrid(0.0, 3.0, 750)
             )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(corrector_iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +239,7 @@ class TestDiscreteResidual:
     def test_converged_riccati_fixed_point(self, kernel):
         grid = TimeGrid(0.0, 2.0, 400)
         coeffs = RiccatiCoefficients.log_mv(0.3, -0.7, 0.3, 1.5, 0.5)
-        config = SolverConfig(corrector_iterations=100, corrector_tol=1e-16)
-        psi = solve_riccati_volterra(kernel, coeffs, grid, config).values
+        psi = reference_riccati(kernel, coeffs, grid, **CONVERGED)
         resid = np.max(np.abs(psi - convolve(kernel, coeffs.rhs(psi), grid)))
         assert resid <= 1e-12 * np.max(np.abs(psi))
 
@@ -306,12 +301,12 @@ class TestRiccatiBounds:
     def test_psi_respects_bounds(self):
         coeffs = fig_coeffs()
         kernel = FractionalKernel(1.0, 0.6)
-        sol = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, 3.0, 750))
-        taus = sol.grid.nodes()[1:]
-        r1 = riccati_bound_curve(coeffs, kernel, taus)
+        grid = TimeGrid(0.0, 3.0, 750)
+        psi = solve_riccati_volterra(kernel, coeffs, grid)
+        r1 = riccati_bound_curve(coeffs, kernel, grid.nodes()[1:])
         w_star = negative_root(coeffs)
-        assert np.all(sol.values[1:] > 0.0)
-        assert np.all(sol.values[1:] <= -r1)
+        assert np.all(psi[1:] > 0.0)
+        assert np.all(psi[1:] <= -r1)
         assert np.all(-r1 < -w_star)
 
 
@@ -332,10 +327,11 @@ class TestRiccatiAtExtremeMarkets:
         # to 31 % of its largest value at H = 0.01, a coarse-grid error
         market = study_market(hurst, rho=rho, kappa=kappa)
         coeffs = RiccatiCoefficients.log_mv(kappa, rho, market.sigma, market.theta, gamma)
-        sol = solve_riccati_volterra(market.kernel, coeffs, TimeGrid(0.0, 1.0, 50))
-        bound = -riccati_bound_curve(coeffs, market.kernel, sol.grid.nodes()[1:])
-        assert np.all(sol.values[1:] > 0.0)
-        assert np.all(sol.values[1:] <= bound + 1e-6 * bound.max())
+        grid = TimeGrid(0.0, 1.0, 50)
+        psi = solve_riccati_volterra(market.kernel, coeffs, grid)
+        bound = -riccati_bound_curve(coeffs, market.kernel, grid.nodes()[1:])
+        assert np.all(psi[1:] > 0.0)
+        assert np.all(psi[1:] <= bound + 1e-6 * bound.max())
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,7 @@ def lifted_errors(kernel, weights, rates, ns):
     """|psi(1) - lifted-ODE psi(1)| of solve_riccati_volterra on TimeGrid(0, 1, n)."""
     ref = riccati_lifted_ode(weights, rates, LIFTED_COEFFS, 1.0)
     return np.array([
-        abs(solve_riccati_volterra(kernel, LIFTED_COEFFS, TimeGrid(0.0, 1.0, n)).values[-1] - ref)
+        abs(solve_riccati_volterra(kernel, LIFTED_COEFFS, TimeGrid(0.0, 1.0, n))[-1] - ref)
         for n in ns
     ])
 
@@ -408,18 +404,26 @@ def reference_vie(kernel, lam, f, grid):
     return reference_march(a_w, b_w, f[0], lambda i, s: (f[i] - lam * s) / denom)
 
 
-def reference_riccati(kernel, coeffs, grid, config):
+# the corrector iterated to its fixed point: 100 corrections at most, stopping
+# where one moves psi by no more than 1e-16
+CONVERGED = {"corrections": 100, "tol": 1e-16}
+
+
+def reference_riccati(kernel, coeffs, grid, corrections=2, tol=None):
+    """psi by the Adams step with the given number of product-trapezoidal
+    corrections (the library makes two), stopping early where a correction
+    moves psi by no more than tol."""
     i0, a_w, b_w = moments_and_weights(kernel, grid)
     b1, h = b_w[0], grid.spacing
-    guard = config.divergence_factor * abs(negative_root(coeffs))
+    guard = volterra._DIVERGENCE_FACTOR * abs(negative_root(coeffs))
     psi = np.zeros(grid.n_steps + 1)
 
     def pece(i, pred, past):
-        value = past + b1 * coeffs.rhs(pred)
-        for _ in range(config.corrector_iterations):
+        value = pred
+        for _ in range(corrections):
             prev = value
             value = past + b1 * coeffs.rhs(value)
-            if config.corrector_tol is not None and abs(value - prev) <= config.corrector_tol:
+            if tol is not None and abs(value - prev) <= tol:
                 break
         if not np.isfinite(value) or abs(value) > guard:
             raise DivergenceError(
@@ -458,31 +462,27 @@ class TestBlockedMarch:
         got = solve_linear_vie(LinearVieProblem(kernel, 0.7, f, grid))
         assert_close_to_reference(got, reference_vie(kernel, 0.7, f, grid))
 
-    @pytest.mark.parametrize("config", [
-        SolverConfig(),
-        SolverConfig(corrector_iterations=3),
-        SolverConfig(corrector_iterations=50, corrector_tol=1e-12),
-    ], ids=["pece1", "pece3", "tol"])
     @pytest.mark.parametrize("n", MARCH_SIZES)
     @pytest.mark.parametrize("kernel", MARCH_KERNELS, ids=MARCH_KERNEL_IDS)
-    def test_riccati(self, kernel, n, config):
+    def test_riccati(self, kernel, n):
         grid = TimeGrid(0.0, 2.0, n)
-        got = solve_riccati_volterra(kernel, LIFTED_COEFFS, grid, config).values
-        assert_close_to_reference(got, reference_riccati(kernel, LIFTED_COEFFS, grid, config))
+        got = solve_riccati_volterra(kernel, LIFTED_COEFFS, grid)
+        assert_close_to_reference(got, reference_riccati(kernel, LIFTED_COEFFS, grid))
 
-    def test_divergence_at_the_same_node_with_the_same_message(self):
+    def test_divergence_at_the_same_node_with_the_same_message(self, monkeypatch):
         kernel = FractionalKernel(1.0, 0.6)
         grid = TimeGrid(0.0, 3.0, 2 * MARCH_BLOCK + 3)
         # a guard that psi crosses in the second block
-        psi = reference_riccati(kernel, LIFTED_COEFFS, grid, SolverConfig())
+        psi = reference_riccati(kernel, LIFTED_COEFFS, grid)
         node = MARCH_BLOCK + 40
         assert psi[node - 1] < psi[node]
         guard = 0.5 * (psi[node - 1] + psi[node])
-        config = SolverConfig(divergence_factor=guard / abs(negative_root(LIFTED_COEFFS)))
+        monkeypatch.setattr(volterra, "_DIVERGENCE_FACTOR",
+                            guard / abs(negative_root(LIFTED_COEFFS)))
         with pytest.raises(DivergenceError) as ref:
-            reference_riccati(kernel, LIFTED_COEFFS, grid, config)
+            reference_riccati(kernel, LIFTED_COEFFS, grid)
         with pytest.raises(DivergenceError) as got:
-            solve_riccati_volterra(kernel, LIFTED_COEFFS, grid, config)
+            solve_riccati_volterra(kernel, LIFTED_COEFFS, grid)
         assert f"at node {node} " in str(ref.value)
         assert str(got.value) == str(ref.value)
 
@@ -506,7 +506,7 @@ def closed_form_errors(alpha, ns):
     for n in ns:
         grid = TimeGrid(0.0, 1.0, n)
         ml = _ml_array(alpha, 1.0, ORDER_H1 * grid.nodes() ** alpha)
-        psi = solve_riccati_volterra(kernel, coeffs, grid).values
+        psi = solve_riccati_volterra(kernel, coeffs, grid)
         x = solve_linear_vie(LinearVieProblem(kernel, -ORDER_H1, np.full(n + 1, -ORDER_H0), grid))
         adams.append(np.max(np.abs(psi - ORDER_H0 / ORDER_H1 * (1.0 - ml))))
         vie.append(np.max(np.abs(x + ORDER_H0 * ml)))
