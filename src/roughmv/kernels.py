@@ -119,34 +119,29 @@ def _exponential_terms(spec: Kernel) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [t_start, t_end] with n_steps cells (n_steps+1 nodes)."""
+    """Uniform grid on [0, t_end] with n_steps cells (n_steps+1 nodes)."""
 
-    t_start: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError(
-                f"grid bounds must be finite, got [{self.t_start}, {self.t_end}]"
-            )
-        if not self.t_end > self.t_start:
-            raise ValueError("grid must be strictly increasing")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
 
     @property
     def spacing(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        return self.t_end / self.n_steps
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
     @classmethod
     def for_horizon(cls, horizon: float, steps_per_year: int = 250) -> "TimeGrid":
         """Grid on [0, horizon] at the default resolution of 250 steps/year."""
         n = max(1, round(steps_per_year * horizon))
-        return cls(0.0, float(horizon), int(n))
+        return cls(float(horizon), int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +461,7 @@ class ResolventSamples:
     triangular solve, while accuracy against closed forms is a separate check.
     """
 
-    grid: TimeGrid
     values: np.ndarray
-    lam: float
     residual: float
 
 
@@ -482,8 +475,6 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     is solved numerically, by _vie_direct; a solve that is not finite raises
     ValueError.  The node at t = 0 is stored as +-inf.
     """
-    if grid.t_start != 0.0:
-        raise ValueError("resolvent grid must start at t = 0")
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
     nodes = grid.nodes()
@@ -491,7 +482,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     h = grid.spacing
 
     if lam == 0.0:
-        return ResolventSamples(grid, np.zeros(n + 1), 0.0, 0.0)
+        return ResolventSamples(np.zeros(n + 1), 0.0)
 
     i0, i1 = cell_moments(spec, h, n)
     a_w, b_w = _lag_weights(i0, i1, h)
@@ -527,7 +518,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
         resid = _vie_residual(lam, a_w, b_w, forcing, values)
         scale = np.max(np.abs(forcing))
 
-    return ResolventSamples(grid, values, lam, float(resid / scale))
+    return ResolventSamples(values, float(resid / scale))
 
 
 def _lag_weights(i0: np.ndarray, i1: np.ndarray, h: float):
@@ -647,7 +638,11 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     exponentials falls back to trapezoid quadrature of the numeric resolvent
     (see _numeric_resolvent_ratio).
     """
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     taus = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau values must be finite")
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")
     if lam == 0.0:
@@ -684,10 +679,6 @@ def _numeric_resolvent_ratio(spec: Kernel, lam: float, taus: np.ndarray):
     the forcing is lam sum_j c_j q_j^i.  One time loop runs every tau: ordered
     by n, the taus still running are a prefix.  The ratio is 0 at tau = 0.
     """
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau values must be finite")
     ratio = np.zeros_like(taus)
     rows = np.flatnonzero(taus)
     n = np.maximum(200, (250 * taus[rows]).astype(int))

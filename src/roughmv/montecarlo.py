@@ -144,8 +144,6 @@ class PathBundle:
     variance: np.ndarray           # (n_paths, n_nodes), all >= 0
     dW1: np.ndarray                # (n_paths, n_steps) stock-driving increments
     dB: None                       # always: the variance is stored over dB
-    seed: int
-    scheme: SimScheme
     paths: range                   # global index of each row
     wealth: np.ndarray | None = None
     log_wealth: np.ndarray | None = None
@@ -441,8 +439,6 @@ def simulate_variance(
     Row k of the result is path paths[k], a function of (seed, paths[k]) only,
     so the rows of range(a, b) equal rows a:b of one call over range(b).
     """
-    if grid.t_start != 0.0:
-        raise ValueError("simulation grid must start at t = 0")
     paths = _path_range(paths)
     n = grid.n_steps
     if block_arrays(scheme, False) * len(paths) * (n + 1) > MAX_ELEMENTS:
@@ -465,7 +461,6 @@ def simulate_variance(
         factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
         metadata["kernel_fit_l2_error"] = fit_err
         metadata["kernel_fit_sq_integral"] = fit_sq
-        metadata["n_factors"] = factors.n_factors
         kern_lag = kernel_eval(factors, h * np.arange(1, _LIFTED_BLOCK + 1))
         history = _lifted_history(market, factors, grid, len(paths))
     else:
@@ -477,8 +472,6 @@ def simulate_variance(
         variance=nu.T,
         dW1=dW1.T,
         dB=None,
-        seed=int(seed),
-        scheme=scheme,
         metadata=metadata,
         paths=paths,
     )

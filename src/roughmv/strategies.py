@@ -208,7 +208,7 @@ class TabulatedDiscount:
         return np.interp(np.asarray(s, dtype=float), self.times, self.values)
 
     def integral(self, tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        tau = np.asarray(tau, dtype=float)
         t = np.asarray(self.times)
         v = np.asarray(self.values)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(t) * 0.5 * (v[:-1] + v[1:]))])
@@ -216,7 +216,7 @@ class TabulatedDiscount:
         j = np.searchsorted(t, tau, side="right") - 1
         inside = cum[j] + (tau - t[j]) * 0.5 * (v[j] + np.interp(tau, t, v))
         out = np.where(tau < t[-1], inside, cum[-1] + v[-1] * (tau - t[-1]))
-        return out if out.size > 1 else float(out[0])
+        return out if out.ndim else float(out)
 
 
 Discount = ExponentialDiscount | HyperbolicDiscount | TabulatedDiscount
@@ -314,10 +314,14 @@ class ThetaCurve:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_finite(self, "anchor")
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("times and values must be equal-length 1-d arrays")
+        for name, samples in (("times", t), ("values", v)):
+            if not np.all(np.isfinite(samples)):
+                raise ValueError(f"theta curve {name} must be finite")
         if abs(t[0] - self.anchor) > 1e-12:
             raise ValueError("times must start at the anchor")
         if np.any(np.diff(t) <= 0):
@@ -331,11 +335,6 @@ class ThetaCurve:
         return cls(anchor, times, np.full(n + 1, float(value)))
 
 
-def _check_grid(grid: TimeGrid):
-    if grid.t_start != 0.0:
-        raise ValueError(f"grid must start at t = 0, got [{grid.t_start}, {grid.t_end}]")
-
-
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * h * (y[:-1] + y[1:]))
@@ -347,22 +346,19 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> StrategyCurve:
-    """Equilibrium dollar-amount coefficient under constant risk aversion, on
-    the grid over [0, T], T = grid.t_end.
+    """Equilibrium dollar-amount coefficient under constant risk aversion on the grid.
 
     The caller multiplies total(t) by sqrt(nu_t) to get the control u_t;
     u_t / sqrt(nu_t) is the dollar amount held in the stock.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    _check_grid(grid)
     th, rho, sig, kap, phi = (
         market.theta, market.rho, market.sigma, market.kappa, market.phi,
     )
     lam = kap + rho * sig * th
     nodes = grid.nodes()
     taus = grid.t_end - nodes
-    taus[-1] = 0.0
 
     irr_cal = integrated_resolvent_ratio_curve(market.kernel, lam, taus)
     rate_cum = market.rate_curve.cumulative(nodes)
@@ -405,8 +401,7 @@ def log_mv_existence_margin(market: MarketParams, gamma: float) -> float:
 
 
 def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> StrategyCurve:
-    """Equilibrium proportional-investment coefficient for log-return MV, on
-    the grid over [0, T], T = grid.t_end.
+    """Equilibrium proportional-investment coefficient for log-return MV on the grid.
 
     The curve is the state-independent factor, which does not depend on the
     generalized-Heston exponent delta; for delta != 1 the control multiplies
@@ -414,7 +409,6 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    _check_grid(grid)
     margin = log_mv_existence_margin(market, gamma)
     if margin <= 0:
         raise ValueError(
@@ -457,7 +451,7 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
 def nonexp_log_strategy(
     market: MarketParams, discount: Discount, grid: TimeGrid
 ) -> StrategyCurve:
-    """The consumption problem's strategy on the grid over [0, T], T = grid.t_end:
+    """The consumption problem's strategy on the grid:
     the Merton fraction theta as total (no hedge), and the consumption rate
     1/V1(t), V1(t) = int_0^{T-t} h + h(T-t).
 
@@ -465,7 +459,6 @@ def nonexp_log_strategy(
     value function only, so the curves are bitwise identical across kernels by
     construction.
     """
-    _check_grid(grid)
     h0 = float(discount.h(0.0))
     if abs(h0 - 1.0) > 1e-12:
         raise ValueError(f"discount h(0) = {h0} violates h(0) = 1")
@@ -475,10 +468,8 @@ def nonexp_log_strategy(
 
 
 def nonexp_v1(discount: Discount, grid: TimeGrid) -> np.ndarray:
-    """V1(t) = int_0^{T-t} h + h(T-t) at the grid's nodes, T = grid.t_end, the
-    last node taken as T."""
+    """V1(t) = int_0^{T-t} h + h(T-t) at the grid's nodes, T = grid.t_end."""
     taus = grid.t_end - grid.nodes()
-    taus[-1] = 0.0
     return np.asarray(discount.integral(taus), dtype=float) + np.asarray(
         discount.h(taus), dtype=float
     )
@@ -493,7 +484,7 @@ def nonexp_forward_variance(
     two resolvent terms cancel node-for-node under the shared trapezoid rule.
     """
     t = theta_curve.anchor
-    if r < t - 1e-12 or r > theta_curve.times[-1] + 1e-12:
+    if not t - 1e-12 <= r <= theta_curve.times[-1] + 1e-12:
         raise ValueError(
             f"r = {r} outside [{t}, {theta_curve.times[-1]}]"
         )
@@ -544,11 +535,10 @@ def nonexp_value_coeffs(
     theta_curve: ThetaCurve,
     grid: TimeGrid,
 ) -> NonExpValueCoeffs:
+    """The value-function pieces on the grid read as time since the anchor."""
     anchor = theta_curve.anchor
-    horizon = grid.t_end
-    if abs(grid.t_start - anchor) > 1e-12:
-        raise ValueError("grid must start at the theta-curve anchor")
-    nodes = grid.nodes()
+    nodes = anchor + grid.nodes()
+    horizon = anchor + grid.t_end
     h_spacing = grid.spacing
     th = market.theta
 

@@ -96,8 +96,6 @@ class RiccatiCoefficients:
 def solve_linear_vie(problem: LinearVieProblem) -> np.ndarray:
     """Solution samples of x + multiplier*(K*x) = forcing on the grid."""
     grid = problem.grid
-    if grid.t_start != 0.0:
-        raise ValueError("linear VIE grid must start at t = 0")
     f = problem.forcing_samples()
     lam = problem.multiplier
     if lam == 0.0:
@@ -131,8 +129,6 @@ def solve_riccati_volterra(
     Where |psi| passes the guard (_DIVERGENCE_FACTOR times |w_star|, when
     the bound applies) or leaves the floats, DivergenceError names the node.
     """
-    if grid.t_start != 0.0:
-        raise ValueError("Riccati grid must start at t = 0")
     h = grid.spacing
     n = grid.n_steps
     i0, i1 = cell_moments(kernel, h, n)

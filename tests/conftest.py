@@ -30,7 +30,7 @@ def study_market(hurst: float, rho: float = STUDY["rho"], rate: float = 0.0,
 
 @pytest.fixture
 def grid750() -> TimeGrid:
-    return TimeGrid(0.0, 3.0, 750)
+    return TimeGrid(3.0, 750)
 
 
 @pytest.fixture

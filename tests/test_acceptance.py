@@ -60,7 +60,7 @@ class Stopwatch:
 
 def test_criterion_1_heston_limit_oracle():
     with Stopwatch() as sw:
-        grid = TimeGrid(0.0, T, 750)
+        grid = TimeGrid(T, 750)
         market = MarketParams(0.04, STUDY["kappa"], 0.04, STUDY["sigma"], STUDY["rho"],
                               TH, RateCurve.flat(0.0), FractionalKernel(1.0, 1.0))
         curve = const_mv_strategy(market, GAM, grid)
@@ -76,7 +76,7 @@ def test_criterion_1_heston_limit_oracle():
 
 def test_criterion_2_investment_horizon_effect():
     with Stopwatch() as sw:
-        grid = TimeGrid(0.0, T, 750)
+        grid = TimeGrid(T, 750)
         crossings = {}
         for label, build in (
             ("const_mv", lambda m: const_mv_strategy(m, GAM, grid).total),
@@ -123,9 +123,9 @@ def test_criterion_4_psi_bounds_on_parameter_grid():
                 coeffs = RiccatiCoefficients.log_mv(
                     STUDY["kappa"], STUDY["rho"], STUDY["sigma"], TH, gamma
                 )
-                grid = TimeGrid(0.0, T, 750)
+                grid = TimeGrid(T, 750)
                 coarse = solve_riccati_volterra(kernel, coeffs, grid)
-                fine = solve_riccati_volterra(kernel, coeffs, TimeGrid(0.0, T, 1500))
+                fine = solve_riccati_volterra(kernel, coeffs, TimeGrid(T, 1500))
                 # discretization margin for the bound comparison: at H=0.5 the
                 # continuous bound -r1 EQUALS psi, so the sampled psi may sit
                 # above it by its own O(h^2) error; 4x the Richardson estimate
@@ -157,7 +157,7 @@ def test_criterion_5_adams_self_convergence():
         kernel = FractionalKernel.from_hurst(0.1)
         sols = {
             spy: solve_riccati_volterra(
-                kernel, coeffs, TimeGrid(0.0, T, spy * 3)
+                kernel, coeffs, TimeGrid(T, spy * 3)
             )
             for spy in (250, 500, 1000)
         }
@@ -182,7 +182,7 @@ def test_criterion_6_resolvent_identity():
         worst = 0.0
         for spec in variants:
             for lam in (-0.015, 0.3, 1.0):
-                samples = resolvent_numeric(spec, lam, TimeGrid(0.0, 2.0, 250))
+                samples = resolvent_numeric(spec, lam, TimeGrid(2.0, 250))
                 worst = max(worst, samples.residual)
         assert worst <= 1e-6
     assert sw.elapsed < 1.0
@@ -194,7 +194,7 @@ def test_criterion_6_resolvent_identity():
 
 def test_criterion_7_crossover_gamma_structure():
     with Stopwatch() as sw:
-        grid = TimeGrid(0.0, T, 750)
+        grid = TimeGrid(T, 750)
         rough, smooth = study_market(0.1), study_market(0.5)
         const_stars, log_stars = (
             [prefer_rough_crossover(strategy(rough, g, grid), strategy(smooth, g, grid))
@@ -269,7 +269,7 @@ def test_criterion_8_monte_carlo_desk_scale():
 
 def test_criterion_9_nonexp_kernel_invariance():
     with Stopwatch() as sw:
-        grid = TimeGrid(0.0, T, 750)
+        grid = TimeGrid(T, 750)
         outs = [
             nonexp_log_strategy(study_market(h), ExponentialDiscount(0.0), grid)
             for h in (0.1, 0.5)  # alpha = 0.6 vs alpha = 1.0

@@ -148,18 +148,17 @@ class TestValidation:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 1.0, 10)
-        g = TimeGrid(0.0, 2.0, 4)
+            TimeGrid(1.0, 0)
+        with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+            TimeGrid(0.0, 10)
+        g = TimeGrid(2.0, 4)
         assert g.spacing == 0.5
         np.testing.assert_allclose(g.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (0.0, math.nan),
-                                        (-math.inf, 1.0), (math.nan, 1.0)])
-    def test_grid_rejects_non_finite_bounds(self, bounds):
-        with pytest.raises(ValueError, match="grid bounds must be finite"):
-            TimeGrid(*bounds, 10)
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -math.inf])
+    def test_grid_rejects_non_finite_bounds(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+            TimeGrid(t_end, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +468,18 @@ class TestClosedFormResolvent:
 
 class TestNumericResolvent:
     def test_constant_matches_exponential(self):
-        grid = TimeGrid(0.0, 2.0, 200)
+        grid = TimeGrid(2.0, 200)
         s = resolvent_numeric(constant(1.0), 1.0, grid)
         np.testing.assert_allclose(s.values, np.exp(-grid.nodes()), atol=1e-4)
 
     def test_lambda_zero_all_zero(self):
-        s = resolvent_numeric(FractionalKernel(1.0, 0.6), 0.0, TimeGrid(0.0, 1.0, 100))
+        s = resolvent_numeric(FractionalKernel(1.0, 0.6), 0.0, TimeGrid(1.0, 100))
         assert np.all(s.values == 0.0)
 
     @pytest.mark.parametrize("lam", [-0.015, 0.3, 1.0])
     @pytest.mark.parametrize("spec", TABLE_VARIANTS)
     def test_matches_closed_form(self, spec, lam):
-        grid = TimeGrid(0.0, 3.0, 300)
+        grid = TimeGrid(3.0, 300)
         s = resolvent_numeric(spec, lam, grid)
         ref = resolvent_closed_form(spec, lam)(grid.nodes()[1:])
         assert np.max(np.abs(s.values[1:] - ref)) <= 1e-4
@@ -488,7 +487,7 @@ class TestNumericResolvent:
     @pytest.mark.parametrize("lam", [-0.015, 0.3, 1.0])
     @pytest.mark.parametrize("spec", TABLE_VARIANTS)
     def test_discrete_identity_residual(self, spec, lam):
-        s = resolvent_numeric(spec, lam, TimeGrid(0.0, 2.0, 250))
+        s = resolvent_numeric(spec, lam, TimeGrid(2.0, 250))
         assert s.residual <= 1e-6
 
     def test_identity_via_independent_quadrature(self):
@@ -514,7 +513,7 @@ class TestNumericResolvent:
 
     def test_sum_of_exponentials_solves(self):
         spec = SumOfExponentialsKernel((0.5, 0.8), (0.2, 2.0))
-        grid = TimeGrid(0.0, 2.0, 400)
+        grid = TimeGrid(2.0, 400)
         s = resolvent_numeric(spec, 0.6, grid)
         assert s.residual <= 1e-10
         # cross-check against the single-exponential closed form componentwise
@@ -523,15 +522,11 @@ class TestNumericResolvent:
         ref = resolvent_closed_form(single, 0.6)(grid.nodes())
         np.testing.assert_allclose(s1.values, ref, atol=1e-6)
 
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            resolvent_numeric(constant(1.0), 1.0, TimeGrid(0.5, 1.0, 10))
-
     def test_non_finite_solve_raises_naming_the_solve(self):
         # the remainder's solve overflows before t = 3, inside np.convolve,
         # which raises no floating-point error even under np.errstate(all="raise");
         # it was returned as inf values with a nan residual
-        spec, grid = FractionalKernel.from_hurst(0.05), TimeGrid(0.0, 3.0, 750)
+        spec, grid = FractionalKernel.from_hurst(0.05), TimeGrid(3.0, 750)
         message = r"resolvent solve is not finite \(multiplier -20, 750 steps to t = 3\)"
         with pytest.raises(ValueError, match=message):
             resolvent_numeric(spec, -20.0, grid)
@@ -558,8 +553,9 @@ class TestIntegratedResolventRatio:
 
     def test_cross_check_quadrature_of_numeric_resolvent(self):
         lam, tau = -0.015, 3.0
-        s = resolvent_numeric(FractionalKernel(1.0, 1.0), lam, TimeGrid(0.0, tau, 3000))
-        via_quad = np.trapezoid(s.values, dx=s.grid.spacing) / lam
+        grid = TimeGrid(tau, 3000)
+        s = resolvent_numeric(FractionalKernel(1.0, 1.0), lam, grid)
+        via_quad = np.trapezoid(s.values, dx=grid.spacing) / lam
         assert via_quad == pytest.approx(3.0685239939144628, rel=1e-6)
 
     def test_tau_zero(self):
@@ -688,8 +684,9 @@ class TestBatchedResolventRatio:
         out = np.zeros_like(taus)
         for j in np.flatnonzero(taus):
             n = max(200, int(250 * taus[j]))
-            samples = resolvent_numeric(spec, lam, TimeGrid(0.0, taus[j], n))
-            out[j] = np.trapezoid(samples.values, dx=samples.grid.spacing) / lam
+            grid = TimeGrid(taus[j], n)
+            samples = resolvent_numeric(spec, lam, grid)
+            out[j] = np.trapezoid(samples.values, dx=grid.spacing) / lam
         return np.where(taus > 0, out, 0.0)
 
     @pytest.mark.parametrize("hurst,n_factors,lam", [
@@ -721,10 +718,11 @@ class TestBatchedResolventRatio:
 
     def test_rejects_non_finite_tau_and_lambda(self):
         spec = SumOfExponentialsKernel((0.3, 0.5), (0.0, 1.5))
-        with pytest.raises(ValueError, match="tau values must be finite"):
-            integrated_resolvent_ratio_curve(spec, 0.5, [0.5, math.inf])
-        with pytest.raises(ValueError, match="lambda must be finite"):
-            integrated_resolvent_ratio_curve(spec, math.nan, [0.5])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau values must be finite"):
+                integrated_resolvent_ratio_curve(spec, 0.5, [0.5, bad])
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                integrated_resolvent_ratio_curve(spec, bad, [0.5])
 
     def test_memory_is_bounded_by_the_tau_block(self):
         # 401 taus up to T = 1.6 with 20 factors: the loop holds a few
@@ -747,7 +745,7 @@ def marched_ratio(spec, lam, taus):
     """The ratio of each tau by the blocked node loop on its own grid."""
     out = np.zeros_like(taus)
     for j in np.flatnonzero(taus):
-        grid = TimeGrid(0.0, taus[j], max(200, int(250 * taus[j])))
+        grid = TimeGrid(taus[j], max(200, int(250 * taus[j])))
         a_w, b_w = _lag_weights(*cell_moments(spec, grid.spacing, grid.n_steps), grid.spacing)
         values = blocked_vie(lam, a_w, b_w, lam * kernel_eval(spec, grid.nodes()))
         out[j] = np.trapezoid(values, dx=grid.spacing) / lam
@@ -833,7 +831,7 @@ class TestDirectSolve:
         # at lam = -20 the diagonal 1 + lam b_w[0] of both solves crosses 0
         # where H = 0.05 and h is about 1/133, so [0, 1] would put n = 127..129
         # next to a singular system; on [0, 0.5] every n stays clear of it
-        grid = TimeGrid(0.0, 0.5, n)
+        grid = TimeGrid(0.5, n)
         a_w, b_w = _lag_weights(*cell_moments(DIRECT_KERNELS[name], grid.spacing, n),
                                 grid.spacing)
         f = np.cos(3.0 * grid.nodes()) + 0.5
@@ -849,7 +847,7 @@ class TestDirectSolve:
         # lam h near 116: the solution falls to 1e-3 of its start, while the
         # right-hand side holds lam a_w x_0 near 87; the product with the
         # series alone was 1.9e-12 off the march here
-        grid = TimeGrid(0.0, 3.0, n)
+        grid = TimeGrid(3.0, n)
         a_w, b_w = _lag_weights(*cell_moments(constant(1.0), grid.spacing, n), grid.spacing)
         f = np.cos(3.0 * grid.nodes()) + 0.5
         ref = blocked_vie(5000.0, a_w, b_w, f)

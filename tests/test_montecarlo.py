@@ -95,14 +95,14 @@ class TestSimulateVariance:
     def test_deterministic_heston_limit(self):
         # sigma ~ 0 at alpha = 1: nu -> phi + (nu0 - phi) e^{-kappa t}
         market = make_market(sigma=1e-12, nu0=0.09, hurst=0.5)
-        grid = TimeGrid(0.0, 3.0, 2000)
+        grid = TimeGrid(3.0, 2000)
         b = simulate_variance(market, EulerConvolution(), grid, 1, 3)
         ref = 0.04 + 0.05 * np.exp(-0.3 * grid.nodes())
         assert np.max(np.abs(b.variance[0] - ref)) <= 1e-3
 
     def test_deterministic_rough_matches_linear_vie(self):
         market = make_market(sigma=1e-12, nu0=0.09, hurst=0.1)
-        grid = TimeGrid(0.0, 3.0, 2000)
+        grid = TimeGrid(3.0, 2000)
         b = simulate_variance(market, EulerConvolution(), grid, 1, 3)
         forcing = market.nu0 + market.kappa * market.phi * kernel_integral(
             market.kernel, grid.nodes()
@@ -112,12 +112,12 @@ class TestSimulateVariance:
 
     def test_no_drift_no_noise_is_constant(self):
         market = make_market(sigma=1e-14, kappa=1e-14, nu0=0.09)
-        b = simulate_variance(market, EulerConvolution(), TimeGrid(0.0, 1.0, 100), 2, 5)
+        b = simulate_variance(market, EulerConvolution(), TimeGrid(1.0, 100), 2, 5)
         np.testing.assert_allclose(b.variance, 0.09, atol=1e-10)
 
     def test_bitwise_determinism(self):
         market = make_market()
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         a = simulate_variance(market, LiftedFactors(10), grid, 40, 42)
         b = simulate_variance(market, LiftedFactors(10), grid, 40, 42)
         assert a.variance.tobytes() == b.variance.tobytes()
@@ -125,7 +125,7 @@ class TestSimulateVariance:
 
     def test_path_substreams_independent_of_n_paths(self):
         market = make_market()
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         big = simulate_variance(market, LiftedFactors(10), grid, 40, 42)
         small = simulate_variance(market, LiftedFactors(10), grid, 15, 42)
         np.testing.assert_array_equal(big.variance[:15], small.variance)
@@ -133,7 +133,7 @@ class TestSimulateVariance:
     def test_chunking_does_not_change_results(self):
         # blocks of 7 path indices, the last one ragged, against one call
         market = make_market()
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         a = simulate_variance(market, LiftedFactors(10), grid, 40, 42)
         blocks = [
             simulate_variance(market, LiftedFactors(10), grid, range(lo, min(lo + 7, 40)), 42)
@@ -144,7 +144,7 @@ class TestSimulateVariance:
 
     def test_schemes_agree_in_distribution(self):
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
-        grid = TimeGrid(0.0, 2.0, 500)
+        grid = TimeGrid(2.0, 500)
         a = simulate_variance(market, EulerConvolution(), grid, 1000, 11)
         b = simulate_variance(market, LiftedFactors(20), grid, 1000, 11)
         xa, xb = a.variance[:, -1], b.variance[:, -1]
@@ -155,7 +155,7 @@ class TestSimulateVariance:
         # terminal variance means of the two schemes within 3 combined
         # standard errors at 2000 paths on the ten-year, 250-steps/year grid
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
-        grid = TimeGrid(0.0, 10.0, 2500)
+        grid = TimeGrid(10.0, 2500)
         a = simulate_variance(market, EulerConvolution(), grid, 2000, 99)
         b = simulate_variance(market, LiftedFactors(20), grid, 2000, 99)
         xa, xb = a.variance[:, -1], b.variance[:, -1]
@@ -170,7 +170,7 @@ class TestSimulateVariance:
         # paths by up to 17 % of the peak (H = 0.3, sigma = 0.6), so rounding
         # is compared on a market whose paths stay mostly off the floor
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01)
-        grid, n_paths, seed = TimeGrid(0.0, 2.0, 500), 40, 11
+        grid, n_paths, seed = TimeGrid(2.0, 500), 40, 11
         assert grid.n_steps % _HISTORY_BLOCK and n_paths % _HISTORY_GROUP
         assert grid.n_steps > 2 * _HISTORY_BLOCK and n_paths > _HISTORY_GROUP
         got = simulate_variance(market, EulerConvolution(), grid, n_paths, seed).variance
@@ -192,7 +192,7 @@ class TestSimulateVariance:
         # high vol-of-vol forces truncation to bite
         market = make_market(sigma=1.5, nu0=0.02)
         for scheme in (EulerConvolution(), LiftedFactors(10)):
-            b = simulate_variance(market, scheme, TimeGrid(0.0, 1.0, 200), 200, 9)
+            b = simulate_variance(market, scheme, TimeGrid(1.0, 200), 200, 9)
             assert np.all(b.variance >= 0.0)
 
     def test_memory_budget_error(self):
@@ -201,14 +201,14 @@ class TestSimulateVariance:
         for scheme, arrays in ((LiftedFactors(5), 2), (EulerConvolution(), 3)):
             n_paths = MAX_ELEMENTS // (arrays * 251) + 1
             with pytest.raises(ResourceLimitError, match="chunk"):
-                simulate_variance(market, scheme, TimeGrid(0.0, 1.0, 250), n_paths, 1)
+                simulate_variance(market, scheme, TimeGrid(1.0, 250), n_paths, 1)
 
     def test_lifted_metadata_reports_fit_error(self):
         market = make_market(hurst=0.1)
-        b = simulate_variance(market, LiftedFactors(20), TimeGrid(0.0, 1.0, 50), 2, 1)
+        b = simulate_variance(market, LiftedFactors(20), TimeGrid(1.0, 50), 2, 1)
         assert 0.0 < b.metadata["kernel_fit_l2_error"] < 0.05
         heston = make_market(hurst=0.5)
-        b2 = simulate_variance(heston, LiftedFactors(20), TimeGrid(0.0, 1.0, 50), 2, 1)
+        b2 = simulate_variance(heston, LiftedFactors(20), TimeGrid(1.0, 50), 2, 1)
         assert b2.metadata["kernel_fit_l2_error"] == 0.0
 
 
@@ -244,7 +244,7 @@ class TestPathSeedWords:
 
     def test_draws_equal_per_path_default_rng(self):
         # the per-path seeding the block pass replaced, written out
-        grid, rho, paths, seed = TimeGrid(0.0, 1.0, 40), -0.7, range(1000, 1300), 97
+        grid, rho, paths, seed = TimeGrid(1.0, 40), -0.7, range(1000, 1300), 97
         dW1, dB = _draw_increments(make_market(rho=rho), grid, paths, seed)
         sqrt_h = np.sqrt(grid.spacing)
         for k, i in enumerate(paths):
@@ -269,7 +269,7 @@ class TestPathSeedWords:
 class TestPathBlocks:
     """Path i is a function of (seed, i): blocks of a range reproduce one call."""
 
-    GRID = TimeGrid(0.0, 1.0, 60)
+    GRID = TimeGrid(1.0, 60)
     N, BLOCK = 23, 5  # five blocks, the last one ragged
 
     @pytest.mark.parametrize("scheme", [EulerConvolution(), LiftedFactors(10)])
@@ -288,7 +288,7 @@ class TestPathBlocks:
     def test_blocked_history_rows_do_not_depend_on_the_call(self):
         # 300 steps: the history from before each block of 64 steps enters by
         # a matrix product, whose rounding could depend on how many rows it has
-        market, grid = make_market(), TimeGrid(0.0, 1.0, 300)
+        market, grid = make_market(), TimeGrid(1.0, 300)
         assert grid.n_steps > 2 * _HISTORY_BLOCK and 70 > 2 * _HISTORY_GROUP
         full = simulate_variance(market, EulerConvolution(), grid, 70, 8).variance
         for paths in (range(5, 6), range(9, 17), range(30, 70), range(69, 2, -3)):
@@ -403,7 +403,7 @@ class TestPathBlocks:
     def test_blocked_factor_march_matches_the_per_step_recursion(
             self, n_steps, n_paths, hurst, horizon):
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01, hurst=hurst)
-        grid = TimeGrid(0.0, horizon, n_steps)
+        grid = TimeGrid(horizon, n_steps)
         got = simulate_variance(market, LiftedFactors(20), grid, n_paths, 12)
         dB = _draw_increments(market, grid, range(n_paths), 12)[1].T
         nu = factor_recursion(market, LiftedFactors(20), grid, dB)
@@ -422,7 +422,7 @@ class TestPathBlocks:
     def test_variance_is_stored_over_the_draws(self, scheme, n_steps, n_paths):
         # node i + 1 is written over row i of dB, which the march has read by
         # then: the variance is byte for byte a march over a separate copy
-        market, grid = make_market(), TimeGrid(0.0, n_steps / 250, n_steps)
+        market, grid = make_market(), TimeGrid(n_steps / 250, n_steps)
         b = simulate_variance(market, scheme, grid, n_paths, 21)
         assert b.dB is None
         assert not np.shares_memory(b.variance, b.dW1)
@@ -446,7 +446,7 @@ class TestPathBlocks:
         # at T = 0.5 and 250 steps a year the fastest factor decays by
         # q = exp(-80) a step, and q^9 is below the normal range: the march
         # sets such powers to 0, so no product underflows
-        market, grid = make_market(nu0=0.09, kappa=1.0, rho=0.7), TimeGrid(0.0, 0.5, 125)
+        market, grid = make_market(nu0=0.09, kappa=1.0, rho=0.7), TimeGrid(0.5, 125)
         factors = _as_factor_kernel(market.kernel, LiftedFactors(20), grid.t_end)[0]
         q = math.exp(-max(factors.rates) * grid.spacing)
         assert q**_LIFTED_BLOCK > np.finfo(float).tiny > q ** (_LIFTED_BLOCK + 1)
@@ -457,7 +457,7 @@ class TestPathBlocks:
     def test_factor_state_rows_do_not_depend_on_the_call(self):
         # the factor state enters each block of 8 steps by matrix products,
         # whose rounding could depend on how many paths they carry
-        market, grid = make_market(), TimeGrid(0.0, 1.0, 101)
+        market, grid = make_market(), TimeGrid(1.0, 101)
         assert grid.n_steps % _LIFTED_BLOCK and 70 > 2 * _HISTORY_GROUP
         full = simulate_variance(market, LiftedFactors(20), grid, 70, 8).variance
         for paths in (range(5, 6), range(9, 17), range(30, 70), range(69, 2, -3)):
@@ -488,7 +488,7 @@ class TestPathBlocks:
         # the arrays a block holds: dW1 and the variance, stored over dB; the
         # exact kernel's shock history; wealth and log-wealth when paths.csv
         # is written
-        grid = TimeGrid(0.0, 1.0, steps)
+        grid = TimeGrid(1.0, steps)
         for scheme, keep_paths, arrays in [
             (LiftedFactors(), False, 2), (EulerConvolution(), False, 3),
             (LiftedFactors(), True, 4), (EulerConvolution(), True, 5),
@@ -502,7 +502,7 @@ class TestPathBlocks:
     def test_desk_sim_grids_keep_full_blocks(self):
         # the benchmark's simulations: T up to 3 at 250 steps a year
         for scheme in (LiftedFactors(), EulerConvolution()):
-            assert block_paths(TimeGrid(0.0, 3.0, 750), scheme, False) == PATH_BLOCK
+            assert block_paths(TimeGrid(3.0, 750), scheme, False) == PATH_BLOCK
 
     @pytest.mark.parametrize("paths", [0, range(0), range(-1, 3), 2.0, "3"])
     def test_bad_path_sets_rejected(self, paths):
@@ -512,7 +512,7 @@ class TestPathBlocks:
     def test_csv_rows_refuse_a_terminal_only_bundle(self):
         # the (n_paths, 1) terminal column would broadcast over every node
         market = make_market()
-        grid = TimeGrid(0.0, 0.5, 4)
+        grid = TimeGrid(0.5, 4)
         b = simulate_variance(market, LiftedFactors(3), grid, 3, 2)
         b = simulate_wealth(b, market, flat_strategy(grid, 0.3), ConstMVObjective(0.5, 0.5),
                             1.0, keep_paths=False)
@@ -521,7 +521,7 @@ class TestPathBlocks:
 
     def test_csv_rows_carry_global_path_ids(self):
         market = make_market()
-        grid = TimeGrid(0.0, 0.5, 4)
+        grid = TimeGrid(0.5, 4)
         full = simulate_variance(market, LiftedFactors(3), grid, 6, 2)
         part = simulate_variance(market, LiftedFactors(3), grid, range(4, 6), 2)
         text_full, text_part = paths_csv(full), paths_csv(part)
@@ -574,14 +574,14 @@ class TestFit:
 class TestSimulateWealth:
     def test_zero_strategy_zero_rate_is_constant(self):
         market = make_market()
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         b = simulate_variance(market, LiftedFactors(10), grid, 30, 4)
         b = simulate_wealth(b, market, flat_strategy(grid, 0.0), ConstMVObjective(0.5, 1.0), 1.0)
         np.testing.assert_array_equal(b.wealth[:, -1], np.ones(30))
 
     def test_zero_strategy_grows_at_risk_free_rate(self):
         market = make_market(rate=0.03)
-        grid = TimeGrid(0.0, 2.0, 500)
+        grid = TimeGrid(2.0, 500)
         b = simulate_variance(market, LiftedFactors(10), grid, 5, 4)
         b = simulate_wealth(b, market, flat_strategy(grid, 0.0), LogMVObjective(0.5, 2.0), 1.0)
         np.testing.assert_allclose(b.wealth[:, -1], math.exp(0.06), rtol=1e-12)
@@ -592,7 +592,7 @@ class TestSimulateWealth:
         # const-MV wealth with tiny theta stays a martingale to MC accuracy
         market = make_market(rate=0.0)
         market = dataclasses.replace(market, theta=1e-8)
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         b = simulate_variance(market, LiftedFactors(10), grid, 4000, 21)
         b = simulate_wealth(b, market, flat_strategy(grid, 1.0), ConstMVObjective(0.5, 1.0), 1.0)
         x = b.wealth[:, -1]
@@ -602,7 +602,7 @@ class TestSimulateWealth:
     def test_lognormal_closed_form_mean(self):
         # constant variance: sigma ~ 0, kappa ~ 0 freeze nu at nu0
         market = make_market(sigma=1e-12, kappa=1e-12, nu0=0.09, rate=0.01)
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         b = simulate_variance(market, EulerConvolution(), grid, 4000, 33)
         pi = 0.7
         b = simulate_wealth(b, market, flat_strategy(grid, pi), LogMVObjective(0.5, 1.0), 1.0)
@@ -618,7 +618,7 @@ class TestSimulateWealth:
 
     def test_consumption_drains_wealth(self):
         market = make_market(rate=0.0)
-        grid = TimeGrid(0.0, 2.0, 500)
+        grid = TimeGrid(2.0, 500)
         obj = NonExpLogObjective(ExponentialDiscount(0.0), 2.0)
         b = simulate_variance(market, LiftedFactors(10), grid, 5, 4)
         consumption = np.full(grid.n_steps + 1, 0.05)
@@ -632,7 +632,7 @@ class TestSimulateWealth:
                                            LogMVObjective(0.5, 1.0, delta=2.0)])
     def test_consumption_is_read_only_by_the_consumption_problem(self, objective):
         market = make_market(rate=0.01)
-        grid = TimeGrid(0.0, 1.0, 100)
+        grid = TimeGrid(1.0, 100)
         b = simulate_variance(market, LiftedFactors(10), grid, 5, 4)
         consumption = np.full(grid.n_steps + 1, 0.05)
         with_c = simulate_wealth(b, market, flat_strategy(grid, 0.5, consumption), objective, 1.0)
@@ -641,7 +641,7 @@ class TestSimulateWealth:
 
     def test_log_mv_delta_changes_paths(self):
         market = make_market()
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         b = simulate_variance(market, LiftedFactors(10), grid, 10, 4)
         w1 = simulate_wealth(b, market, flat_strategy(grid, 0.5), LogMVObjective(0.5, 1.0), 1.0)
         w2 = simulate_wealth(b, market, flat_strategy(grid, 0.5),
@@ -653,7 +653,7 @@ class TestSimulateWealth:
         # the log-wealth coefficients diverge (delta < 1/2) or are lost
         # (delta = 1/2) at the truncated nu = 0, which this market reaches
         market = make_market(sigma=1.5, nu0=0.02)
-        grid = TimeGrid(0.0, 0.5, 10)
+        grid = TimeGrid(0.5, 10)
         b = simulate_variance(market, LiftedFactors(5), grid, 4, 7)
         assert (b.variance == 0.0).any()
         with pytest.raises(ValueError, match="delta > 1/2"):
@@ -662,9 +662,9 @@ class TestSimulateWealth:
 
     def test_grid_mismatch_rejected(self):
         market = make_market()
-        b = simulate_variance(market, LiftedFactors(10), TimeGrid(0.0, 1.0, 250), 3, 4)
+        b = simulate_variance(market, LiftedFactors(10), TimeGrid(1.0, 250), 3, 4)
         with pytest.raises(ValueError, match="grid"):
-            simulate_wealth(b, market, flat_strategy(TimeGrid(0.0, 1.0, 100), 0.0),
+            simulate_wealth(b, market, flat_strategy(TimeGrid(1.0, 100), 0.0),
                             ConstMVObjective(0.5, 1.0), 1.0)
 
 
@@ -708,7 +708,7 @@ class TestExports:
         import io
 
         market = make_market()
-        grid = TimeGrid(0.0, 0.5, 10)
+        grid = TimeGrid(0.5, 10)
         b = simulate_variance(market, LiftedFactors(5), grid, 3, 7)
         b = simulate_wealth(b, market, flat_strategy(grid, 0.3), ConstMVObjective(0.5, 0.5), 1.0)
         text = paths_csv(b)
@@ -721,7 +721,7 @@ class TestExports:
     @pytest.mark.parametrize("with_wealth", [True, False])
     def test_csv_matches_per_element_formatting(self, with_wealth):
         market = make_market(sigma=1.5, nu0=0.02)  # truncated zeros among the values
-        grid = TimeGrid(0.0, 0.5, 10)
+        grid = TimeGrid(0.5, 10)
         b = simulate_variance(market, LiftedFactors(5), grid, range(3, 7), 7)
         if with_wealth:
             b = simulate_wealth(b, market, flat_strategy(grid, 0.3),
@@ -759,7 +759,7 @@ class TestFitDegenerate:
 
     def test_metadata_reports_squared_integral(self):
         market = make_market(hurst=0.1)
-        b = simulate_variance(market, LiftedFactors(20), TimeGrid(0.0, 1.0, 50), 2, 1)
+        b = simulate_variance(market, LiftedFactors(20), TimeGrid(1.0, 50), 2, 1)
         assert b.metadata["kernel_fit_sq_integral"] > 0.0
 
 
@@ -773,7 +773,7 @@ class TestMeanDynamics:
 
         market = make_market(nu0=0.09, kappa=1.0, rho=0.7, rate=0.01, hurst=hurst)
         horizon = 2.0
-        grid = TimeGrid(0.0, horizon, 500)
+        grid = TimeGrid(horizon, 500)
         strat = const_mv_strategy(market, 0.5, grid)
         b = simulate_variance(market, LiftedFactors(20), grid, 4000, 55)
         b = simulate_wealth(b, market, strat, ConstMVObjective(0.5, horizon), 1.0)

@@ -22,6 +22,7 @@ from roughmv import (
     TimeGrid,
     admissibility_constant,
     const_mv_strategy,
+    integrated_resolvent_ratio_curve,
     log_mv_existence_margin,
     log_mv_strategy,
     nonexp_forward_variance,
@@ -121,7 +122,7 @@ class TestConstMV:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.01, max_value=20.0))
     def test_gamma_scaling(self, gamma):
-        grid = TimeGrid(0.0, T, 150)
+        grid = TimeGrid(T, 150)
         market = study_market(0.1)
         base = const_mv_strategy(market, gamma, grid)
         double = const_mv_strategy(market, 2.0 * gamma, grid)
@@ -149,26 +150,19 @@ class TestConstMV:
         assert np.max(np.abs(curve.total - ref)) <= 1e-6
 
     def test_nonzero_rate_discounting(self):
-        grid = TimeGrid(0.0, 2.0, 100)
+        grid = TimeGrid(2.0, 100)
         market = study_market(0.5, rate=0.05)
         curve = const_mv_strategy(market, GAM, grid)
         assert curve.myopic[0] == pytest.approx((TH / GAM) * math.exp(-0.1), rel=1e-13)
         assert curve.value_coeffs["V1"][0] == pytest.approx(math.exp(0.1), rel=1e-13)
 
     def test_horizon_effect_long_horizon(self):
-        grid = TimeGrid(0.0, 10.0, 2500)
+        grid = TimeGrid(10.0, 2500)
         rough = const_mv_strategy(study_market(0.1), GAM, grid)
         smooth = const_mv_strategy(study_market(0.5), GAM, grid)
         i_near_end = int(np.searchsorted(grid.nodes(), 10.0 - 0.05))
         assert rough.total[0] < smooth.total[0]
         assert rough.total[i_near_end] > smooth.total[i_near_end]
-
-    def test_grid_must_start_at_zero(self, market_rough):
-        for strategy in (const_mv_strategy, log_mv_strategy):
-            with pytest.raises(ValueError, match="start at t = 0"):
-                strategy(market_rough, GAM, TimeGrid(1.0, 3.0, 100))
-        with pytest.raises(ValueError, match="start at t = 0"):
-            nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), TimeGrid(1.0, 3.0, 100))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,7 @@ class TestLogMV:
         np.testing.assert_array_equal(base.total, gen.total)
 
     def test_heston_oracle_curves(self):
-        grid = TimeGrid(0.0, T, 3000)
+        grid = TimeGrid(T, 3000)
         market = MarketParams(0.04, STUDY["kappa"], 0.04, STUDY["sigma"], STUDY["rho"],
                               TH, RateCurve.flat(0.0), FractionalKernel(1.0, 1.0))
         curve = log_mv_strategy(market, GAM, grid)
@@ -220,7 +214,7 @@ class TestLogMV:
         assert np.max(np.abs(curve.value_coeffs["g0"] - g0_ref)) <= 1e-6
 
     def test_horizon_effect_long_horizon(self):
-        grid = TimeGrid(0.0, 10.0, 2500)
+        grid = TimeGrid(10.0, 2500)
         rough = log_mv_strategy(study_market(0.1), GAM, grid)
         smooth = log_mv_strategy(study_market(0.5), GAM, grid)
         i_near_end = int(np.searchsorted(grid.nodes(), 10.0 - 0.05))
@@ -241,7 +235,7 @@ class TestNonExpStrategy:
         assert np.all(curve.hedge == 0.0)
 
     def test_exponential_discount_value(self, market_rough):
-        grid = TimeGrid(0.0, 1.0, 250)
+        grid = TimeGrid(1.0, 250)
         p_hat = nonexp_log_strategy(market_rough, ExponentialDiscount(0.1), grid).consumption
         assert p_hat[0] == pytest.approx(0.53865866002908129, rel=1e-13)
 
@@ -289,6 +283,14 @@ class TestDiscounts:
         d = TabulatedDiscount((0.0, 1.0, 3.0), (1.0, 0.6, 0.2))
         assert d.integral(3.0) == pytest.approx(0.5 * (1.0 + 0.6) + 2.0 * 0.5 * (0.6 + 0.2))
         assert d.integral(0.5) == pytest.approx(0.5 * 0.5 * (1.0 + 0.8))
+
+    def test_tabulated_integral_keeps_the_input_dimension(self):
+        # a one-element array stays an array, as for the other two discounts
+        d = TabulatedDiscount((0.0, 1.0, 3.0), (1.0, 0.6, 0.2))
+        one = d.integral(np.array([0.5]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert isinstance(d.integral(0.5), float)
+        assert one[0] == d.integral(0.5)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -347,11 +349,62 @@ class TestForwardVariance:
             ThetaCurve(0.0, np.array([0.0, 0.0]), np.array([0.04, 0.04]))
 
 
+# the multi-term branch takes the same inputs in
+# test_kernels.py::TestBatchedResolventRatio::test_rejects_non_finite_tau_and_lambda
+RATIO_KERNELS = {
+    "one_term": FractionalKernel(1.0, 1.0),
+    "fractional": FractionalKernel.from_hurst(0.1),
+}
+BAD_RATIO_INPUTS = {
+    "lam_nan": (math.nan, [0.0, 1.0], "lambda must be finite"),
+    "lam_inf": (math.inf, [0.0, 1.0], "lambda must be finite"),
+    "tau_nan": (0.5, [0.0, math.nan], "tau values must be finite"),
+    "tau_inf": (0.5, [0.0, math.inf], "tau values must be finite"),
+}
+TIMES, FLAT = np.linspace(0.0, 1.0, 101), np.full(101, 0.04)
+
+
+def _with(samples, i, bad):
+    out = samples.copy()
+    out[i] = bad
+    return out
+
+
+NON_FINITE_CASES = [
+    *[pytest.param(
+        lambda k=kernel, lam=lam, taus=taus: integrated_resolvent_ratio_curve(k, lam, taus),
+        match, id=f"ratio-{branch}-{bad}")
+      for branch, kernel in RATIO_KERNELS.items()
+      for bad, (lam, taus, match) in BAD_RATIO_INPUTS.items()],
+    pytest.param(lambda: nonexp_forward_variance(
+        study_market(0.5), ThetaCurve.flat(0.0, 1.0, 0.04, 100), math.nan),
+        "outside", id="forward-variance-r-nan"),
+    pytest.param(lambda: ThetaCurve(math.nan, TIMES, FLAT), "anchor must be finite",
+                 id="theta-anchor-nan"),
+    pytest.param(lambda: ThetaCurve(math.inf, TIMES, FLAT), "anchor must be finite",
+                 id="theta-anchor-inf"),
+    pytest.param(lambda: ThetaCurve(0.0, _with(TIMES, 50, math.nan), FLAT),
+                 "times must be finite", id="theta-time-nan"),
+    pytest.param(lambda: ThetaCurve(0.0, _with(TIMES, -1, math.inf), FLAT),
+                 "times must be finite", id="theta-time-inf"),
+    pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 50, math.nan)),
+                 "values must be finite", id="theta-value-nan"),
+    pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 0, math.inf)),
+                 "values must be finite", id="theta-value-inf"),
+]
+
+
+@pytest.mark.parametrize("call,match", NON_FINITE_CASES)
+def test_non_finite_input_rejected_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestNonExpValueCoeffs:
     def test_boundary_and_f1(self, market_rough):
         theta_curve = ThetaCurve.flat(0.0, T, 0.04, 300)
         vc = nonexp_value_coeffs(market_rough, ExponentialDiscount(0.0), theta_curve,
-                                 TimeGrid(0.0, T, 300))
+                                 TimeGrid(T, 300))
         assert vc.f1[-1] == 1.0  # h(T - T)
         assert vc.V1[0] == pytest.approx(T + 1.0)
         # c1 on the diagonal is h(0) = 1; above the diagonal undefined
@@ -365,12 +418,12 @@ class TestNonExpValueCoeffs:
                               FractionalKernel.from_hurst(0.1))
         theta_curve = ThetaCurve.flat(0.0, T, 0.04, 600)
         vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), theta_curve,
-                                 TimeGrid(0.0, T, 600))
+                                 TimeGrid(T, 600))
         assert vc.f2[0] == pytest.approx(-math.log(T + 1.0), rel=1e-5)
 
     def test_f2_linear_in_theta_squared(self):
         theta_curve = ThetaCurve.flat(0.0, T, 0.04, 300)
-        grid = TimeGrid(0.0, T, 300)
+        grid = TimeGrid(T, 300)
         markets = [
             MarketParams(0.04, 0.3, 0.04, 0.3, -0.7, th, RateCurve.flat(0.0),
                          FractionalKernel.from_hurst(0.1))
@@ -382,6 +435,23 @@ class TestNonExpValueCoeffs:
             base = vc.f1[0] * np.trapezoid(0.0 - 1.0 / vc.V1, dx=grid.spacing)
             parts.append(vc.f2[0] - base)
         assert parts[1] / parts[0] == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("discount", [ExponentialDiscount(0.1), HyperbolicDiscount(0.5, 0.8)],
+                             ids=["exponential", "hyperbolic"])
+    @pytest.mark.parametrize("anchor", [0.5, 1.25])
+    def test_anchor_after_zero_reads_the_grid_from_the_anchor(self, anchor, discount):
+        # a flat rate and a forward curve flat at phi make the problem
+        # time-homogeneous: anchor a with T - a to go is anchor 0 on the same grid
+        market = study_market(0.1, rate=0.02)
+        grid = TimeGrid(T - anchor, 300)
+        got = nonexp_value_coeffs(market, discount,
+                                  ThetaCurve.flat(anchor, T, market.phi, 300), grid)
+        ref = nonexp_value_coeffs(market, discount,
+                                  ThetaCurve.flat(0.0, T - anchor, market.phi, 300), grid)
+        np.testing.assert_allclose(got.s_nodes - anchor, ref.s_nodes, rtol=0, atol=1e-12)
+        for name in ("V1", "f1", "f2", "c1", "c2", "V2"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +484,7 @@ class TestCrossover:
 
     def test_curves_on_different_grids_rejected(self, market_rough, market_smooth, grid750):
         rough = const_mv_strategy(market_rough, GAM, grid750)
-        smooth = const_mv_strategy(market_smooth, GAM, TimeGrid(0.0, T, 300))
+        smooth = const_mv_strategy(market_smooth, GAM, TimeGrid(T, 300))
         with pytest.raises(ValueError, match="share their grid"):
             prefer_rough_crossover(rough, smooth)
 
