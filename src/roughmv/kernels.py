@@ -316,9 +316,11 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     out = np.empty(zf.shape)
     out[zf == 0.0] = _rgamma(beta)
     pos = zf > 0
-    out[pos] = _ml_series_positive(alpha, beta, zf[pos])
+    if pos.any():
+        out[pos] = _ml_series_positive(alpha, beta, zf[pos])
     small = (zf < 0) & (zf >= _ML_NEG_FLOAT_CUTOFF)
-    out[small] = _ml_series_small_negative(alpha, beta, zf[small])
+    if small.any():
+        out[small] = _ml_series_small_negative(alpha, beta, zf[small])
     far = zf < _ML_NEG_FLOAT_CUTOFF
     if alpha < 1.0:
         with np.errstate(over="ignore"):  # inf is past the seam all the same
@@ -362,15 +364,16 @@ def _ml_series_positive(alpha, beta, z):
 
 def _ml_series_small_negative(alpha, beta, z):
     # Plain float series over an array z in [-1.5, 0); every element stops
-    # adding terms at its own convergence, as a scalar loop would.
+    # adding terms at its own convergence, as a scalar loop would, from the
+    # third term on (counted, since beta + n alpha need not grow in floats).
     total = np.zeros_like(z)
     power = np.ones_like(z)
     live = np.ones(z.shape, dtype=bool)
     term_arg = beta
-    for _ in range(10_000):
+    for n in range(10_000):
         term = power * _rgamma(term_arg)
         total = np.where(live, total + term, total)
-        if term_arg > alpha + beta:
+        if n >= 2:
             live &= np.abs(term) >= 1e-18 * np.maximum(np.abs(total), 1.0)
             if not live.any():
                 return total

@@ -167,11 +167,12 @@ class HyperbolicDiscount:
         return (1.0 + self.a * np.asarray(s, dtype=float)) ** (-self.b / self.a)
 
     def integral(self, tau):
+        # ((1 + a tau)^c - 1)/(c a), c = (a - b)/a, in the expm1/log1p form,
+        # which does not cancel as b -> a; c = 0 is its limit log1p(a tau)/a
         tau = np.asarray(tau, dtype=float)
-        if self.a == self.b:
-            out = np.log1p(self.a * tau) / self.a
-        else:
-            out = ((1.0 + self.a * tau) ** (1.0 - self.b / self.a) - 1.0) / (self.a - self.b)
+        c = (self.a - self.b) / self.a
+        log_growth = np.log1p(self.a * tau)
+        out = log_growth / self.a if c == 0.0 else np.expm1(c * log_growth) / (c * self.a)
         return out if out.ndim else float(out)
 
 
@@ -283,22 +284,23 @@ class StrategyCurve:
     grid: TimeGrid
     myopic: np.ndarray
     hedge: np.ndarray
-    total: np.ndarray
     value_coeffs: dict = field(default_factory=dict)
     kind: str = ""
     consumption: np.ndarray | None = None  # the consumption problem's rate 1/V1
 
     def __post_init__(self):
         n = self.grid.n_steps + 1
-        for name in ("myopic", "hedge", "total", "consumption"):
+        for name in ("myopic", "hedge", "consumption"):
             arr = getattr(self, name)
             if arr is not None and arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-        if not np.allclose(self.total, self.myopic + self.hedge, rtol=1e-12, atol=1e-12):
-            raise ValueError("total must equal myopic + hedge at every node")
         for key, arr in self.value_coeffs.items():
             if arr.shape != (n,):
                 raise ValueError(f"value coefficient {key} has shape {arr.shape}")
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.myopic + self.hedge
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,6 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
 
     myopic = (th / gamma) * disc
     hedge = -(rho * sig * th**2 / gamma) * disc * irr_cal
-    total = myopic + hedge
 
     # value coefficients, solved in time to maturity (the grid read as a tau
     # grid) and flipped back
@@ -387,7 +388,7 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
         "g2": (th**2 / gamma) * (1.0 - lam * irr_cal),
         "g0": g0_tau[::-1].copy(),
     }
-    return StrategyCurve(grid, myopic, hedge, total, coeffs, kind="const_mv")
+    return StrategyCurve(grid, myopic, hedge, coeffs, kind="const_mv")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,6 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
 
     myopic = np.full(grid.n_steps + 1, th / (1.0 + gamma))
     hedge = -(gamma * rho * sig / (1.0 + gamma)) * psi_tau[::-1]
-    total = myopic + hedge
 
     forcing = (th - gamma * rho * sig * psi_tau) ** 2 / (2.0 * (1.0 + gamma)) \
         - (gamma * sig**2 / 2.0) * psi_tau**2
@@ -441,7 +441,7 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
         "V0": v0_tau[::-1].copy(),
         "g0": g0_tau[::-1].copy(),
     }
-    return StrategyCurve(grid, myopic, hedge, total, value, kind="log_mv")
+    return StrategyCurve(grid, myopic, hedge, value, kind="log_mv")
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def nonexp_log_strategy(
     if abs(h0 - 1.0) > 1e-12:
         raise ValueError(f"discount h(0) = {h0} violates h(0) = 1")
     theta = np.full(grid.n_steps + 1, float(market.theta))
-    return StrategyCurve(grid, theta, np.zeros_like(theta), theta, kind="nonexp_log",
+    return StrategyCurve(grid, theta, np.zeros_like(theta), kind="nonexp_log",
                          consumption=1.0 / nonexp_v1(discount, grid))
 
 
@@ -475,49 +475,57 @@ def nonexp_v1(discount: Discount, grid: TimeGrid) -> np.ndarray:
     )
 
 
-def nonexp_forward_variance(
-    market: MarketParams, theta_curve: ThetaCurve, r: float
-) -> float:
-    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl via the resolvent of kappa*K.
+FORWARD_VARIANCE_BLOCK = 65_536  # elements of F(r - l) per ratio call
 
-    Flat forward curves at the mean level phi return phi*(r - t) exactly: the
-    two resolvent terms cancel node-for-node under the shared trapezoid rule.
+
+def nonexp_forward_variance(
+    market: MarketParams, theta_curve: ThetaCurve, r: float | np.ndarray
+) -> float | np.ndarray:
+    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl via the resolvent of kappa*K,
+    at one time r (a float) or at an array of times (an array).
+
+    E = int_t^r Theta - kappa int_t^r F(r - l) (Theta(l) - phi) dl with
+    F = integrated_resolvent_ratio_curve(kernel, kappa, .), one trapezoid
+    over the curve's times clipped at r: times past r are cells of zero
+    width, and Theta is interpolated at r.  A forward curve flat at the mean
+    level phi gives phi*(r - t) to rounding.  F is evaluated for
+    FORWARD_VARIANCE_BLOCK elements, a block of rows r, at a time.
     """
-    t = theta_curve.anchor
-    if not t - 1e-12 <= r <= theta_curve.times[-1] + 1e-12:
-        raise ValueError(
-            f"r = {r} outside [{t}, {theta_curve.times[-1]}]"
-        )
-    span = theta_curve.times[-1] - t
-    density = (theta_curve.times.size - 1) / span if span > 0 else math.inf
+    t, times = theta_curve.anchor, theta_curve.times
+    r_arr = np.asarray(r, dtype=float)
+    rs = r_arr.ravel()
+    inside = (t - 1e-12 <= rs) & (rs <= times[-1] + 1e-12)
+    if not inside.all():
+        raise ValueError(f"r = {rs[~inside][0]} outside [{t}, {times[-1]}]")
+    span = times[-1] - t
+    density = (times.size - 1) / span if span > 0 else math.inf
     if density < 50.0:
         raise ValueError(
             f"forward-variance curve sampled at {density:.1f} nodes/year; "
             f"need at least 50"
         )
-    if r <= t:
-        return 0.0
     kap, phi = market.kappa, market.phi
-    mask = theta_curve.times < r - 1e-15
-    z = np.concatenate([theta_curve.times[mask], [r]])
-    th_z = np.concatenate([
-        theta_curve.values[mask],
-        [np.interp(r, theta_curve.times, theta_curve.values)],
-    ])
-    irr = integrated_resolvent_ratio_curve(market.kernel, kap, r - z)
-    term1 = np.trapezoid(th_z, z)
-    term2 = kap * np.trapezoid(irr * th_z, z)
-    term3 = kap * phi * np.trapezoid(irr[::-1], z)
-    return float(term1 - term2 + term3)
+    out = np.empty(rs.shape)
+    rows = max(1, FORWARD_VARIANCE_BLOCK // times.size)
+    for lo in range(0, rs.size, rows):
+        r_block = rs[lo : lo + rows, None]
+        l = np.minimum(times, r_block)
+        theta_l = np.interp(l, times, theta_curve.values)
+        lags = (r_block - l).ravel()  # flat: the sum-of-exponentials ratio indexes taus 1-d
+        f = integrated_resolvent_ratio_curve(market.kernel, kap, lags).reshape(l.shape)
+        out[lo : lo + rows] = np.trapezoid(theta_l - kap * f * (theta_l - phi), l, axis=1)
+    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
 
 
 @dataclass(frozen=True)
 class NonExpValueCoeffs:
     """Value-function pieces for one forward-variance anchor.
 
-    s_nodes spans [anchor, T].  c1/c2 are (r, s) matrices on s <= r (NaN
-    above the diagonal); V2 is the scalar value-function remainder at the
-    anchor.
+    s_nodes spans [anchor, T].  c1 and c2 are the vectors of the (r, s)
+    coefficients on s_j <= r_i: c1(r_i, s_j) = c1[i - j], the discount at
+    the lag, and c2(r_i, s_j) = c1[i - j] * c2[i], with c2 the bracket
+    log(1/V1) + int_anchor^r (rate - 1/V1) + theta^2/2 E(anchor, r, Theta).
+    V2 is the scalar value-function remainder at the anchor.
     """
 
     s_nodes: np.ndarray
@@ -536,36 +544,22 @@ def nonexp_value_coeffs(
     grid: TimeGrid,
 ) -> NonExpValueCoeffs:
     """The value-function pieces on the grid read as time since the anchor."""
-    anchor = theta_curve.anchor
-    nodes = anchor + grid.nodes()
-    horizon = anchor + grid.t_end
-    h_spacing = grid.spacing
+    lags = grid.nodes()
+    nodes = theta_curve.anchor + lags  # nodes[-1] is anchor + grid.t_end, the horizon
     th = market.theta
 
     v1 = nonexp_v1(discount, grid)
+    rate_cum = market.rate_curve.cumulative(nodes)
+    # int_anchor^r (rate - 1/V1): the rate exactly, 1/V1 by the trapezoid
+    cum_int = rate_cum - rate_cum[0] - _cumtrapz(1.0 / v1, grid.spacing)
+    e_vals = nonexp_forward_variance(market, theta_curve, nodes)
 
-    rates = market.rate_curve.values_at(nodes)
-    integrand = rates - 1.0 / v1
-    cum_int = _cumtrapz(integrand, h_spacing)  # int_anchor^r (rate - 1/V1)
-
-    e_vals = np.array(
-        [nonexp_forward_variance(market, theta_curve, float(r)) for r in nodes]
-    )
-
-    f1 = np.asarray(discount.h(horizon - nodes), dtype=float)
-    bracket_f = cum_int[-1] + 0.5 * th**2 * e_vals[-1]
-    f2 = f1 * bracket_f
-
-    bracket_c = np.log(1.0 / v1) + cum_int + 0.5 * th**2 * e_vals
-    lag = nodes[:, None] - nodes[None, :]  # r - s
-    with np.errstate(invalid="ignore"):
-        h_lag = np.asarray(discount.h(np.maximum(lag, 0.0)), dtype=float)
-    h_lag[lag < 0] = np.nan
-    c1 = h_lag
-    c2 = h_lag * bracket_c[:, None]
-
-    v2_scalar = float(np.trapezoid(c2[:, 0], dx=h_spacing) + f2[0])
-    return NonExpValueCoeffs(nodes, v1, f1, f2, c1, c2, v2_scalar)
+    f1 = np.asarray(discount.h(nodes[-1] - nodes), dtype=float)
+    f2 = f1 * (cum_int[-1] + 0.5 * th**2 * e_vals[-1])
+    c1 = np.asarray(discount.h(lags), dtype=float)
+    c2 = np.log(1.0 / v1) + cum_int + 0.5 * th**2 * e_vals
+    v2 = float(np.trapezoid(c1 * c2, dx=grid.spacing) + f2[0])
+    return NonExpValueCoeffs(nodes, v1, f1, f2, c1, c2, v2)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,34 @@ def exp_cell_moments_reference(c: float, beta: float, a: float, b: float) -> tup
         return float(i0), float(i1)
 
 
+def forward_variance_reference(kappa, phi, c, alpha, times, values, r):
+    """E(t, r, Theta) = int_t^r Theta - kappa int_t^r F(r - l)(Theta(l) - phi) dl
+    by adaptive quadrature, t = times[0].
+
+    Theta is the linear interpolant of the samples, and F(u) =
+    (1 - E_{alpha,1}(-kappa c u^alpha))/kappa, the integrated resolvent
+    ratio of the fractional kernel c u^(alpha-1)/Gamma(alpha), comes from
+    ml_reference; the samples inside (t, r) are quad's breakpoints.
+    """
+    theta = lambda l: np.interp(l, times, values)
+    ratio = lambda u: (1.0 - ml_reference(alpha, 1.0, -kappa * c * u**alpha)) / kappa
+    t = times[0]
+    points = times[(times > t) & (times < r)]
+    first, _ = quad(theta, t, r, points=points, limit=1000)
+    second, _ = quad(lambda l: ratio(r - l) * (theta(l) - phi), t, r, points=points, limit=1000)
+    return first - kappa * second
+
+
+def hyperbolic_integral_reference(a: float, b: float, tau: float) -> float:
+    """int_0^tau (1 + a s)^(-b/a) ds from its closed form at 60 digits, at the
+    exact a and b (log(1 + a tau)/a at a = b)."""
+    with mpmath.workdps(60):
+        am, bm, tm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(tau)
+        if a == b:
+            return float(mpmath.log1p(am * tm) / am)
+        return float(((1 + am * tm) ** (1 - bm / am) - 1) / (am - bm))
+
+
 def convolve(kernel, curve, grid):
     """(K * curve)(t_i) on the grid by product-trapezoidal quadrature.
 

@@ -230,7 +230,7 @@ def test_criterion_8_monte_carlo_desk_scale():
         flat_market = dataclasses.replace(base, rate_curve=RateCurve.flat(0.0))
         bundle0 = simulate_variance(flat_market, scheme, grid, n_paths, seed)
         zero = np.zeros(grid.n_steps + 1)
-        strategy0 = StrategyCurve(grid, zero, zero, zero, kind="zero")
+        strategy0 = StrategyCurve(grid, zero, zero, kind="zero")
         bundle0 = simulate_wealth(bundle0, flat_market, strategy0, objective, 1.0)
         x = bundle0.wealth[:, -1]
         se = float(x.std(ddof=1) / math.sqrt(n_paths))

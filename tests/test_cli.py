@@ -630,6 +630,18 @@ class TestKernelSpellings:
                                 delimiter=",", skiprows=1) for tag in kernels)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    @pytest.mark.parametrize("command", ["strategy", "simulate"])
+    def test_alpha_far_below_one_runs(self, tmp_path, command, kappa):
+        # alpha = 1e-20 ended in an IndexError traceback at kappa = 0.3 and in
+        # exit 3 ("failed to converge") at kappa = 1, where the series converges
+        payload = base_config(objective={"variant": "const_mv", "gamma": 0.5, "horizon": 1.0})
+        payload["market"].update(kappa=kappa, kernel={"variant": "fractional", "alpha": 1e-20})
+        payload["grid"] = {"steps_per_year": 100}
+        payload["sim"] = {"n_paths": 40, "seed": 11}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
 
 class TestParser:
     def test_built_once(self):
@@ -844,7 +856,7 @@ class TestCsvJsonAgreement:
         n = grid750.n_steps + 1
         odd = np.linspace(-1.0, 1.0, n)
         odd[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
-        curve = StrategyCurve(grid750, np.ones(n), np.zeros(n), np.ones(n),
+        curve = StrategyCurve(grid750, np.ones(n), np.zeros(n),
                               {"V1": odd, "g0": np.full(n, 1e300)}, kind="edge")
         text = strategy_text(curve)
         csv_text, json_text = strategy_to_csv(text), strategy_to_json(text)

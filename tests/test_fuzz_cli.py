@@ -155,8 +155,10 @@ def with_market(**fields):
        full_disk=st.one_of(st.none(), st.tuples(st.integers(0, 4),
                                                 st.sampled_from(["open", "write"]))))
 # a market scalar that is no number was a TypeError traceback, a rate far
-# below the grid spacing a ZeroDivisionError one
+# below the grid spacing a ZeroDivisionError one, alpha = 1e-20 an IndexError one
 @example(command="strategy", cfg=with_market(kappa=None), full_disk=None)
+@example(command="strategy", cfg=with_market(kernel={"variant": "fractional", "alpha": 1e-20}),
+         full_disk=None)
 @example(command="simulate", cfg=with_market(
     kernel={"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]}),
     full_disk=None)

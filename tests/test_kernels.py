@@ -282,6 +282,21 @@ class TestMittagLefflerArray:
         with pytest.raises(OverflowError):
             _ml_array(0.55, 1.0, np.array([-40.0, -3.0, 0.5, 50.0]))
 
+    def test_an_empty_band_is_not_evaluated(self):
+        # a band without elements used to run its series anyway: at alpha =
+        # 1e-20 the [-1.5, 0) series never stopped and raised IndexError
+        z = np.array([0.5, 0.0, 0.25])
+        np.testing.assert_allclose(_ml_array(1e-20, 1.0, z), 1.0 / (1.0 - z), rtol=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+    def test_tiny_alpha_is_the_geometric_series(self, beta):
+        # E_{a,b}(z) -> 1/((1 - z) Gamma(b)) as a -> 0 for |z| < 1; beta + n
+        # alpha stays beta in floats, so the series stops by its term count
+        z = np.array([-0.9, -0.685, -0.3, -1e-3, 0.0, 0.4])
+        got = _ml_array(1e-20, beta, z)
+        np.testing.assert_allclose(got, 1.0 / ((1.0 - z) * math.gamma(beta)), rtol=1e-14)
+        assert mittag_leffler(1e-20, 1.0, -0.685) == pytest.approx(1.0 / 1.685, rel=1e-15)
+
     def test_a_curve_takes_one_band_call(self, monkeypatch):
         # the T = 10 curve of configs/simulation_comparison.json: H = 0.1,
         # lam = kappa + rho sigma theta, 2500 steps; most of its 2501 nodes

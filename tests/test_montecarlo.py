@@ -83,7 +83,7 @@ def factor_recursion(market, scheme, grid, dB):
 
 def flat_strategy(grid, level, consumption=None):
     coef = np.full(grid.n_steps + 1, float(level))
-    return StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test",
+    return StrategyCurve(grid, coef, np.zeros_like(coef), kind="test",
                          consumption=consumption)
 
 
@@ -366,7 +366,7 @@ class TestPathBlocks:
 
         nu = b.variance
         coef = np.linspace(0.2, 0.6, n + 1)
-        strategy = StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
+        strategy = StrategyCurve(grid, coef, np.zeros_like(coef), kind="test")
         h, th = grid.spacing, market.theta
         for delta in (1.0, 2.0):  # at delta = 1 the library's proportion is a scalar
             got = simulate_wealth(b, market, strategy, LogMVObjective(0.5, 1.0, delta), 1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,12 @@ from roughmv import (
 from roughmv.cli import _strategy_for
 from roughmv.strategies import TEXT_PIECE, format_columns, strategy_columns
 from conftest import STUDY, study_market
-from oracles import heston_const_mv_total, heston_log_mv_curves
+from oracles import (
+    forward_variance_reference,
+    heston_const_mv_total,
+    heston_log_mv_curves,
+    hyperbolic_integral_reference,
+)
 
 TH, GAM, T = STUDY["theta"], STUDY["gamma"], STUDY["horizon"]
 
@@ -271,6 +277,17 @@ class TestDiscounts:
         ref2, _ = quad(lambda s: d_eq.h(s), 0.0, 2.0)
         assert d_eq.integral(2.0) == pytest.approx(ref2, rel=1e-10)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["b_below_a", "b_above_a"])
+    def test_hyperbolic_integral_holds_as_b_nears_a(self, sign):
+        # c = (a - b)/a from 1e-16 to 1e-1: the former ((1 + a tau)^c - 1)/(a - b)
+        # cancelled there (11 % off at c = -1e-13), the expm1/log1p form does not
+        a, taus = 0.5, np.linspace(0.0, 3.0, 751)
+        for c in [0.0, *np.logspace(-16, -1, 31)]:
+            d = HyperbolicDiscount(a, a * (1.0 - sign * c))
+            ref = [hyperbolic_integral_reference(d.a, d.b, tau) for tau in taus]
+            np.testing.assert_allclose(d.integral(taus), ref, rtol=1e-15, atol=0,
+                                       err_msg=f"c = {sign * c}")
+
     def test_tabulated_renormalizes_tiny_offset(self):
         d = TabulatedDiscount((0.0, 1.0, 2.0), (1.0 + 5e-10, 0.8, 0.5))
         assert d.h(0.0) == 1.0
@@ -318,6 +335,33 @@ class TestForwardVariance:
         theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi, 300)
         got = nonexp_forward_variance(market_rough, theta_curve, 2.0)
         assert got == pytest.approx(market_rough.phi * 2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("r", [1.2345, 2.005])
+    def test_flat_curve_is_exact_between_samples(self, market_rough, r):
+        # r off the curve's times: the last cell is part of a sample cell
+        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi, 300)
+        got = nonexp_forward_variance(market_rough, theta_curve, r)
+        assert got == pytest.approx(market_rough.phi * r, abs=1e-15)
+
+    @pytest.mark.parametrize("r", [1.2345, 2.005])
+    def test_matches_quadrature_oracle(self, market_rough, r):
+        times = np.linspace(0.0, T, 301)
+        theta_curve = ThetaCurve(0.0, times, 0.04 + 0.03 * np.sin(2.0 * times))
+        kernel = market_rough.kernel
+        ref = forward_variance_reference(market_rough.kappa, market_rough.phi, kernel.c,
+                                         kernel.alpha, times, theta_curve.values, r)
+        got = nonexp_forward_variance(market_rough, theta_curve, r)
+        assert abs(got - ref) <= 1e-6
+
+    def test_array_of_r_equals_the_scalar_calls(self, market_rough):
+        times = np.linspace(0.0, T, 301)
+        theta_curve = ThetaCurve(0.0, times, 0.04 + 0.03 * np.sin(2.0 * times))
+        rs = np.array([[0.0, 0.005, 1.2345], [2.0, 2.005, T]])
+        got = nonexp_forward_variance(market_rough, theta_curve, rs)
+        assert got.shape == rs.shape
+        scalar = [nonexp_forward_variance(market_rough, theta_curve, float(r)) for r in rs.flat]
+        assert all(isinstance(e, float) for e in scalar)
+        np.testing.assert_allclose(got.ravel(), scalar, rtol=1e-14, atol=0)
 
     def test_r_equals_anchor(self, market_rough):
         theta_curve = ThetaCurve.flat(0.0, T, 0.05, 200)
@@ -407,9 +451,9 @@ class TestNonExpValueCoeffs:
                                  TimeGrid(T, 300))
         assert vc.f1[-1] == 1.0  # h(T - T)
         assert vc.V1[0] == pytest.approx(T + 1.0)
-        # c1 on the diagonal is h(0) = 1; above the diagonal undefined
-        assert vc.c1[10, 10] == 1.0
-        assert math.isnan(vc.c1[5, 10])
+        # c1 is h at the lags r_i - s_j = i - j cells, h(0) = 1 on the diagonal
+        assert vc.c1.shape == vc.c2.shape == (301,)
+        assert vc.c1[0] == 1.0
 
     def test_f2_at_anchor_equals_maturity_value_zero_theta(self):
         # theta != 0 is required by the market type; take theta tiny and
@@ -435,6 +479,29 @@ class TestNonExpValueCoeffs:
             base = vc.f1[0] * np.trapezoid(0.0 - 1.0 / vc.V1, dx=grid.spacing)
             parts.append(vc.f2[0] - base)
         assert parts[1] / parts[0] == pytest.approx(2.0, rel=1e-12)
+
+    def test_stepped_rate_integrates_exactly(self, market_rough):
+        # the bracket c2 holds int_0^r rate as RateCurve.cumulative does: the
+        # trapezoid over the rate's values was 5.2e-5 off from the step on
+        stepped = RateCurve((0.0, 1.0037), (0.01, 0.05))
+        grid, theta_curve = TimeGrid(T, 300), ThetaCurve.flat(0.0, T, 0.04, 300)
+        got, ref = (nonexp_value_coeffs(dataclasses.replace(market_rough, rate_curve=curve),
+                                        HyperbolicDiscount(0.5, 0.8), theta_curve, grid)
+                    for curve in (stepped, RateCurve.flat(0.0)))
+        np.testing.assert_allclose(got.c2 - ref.c2, stepped.cumulative(grid.nodes()),
+                                   rtol=0, atol=1e-14)
+
+    def test_traced_peak_without_the_lag_matrices(self, market_rough):
+        # 1200 cells: the (n+1)^2 lag, c1 and c2 matrices traced 44 MB
+        theta_curve = ThetaCurve.flat(0.0, T, 0.05, 300)
+        grid = TimeGrid(T, 1200)
+        tracemalloc.start()
+        try:
+            nonexp_value_coeffs(market_rough, HyperbolicDiscount(0.5, 0.8), theta_curve, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
 
     @pytest.mark.parametrize("discount", [ExponentialDiscount(0.1), HyperbolicDiscount(0.5, 0.8)],
                              ids=["exponential", "hyperbolic"])
@@ -495,7 +562,7 @@ class TestAdmissibility:
         from roughmv import StrategyCurve
 
         coef = np.full(grid.n_steps + 1, float(level))
-        return StrategyCurve(grid, coef, np.zeros_like(coef), coef, kind="test")
+        return StrategyCurve(grid, coef, np.zeros_like(coef), kind="test")
 
     def test_zero_strategy(self, grid750):
         assert admissibility_constant(TH, self._flat_curve(grid750, 0.0), 2.0) == 0.0
@@ -511,13 +578,6 @@ class TestAdmissibility:
         curve = log_mv_strategy(market_rough, GAM, grid750)
         with pytest.raises(ValueError):
             admissibility_constant(TH, curve, 1.0)
-
-    def test_inconsistent_curve_rejected(self, grid750):
-        from roughmv import StrategyCurve
-
-        n = grid750.n_steps + 1
-        with pytest.raises(ValueError, match="myopic \\+ hedge"):
-            StrategyCurve(grid750, np.ones(n), np.zeros(n), np.full(n, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +621,7 @@ class TestSerialization:
         curves = [
             const_mv_strategy(market_rough, GAM, grid750),
             log_mv_strategy(market_rough, GAM, grid750),
-            StrategyCurve(grid750, np.ones(n), np.zeros(n), np.ones(n),
+            StrategyCurve(grid750, np.ones(n), np.zeros(n),
                           {"V1": odd, "g0": np.full(n, 1e300)}, kind="edge \"case\""),
         ]
         for curve in curves:
