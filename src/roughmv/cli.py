@@ -182,6 +182,9 @@ def build_kernel(spec: dict):
         if c <= 0:
             raise ConfigError(f"market.kernel.c must be > 0 for the {variant} kernel, got {c}")
         if variant == "fractional":
+            if ("hurst" in spec) == ("alpha" in spec):
+                raise ConfigError("market.kernel takes hurst or alpha, not both" if "hurst" in spec
+                                  else "market.kernel needs hurst or alpha")
             if "hurst" in spec:
                 return FractionalKernel.from_hurst(float(spec["hurst"]), c=c)
             return FractionalKernel(c=c, alpha=float(spec["alpha"]))
@@ -246,15 +249,19 @@ MAX_GRID_STEPS = 10**6  # cells of one grid; each array over its nodes is then 8
 
 
 def build_grid(cfg: dict, horizon: float) -> TimeGrid:
-    """The time grid, refused before any allocation if it is over budget."""
+    """The time grid, refused before its nodes are allocated if it is over budget."""
     spy = _integer(cfg["grid"]["steps_per_year"], "grid.steps_per_year", 1)
-    steps = spy * horizon
+    try:
+        grid = TimeGrid.for_horizon(horizon, spy)
+        steps = grid.n_steps
+    except OverflowError:  # round() refuses a product past the float range
+        steps = math.inf
     if steps > MAX_GRID_STEPS:
         raise ConfigError(
-            f"grid.steps_per_year x objective.horizon = {spy} x {horizon:g} = "
-            f"{steps:.6g} steps exceeds the budget of {MAX_GRID_STEPS} steps"
+            f"grid.steps_per_year x objective.horizon = {spy} x {horizon!r} rounds to "
+            f"{steps} steps, over the budget of {MAX_GRID_STEPS} steps"
         )
-    return TimeGrid.for_horizon(horizon, spy)
+    return grid
 
 
 class SimSettings(NamedTuple):
@@ -431,6 +438,8 @@ def cmd_crossover(cfg: dict, inputs: Inputs, outputs: _Outputs):
         )
     market, objective, grid, _ = inputs
     h_rough, h_smooth = sorted(cfg["hurst_values"])
+    if h_rough == h_smooth:  # a curve never crosses itself
+        raise ConfigError(f"crossover needs two different hurst_values, got {cfg['hurst_values']}")
     rough = _with_hurst(market, h_rough)
     smooth = _with_hurst(market, h_smooth)
     rows = ["gamma,t_star_const_mv,t_star_log_mv"]

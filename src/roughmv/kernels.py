@@ -35,6 +35,33 @@ class KernelDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Input rules, shared by every module
+# ---------------------------------------------------------------------------
+
+def _check_finite(*, positive: bool = False, **values):
+    """ValueError("<name> must be finite[ and > 0], got <value>") for the first
+    keyword value, a number or an array of numbers, that breaks the rule."""
+    rule = "finite and > 0" if positive else "finite"
+    for name, value in values.items():
+        if isinstance(value, (int, float)):  # math is ten times faster on one number
+            if not (math.isfinite(value) and (value > 0 or not positive)):
+                raise ValueError(f"{name} must be {rule}, got {value}")
+        else:
+            x = np.asarray(value)  # no float conversion: a string is no number
+            ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
+            if not ok.all():
+                raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
+
+
+def _check_count(**counts):
+    """ValueError("<name> must be an integer >= 1, got <value>") for the first
+    keyword value that is no int or NumPy integer >= 1; a bool is none."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+# ---------------------------------------------------------------------------
 # Kernel variants
 # ---------------------------------------------------------------------------
 
@@ -125,10 +152,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        _check_count(n_steps=self.n_steps)
+        _check_finite(positive=True, t_end=self.t_end)
 
     @property
     def spacing(self) -> float:
@@ -149,8 +174,9 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 def kernel_eval(spec: Kernel, t):
-    """K(t) for scalar or array t > 0 (t = 0 allowed for non-singular variants)."""
+    """K(t) for finite scalar or array t > 0 (t = 0 allowed for non-singular variants)."""
     t_arr = np.asarray(t, dtype=float)
+    _check_finite(t=t_arr)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel is defined on t >= 0 only")
     if is_singular(spec):
@@ -166,8 +192,9 @@ def kernel_eval(spec: Kernel, t):
 
 
 def kernel_integral(spec: Kernel, t):
-    """int_0^t K(s) ds, exact for every variant."""
+    """int_0^t K(s) ds for finite scalar or array t >= 0, exact for every variant."""
     t_arr = np.asarray(t, dtype=float)
+    _check_finite(t=t_arr)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
     if is_singular(spec):
@@ -189,8 +216,8 @@ def cell_moments(spec: Kernel, h, n: int) -> tuple[np.ndarray, np.ndarray]:
     integrating t^(alpha-1) exactly is what keeps quadrature stable at the
     origin where the fractional kernel blows up.
     """
-    if not h > 0 or n < 1:
-        raise ValueError("need h > 0 and n >= 1")
+    _check_finite(positive=True, h=h)
+    _check_count(n=n)
     edges = np.arange(n + 1, dtype=float) * h
     a, b = edges[:-1], edges[1:]
     if is_singular(spec):
@@ -304,15 +331,10 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     each branch evaluates all its arguments in one pass; all the arguments
     below -1.5 and before the asymptotic seam go to one _ml_series_mp call.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    _check_finite(positive=True, alpha=alpha, beta=beta)
     z_arr = np.asarray(z, dtype=float)
+    _check_finite(z=z_arr)
     zf = z_arr.ravel()
-    finite = np.isfinite(zf)
-    if not finite.all():
-        raise ValueError(f"z must be finite, got {zf[~finite][0]}")
     out = np.empty(zf.shape)
     out[zf == 0.0] = _rgamma(beta)
     pos = zf > 0
@@ -478,8 +500,7 @@ def resolvent_numeric(spec: Kernel, lam: float, grid: TimeGrid) -> ResolventSamp
     is solved numerically, by _vie_direct; a solve that is not finite raises
     ValueError.  The node at t = 0 is stored as +-inf.
     """
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
+    _check_finite(**{"lambda": lam})
     nodes = grid.nodes()
     n = grid.n_steps
     h = grid.spacing
@@ -641,11 +662,8 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     exponentials falls back to trapezoid quadrature of the numeric resolvent
     (see _numeric_resolvent_ratio).
     """
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
     taus = np.asarray(taus, dtype=float)
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau values must be finite")
+    _check_finite(**{"lambda": lam, "tau values": taus})
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")
     if lam == 0.0:

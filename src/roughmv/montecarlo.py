@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -60,6 +59,8 @@ from .kernels import (
     Kernel,
     SumOfExponentialsKernel,
     TimeGrid,
+    _check_count,
+    _check_finite,
     _exponential_terms,
     is_singular,
     kernel_eval,
@@ -122,10 +123,8 @@ class LiftedFactors:
     rate_spread: float = 1.0e4
 
     def __post_init__(self):
-        if self.n_factors < 1:
-            raise ValueError("n_factors must be >= 1")
-        if not (math.isfinite(self.rate_spread) and self.rate_spread > 0):
-            raise ValueError(f"rate_spread must be finite and > 0, got {self.rate_spread}")
+        _check_count(n_factors=self.n_factors)
+        _check_finite(positive=True, rate_spread=self.rate_spread)
 
 
 SimScheme = EulerConvolution | LiftedFactors
@@ -182,10 +181,8 @@ def fit_sum_of_exponentials(
     """
     if not isinstance(kernel, FractionalKernel):
         raise TypeError("fit_sum_of_exponentials expects a fractional kernel")
-    if n_factors < 1:
-        raise ValueError("n_factors must be >= 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    _check_count(n_factors=n_factors)
+    _check_finite(positive=True, horizon=horizon, rate_spread=rate_spread)
     if kernel.alpha == 1.0:
         return SumOfExponentialsKernel((kernel.c,), (0.0,)), 0.0
     if n_factors > _FIT_POINTS:  # refused before the design is allocated
@@ -244,17 +241,14 @@ def _as_factor_kernel(
 # ---------------------------------------------------------------------------
 
 def _path_range(paths: int | range) -> range:
-    if isinstance(paths, range):
-        ids = paths
-    elif isinstance(paths, (int, np.integer)) and not isinstance(paths, bool):
-        ids = range(int(paths))
-    else:
-        raise TypeError(f"paths must be an int or a range, got {type(paths).__name__}")
-    if len(ids) < 1:
+    if not isinstance(paths, range):
+        _check_count(paths=paths)
+        return range(paths)
+    if len(paths) < 1:
         raise ValueError("paths must hold at least one path")
-    if min(ids) < 0:
+    if min(paths) < 0:
         raise ValueError("path indices must be >= 0")
-    return ids
+    return paths
 
 
 def block_arrays(scheme: SimScheme, keep_paths: bool) -> int:
@@ -602,8 +596,7 @@ def simulate_wealth(
     steps one row in place and returns the (n_paths, 1) terminal column, bit
     for bit the last column of the full paths.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be > 0")
+    _check_finite(positive=True, x0=x0)
     nodes = bundle.grid.nodes()
     if strategy.grid.n_steps != bundle.grid.n_steps or not np.allclose(
         strategy.grid.nodes(), nodes, rtol=0, atol=1e-12

@@ -36,6 +36,7 @@ import numpy as np
 from .kernels import (
     Kernel,
     TimeGrid,
+    _check_finite,
     integrated_resolvent_ratio_curve,
 )
 from .volterra import (
@@ -50,6 +51,21 @@ from .volterra import (
 # Market description
 # ---------------------------------------------------------------------------
 
+def _sampled_table(times, values, name: str, min_size: int) -> tuple[tuple, tuple]:
+    """times and values (called name) as float tuples of one length >= min_size,
+    finite, with the times strictly increasing from 0 and the values >= 0."""
+    t = tuple(float(x) for x in times)
+    v = tuple(float(x) for x in values)
+    if len(t) != len(v) or len(t) < min_size:
+        raise ValueError(f"times and {name} must have equal length >= {min_size}")
+    _check_finite(times=t, **{name: v})
+    if t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
+        raise ValueError(f"times must increase strictly from 0, got {t}")
+    if min(v) < 0:
+        raise ValueError(f"{name} must be >= 0, got {v}")
+    return t, v
+
+
 @dataclass(frozen=True)
 class RateCurve:
     """Piecewise-constant deterministic risk-free rate.
@@ -61,19 +77,7 @@ class RateCurve:
     rates: tuple
 
     def __post_init__(self):
-        t = tuple(float(x) for x in self.times)
-        r = tuple(float(x) for x in self.rates)
-        if len(t) != len(r) or len(t) < 1:
-            raise ValueError("times and rates must have equal length >= 1")
-        for name, values in (("times", t), ("rates", r)):
-            if not all(math.isfinite(x) for x in values):
-                raise ValueError(f"rate curve {name} must be finite, got {values}")
-        if t[0] != 0.0:
-            raise ValueError("rate curve must start at time 0")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("rate breakpoints must be strictly increasing")
-        if any(x < 0 for x in r):
-            raise ValueError("risk-free rates must be >= 0")
+        t, r = _sampled_table(self.times, self.rates, "rates", 1)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "rates", r)
 
@@ -96,13 +100,6 @@ class RateCurve:
         return np.asarray(self.rates)[np.clip(idx, 0, len(self.rates) - 1)]
 
 
-def _check_finite(spec, *names):
-    for name in names:
-        value = getattr(spec, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class MarketParams:
     nu0: float
@@ -115,11 +112,10 @@ class MarketParams:
     kernel: Kernel
 
     def __post_init__(self):
-        _check_finite(self, "nu0", "kappa", "phi", "sigma", "rho", "theta")
+        _check_finite(nu0=self.nu0, rho=self.rho, theta=self.theta)
+        _check_finite(positive=True, kappa=self.kappa, phi=self.phi, sigma=self.sigma)
         if self.nu0 < 0:
             raise ValueError("nu0 must be >= 0")
-        if self.kappa <= 0 or self.phi <= 0 or self.sigma <= 0:
-            raise ValueError("kappa, phi, sigma must all be > 0")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
         if self.theta == 0:
@@ -135,7 +131,7 @@ class ExponentialDiscount:
     rate: float
 
     def __post_init__(self):
-        _check_finite(self, "rate")
+        _check_finite(rate=self.rate)
         if self.rate < 0:
             raise ValueError("discount rate must be >= 0")
 
@@ -159,9 +155,7 @@ class HyperbolicDiscount:
     b: float
 
     def __post_init__(self):
-        _check_finite(self, "a", "b")
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("hyperbolic discount needs a > 0 and b > 0")
+        _check_finite(positive=True, a=self.a, b=self.b)
 
     def h(self, s):
         return (1.0 + self.a * np.asarray(s, dtype=float)) ** (-self.b / self.a)
@@ -184,19 +178,7 @@ class TabulatedDiscount:
     values: tuple
 
     def __post_init__(self):
-        t = tuple(float(x) for x in self.times)
-        v = tuple(float(x) for x in self.values)
-        if len(t) != len(v) or len(t) < 2:
-            raise ValueError("need at least two samples")
-        for name, samples in (("times", t), ("values", v)):
-            if not all(math.isfinite(x) for x in samples):
-                raise ValueError(f"tabulated discount {name} must be finite, got {samples}")
-        if t[0] != 0.0:
-            raise ValueError("tabulated discount must start at s = 0")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("sample times must be strictly increasing")
-        if any(x < 0 for x in v):
-            raise ValueError("discount values must be >= 0")
+        t, v = _sampled_table(self.times, self.values, "values", 2)
         if abs(v[0] - 1.0) > 1e-9:
             raise ValueError(f"h(0) = {v[0]} is not 1 within 1e-9")
         if v[0] != 1.0:
@@ -233,11 +215,7 @@ class ConstMVObjective:
     horizon: float
 
     def __post_init__(self):
-        _check_finite(self, "gamma", "horizon")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        _check_finite(positive=True, gamma=self.gamma, horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -247,13 +225,7 @@ class LogMVObjective:
     delta: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "gamma", "horizon", "delta")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        _check_finite(positive=True, gamma=self.gamma, horizon=self.horizon, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -262,9 +234,7 @@ class NonExpLogObjective:
     horizon: float
 
     def __post_init__(self):
-        _check_finite(self, "horizon")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        _check_finite(positive=True, horizon=self.horizon)
 
 
 ObjectiveSpec = ConstMVObjective | LogMVObjective | NonExpLogObjective
@@ -290,13 +260,11 @@ class StrategyCurve:
 
     def __post_init__(self):
         n = self.grid.n_steps + 1
-        for name in ("myopic", "hedge", "consumption"):
-            arr = getattr(self, name)
+        arrays = {"myopic": self.myopic, "hedge": self.hedge, "consumption": self.consumption,
+                  **self.value_coeffs}
+        for name, arr in arrays.items():
             if arr is not None and arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-        for key, arr in self.value_coeffs.items():
-            if arr.shape != (n,):
-                raise ValueError(f"value coefficient {key} has shape {arr.shape}")
 
     @property
     def total(self) -> np.ndarray:
@@ -316,14 +284,11 @@ class ThetaCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_finite(self, "anchor")
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        _check_finite(anchor=self.anchor, times=t, values=v)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("times and values must be equal-length 1-d arrays")
-        for name, samples in (("times", t), ("values", v)):
-            if not np.all(np.isfinite(samples)):
-                raise ValueError(f"theta curve {name} must be finite")
         if abs(t[0] - self.anchor) > 1e-12:
             raise ValueError("times must start at the anchor")
         if np.any(np.diff(t) <= 0):
@@ -353,8 +318,7 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
     The caller multiplies total(t) by sqrt(nu_t) to get the control u_t;
     u_t / sqrt(nu_t) is the dollar amount held in the stock.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    _check_finite(positive=True, gamma=gamma)
     th, rho, sig, kap, phi = (
         market.theta, market.rho, market.sigma, market.kappa, market.phi,
     )
@@ -397,6 +361,7 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
 
 def log_mv_existence_margin(market: MarketParams, gamma: float) -> float:
     """kappa + gamma^2 rho sigma theta / (1+gamma)^2; must be > 0 for psi."""
+    _check_finite(positive=True, gamma=gamma)
     return market.kappa + gamma**2 * market.rho * market.sigma * market.theta \
         / (1.0 + gamma) ** 2
 
@@ -408,8 +373,6 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
     generalized-Heston exponent delta; for delta != 1 the control multiplies
     nu^((delta-1)/(2 delta)) on top of it.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     margin = log_mv_existence_margin(market, gamma)
     if margin <= 0:
         raise ValueError(
@@ -592,6 +555,7 @@ def admissibility_constant(theta: float, strategy: StrategyCurve, p: float) -> f
     """Exponential-moment constant certifying admissibility of a proportional
     strategy: max(2 p |theta| sup|pi|, (8 p^2 - 2 p) sup pi^2) over the grid.
     """
+    _check_finite(theta=theta, p=p)
     if p <= 1:
         raise ValueError("p must be > 1")
     pi = np.asarray(strategy.total)

@@ -28,6 +28,7 @@ from .kernels import (
     TimeGrid,
     cell_moments,
     kernel_integral,
+    _check_finite,
     _finite_vie_direct,
     _lag_weights,
 )
@@ -55,8 +56,7 @@ class LinearVieProblem:
         shape = (self.grid.n_steps + 1,)
         if f.shape != shape:
             raise ValueError(f"forcing has shape {f.shape}, expected {shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("forcing must be finite on the grid")
+        _check_finite(forcing=f)
         return f
 
 
@@ -74,6 +74,9 @@ class RiccatiCoefficients:
     H2: float
     H1: float
     H0: float
+
+    def __post_init__(self):
+        _check_finite(H2=self.H2, H1=self.H1, H0=self.H0)
 
     def rhs(self, w):
         """Integrand -H2 w^2 + H1 w - H0 of the psi equation."""
@@ -254,8 +257,6 @@ def riccati_bound_curve(
     root is exact up to rounding.
     """
     _check_bound_preconditions(coeffs)
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("all times must be > 0")
+    _check_finite(positive=True, taus=taus)
     targets = np.asarray(kernel_integral(kernel, taus), dtype=float)
     return np.asarray(_q1_inverse(coeffs, targets), dtype=float)

@@ -157,6 +157,15 @@ class TestCrossover:
         cfg = write_config(tmp_path, payload)
         assert main(["crossover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_equal_hurst_values_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # a curve cannot cross itself: [0.1, 0.1] exited 0 with "0.5,," for every gamma
+        monkeypatch.setattr(cli, "_strategy_for", lambda *args: pytest.fail("solved"))
+        cfg = write_config(tmp_path, base_config(hurst_values=[0.1, 0.1]))
+        assert main(["crossover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: crossover needs two different hurst_values, got [0.1, 0.1]\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestOneDispatch:
     """Every command reaches the strategy functions through cli._strategy_for."""
@@ -433,6 +442,16 @@ class TestConfigHandling:
             # an integer beyond the float range: spy x horizon overflowed, exit 3
             ({"grid": {"steps_per_year": 10**400}}, "grid.steps_per_year"),
             ({"sim": {"seed": 10**400}}, "sim.seed"),
+            # each was "kappa, phi, sigma must all be > 0", whichever was at fault
+            ({"market": {"kappa": -1}}, "kappa must be finite and > 0, got -1.0"),
+            ({"market": {"sigma": 0}}, "sigma must be finite and > 0, got 0.0"),
+            ({"market": {"phi": -0.04}}, "phi must be finite and > 0, got -0.04"),
+            # both ran at hurst and dropped alpha; neither was "bad market.kernel ...: 'alpha'"
+            ({"market": {"kernel": {"variant": "fractional", "c": 1.0, "hurst": 0.1,
+                                    "alpha": 0.9}}},
+             "market.kernel takes hurst or alpha, not both"),
+            ({"market": {"kernel": {"variant": "fractional", "c": 1.0}}},
+             "market.kernel needs hurst or alpha"),
         ],
         ids=lambda value: " / ".join(value) if isinstance(value, tuple) else None,
     )
@@ -649,18 +668,16 @@ class TestParser:
 
 
 class TestGridBudget:
-    """A grid over cli.MAX_GRID_STEPS cells exits 2 before anything is allocated."""
+    """A grid over cli.MAX_GRID_STEPS cells exits 2 before its nodes are allocated."""
 
     @pytest.fixture(autouse=True)
-    def no_grid_is_built(self, monkeypatch):
+    def no_nodes_are_allocated(self, monkeypatch):
         # if the check let the grid through, fail at once instead of
         # allocating hundreds of millions of nodes
-        class Refused:
-            @staticmethod
-            def for_horizon(horizon, steps_per_year):
-                pytest.fail(f"grid of {horizon} x {steps_per_year} built")
+        def refused(grid):
+            pytest.fail(f"nodes of {grid} allocated")
 
-        monkeypatch.setattr(cli, "TimeGrid", Refused)
+        monkeypatch.setattr(cli.TimeGrid, "nodes", refused)
 
     @pytest.mark.parametrize("command", ["strategy", "crossover", "hedge-curve", "simulate"])
     def test_huge_horizon_exits_2_naming_the_fields(self, tmp_path, capsys, command):
@@ -670,9 +687,28 @@ class TestGridBudget:
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        for name in ("grid.steps_per_year", "objective.horizon", "2.5e+08 steps",
+        for name in ("grid.steps_per_year", "objective.horizon", "250000000 steps",
                      str(cli.MAX_GRID_STEPS)):
             assert name in err
+        assert not (tmp_path / "o").exists()
+
+    def test_the_rounded_count_is_checked(self):
+        # 1000 x 1000.0004 rounds to the budget, which the grid holds; it was
+        # refused as "1000 x 1000 = 1e+06 steps exceeds the budget"
+        cfg = load_config(None)
+        cfg["grid"]["steps_per_year"] = 1000
+        assert build_grid(cfg, 1000.0004).n_steps == cli.MAX_GRID_STEPS
+        with pytest.raises(cli.ConfigError, match="1000 x 1000.0006 rounds to 1000001 steps"):
+            build_grid(cfg, 1000.0006)
+
+    def test_a_count_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # round() of the infinite product raises OverflowError, which exits 3
+        payload = base_config()
+        payload["grid"]["steps_per_year"] = 10**300
+        payload["objective"]["horizon"] = 1e10
+        cfg = write_config(tmp_path, payload)
+        assert main(["strategy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "rounds to inf steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_steps_per_year_flag_counts(self, tmp_path, capsys):

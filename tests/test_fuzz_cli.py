@@ -11,7 +11,11 @@ and horizon <= 4), at most 50 paths and 50 factors, or else a size far over
 its budget, which is refused before anything of that size is allocated: a
 grid far over cli.MAX_GRID_STEPS, n_paths over montecarlo.MAX_ELEMENTS, or
 more factors than the kernel fit has sample points (a kernel that needs no
-fit runs with any number of factors).
+fit runs with any number of factors).  Some mutations put in a value that
+exits 2 naming its field: kappa, phi or sigma at or below 0 or NaN, a
+fractional kernel's hurst together with alpha, an equal crossover pair.
+Both properties are derandomized: the first draws 300 configs and runs 5
+pinned examples besides, the second draws 100 runs.
 """
 
 import contextlib
@@ -62,6 +66,18 @@ SIZE_FIELDS = {
     ("objective", "horizon"): st.one_of(JUNK, st.floats(-1.0, 4.0), st.just(1e9)),
     ("sim", "n_paths"): st.one_of(size(50), st.just(10**11), st.just(10**30)),
     ("sim", "n_factors"): st.one_of(size(50), st.just(10**30), st.just(20_000)),
+}
+# values that exit 2 naming their field: a market parameter that must be
+# positive at or below 0 or NaN, alpha beside a fractional kernel's hurst
+# (on another variant an unknown field), and a Hurst pair of one value, whose
+# curves cannot cross
+NOT_POSITIVE = st.sampled_from([0.0, -0.0, -1.0, -0.04, float("nan")])
+EXIT_FIELDS = {
+    ("market", "kappa"): NOT_POSITIVE,
+    ("market", "phi"): NOT_POSITIVE,
+    ("market", "sigma"): NOT_POSITIVE,
+    ("market", "kernel", "alpha"): st.floats(0.05, 1.0),
+    ("hurst_values",): st.floats(0.05, 0.5).map(lambda h: [h, h]),
 }
 # kernel decay rates, whose size against the grid spacing picks a branch
 RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 0.5, 1e3, 1e300]), NUMBERS)
@@ -117,9 +133,9 @@ BASES = [small(cfg) for cfg in SHIPPED] + [
 def mutated_configs(draw):
     cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.integers(0, 3))
-        if kind < 2:
-            fields = SIZE_FIELDS if kind == 0 else RATE_FIELDS
+        kind = draw(st.integers(0, 4))
+        if kind < 3:
+            fields = (SIZE_FIELDS, RATE_FIELDS, EXIT_FIELDS)[kind]
             path = draw(st.sampled_from(sorted(fields)))
             value = draw(fields[path])
         else:
@@ -162,6 +178,10 @@ def with_market(**fields):
 @example(command="simulate", cfg=with_market(
     kernel={"variant": "sum_of_exponentials", "weights": [1.0], "rates": [1e-300]}),
     full_disk=None)
+# hurst with alpha ran at hurst, and an equal Hurst pair exited 0 with no crossing
+@example(command="strategy", cfg=with_market(
+    kernel={"variant": "fractional", "c": 1.0, "hurst": 0.1, "alpha": 0.9}), full_disk=None)
+@example(command="crossover", cfg=dict(BASES[0], hurst_values=[0.1, 0.1]), full_disk=None)
 def test_main_exits_0_2_or_3_and_writes_no_data_without_a_manifest(command, cfg, full_disk):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

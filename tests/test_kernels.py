@@ -160,6 +160,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_end must be finite and > 0"):
             TimeGrid(t_end, 10)
 
+    def test_grid_takes_a_numpy_integer_count(self):
+        assert TimeGrid(1.0, np.int64(4)).nodes().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    # each was a grid whose nodes() raised TypeError, or one cell for True
+    @pytest.mark.parametrize("n_steps", [math.nan, 2.5, 10.0, True, "10"])
+    def test_grid_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+            TimeGrid(1.0, n_steps)
+
+    # each returned NaN, or raised numpy's "arange: cannot compute length"
+    @pytest.mark.parametrize("call,match", [
+        pytest.param(lambda: kernel_eval(FractionalKernel(1.0, 0.6), math.nan),
+                     "^t must be finite", id="eval-nan"),
+        pytest.param(lambda: kernel_eval(constant(1.0), [0.5, math.nan]),
+                     "^t must be finite", id="eval-constant-nan"),
+        pytest.param(lambda: kernel_integral(FractionalKernel(1.0, 0.6), math.nan),
+                     "^t must be finite", id="integral-nan"),
+        pytest.param(lambda: kernel_integral(exponential(1.0, 0.5), [0.5, math.inf]),
+                     "^t must be finite", id="integral-inf"),
+        pytest.param(lambda: cell_moments(FractionalKernel(1.0, 0.6), 0.1, math.nan),
+                     "^n must be an integer >= 1", id="cell-moments-n-nan"),
+        pytest.param(lambda: cell_moments(FractionalKernel(1.0, 0.6), 0.1, 2.5),
+                     "^n must be an integer >= 1", id="cell-moments-n-fractional"),
+    ])
+    def test_non_finite_time_or_count_rejected_by_name(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler

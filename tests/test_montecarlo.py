@@ -566,6 +566,22 @@ class TestFit:
         with pytest.raises(TypeError):
             fit_sum_of_exponentials(SumOfExponentialsKernel((1.0,), (0.0,)), 5, 10.0)
 
+    # a NaN horizon wrote LAPACK's DLASCL complaint to stderr and raised
+    # LinAlgError, an infinite one numpy's "Geometric sequence cannot include zero"
+    @pytest.mark.parametrize("n_factors,horizon,field", [
+        (5, math.nan, "horizon"), (5, math.inf, "horizon"), (5, 0.0, "horizon"),
+        (2.5, 1.0, "n_factors"), (math.nan, 1.0, "n_factors"),
+    ])
+    def test_bad_inputs_rejected_by_name(self, n_factors, horizon, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            fit_sum_of_exponentials(FractionalKernel(1.0, 0.6), n_factors, horizon)
+
+    # LiftedFactors(nan) was accepted
+    @pytest.mark.parametrize("n_factors", [math.nan, 2.5, 0, True])
+    def test_scheme_factor_count_must_be_an_integer(self, n_factors):
+        with pytest.raises(ValueError, match="n_factors must be an integer >= 1"):
+            LiftedFactors(n_factors)
+
 
 # ---------------------------------------------------------------------------
 # Wealth simulation
@@ -659,6 +675,15 @@ class TestSimulateWealth:
         with pytest.raises(ValueError, match="delta > 1/2"):
             simulate_wealth(b, market, flat_strategy(grid, 0.3),
                             LogMVObjective(0.5, 0.5, delta=delta), 1.0)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, 0.0])
+    def test_initial_wealth_must_be_finite_and_positive(self, x0):
+        # x0 = NaN returned NaN wealth
+        market, grid = make_market(), TimeGrid(0.5, 4)
+        bundle = simulate_variance(market, LiftedFactors(2), grid, 2, 1)
+        with pytest.raises(ValueError, match="x0 must be finite and > 0"):
+            simulate_wealth(bundle, market, flat_strategy(grid, 1.0),
+                            ConstMVObjective(0.5, 0.5), x0)
 
     def test_grid_mismatch_rejected(self):
         market = make_market()

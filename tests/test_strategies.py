@@ -435,6 +435,21 @@ NON_FINITE_CASES = [
                  "values must be finite", id="theta-value-nan"),
     pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 0, math.inf)),
                  "values must be finite", id="theta-value-inf"),
+    # a NaN gamma was refused as "forcing must be finite on the grid" or
+    # "psi diverged at node 1", a NaN p or theta returned a NaN constant, and
+    # the existence margin of a NaN gamma was NaN
+    pytest.param(lambda: const_mv_strategy(study_market(0.1), math.nan, TimeGrid(1.0, 10)),
+                 "gamma must be finite and > 0", id="const-mv-gamma-nan"),
+    pytest.param(lambda: log_mv_strategy(study_market(0.1), math.nan, TimeGrid(1.0, 10)),
+                 "gamma must be finite and > 0", id="log-mv-gamma-nan"),
+    pytest.param(lambda: admissibility_constant(1.5, log_mv_strategy(
+        study_market(0.1), 0.5, TimeGrid(1.0, 10)), math.nan),
+                 "p must be finite", id="admissibility-p-nan"),
+    pytest.param(lambda: admissibility_constant(math.nan, log_mv_strategy(
+        study_market(0.1), 0.5, TimeGrid(1.0, 10)), 2.0),
+                 "theta must be finite", id="admissibility-theta-nan"),
+    pytest.param(lambda: log_mv_existence_margin(study_market(0.1), math.nan),
+                 "gamma must be finite and > 0", id="log-mv-margin-gamma-nan"),
 ]
 
 

@@ -274,6 +274,19 @@ class TestRiccatiBounds:
         with pytest.raises(ValueError, match="> 0"):
             riccati_bound_curve(RiccatiCoefficients(0.5, -1.5, -0.5), UNIT, [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected_by_name(self, bad):
+        # a NaN time returned a NaN bound
+        with pytest.raises(ValueError, match="taus must be finite and > 0"):
+            riccati_bound_curve(RiccatiCoefficients(0.5, -1.5, -0.5), UNIT, [0.5, bad])
+
+    @pytest.mark.parametrize("field", ["H2", "H1", "H0"])
+    def test_non_finite_coefficients_rejected_by_name(self, field):
+        # H2 = NaN passed the bound's preconditions and returned a NaN bound
+        coeffs = {"H2": 0.5, "H1": -1.5, "H0": -0.5, field: math.nan}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RiccatiCoefficients(**coeffs)
+
     @pytest.mark.parametrize("w", [-0.05, -0.15, -0.25, -0.3])
     def test_q1_closed_form_against_quadrature(self, w):
         coeffs = RiccatiCoefficients(0.5, -1.5, -0.5)
