@@ -432,14 +432,10 @@ def cmd_hedge_curve(cfg: dict, inputs: Inputs, outputs: _Outputs):
 
 
 def cmd_crossover(cfg: dict, inputs: Inputs, outputs: _Outputs):
-    if len(cfg["hurst_values"]) != 2:
-        raise ConfigError(
-            f"crossover needs exactly two hurst_values, got {cfg['hurst_values']}"
-        )
+    if len(set(cfg["hurst_values"])) != 2:  # a curve never crosses itself
+        raise ConfigError(f"crossover needs exactly two hurst_values, got {cfg['hurst_values']}")
     market, objective, grid, _ = inputs
     h_rough, h_smooth = sorted(cfg["hurst_values"])
-    if h_rough == h_smooth:  # a curve never crosses itself
-        raise ConfigError(f"crossover needs two different hurst_values, got {cfg['hurst_values']}")
     rough = _with_hurst(market, h_rough)
     smooth = _with_hurst(market, h_smooth)
     rows = ["gamma,t_star_const_mv,t_star_log_mv"]

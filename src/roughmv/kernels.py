@@ -43,14 +43,10 @@ def _check_finite(*, positive: bool = False, **values):
     keyword value, a number or an array of numbers, that breaks the rule."""
     rule = "finite and > 0" if positive else "finite"
     for name, value in values.items():
-        if isinstance(value, (int, float)):  # math is ten times faster on one number
-            if not (math.isfinite(value) and (value > 0 or not positive)):
-                raise ValueError(f"{name} must be {rule}, got {value}")
-        else:
-            x = np.asarray(value)  # no float conversion: a string is no number
-            ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
-            if not ok.all():
-                raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
+        x = np.asarray(value)  # no float conversion: a string is no number
+        ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
+        if not ok.all():
+            raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
 
 
 def _check_count(**counts):

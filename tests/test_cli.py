@@ -163,7 +163,7 @@ class TestCrossover:
         cfg = write_config(tmp_path, base_config(hurst_values=[0.1, 0.1]))
         assert main(["crossover", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "config error: crossover needs two different hurst_values, got [0.1, 0.1]\n")
+            "config error: crossover needs exactly two hurst_values, got [0.1, 0.1]\n")
         assert not (tmp_path / "o").exists()
 
 

@@ -509,6 +509,11 @@ class TestPathBlocks:
         with pytest.raises((ValueError, TypeError)):
             simulate_variance(make_market(), LiftedFactors(2), self.GRID, paths, 1)
 
+    @pytest.mark.parametrize("paths", [2.0, 0, True])
+    def test_path_count_must_be_an_integer(self, paths):
+        with pytest.raises(ValueError, match="paths must be an integer >= 1"):
+            simulate_variance(make_market(), LiftedFactors(2), self.GRID, paths, 1)
+
     def test_csv_rows_refuse_a_terminal_only_bundle(self):
         # the (n_paths, 1) terminal column would broadcast over every node
         market = make_market()
