@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,19 @@ class KernelDomainError(ValueError):
 
 def _check_finite(*, positive: bool = False, **values):
     """ValueError("<name> must be finite[ and > 0], got <value>") for the first
-    keyword value, a number or an array of numbers, that breaks the rule."""
+    keyword value, a number or an array of numbers, that breaks the rule, and
+    ValueError("<name> must be a number, got <value>") for one that is none.
+    A Python int past the int64 range is checked as the float it converts to."""
     rule = "finite and > 0" if positive else "finite"
     for name, value in values.items():
         x = np.asarray(value)  # no float conversion: a string is no number
+        if x.dtype == object and all(isinstance(v, int) for v in x.flat):
+            try:
+                x = x.astype(float)
+            except OverflowError:  # past the float range, where floats are inf
+                x = np.asarray(math.inf)
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
         ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
         if not ok.all():
             raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
@@ -150,6 +160,7 @@ class TimeGrid:
     def __post_init__(self):
         _check_count(n_steps=self.n_steps)
         _check_finite(positive=True, t_end=self.t_end)
+        object.__setattr__(self, "t_end", float(self.t_end))  # nodes() of an int past int64
 
     @property
     def spacing(self) -> float:

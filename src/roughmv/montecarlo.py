@@ -280,8 +280,8 @@ _XSHIFT = 16
 
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """(hashmix(value), next hash constant) for a uint32 Python int or array;
-    with mult = _MULT_B it is one output word of generate_state.
+    """(hashmix(value), next hash constant) for a uint32 array; with
+    mult = _MULT_B it is one output word of generate_state.
 
     The hash constant is a Python int: it evolves independently of the data.
     """
@@ -296,31 +296,23 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_pool(seed) -> tuple[list[int], int]:
+def _seed_pool(seed) -> tuple[np.ndarray, int]:
     """The pool of SeedSequence(seed, spawn_key=key) before the words of a
-    non-empty key are mixed in, and the hash constant they start from."""
+    non-empty key are mixed in, and the hash constant they start from.
+
+    The pool is SeedSequence(seed).pool (a key pads the seed with zero words,
+    as the pool's unused words mix without one).  Its hashmixes multiplied
+    the constant by _MULT_A once per pool word, per ordered pair of pool
+    words, and per pool word for each seed word past the pool's four.
+    """
+    from numpy.random import SeedSequence
+
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    # the little-endian uint32 words of the seed, at least one
-    entropy = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # a sequence with a spawn key pads its seed with zeros to the pool size
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        mixed, hash_const = _hashmix(word, hash_const)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], mixed)
-    return pool, hash_const
+    words = max(1, (seed.bit_length() + 31) // 32)  # the seed's uint32 words, at least one
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
+    return SeedSequence(seed).pool, (_INIT_A * pow(_MULT_A, calls, 2**32)) & _MASK32
 
 
 def _path_seed_words(seed, paths: range) -> np.ndarray:
@@ -331,12 +323,10 @@ def _path_seed_words(seed, paths: range) -> np.ndarray:
     ids are mixed as arrays.  An id below 2^32 is one key word, and larger ids
     have more: word j is mixed into the rows whose ids reach 2^(32 j).
     """
-    seed_pool, seed_hash = _seed_pool(seed)
+    seed_pool, hash_const = _seed_pool(seed)
     top = max(paths[0], paths[-1])  # a range is monotone
     ids = np.fromiter(paths, np.uint64 if top < 2**64 else object, len(paths))
-    pool = np.empty((_POOL_SIZE, len(paths)), dtype=np.uint32)
-    pool[:] = np.array(seed_pool, dtype=np.uint32)[:, None]
-    hash_const = seed_hash
+    pool = np.repeat(seed_pool[:, None], len(paths), axis=1)
     for j in range(max(1, (top.bit_length() + 31) // 32)):
         rows = ids >= 2 ** (32 * j) if j else slice(None)  # id 0 has one word too
         word = ((ids[rows] >> (32 * j)) & _MASK32).astype(np.uint32)
@@ -672,6 +662,7 @@ def simulate_wealth(
 def terminal_stats(terminal: np.ndarray, n_bins: int = 50) -> TerminalStats:
     """Mean, unbiased variance and histogram of the terminal wealth vector
     (for a bundle, bundle.wealth[:, -1])."""
+    _check_count(n_bins=n_bins)
     x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")

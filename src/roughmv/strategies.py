@@ -36,6 +36,7 @@ import numpy as np
 from .kernels import (
     Kernel,
     TimeGrid,
+    _check_count,
     _check_finite,
     integrated_resolvent_ratio_curve,
 )
@@ -298,6 +299,7 @@ class ThetaCurve:
 
     @classmethod
     def flat(cls, anchor: float, t_end: float, value: float, n: int = 200) -> "ThetaCurve":
+        _check_count(n=n)
         times = np.linspace(anchor, t_end, n + 1)
         return cls(anchor, times, np.full(n + 1, float(value)))
 
@@ -306,6 +308,20 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * h * (y[:-1] + y[1:]))
     return out
+
+
+def _mv_value_coeffs(market: MarketParams, grid: TimeGrid, forcing: np.ndarray, psi: np.ndarray,
+                     rate_to_maturity: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """V2, V0 and g0 of a mean-variance strategy in calendar time, from its
+    forcing, psi and integrated rate (if any) in time to maturity:
+    V2 + kappa K*V2 = forcing, g0 = rate + kappa phi int psi and
+    V0 = rate + phi int (forcing - V2), the integrals trapezoids from maturity."""
+    v2 = solve_linear_vie(LinearVieProblem(market.kernel, market.kappa, forcing, grid))
+    g0 = market.kappa * market.phi * _cumtrapz(psi, grid.spacing)
+    v0 = market.phi * _cumtrapz(forcing - v2, grid.spacing)
+    if rate_to_maturity is not None:
+        g0, v0 = rate_to_maturity + g0, rate_to_maturity + v0
+    return {name: tau[::-1].copy() for name, tau in (("V2", v2), ("V0", v0), ("g0", g0))}
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +335,8 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
     u_t / sqrt(nu_t) is the dollar amount held in the stock.
     """
     _check_finite(positive=True, gamma=gamma)
-    th, rho, sig, kap, phi = (
-        market.theta, market.rho, market.sigma, market.kappa, market.phi,
-    )
-    lam = kap + rho * sig * th
+    th, rho, sig = market.theta, market.rho, market.sigma
+    lam = market.kappa + rho * sig * th
     nodes = grid.nodes()
     taus = grid.t_end - nodes
 
@@ -333,24 +347,16 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
     myopic = (th / gamma) * disc
     hedge = -(rho * sig * th**2 / gamma) * disc * irr_cal
 
-    # value coefficients, solved in time to maturity (the grid read as a tau
-    # grid) and flipped back
-    irr_tau = irr_cal[::-1].copy()
-    psi_conv = (th**2 / gamma) * irr_tau  # int_t^T g2(s) K(s-t) ds at tau
+    psi_conv = (th**2 / gamma) * irr_cal[::-1]  # int_t^T g2(s) K(s-t) ds at tau
     forcing = (th - gamma * sig * rho * psi_conv) ** 2 / (2.0 * gamma) \
         - (gamma * sig**2 / 2.0) * psi_conv**2
-    v2_tau = solve_linear_vie(LinearVieProblem(market.kernel, kap, forcing, grid))
-    g0_tau = kap * phi * _cumtrapz(psi_conv, grid.spacing)
-    v0_tau = phi * _cumtrapz(forcing - v2_tau, grid.spacing)
 
     g1 = 1.0 / disc
     coeffs = {
         "V1": g1.copy(),
-        "V2": v2_tau[::-1].copy(),
-        "V0": v0_tau[::-1].copy(),
         "g1": g1,
         "g2": (th**2 / gamma) * (1.0 - lam * irr_cal),
-        "g0": g0_tau[::-1].copy(),
+        **_mv_value_coeffs(market, grid, forcing, psi_conv),
     }
     return StrategyCurve(grid, myopic, hedge, coeffs, kind="const_mv")
 
@@ -360,10 +366,12 @@ def const_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Str
 # ---------------------------------------------------------------------------
 
 def log_mv_existence_margin(market: MarketParams, gamma: float) -> float:
-    """kappa + gamma^2 rho sigma theta / (1+gamma)^2; must be > 0 for psi."""
+    """kappa + gamma^2 rho sigma theta / (1+gamma)^2, which is -H1 of the
+    log-MV Riccati coefficients; must be > 0 for psi."""
     _check_finite(positive=True, gamma=gamma)
-    return market.kappa + gamma**2 * market.rho * market.sigma * market.theta \
-        / (1.0 + gamma) ** 2
+    coeffs = RiccatiCoefficients.log_mv(market.kappa, market.rho, market.sigma,
+                                        market.theta, gamma)
+    return -coeffs.H1
 
 
 def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> StrategyCurve:
@@ -380,12 +388,9 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
             f" / (1+gamma)^2 = {margin:.6g} <= 0; no bounded global solution"
             " is guaranteed"
         )
-    th, rho, sig, kap, phi = (
-        market.theta, market.rho, market.sigma, market.kappa, market.phi,
-    )
-    # psi and the value coefficients are solved in time to maturity, on the
-    # grid read as a tau grid, and flipped back
-    coeffs = RiccatiCoefficients.log_mv(kap, rho, sig, th, gamma)
+    th, rho, sig = market.theta, market.rho, market.sigma
+    # psi is solved in time to maturity, on the grid read as a tau grid
+    coeffs = RiccatiCoefficients.log_mv(market.kappa, rho, sig, th, gamma)
     psi_tau = solve_riccati_volterra(market.kernel, coeffs, grid)
 
     myopic = np.full(grid.n_steps + 1, th / (1.0 + gamma))
@@ -393,17 +398,9 @@ def log_mv_strategy(market: MarketParams, gamma: float, grid: TimeGrid) -> Strat
 
     forcing = (th - gamma * rho * sig * psi_tau) ** 2 / (2.0 * (1.0 + gamma)) \
         - (gamma * sig**2 / 2.0) * psi_tau**2
-    v2_tau = solve_linear_vie(LinearVieProblem(market.kernel, kap, forcing, grid))
     rate_cum = market.rate_curve.cumulative(grid.nodes())
     rate_to_maturity = (rate_cum[-1] - rate_cum)[::-1]  # indexed by tau
-    g0_tau = rate_to_maturity + kap * phi * _cumtrapz(psi_tau, grid.spacing)
-    v0_tau = rate_to_maturity + phi * _cumtrapz(forcing - v2_tau, grid.spacing)
-
-    value = {
-        "V2": v2_tau[::-1].copy(),
-        "V0": v0_tau[::-1].copy(),
-        "g0": g0_tau[::-1].copy(),
-    }
+    value = _mv_value_coeffs(market, grid, forcing, psi_tau, rate_to_maturity)
     return StrategyCurve(grid, myopic, hedge, value, kind="log_mv")
 
 

@@ -184,24 +184,6 @@ def solve_riccati_volterra(
 # Analytic bound machinery
 # ---------------------------------------------------------------------------
 
-def negative_root(coeffs: RiccatiCoefficients) -> float:
-    """The root w_star < 0 of H on the decreasing branch.
-
-    w_star = (-H1 - sqrt(H1^2 - 4 H2 H0)) / (2 H2), degenerating to
-    -H0/H1 when H2 = 0.  For H1 < 0 the subtraction cancels as H2 -> 0, so
-    the root is computed through the product form 2 H0 / (-H1 + sqrt(disc)),
-    which also covers H2 = 0 exactly.
-    """
-    if coeffs.H2 == 0.0 and coeffs.H1 == 0.0:
-        raise ValueError("H has no root when H2 = H1 = 0")
-    disc = coeffs.H1**2 - 4.0 * coeffs.H2 * coeffs.H0
-    if disc < 0:
-        raise ValueError("H has no real root (discriminant < 0)")
-    if coeffs.H1 <= 0.0:
-        return 2.0 * coeffs.H0 / (-coeffs.H1 + np.sqrt(disc))
-    return (-coeffs.H1 - np.sqrt(disc)) / (2.0 * coeffs.H2)
-
-
 def _check_bound_preconditions(coeffs: RiccatiCoefficients):
     if not (coeffs.H1 < 0 and coeffs.H0 < 0):
         raise ValueError(
@@ -211,29 +193,19 @@ def _check_bound_preconditions(coeffs: RiccatiCoefficients):
         raise ValueError(f"bound requires H2 >= 0, got H2={coeffs.H2}")
 
 
-def q1(coeffs: RiccatiCoefficients, w) -> np.ndarray:
-    """Q1(w) = -int_w^0 du / H(u), finite on (w_star, 0], -> inf at w_star.
-
-    H is quadratic, so the integral is evaluated by partial fractions rather
-    than numerical quadrature (H has no root inside (w_star, 0], so the
-    integrand is smooth there and the logarithms below are well defined).
-    """
+def negative_root(coeffs: RiccatiCoefficients) -> float:
+    """The root w_star < 0 of H where the bound applies (H1 < 0, H0 < 0,
+    H2 >= 0; other coefficients are refused), in the product form
+    2 H0 / (-H1 + sqrt(H1^2 - 4 H2 H0)): it is -H0/H1 at H2 = 0 exactly, where
+    (-H1 - sqrt(H1^2 - 4 H2 H0)) / (2 H2) cancels as H2 -> 0."""
     _check_bound_preconditions(coeffs)
-    w = np.asarray(w, dtype=float)
     h2, h1, h0 = coeffs.H2, coeffs.H1, coeffs.H0
-    if h2 == 0.0:
-        out = np.log((h1 * w + h0) / h0) / h1
-    else:
-        sq = np.sqrt(h1**2 - 4.0 * h2 * h0)
-        r_plus = (-h1 + sq) / (2.0 * h2)   # > 0 since H0 < 0
-        r_minus = 2.0 * h0 / (-h1 + sq)    # = w_star < 0, cancellation-free
-        # note h2 * (r_plus - r_minus) = sq
-        out = np.log((-r_minus) * (1.0 - w / r_plus) / (w - r_minus)) / sq
-    return out if out.ndim else float(out)
+    return 2.0 * h0 / (-h1 + np.sqrt(h1**2 - 4.0 * h2 * h0))
 
 
 def _q1_inverse(coeffs: RiccatiCoefficients, m) -> np.ndarray:
-    """w in (w_star, 0] with Q1(w) = m >= 0, in closed form."""
+    """w in (w_star, 0] with Q1(w) = m >= 0, in closed form, where
+    Q1(w) = -int_w^0 du / H(u) is finite on (w_star, 0] and -> inf at w_star."""
     m = np.asarray(m, dtype=float)
     h2, h1, h0 = coeffs.H2, coeffs.H1, coeffs.H0
     if h2 == 0.0:
@@ -241,7 +213,7 @@ def _q1_inverse(coeffs: RiccatiCoefficients, m) -> np.ndarray:
     else:
         sq = np.sqrt(h1**2 - 4.0 * h2 * h0)
         r_plus = (-h1 + sq) / (2.0 * h2)
-        r_minus = 2.0 * h0 / (-h1 + sq)
+        r_minus = negative_root(coeffs)
         e = np.exp(sq * m)
         out = r_minus * r_plus * (1.0 - e) / (r_minus - e * r_plus)
     return out if out.ndim else float(out)

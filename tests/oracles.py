@@ -14,6 +14,7 @@ from scipy.integrate import quad, solve_ivp
 
 from roughmv import RiccatiCoefficients
 from roughmv.kernels import MARCH_BLOCK, _lag_weights, cell_moments, discrete_convolution
+from roughmv.volterra import negative_root
 
 
 def ml_reference(alpha: float, beta: float, z: float) -> float:
@@ -153,6 +154,30 @@ def q1_quadrature(coeffs: RiccatiCoefficients, w: float) -> float:
     h_of = lambda u: coeffs.H2 * u * u + coeffs.H1 * u + coeffs.H0
     val, _err = quad(lambda u: -1.0 / h_of(u), w, 0.0, limit=400)
     return val
+
+
+def q1(coeffs: RiccatiCoefficients, w) -> float | np.ndarray:
+    """Q1(w) = -int_w^0 du / H(u), finite on (w_star, 0], -> inf at w_star.
+
+    H is quadratic, so the integral is evaluated by partial fractions rather
+    than numerical quadrature (H has no root inside (w_star, 0], so the
+    integrand is smooth there and the logarithms below are well defined).
+    A w outside (w_star, 0], NaN included, is refused.
+    """
+    w_star = negative_root(coeffs)  # refuses coefficients the bound does not cover
+    w = np.asarray(w, dtype=float)
+    inside = (w_star < w) & (w <= 0.0)
+    if not inside.all():
+        raise ValueError(f"w must lie in (w_star, 0] = ({w_star}, 0], got {w[~inside][0]}")
+    h2, h1, h0 = coeffs.H2, coeffs.H1, coeffs.H0
+    if h2 == 0.0:
+        out = np.log((h1 * w + h0) / h0) / h1
+    else:
+        sq = np.sqrt(h1**2 - 4.0 * h2 * h0)
+        r_plus = (-h1 + sq) / (2.0 * h2)   # > 0 since H0 < 0
+        # h2 * (r_plus - w_star) = sq
+        out = np.log((-w_star) * (1.0 - w / r_plus) / (w - w_star)) / sq
+    return out if out.ndim else float(out)
 
 
 def convolution_identity_residual(

@@ -160,6 +160,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_end must be finite and > 0"):
             TimeGrid(t_end, 10)
 
+    def test_grid_takes_an_int_past_int64_as_its_float(self):
+        # numpy made 10**30 an object array, whose isfinite raised TypeError
+        grid = TimeGrid(10**30, 4)
+        assert grid.t_end == 1e30 and isinstance(grid.t_end, float)
+        assert grid.nodes().tobytes() == np.linspace(0.0, 1e30, 5).tobytes()
+        with pytest.raises(ValueError, match="t_end must be finite and > 0, got -1e\\+30"):
+            TimeGrid(-(10**30), 4)
+        with pytest.raises(ValueError, match="t_end must be finite and > 0, got inf"):
+            TimeGrid(10**400, 4)
+
+    @pytest.mark.parametrize("t_end", ["1", None, [1.0, "a"], 1j])
+    def test_grid_end_must_be_a_number(self, t_end):
+        # "1" raised numpy's "ufunc 'isfinite' not supported", naming no field
+        with pytest.raises(ValueError, match="^t_end must be a number, got "):
+            TimeGrid(t_end, 4)
+
     def test_grid_takes_a_numpy_integer_count(self):
         assert TimeGrid(1.0, np.int64(4)).nodes().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 

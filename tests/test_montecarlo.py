@@ -218,10 +218,14 @@ class TestPathSeedWords:
     # ids of one, two (2^32 - 2 .. 2^32 + 1, 2^40) spawn-key words
     IDS = [*range(2048), *range(2**32 - 2, 2**32 + 2), 2**40]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127, 10**30, 2**200 + 3],
-                             ids=["0", "1", "2^32-1", "2^32", "2^127", "10^30", "2^200+3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**127, 10**30, 2**128 + 5,
+                                      2**200 + 3, 3**150, 2**300 + 1],
+                             ids=["0", "1", "2^32-1", "2^32", "2^127", "10^30", "2^128+5",
+                                  "2^200+3", "3^150", "2^300+1"])
     def test_words_equal_seed_sequence_state(self, seed):
-        # 2^200 + 3 has seven words, more than the pool of four holds
+        # seeds of one to ten words (2^127 has four, 2^128 + 5 five, 3^150
+        # eight): each word past the pool's four moves the hash constant that
+        # the spawn key's words start from
         words = np.concatenate([_path_seed_words(seed, r) for r in (
             range(2048), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 1))])
         expected = np.array([
@@ -707,6 +711,12 @@ class TestTerminalStats:
     def test_unbinnable_range_is_named(self, value):
         with pytest.raises(ValueError, match="terminal wealth range"):
             terminal_stats(np.array([1.0, value] if value == np.inf else [value] * 3))
+
+    @pytest.mark.parametrize("n_bins", [2.5, 0, True])
+    def test_bin_count_must_be_an_integer(self, n_bins):
+        # 2.5 raised numpy's "`bins` must be an integer, a string, or an array"
+        with pytest.raises(ValueError, match="n_bins must be an integer >= 1"):
+            terminal_stats(np.array([1.0, 2.0, 3.0]), n_bins=n_bins)
 
     def test_identical_paths(self):
         st_ = terminal_stats(np.full(5, 2.5), n_bins=4)

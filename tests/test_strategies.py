@@ -17,6 +17,7 @@ from roughmv import (
     MarketParams,
     NonExpLogObjective,
     RateCurve,
+    RiccatiCoefficients,
     StrategyCurve,
     TabulatedDiscount,
     ThetaCurve,
@@ -197,6 +198,21 @@ class TestLogMV:
         assert log_mv_existence_margin(market, gamma) <= 0
         with pytest.raises(ValueError, match="existence"):
             log_mv_strategy(market, gamma, grid750)
+
+    def test_existence_margin_is_minus_h1(self):
+        # one formula: the margin is -H1 of the Riccati coefficients, the
+        # paper's kappa + gamma^2 rho sigma theta / (1+gamma)^2 bit for bit
+        for rho in (-1.0, -0.7, 0.0, 0.3, 1.0):
+            for kappa in (0.05, 0.3, 3.0):
+                for gamma in (0.05, 0.5, 5.0, 50.0):
+                    market = study_market(0.1, rho=rho, kappa=kappa)
+                    coeffs = RiccatiCoefficients.log_mv(
+                        kappa, rho, market.sigma, market.theta, gamma)
+                    paper = kappa + gamma**2 * rho * market.sigma * market.theta \
+                        / (1.0 + gamma) ** 2
+                    margin = log_mv_existence_margin(market, gamma)
+                    assert margin.hex() == (-coeffs.H1).hex() == paper.hex()
+                    assert (coeffs.H2 == 0.0) == (rho == 0.0)
 
     def test_delta_does_not_change_coefficient(self, market_rough, grid750):
         # the objective's delta reaches the simulator, not the strategy
@@ -450,6 +466,12 @@ NON_FINITE_CASES = [
                  "theta must be finite", id="admissibility-theta-nan"),
     pytest.param(lambda: log_mv_existence_margin(study_market(0.1), math.nan),
                  "gamma must be finite and > 0", id="log-mv-margin-gamma-nan"),
+    # a fractional count raised numpy's "'float' object cannot be interpreted
+    # as an integer", which names no field
+    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, 0.1, n=2.5),
+                 "n must be an integer >= 1, got 2.5", id="theta-flat-n-fractional"),
+    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, 0.1, n=0),
+                 "n must be an integer >= 1, got 0", id="theta-flat-n-zero"),
 ]
 
 

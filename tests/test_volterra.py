@@ -20,9 +20,9 @@ from roughmv import (
 from roughmv import volterra
 from roughmv.kernels import MARCH_BLOCK, _lag_weights, _ml_array, cell_moments
 from roughmv.strategies import log_mv_existence_margin
-from roughmv.volterra import negative_root, q1
+from roughmv.volterra import negative_root
 from conftest import STUDY, study_market
-from oracles import convolve, heston_log_mv_curves, q1_quadrature, riccati_lifted_ode
+from oracles import convolve, heston_log_mv_curves, q1, q1_quadrature, riccati_lifted_ode
 
 UNIT = SumOfExponentialsKernel((1.0,), (0.0,))  # the constant kernel 1
 
@@ -286,6 +286,26 @@ class TestRiccatiBounds:
         coeffs = {"H2": 0.5, "H1": -1.5, "H0": -0.5, field: math.nan}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RiccatiCoefficients(**coeffs)
+
+    @pytest.mark.parametrize("coeffs, field", [
+        ((0.5, 0.1, -0.5), "H1=0.1"),
+        ((0.0, 0.0, -0.5), "H1=0.0"),
+        ((0.5, -1.5, 0.1), "H0=0.1"),
+        ((-0.5, -1.5, -0.5), "H2=-0.5"),
+    ])
+    def test_negative_root_refuses_coefficients_outside_the_bound(self, coeffs, field):
+        # H1 > 0 had a branch of its own and H2 = H1 = 0 a no-root error;
+        # neither is a bound's w_star
+        with pytest.raises(ValueError, match=f"requires .*{field}"):
+            negative_root(RiccatiCoefficients(*coeffs))
+
+    @pytest.mark.parametrize("w", [0.5, 1e-300, -1.0, "w_star", math.nan])
+    def test_q1_refuses_w_outside_its_domain(self, w):
+        # w = 0.5 returned -0.632, w = -1.0 and NaN returned NaN
+        coeffs = RiccatiCoefficients(0.5, -1.5, -0.5)
+        w = negative_root(coeffs) if w == "w_star" else w
+        with pytest.raises(ValueError, match=r"w must lie in \(w_star, 0\]"):
+            q1(coeffs, w)
 
     @pytest.mark.parametrize("w", [-0.05, -0.15, -0.25, -0.3])
     def test_q1_closed_form_against_quadrature(self, w):
