@@ -4,8 +4,9 @@ and consumption figures.
 
 Subcommands: hedge-curve, crossover, simulate, nonexp, strategy.
 Exit codes: 0 success, 2 config error, 3 numeric or I/O error.  load_config
-checks every field name and variant once, and main builds each input once
-(Inputs) before any work: a field at fault exits 2, named, whatever the command.
+checks every field name once, and every leaf once by its kind (_LEAVES), and
+main builds each input once (Inputs) before any work: a field at fault exits 2,
+named, whatever the command.
 
 Every command writes a manifest.json holding the fully resolved config, the
 library version, and the seed; pointing --config at a manifest reruns the
@@ -95,49 +96,104 @@ DEFAULT_CONFIG = {
 }
 
 
-# Sections whose fields depend on their "variant": path -> variant -> the
-# fields it takes besides "variant".  Such a section replaces its default
-# whole; build_kernel, build_discount and build_objective take it so checked.
-_VARIANT_FIELDS = {
-    "config.market.kernel": {
-        "fractional": {"c", "hurst", "alpha"},
-        "constant": {"c"},
-        "exponential": {"c", "beta"},
-        "sum_of_exponentials": {"weights", "rates"},
-    },
-    "config.objective": {
-        "const_mv": {"gamma", "horizon"},
-        "log_mv": {"gamma", "horizon", "delta"},
-        "nonexp_log": {"discount", "horizon"},
-    },
-    "config.objective.discount": {
-        "exponential": {"rate"},
-        "hyperbolic": {"a", "b"},
-        "tabulated": {"times", "values"},
-    },
+# Every config leaf (a field that is no section), by its path, with its kind:
+# float, a JSON number (never a bool or a string) taken as its float; an int
+# k, an integer >= k taken exactly within the float range (an integral float
+# counts); bool; str; a tuple, one of its strings; a dict, the variant of a
+# section, one of its keys, which maps it to the fields the section takes
+# besides "variant" (such a section replaces its default whole); [kind], a
+# non-empty list of that kind; _RATE, a number or the table {"times": [...],
+# "rates": [...]}.  The ranges (finite, > 0, ...) are the library classes'.
+_RATE = "rate"
+_LEAVES = {
+    **dict.fromkeys(["market.nu0", "market.kappa", "market.phi", "market.sigma", "market.rho",
+                     "market.theta"], float),
+    "market.rate": _RATE,
+    "market.kernel.variant": {"fractional": {"c", "hurst", "alpha"}, "constant": {"c"},
+                              "exponential": {"c", "beta"},
+                              "sum_of_exponentials": {"weights", "rates"}},
+    **dict.fromkeys(["market.kernel.c", "market.kernel.hurst", "market.kernel.alpha",
+                     "market.kernel.beta"], float),
+    **dict.fromkeys(["market.kernel.weights", "market.kernel.rates"], [float]),
+    "objective.variant": {"const_mv": {"gamma", "horizon"},
+                          "log_mv": {"gamma", "horizon", "delta"},
+                          "nonexp_log": {"discount", "horizon"}},
+    **dict.fromkeys(["objective.gamma", "objective.horizon", "objective.delta"], float),
+    "objective.discount.variant": {"exponential": {"rate"}, "hyperbolic": {"a", "b"},
+                                   "tabulated": {"times", "values"}},
+    **dict.fromkeys(["objective.discount.rate", "objective.discount.a",
+                     "objective.discount.b"], float),
+    **dict.fromkeys(["objective.discount.times", "objective.discount.values"], [float]),
+    "grid.steps_per_year": 1,
+    "hurst_values": [float],
+    "gamma_values": [float],
+    "sim.scheme": ("lifted", "euler_convolution"),
+    "sim.n_factors": 1,
+    "sim.rate_spread": float,
+    "sim.n_paths": 2,  # a sample variance needs 2
+    "sim.seed": 0,
+    "sim.write_paths": bool,
+    "output.directory": str,
+    "output.formats": [("csv", "json")],
+    "notes": str,
 }
 
 
+def _leaf(name: str, value, kind=None):
+    """value as the build_* functions take it, if it is of the kind of leaf
+    name (or of kind); else ConfigError naming the leaf."""
+    kind = _LEAVES[name] if kind is None else kind
+    if isinstance(kind, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [_leaf(name, item, kind[0]) for item in value]
+    if kind is _RATE and isinstance(value, dict):
+        for key in value:
+            if key not in ("times", "rates"):
+                raise ConfigError(f"unknown config field 'config.{name}.{key}'")
+        return {key: _leaf(f"{name}.{key}", value.get(key), [float]) for key in ("times", "rates")}
+    if isinstance(kind, (tuple, dict)):
+        if not (isinstance(value, str) and value in kind):
+            raise ConfigError(f"unknown {name} {value!r}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in (float, _RATE):
+        ok, what = number, "a number"
+    elif kind in (bool, str):
+        ok, what = isinstance(value, kind), "true or false" if kind is bool else "a string"
+    else:
+        ok, what = number and (value.is_integer() if isinstance(value, float)
+                               else abs(value) <= sys.float_info.max), "an integer"
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if kind in (float, _RATE):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            raise ConfigError(f"{name} must be a number in the float range, got {value}") from None
+    if isinstance(kind, int):
+        if value < kind:
+            raise ConfigError(f"{name} must be >= {kind}, got {int(value)}")
+        return int(value)
+    return value
+
+
 def _merge(base: dict, override, path: str = "config") -> dict:
-    """base with override's fields, each checked against base's or its variant's."""
+    """base with override's fields, checked against base's or the variant's, leaves by _leaf."""
     if not isinstance(override, dict):
         raise ConfigError(f"'{path}' must be an object")
-    allowed = base.keys()
-    if path in _VARIANT_FIELDS:  # no default is merged into the section
-        variants = _VARIANT_FIELDS[path]
-        variant = override.get("variant")
-        if not (isinstance(variant, str) and variant in variants):
-            raise ConfigError(f"unknown {path.removeprefix('config.')} variant {variant!r}")
-        base, allowed = override, {"variant", *variants[variant]}
+    merged, allowed, prefix = {}, base.keys(), path.removeprefix("config").lstrip(".") + "."
+    if prefix + "variant" in _LEAVES:  # no default is merged into the section
+        variant = merged["variant"] = _leaf(prefix + "variant", override.get("variant"))
+        allowed = {"variant", *_LEAVES[prefix + "variant"][variant]}
+        base = {key: value for key, value in override.items() if key != "variant"}
     for key in override:
         if key not in allowed:
             raise ConfigError(f"unknown config field '{path}.{key}'")
-    merged = {}
     for key, default in base.items():
-        value = override.get(key, default)
-        if isinstance(default, dict) or f"{path}.{key}" in _VARIANT_FIELDS:
-            value = _merge(default, value, f"{path}.{key}")
-        merged[key] = value
+        leaf, value = (prefix + key).lstrip("."), override.get(key, default)
+        merged[key] = (_leaf(leaf, value) if leaf in _LEAVES
+                       else _merge(default, value, f"{path}.{key}"))
     return merged
 
 
@@ -176,9 +232,9 @@ def build_kernel(spec: dict):
         variant = spec["variant"]
         if variant == "sum_of_exponentials":
             # fitted sums alternate in sign, so their weights may be negative
-            return SumOfExponentialsKernel(tuple(spec["weights"]), tuple(spec["rates"]))
+            return SumOfExponentialsKernel(spec["weights"], spec["rates"])
         # a weight c <= 0 turns kappa K negative, and the solves grow without bound
-        c = float(spec.get("c", 1.0)) if variant == "fractional" else float(spec["c"])
+        c = spec.get("c", 1.0) if variant == "fractional" else spec["c"]
         if c <= 0:
             raise ConfigError(f"market.kernel.c must be > 0 for the {variant} kernel, got {c}")
         if variant == "fractional":
@@ -186,10 +242,10 @@ def build_kernel(spec: dict):
                 raise ConfigError("market.kernel takes hurst or alpha, not both" if "hurst" in spec
                                   else "market.kernel needs hurst or alpha")
             if "hurst" in spec:
-                return FractionalKernel.from_hurst(float(spec["hurst"]), c=c)
-            return FractionalKernel(c=c, alpha=float(spec["alpha"]))
+                return FractionalKernel.from_hurst(spec["hurst"], c=c)
+            return FractionalKernel(c=c, alpha=spec["alpha"])
         # constant and exponential kernels are the one-term sums c exp(-beta t)
-        beta = float(spec["beta"]) if variant == "exponential" else 0.0
+        beta = spec["beta"] if variant == "exponential" else 0.0
         return SumOfExponentialsKernel((c,), (beta,))
 
 
@@ -197,15 +253,10 @@ def build_market(cfg: dict) -> MarketParams:
     m = cfg["market"]
     rate = m["rate"]
     with _config_errors("market.rate", rate):
-        if isinstance(rate, dict):
-            curve = RateCurve(tuple(rate["times"]), tuple(rate["rates"]))
-        else:
-            curve = RateCurve.flat(float(rate))
-    scalars = {}
-    for name in ("nu0", "kappa", "phi", "sigma", "rho", "theta"):
-        with _config_errors(f"market.{name}", m[name]):
-            scalars[name] = float(m[name])
+        curve = (RateCurve(rate["times"], rate["rates"]) if isinstance(rate, dict)
+                 else RateCurve.flat(rate))
     kernel = build_kernel(m["kernel"])
+    scalars = {name: value for name, value in m.items() if name not in ("rate", "kernel")}
     try:
         return MarketParams(**scalars, rate_curve=curve, kernel=kernel)
     except ValueError as exc:
@@ -215,34 +266,20 @@ def build_market(cfg: dict) -> MarketParams:
 def build_discount(spec: dict):
     with _config_errors("objective.discount", spec):
         if spec["variant"] == "exponential":
-            return ExponentialDiscount(float(spec["rate"]))
+            return ExponentialDiscount(spec["rate"])
         if spec["variant"] == "hyperbolic":
-            return HyperbolicDiscount(float(spec["a"]), float(spec["b"]))
-        return TabulatedDiscount(tuple(spec["times"]), tuple(spec["values"]))
+            return HyperbolicDiscount(spec["a"], spec["b"])
+        return TabulatedDiscount(spec["times"], spec["values"])
 
 
 def build_objective(cfg: dict):
     o = cfg["objective"]
     with _config_errors("objective", o):
-        horizon = float(o["horizon"])
         if o["variant"] == "const_mv":
-            return ConstMVObjective(float(o["gamma"]), horizon)
+            return ConstMVObjective(o["gamma"], o["horizon"])
         if o["variant"] == "log_mv":
-            return LogMVObjective(float(o["gamma"]), horizon, float(o.get("delta", 1.0)))
-        return NonExpLogObjective(build_discount(o["discount"]), horizon)
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    try:  # an int is compared exactly (10**30 != float(10**30)) within the float range
-        number = int(value)
-        integral = number == float(value) or isinstance(value, int)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if number < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {number}")
-    return number
+            return LogMVObjective(o["gamma"], o["horizon"], o.get("delta", 1.0))
+        return NonExpLogObjective(build_discount(o["discount"]), o["horizon"])
 
 
 MAX_GRID_STEPS = 10**6  # cells of one grid; each array over its nodes is then 8 MB
@@ -250,7 +287,7 @@ MAX_GRID_STEPS = 10**6  # cells of one grid; each array over its nodes is then 8
 
 def build_grid(cfg: dict, horizon: float) -> TimeGrid:
     """The time grid, refused before its nodes are allocated if it is over budget."""
-    spy = _integer(cfg["grid"]["steps_per_year"], "grid.steps_per_year", 1)
+    spy = cfg["grid"]["steps_per_year"]
     try:
         grid = TimeGrid.for_horizon(horizon, spy)
         steps = grid.n_steps
@@ -264,30 +301,15 @@ def build_grid(cfg: dict, horizon: float) -> TimeGrid:
     return grid
 
 
-class SimSettings(NamedTuple):
-    scheme: SimScheme
-    n_paths: int
-    seed: int
-    write_paths: bool
-
-
-def build_sim(cfg: dict) -> SimSettings:
-    """The validated sim section; every field is checked whatever the scheme."""
+def build_sim(cfg: dict) -> SimScheme:
+    """The sim section's scheme; the lifted scheme's fields are checked whatever the scheme."""
     s = cfg["sim"]
-    n_paths = _integer(s["n_paths"], "sim.n_paths", 2)  # a sample variance needs 2
-    if n_paths > MAX_ELEMENTS:  # the terminal values alone would exceed the budget
-        raise ConfigError(f"sim.n_paths = {n_paths} exceeds the memory budget of "
+    if s["n_paths"] > MAX_ELEMENTS:  # the terminal values alone would exceed the budget
+        raise ConfigError(f"sim.n_paths = {s['n_paths']} exceeds the memory budget of "
                           f"{MAX_ELEMENTS} terminal values")
-    seed = _integer(s["seed"], "sim.seed", 0)
-    n_factors = _integer(s["n_factors"], "sim.n_factors", 1)
     with _config_errors("sim.rate_spread", s["rate_spread"]):
-        lifted = LiftedFactors(n_factors, float(s["rate_spread"]))
-    if not isinstance(s["write_paths"], bool):
-        raise ConfigError(f"sim.write_paths must be true or false, got {s['write_paths']!r}")
-    if s["scheme"] not in ("lifted", "euler_convolution"):
-        raise ConfigError(f"unknown sim.scheme {s['scheme']!r}")
-    scheme = lifted if s["scheme"] == "lifted" else EulerConvolution()
-    return SimSettings(scheme, n_paths, seed, s["write_paths"])
+        lifted = LiftedFactors(s["n_factors"], s["rate_spread"])
+    return lifted if s["scheme"] == "lifted" else EulerConvolution()
 
 
 class Inputs(NamedTuple):
@@ -295,45 +317,18 @@ class Inputs(NamedTuple):
     market: MarketParams
     objective: ConstMVObjective | LogMVObjective | NonExpLogObjective
     grid: TimeGrid
-    sim: SimSettings
-
-
-def _finite_number(value) -> bool:
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def check_sweeps(cfg: dict):
-    """hurst_values and gamma_values, which every manifest records."""
-    for key, valid, requirement in (
-        ("hurst_values", lambda h: 0 < h <= 0.5, "numbers in (0, 0.5]"),
-        ("gamma_values", lambda g: g > 0, "finite numbers > 0"),
-    ):
-        values = cfg[key]
-        if not (isinstance(values, list) and values
-                and all(_finite_number(v) and valid(v) for v in values)):
-            raise ConfigError(f"{key} must be a non-empty list of {requirement}, got {values!r}")
+    scheme: SimScheme
 
 
 def build_output(cfg: dict) -> Path:
-    """The output directory, once the output section is checked."""
-    out = cfg["output"]
-    formats = out["formats"]
-    if not (isinstance(formats, list) and formats
-            and all(isinstance(f, str) and f in ("csv", "json") for f in formats)):
-        raise ConfigError(
-            f"output.formats must be a non-empty list of 'csv' and 'json', got {formats!r}"
-        )
-    if not (isinstance(out["directory"], str) and out["directory"]):
-        raise ConfigError(f"output.directory must be a path, got {out['directory']!r}")
-    directory = Path(out["directory"])
-    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    """The output directory, which must be a path that is or can be a directory."""
+    directory = cfg["output"]["directory"]
+    if not directory:
+        raise ConfigError("output.directory must be a path, got ''")
+    existing = next(p for p in (Path(directory), *Path(directory).parents) if p.exists())
     if not existing.is_dir():
-        raise ConfigError(f"output.directory {out['directory']!r}: {existing} is not a directory")
-    return directory
+        raise ConfigError(f"output.directory {directory!r}: {existing} is not a directory")
+    return Path(directory)
 
 
 def _with_hurst(market: MarketParams, hurst: float) -> MarketParams:
@@ -439,7 +434,7 @@ def cmd_crossover(cfg: dict, inputs: Inputs, outputs: _Outputs):
     rough = _with_hurst(market, h_rough)
     smooth = _with_hurst(market, h_smooth)
     rows = ["gamma,t_star_const_mv,t_star_log_mv"]
-    fmt = lambda v: "" if v is None else repr(float(v))
+    fmt = lambda v: "" if v is None else repr(v)
     for gamma in cfg["gamma_values"]:
         t_stars = [
             prefer_rough_crossover(_strategy_for(rough, sweep, grid),
@@ -452,37 +447,38 @@ def cmd_crossover(cfg: dict, inputs: Inputs, outputs: _Outputs):
 
 
 def cmd_simulate(cfg: dict, inputs: Inputs, outputs: _Outputs):
-    market, objective, grid, sim = inputs
+    market, objective, grid, scheme = inputs
+    n_paths, seed = cfg["sim"]["n_paths"], cfg["sim"]["seed"]
     if isinstance(objective, LogMVObjective) and not objective.delta > 0.5:
         # simulate_wealth refuses it too, but only after the strategy is solved
         raise ConfigError(
             f"simulate needs objective.delta > 0.5 for log_mv, got {objective.delta!r}: "
             "below it the log-wealth coefficients diverge, or are lost, at nu = 0"
         )
-    if isinstance(sim.scheme, LiftedFactors):
+    if isinstance(scheme, LiftedFactors):
         # the fit is memoised, so the blocks reuse it
         try:
-            _as_factor_kernel(market.kernel, sim.scheme, grid.t_end)
+            _as_factor_kernel(market.kernel, scheme, grid.t_end)
         except RuntimeError as exc:
             raise ConfigError(
-                f"sim.n_factors = {sim.scheme.n_factors} and sim.rate_spread = "
-                f"{sim.scheme.rate_spread!r} give no kernel fit: {exc}"
+                f"sim.n_factors = {scheme.n_factors} and sim.rate_spread = "
+                f"{scheme.rate_spread!r} give no kernel fit: {exc}"
             ) from None
     strategy = _strategy_for(market, objective, grid)
 
     # Blocks of at most PATH_BLOCK paths: memory is O(block x steps) whatever
     # n_paths, and path i depends on (seed, i) only, so the outputs do not
     # depend on the block.
-    write_paths = sim.write_paths and "csv" in cfg["output"]["formats"]
-    block_size = block_paths(grid, sim.scheme, write_paths)
-    terminal = np.empty(sim.n_paths)
+    write_paths = cfg["sim"]["write_paths"] and "csv" in cfg["output"]["formats"]
+    block_size = block_paths(grid, scheme, write_paths)
+    terminal = np.empty(n_paths)
     sink = outputs.open("paths.csv") if write_paths else contextlib.nullcontext()
     with sink as paths_csv:
         if paths_csv is not None:
             paths_csv.write(PATHS_CSV_HEADER)
-        for lo in range(0, sim.n_paths, block_size):
-            block = range(lo, min(lo + block_size, sim.n_paths))
-            bundle = simulate_variance(market, sim.scheme, grid, block, sim.seed)
+        for lo in range(0, n_paths, block_size):
+            block = range(lo, min(lo + block_size, n_paths))
+            bundle = simulate_variance(market, scheme, grid, block, seed)
             bundle = simulate_wealth(bundle, market, strategy, objective, 1.0,
                                      keep_paths=write_paths)
             terminal[lo : block.stop] = bundle.wealth[:, -1]
@@ -570,23 +566,26 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["sim"]["seed"] = args.seed
-        if args.out is not None:
-            cfg["output"]["directory"] = args.out
-        if args.format is not None:
-            cfg["output"]["formats"] = [args.format]
-        if args.steps_per_year is not None:
-            cfg["grid"]["steps_per_year"] = args.steps_per_year
-        if args.paths is not None:
-            cfg["sim"]["n_paths"] = args.paths
+        for name, value in (("sim.seed", args.seed), ("output.directory", args.out),
+                            ("output.formats", args.format and [args.format]),
+                            ("grid.steps_per_year", args.steps_per_year),
+                            ("sim.n_paths", args.paths)):
+            if value is not None:
+                section, key = name.split(".")
+                cfg[section][key] = _leaf(name, value)
         # a float overflow, a division by zero or an invalid operation is a
         # numeric error, not a warning after which the run goes on with inf or NaN
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            sim = build_sim(cfg)
-            check_sweeps(cfg)
+            scheme = build_sim(cfg)
             market, objective = build_market(cfg), build_objective(cfg)
-            inputs = Inputs(market, objective, build_grid(cfg, objective.horizon), sim)
+            # every manifest records the sweeps, so every command checks their ranges
+            with _config_errors("hurst_values", cfg["hurst_values"]):
+                for hurst in cfg["hurst_values"]:
+                    FractionalKernel.from_hurst(hurst)
+            with _config_errors("gamma_values", cfg["gamma_values"]):
+                for gamma in cfg["gamma_values"]:
+                    ConstMVObjective(gamma, objective.horizon)
+            inputs = Inputs(market, objective, build_grid(cfg, objective.horizon), scheme)
             with _Outputs(build_output(cfg), args.command, cfg) as outputs:
                 COMMANDS[args.command](cfg, inputs, outputs)
         return 0

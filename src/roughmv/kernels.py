@@ -42,17 +42,23 @@ class KernelDomainError(ValueError):
 def _check_finite(*, positive: bool = False, **values):
     """ValueError("<name> must be finite[ and > 0], got <value>") for the first
     keyword value, a number or an array of numbers, that breaks the rule, and
-    ValueError("<name> must be a number, got <value>") for one that is none.
-    A Python int past the int64 range is checked as the float it converts to."""
+    ValueError("<name> must be a number, got <value>") for one that is none: a
+    bool, a string (no sequence of numbers either), or a sequence holding
+    either.  A Python int past the int64 range is checked as the float it
+    converts to."""
     rule = "finite and > 0" if positive else "finite"
     for name, value in values.items():
+        if isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive):
+            continue  # a Python float that passes needs no array
         x = np.asarray(value)  # no float conversion: a string is no number
         if x.dtype == object and all(isinstance(v, int) for v in x.flat):
             try:
                 x = x.astype(float)
             except OverflowError:  # past the float range, where floats are inf
                 x = np.asarray(math.inf)
-        if x.dtype.kind not in "biuf":
+        # a bool is no number, also among the numbers of a sequence
+        if x.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+                isinstance(v, (bool, np.bool_)) for v in value):
             raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
         ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
         if not ok.all():
@@ -71,11 +77,6 @@ def _check_count(**counts):
 # Kernel variants
 # ---------------------------------------------------------------------------
 
-def _check_weight(c: float):
-    if not (math.isfinite(c) and c != 0):
-        raise ValueError(f"kernel weight c must be finite and nonzero, got {c}")
-
-
 @dataclass(frozen=True)
 class FractionalKernel:
     """Power-law kernel c * t^(alpha-1)/Gamma(alpha), alpha in (0, 1].
@@ -89,7 +90,9 @@ class FractionalKernel:
     alpha: float
 
     def __post_init__(self):
-        _check_weight(self.c)
+        _check_finite(**{"kernel weight c": self.c}, alpha=self.alpha)
+        if self.c == 0:
+            raise ValueError(f"kernel weight c must be finite and nonzero, got {self.c}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
@@ -110,13 +113,14 @@ class SumOfExponentialsKernel:
     rates: tuple
 
     def __post_init__(self):
+        _check_finite(**{"kernel weights": self.weights, "kernel rates": self.rates})
         w = tuple(float(x) for x in self.weights)
         r = tuple(float(x) for x in self.rates)
         if len(w) != len(r) or len(w) < 1:
             raise ValueError("weights and rates must have equal length >= 1")
-        if not all(math.isfinite(x) and x != 0 for x in w):
+        if not all(x != 0 for x in w):
             raise ValueError(f"kernel weights must be finite and nonzero, got {w}")
-        if not all(math.isfinite(x) and x >= 0 for x in r):
+        if not all(x >= 0 for x in r):
             raise ValueError(f"kernel rates must be finite and >= 0, got {r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", r)

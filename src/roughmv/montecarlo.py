@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -307,9 +306,9 @@ def _seed_pool(seed) -> tuple[np.ndarray, int]:
     """
     from numpy.random import SeedSequence
 
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     words = max(1, (seed.bit_length() + 31) // 32)  # the seed's uint32 words, at least one
     calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
     return SeedSequence(seed).pool, (_INIT_A * pow(_MULT_A, calls, 2**32)) & _MASK32

@@ -55,11 +55,11 @@ from .volterra import (
 def _sampled_table(times, values, name: str, min_size: int) -> tuple[tuple, tuple]:
     """times and values (called name) as float tuples of one length >= min_size,
     finite, with the times strictly increasing from 0 and the values >= 0."""
+    _check_finite(times=times, **{name: values})
     t = tuple(float(x) for x in times)
     v = tuple(float(x) for x in values)
     if len(t) != len(v) or len(t) < min_size:
         raise ValueError(f"times and {name} must have equal length >= {min_size}")
-    _check_finite(times=t, **{name: v})
     if t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
         raise ValueError(f"times must increase strictly from 0, got {t}")
     if min(v) < 0:

@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -354,34 +355,34 @@ class TestConfigHandling:
             ({"objective": 5}, "config.objective"),
             ({"grid": {"steps_per_year": "x"}}, "grid.steps_per_year"),
             ({"grid": {"steps_per_year": 2.5}}, "grid.steps_per_year"),
-            ({"market": {"nu0": "NaN"}}, "nu0"),
-            ({"market": {"kappa": "NaN"}}, "kappa"),
-            ({"market": {"theta": "Infinity"}}, "theta"),
-            ({"objective": {"variant": "const_mv", "gamma": "NaN", "horizon": 3.0}},
+            ({"market": {"nu0": math.nan}}, "nu0"),
+            ({"market": {"kappa": math.nan}}, "kappa"),
+            ({"market": {"theta": math.inf}}, "theta"),
+            ({"objective": {"variant": "const_mv", "gamma": math.nan, "horizon": 3.0}},
              "gamma"),
-            ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": "inf"}},
+            ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": math.inf}},
              "horizon"),
             ({"objective": {"variant": "log_mv", "gamma": 0.5, "horizon": 3.0,
-                            "delta": "NaN"}}, "delta"),
+                            "delta": math.nan}}, "delta"),
             ({"market": {"rate": "x"}}, "market.rate"),
             ({"market": {"rate": [1, "x"]}}, "market.rate"),
             ({"market": {"rate": {"times": 5, "rates": [0]}}}, "market.rate"),
             ({"market": {"rate": {"times": [0.0]}}}, "market.rate"),
-            ({"market": {"rate": "NaN"}}, "market.rate"),
-            ({"market": {"rate": {"times": [0.0, "Infinity"], "rates": [0.01, 0.02]}}},
+            ({"market": {"rate": math.nan}}, "market.rate"),
+            ({"market": {"rate": {"times": [0.0, math.inf], "rates": [0.01, 0.02]}}},
              "times must be finite"),
-            ({"market": {"rate": {"times": [0.0], "rates": ["NaN"]}}},
+            ({"market": {"rate": {"times": [0.0], "rates": [math.nan]}}},
              "rates must be finite"),
             ({"sim": {"n_paths": "x"}}, "sim.n_paths"),
             ({"sim": {"n_factors": "x"}}, "sim.n_factors"),
             ({"sim": {"seed": "x"}}, "sim.seed"),
             ({"sim": {"seed": -1}}, "sim.seed"),
-            ({"sim": {"rate_spread": "NaN"}}, "sim.rate_spread"),
+            ({"sim": {"rate_spread": math.nan}}, "sim.rate_spread"),
             ({"sim": {"n_paths": 2.5}}, "sim.n_paths"),
             ({"sim": {"write_paths": "no"}}, "sim.write_paths"),
             ({"sim": {"n_paths": 1}}, "sim.n_paths"),
             ({"sim": {"scheme": "exact"}}, "sim.scheme"),
-            ({"hurst_values": [0.1, "NaN"]}, "hurst_values"),
+            ({"hurst_values": [0.1, math.nan]}, "hurst_values"),
             ({"hurst_values": [0.1, 0.9]}, "hurst_values"),
             ({"hurst_values": 0.1}, "hurst_values"),
             ({"gamma_values": [0.5, "x"]}, "gamma_values"),
@@ -390,21 +391,21 @@ class TestConfigHandling:
             ({"output": {"formats": 5}}, "output.formats"),
             ({"output": {"formats": ["xml"]}}, "output.formats"),
             ({"output": {"formats": []}}, "output.formats"),
-            ({"market": {"kernel": {"variant": "fractional", "c": "NaN", "hurst": 0.1}}},
+            ({"market": {"kernel": {"variant": "fractional", "c": math.nan, "hurst": 0.1}}},
              "kernel weight c must be finite"),
-            ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": "NaN"}}},
-             ("bad market.kernel", "kernel rates must be finite and >= 0")),
-            ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, "NaN"],
+            ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": math.nan}}},
+             ("bad market.kernel", "kernel rates must be finite, got nan")),
+            ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, math.nan],
                                     "rates": [1, 2]}}}, "kernel weights must be finite"),
             ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": [1, 2],
-                                    "rates": [1, "Infinity"]}}}, "kernel rates must be finite"),
+                                    "rates": [1, math.inf]}}}, "kernel rates must be finite"),
             # market scalars that are no numbers were float() tracebacks
             ({"market": {"kappa": None}}, "market.kappa"),
             ({"market": {"sigma": []}}, "market.sigma"),
             ({"market": {"rho": {}}}, "market.rho"),
             ({"market": {"nu0": 10**400}}, "market.nu0"),
-            ({"market": {"kernel": {"variant": "constant", "c": "NaN"}}},
-             ("bad market.kernel", "kernel weights must be finite and nonzero")),
+            ({"market": {"kernel": {"variant": "constant", "c": math.nan}}},
+             ("bad market.kernel", "kernel weights must be finite, got nan")),
             ({"market": {"kernel": {"variant": "exponential", "c": 1.0, "beta": -1.0}}},
              ("bad market.kernel", "kernel rates must be finite and >= 0")),
             ({"market": {"kernel": {"variant": "exponential", "c": 10**400, "beta": 1.0}}},
@@ -416,24 +417,24 @@ class TestConfigHandling:
              "market.kernel.c must be > 0"),
             ({"market": {"kernel": {"variant": "constant", "c": -1.0}}},
              "market.kernel.c must be > 0 for the constant kernel"),
-            ({"market": {"kernel": {"variant": "exponential", "c": "-Infinity", "beta": 1.0}}},
+            ({"market": {"kernel": {"variant": "exponential", "c": -math.inf, "beta": 1.0}}},
              "market.kernel.c must be > 0 for the exponential kernel"),
             # the variant sections: an unknown variant, an unknown field, no object
             ({"market": {"kernel": {"variant": "rough", "c": 1.0}}},
-             "unknown market.kernel variant 'rough'"),
+             "unknown market.kernel.variant 'rough'"),
             ({"market": {"kernel": {"c": 1.0, "hurst": 0.1}}},
-             "unknown market.kernel variant None"),
+             "unknown market.kernel.variant None"),
             ({"market": {"kernel": {"variant": "constant", "c": 1.0, "hurst": 0.1}}},
              "unknown config field 'config.market.kernel.hurst'"),
             ({"market": {"kernel": None}}, "'config.market.kernel' must be an object"),
             ({"objective": {"variant": "power", "gamma": 0.5, "horizon": 3.0}},
-             "unknown objective variant 'power'"),
+             "unknown objective.variant 'power'"),
             ({"objective": {"variant": "const_mv", "gamma": 0.5, "horizon": 3.0, "delta": 2.0}},
              "unknown config field 'config.objective.delta'"),
             ({"objective": [1]}, "'config.objective' must be an object"),
             ({"objective": {"variant": "nonexp_log", "horizon": 3.0,
                             "discount": {"variant": "quasi", "a": 0.5}}},
-             "unknown objective.discount variant 'quasi'"),
+             "unknown objective.discount.variant 'quasi'"),
             ({"objective": {"variant": "nonexp_log", "horizon": 3.0,
                             "discount": {"variant": "exponential", "rate": 0.1, "b": 0.5}}},
              "unknown config field 'config.objective.discount.b'"),
@@ -452,6 +453,31 @@ class TestConfigHandling:
              "market.kernel takes hurst or alpha, not both"),
             ({"market": {"kernel": {"variant": "fractional", "c": 1.0}}},
              "market.kernel needs hurst or alpha"),
+            # one value of a wrong kind per kind: true ran as 1, a string of
+            # digits as its number, and "12" as the list (1, 2)
+            ({"market": {"rho": True}}, "market.rho must be a number, got True"),
+            ({"objective": {"variant": "const_mv", "gamma": True, "horizon": 3.0}},
+             "objective.gamma must be a number, got True"),
+            ({"market": {"rho": "0.5"}}, "market.rho must be a number, got '0.5'"),
+            ({"market": {"kernel": {"variant": "sum_of_exponentials", "weights": "12",
+                                    "rates": [1.0, 2.0]}}},
+             "market.kernel.weights must be a non-empty list, got '12'"),
+            ({"objective": {"variant": "nonexp_log", "horizon": 3.0,
+                            "discount": {"variant": "tabulated", "times": "01",
+                                         "values": [1.0, 0.5]}}},
+             "objective.discount.times must be a non-empty list, got '01'"),
+            ({"market": {"rate": {"times": "01", "rates": [0.01, 0.02]}}},
+             "market.rate.times must be a non-empty list, got '01'"),
+            ({"notes": 5}, "notes must be a string, got 5"),
+            ({"sim": {"write_paths": 1}}, "sim.write_paths must be true or false, got 1"),
+            ({"output": {"formats": ["csv", True]}}, "unknown output.formats True"),
+            ({"grid": {"steps_per_year": True}},
+             "grid.steps_per_year must be an integer, got True"),
+            # the rate table: an unknown field ran, and a missing one read "... : 'rates'"
+            ({"market": {"rate": {"times": [0.0], "rates": [0.01], "x": 1}}},
+             "unknown config field 'config.market.rate.x'"),
+            ({"market": {"rate": {"times": [0.0]}}},
+             "market.rate.rates must be a non-empty list, got None"),
         ],
         ids=lambda value: " / ".join(value) if isinstance(value, tuple) else None,
     )
@@ -466,7 +492,7 @@ class TestConfigHandling:
     def test_bad_sweep_stops_sweeping_commands_before_writing(self, tmp_path, capsys, command):
         # a string hurst used to end in a TypeError traceback, an out-of-range
         # one in exit 3
-        for hursts in ([0.1, "NaN"], [0.1, 0.9]):
+        for hursts in ([0.1, "0.3"], [0.1, math.nan], [0.1, 0.9]):
             cfg = write_config(tmp_path, base_config(hurst_values=hursts))
             assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert "hurst_values" in capsys.readouterr().err
@@ -505,9 +531,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "discount",
         [
-            {"variant": "exponential", "rate": "NaN"},
-            {"variant": "hyperbolic", "a": "Infinity", "b": 0.5},
-            {"variant": "tabulated", "times": [0.0, 1.0, 2.0], "values": [1.0, "NaN", 0.5]},
+            {"variant": "exponential", "rate": math.nan},
+            {"variant": "hyperbolic", "a": math.inf, "b": 0.5},
+            {"variant": "tabulated", "times": [0.0, 1.0, 2.0], "values": [1.0, math.nan, 0.5]},
         ],
     )
     def test_non_finite_discount_exits_2(self, tmp_path, capsys, discount):
@@ -584,6 +610,25 @@ class TestConfigHandling:
         assert "output.directory" in capsys.readouterr().err
         assert (tmp_path / "taken").read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--paths", "1"], "sim.n_paths must be >= 2, got 1"),
+        (["--seed", "-1"], "sim.seed must be >= 0, got -1"),
+        (["--steps-per-year", "0"], "grid.steps_per_year must be >= 1, got 0"),
+        (["--out", ""], "output.directory must be a path, got ''"),
+    ])
+    def test_a_flag_is_checked_as_its_leaf(self, tmp_path, capsys, flags, message):
+        cfg = write_config(tmp_path, base_config())
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_table_names_every_leaf(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        table = readme[readme.index("| leaf | kind | range |"):].split("\n\n")[0]
+        leaves = [row.split("`")[1] for row in table.splitlines()[2:]]
+        assert sorted(leaves) == sorted(cli._LEAVES)
 
     def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys):
         # a directory was an IsADirectoryError traceback
@@ -997,8 +1042,8 @@ class TestSimulateBlocks:
 
         cfg = load_config(cfg_path)
         market, objective = build_market(cfg), build_objective(cfg)
-        grid, sim = build_grid(cfg, objective.horizon), build_sim(cfg)
-        bundle = simulate_variance(market, sim.scheme, grid, n_paths, sim.seed)
+        grid, scheme = build_grid(cfg, objective.horizon), build_sim(cfg)
+        bundle = simulate_variance(market, scheme, grid, n_paths, cfg["sim"]["seed"])
         bundle = simulate_wealth(bundle, market, _strategy_for(market, objective, grid),
                                  objective, 1.0)
         assert (out / "paths.csv").read_text() == PATHS_CSV_HEADER + "".join(bundle_csv_rows(bundle))
@@ -1139,9 +1184,8 @@ class TestExtremeMarkets:
     @pytest.mark.parametrize("nu0_factor", [1, 100])
     def test_truncation_reached_only_from_phi(self, tmp_path, rho, nu0_factor):
         cfg = load_config(write_config(tmp_path, self._payload(rho, 0.01, nu0_factor)))
-        sim = build_sim(cfg)
-        bundle = simulate_variance(build_market(cfg), sim.scheme, build_grid(cfg, 1.0),
-                                   sim.n_paths, sim.seed)
+        bundle = simulate_variance(build_market(cfg), build_sim(cfg), build_grid(cfg, 1.0),
+                                   cfg["sim"]["n_paths"], cfg["sim"]["seed"])
         truncated = np.mean(bundle.variance[:, 1:] == 0.0)
         if nu0_factor == 1:
             assert truncated > 0.0

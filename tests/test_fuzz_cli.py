@@ -14,21 +14,25 @@ more factors than the kernel fit has sample points (a kernel that needs no
 fit runs with any number of factors).  Some mutations put in a value that
 exits 2 naming its field: kappa, phi or sigma at or below 0 or NaN, a
 fractional kernel's hurst together with alpha, an equal crossover pair.
-Both properties are derandomized: the first draws 300 configs and runs 5
-pinned examples besides, the second draws 100 runs.
+A third property puts a value of a wrong kind (a bool, a string or null
+where a number belongs, a string where a list does) into one leaf of the
+table cli._LEAVES, and holds that the run exits 2 naming that leaf and
+writes nothing.  All three are derandomized: the first draws 300 configs and
+runs 5 pinned examples besides, the second 100 runs and the third 200.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from roughmv.cli import COMMANDS, main
+from roughmv.cli import _LEAVES, _RATE, COMMANDS, main
 from conftest import disk_full_at_part
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -37,7 +41,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
-    st.sampled_from(["", "x", "NaN", "Infinity", "-inf", "1e-300"]),
+    st.sampled_from(["", "x", math.nan, math.inf, -math.inf, "1e-300"]),
     st.lists(st.integers(-3, 3), max_size=2),
     st.fixed_dictionaries({"a": st.integers(-3, 3)}),
 )
@@ -85,20 +89,13 @@ RATE_FIELDS = {
     ("market", "kernel", "beta"): RATES,
     ("market", "kernel", "rates"): st.lists(RATES, min_size=1, max_size=3),
 }
+# every leaf of the config (cli._LEAVES) besides the size fields, the
+# sections, the two lists of a rate table, and a field that does not exist
 OTHER_FIELDS = [
-    ("market",), ("objective",), ("grid",), ("sim",), ("output",),
-    ("market", "nu0"), ("market", "kappa"), ("market", "phi"), ("market", "sigma"),
-    ("market", "rho"), ("market", "theta"), ("market", "rate"), ("market", "rate", "times"),
-    ("market", "rate", "rates"), ("market", "kernel"), ("market", "kernel", "variant"),
-    ("market", "kernel", "c"), ("market", "kernel", "hurst"), ("market", "kernel", "alpha"),
-    ("market", "kernel", "beta"), ("market", "kernel", "weights"),
-    ("market", "kernel", "rates"), ("objective", "variant"), ("objective", "gamma"),
-    ("objective", "delta"), ("objective", "discount"), ("objective", "discount", "variant"),
-    ("objective", "discount", "rate"), ("objective", "discount", "a"),
-    ("objective", "discount", "b"), ("objective", "discount", "times"),
-    ("objective", "discount", "values"), ("sim", "scheme"), ("sim", "seed"),
-    ("sim", "rate_spread"), ("sim", "write_paths"), ("output", "formats"),
-    ("hurst_values",), ("gamma_values",), ("notes",), ("unknown",),
+    ("market",), ("objective",), ("grid",), ("sim",), ("output",), ("market", "kernel"),
+    ("objective", "discount"), ("market", "rate", "times"), ("market", "rate", "rates"),
+    ("unknown",),
+    *(path for path in (tuple(leaf.split(".")) for leaf in _LEAVES) if path not in SIZE_FIELDS),
 ]
 # sections holding size fields: an object put in their place, or a size
 # field deleted, would bring back the defaults (250 steps a year, 5000 paths)
@@ -266,3 +263,56 @@ def test_valid_configs_fail_whole_when_the_disk_fills(run, full_disk):
             assert "manifest.json" in (p.name for p in out.iterdir())
         else:
             assert rc == 3 and not out.exists()
+
+
+# values of a wrong kind for each kind of leaf in cli._LEAVES: a bool, a
+# string or null where a number belongs, a string where a list does
+NOT_NUMBERS = [True, False, None, "0.5", "12", "", [0.5], {"a": 1}]
+
+
+def wrong_kinds(kind):
+    if isinstance(kind, list):  # no list, an empty one, or one with an item of a wrong kind
+        return [None, True, "12", 0.5, {"a": 1}, [], *([item] for item in wrong_kinds(kind[0]))]
+    if kind is float:
+        return NOT_NUMBERS
+    if kind == _RATE:  # a number, or a table of the two lists and no other field
+        return [*NOT_NUMBERS[:7], {"times": [0.0], "rates": [0.01], "x": 1}, {"times": [0.0]},
+                {"times": "01", "rates": [0.01, 0.02]}]
+    if kind is bool:
+        return [0, 1, None, "true", [True]]
+    if kind is str:
+        return [5, True, None, ["x"], {"a": 1}]
+    if isinstance(kind, (tuple, dict)):  # one of the names
+        return [5, True, None, "x", ["x"]]
+    return [*NOT_NUMBERS, 2.5, math.nan, math.inf]  # an integer >= kind
+
+
+def with_leaf(leaf, value):
+    """A config that sets the leaf to value, in a variant section of a
+    variant that takes it, and leaves every other field to its default."""
+    cfg = node = {}
+    keys = leaf.split(".")
+    for depth, key in enumerate(keys[:-1]):
+        node[key] = {}
+        node = node[key]
+        variants = _LEAVES.get(".".join([*keys[:depth + 1], "variant"]), {})
+        for variant, fields in variants.items():
+            if keys[depth + 1] in fields | {"variant"}:
+                node["variant"] = variant
+                break
+    node[keys[-1]] = value
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(leaf=st.sampled_from(sorted(_LEAVES)), data=st.data())
+def test_a_leaf_of_a_wrong_kind_exits_2_naming_it(leaf, data):
+    value = data.draw(st.sampled_from(wrong_kinds(_LEAVES[leaf])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(with_leaf(leaf, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["strategy", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert rc == 2 and leaf in err.getvalue(), (rc, err.getvalue())
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]

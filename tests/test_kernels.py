@@ -134,7 +134,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             exponential(1.0, -0.1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weights,rates,field", [
+        ("12", (1.0, 2.0), "kernel weights"), ((1.0, 2.0), "12", "kernel rates"),
+    ])
+    def test_a_string_is_no_sequence_of_numbers(self, weights, rates, field):
+        # "12" was read as the weights (1.0, 2.0)
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got '12'"):
+            SumOfExponentialsKernel(weights, rates)
+
+    # True was taken as the number 1
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_fields_rejected_by_name(self, bad):
         for make, field in [
             (lambda: FractionalKernel(bad, 0.6), "kernel weight c"),
@@ -170,9 +179,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_end must be finite and > 0, got inf"):
             TimeGrid(10**400, 4)
 
-    @pytest.mark.parametrize("t_end", ["1", None, [1.0, "a"], 1j])
+    @pytest.mark.parametrize("t_end", ["1", None, [1.0, "a"], 1j, True])
     def test_grid_end_must_be_a_number(self, t_end):
-        # "1" raised numpy's "ufunc 'isfinite' not supported", naming no field
+        # "1" raised numpy's "ufunc 'isfinite' not supported", naming no field,
+        # and True built a grid on [0, 1.0]
         with pytest.raises(ValueError, match="^t_end must be a number, got "):
             TimeGrid(t_end, 4)
 

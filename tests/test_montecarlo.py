@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,8 +244,15 @@ class TestPathSeedWords:
             assert _path_seed_words(5, paths).tobytes() == expected.tobytes()
 
     def test_negative_seed_raises(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             _path_seed_words(-1, range(3))
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "7", None])
+    def test_a_seed_that_is_no_integer_is_named(self, seed):
+        # 1.5 was "TypeError: 'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got "
+                                             f"{re.escape(repr(seed))}$"):
+            simulate_variance(make_market(), LiftedFactors(2), TimeGrid(0.5, 4), 3, seed)
 
     def test_draws_equal_per_path_default_rng(self):
         # the per-path seeding the block pass replaced, written out

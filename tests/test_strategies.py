@@ -83,11 +83,13 @@ class TestMarketValidation:
             MarketParams(0.04, 0.3, 0.04, 0.3, -1.2, 1.5, RateCurve.flat(0.0),
                          FractionalKernel(1.0, 0.6))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # True was kept as rho = True, and ran as 1
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_rejected_by_name(self, bad):
         market = study_market(0.1)
+        rule = "a number" if bad is True else "finite"
         for name in ("nu0", "kappa", "phi", "sigma", "rho", "theta"):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
                 dataclasses.replace(market, **{name: bad})
         for make, name in [
             (lambda: ConstMVObjective(bad, 1.0), "gamma"),
@@ -97,7 +99,7 @@ class TestMarketValidation:
             (lambda: LogMVObjective(0.5, 1.0, bad), "delta"),
             (lambda: NonExpLogObjective(ExponentialDiscount(0.1), bad), "horizon"),
         ]:
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{name} must be {rule}"):
                 make()
 
 
@@ -340,10 +342,22 @@ class TestDiscounts:
             (lambda bad: TabulatedDiscount((0.0, 1.0, bad), (1.0, 0.8, 0.5)), "times"),
         ],
     )
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
     def test_non_finite_rejected_by_name(self, make, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        rule = "a number" if bad is True else "finite"
+        with pytest.raises(ValueError, match=f"{field} must be {rule}"):
             make(bad)
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: TabulatedDiscount("01", (1.0, 0.5)), "times"),
+        (lambda: TabulatedDiscount((0.0, 1.0), "10"), "values"),
+        (lambda: RateCurve("01", (0.01, 0.02)), "times"),
+        (lambda: RateCurve((0.0, 1.0), "12"), "rates"),
+    ])
+    def test_a_string_is_no_sequence_of_numbers(self, make, field):
+        # TabulatedDiscount("01", ...) was read as the times (0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got '"):
+            make()
 
 
 class TestForwardVariance:
