@@ -45,7 +45,6 @@ from .strategies import (
     strategy_to_json,
 )
 from .montecarlo import (
-    EulerConvolution,
     LiftedFactors,
     PathBundle,
     ResourceLimitError,

@@ -37,9 +37,7 @@ from .kernels import (
 from .montecarlo import (
     MAX_ELEMENTS,
     PATHS_CSV_HEADER,
-    EulerConvolution,
     LiftedFactors,
-    SimScheme,
     _as_factor_kernel,
     block_paths,
     bundle_csv_rows,
@@ -127,7 +125,7 @@ _LEAVES = {
     "grid.steps_per_year": 1,
     "hurst_values": [float],
     "gamma_values": [float],
-    "sim.scheme": ("lifted", "euler_convolution"),
+    "sim.scheme": ("lifted",),
     "sim.n_factors": 1,
     "sim.rate_spread": float,
     "sim.n_paths": 2,  # a sample variance needs 2
@@ -218,12 +216,15 @@ def load_config(path: str | None) -> dict:
 
 @contextlib.contextmanager
 def _config_errors(section: str, spec):
-    """A library error in the block becomes ConfigError("bad <section> <spec>: ...")."""
+    """A library error in the block becomes ConfigError("bad <section> <spec>: ..."),
+    and a field the block looks up in vain ConfigError("<section>.<key> is missing")."""
     try:
         yield
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:  # a field the section's variant needs
+        raise ConfigError(f"{section}.{exc.args[0]} is missing") from None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {section} {spec!r}: {exc}")
 
 
@@ -301,15 +302,14 @@ def build_grid(cfg: dict, horizon: float) -> TimeGrid:
     return grid
 
 
-def build_sim(cfg: dict) -> SimScheme:
-    """The sim section's scheme; the lifted scheme's fields are checked whatever the scheme."""
+def build_sim(cfg: dict) -> LiftedFactors:
+    """The sim section's scheme, checked whatever the command."""
     s = cfg["sim"]
     if s["n_paths"] > MAX_ELEMENTS:  # the terminal values alone would exceed the budget
         raise ConfigError(f"sim.n_paths = {s['n_paths']} exceeds the memory budget of "
                           f"{MAX_ELEMENTS} terminal values")
     with _config_errors("sim.rate_spread", s["rate_spread"]):
-        lifted = LiftedFactors(s["n_factors"], s["rate_spread"])
-    return lifted if s["scheme"] == "lifted" else EulerConvolution()
+        return LiftedFactors(s["n_factors"], s["rate_spread"])
 
 
 class Inputs(NamedTuple):
@@ -317,7 +317,7 @@ class Inputs(NamedTuple):
     market: MarketParams
     objective: ConstMVObjective | LogMVObjective | NonExpLogObjective
     grid: TimeGrid
-    scheme: SimScheme
+    scheme: LiftedFactors
 
 
 def build_output(cfg: dict) -> Path:
@@ -455,22 +455,21 @@ def cmd_simulate(cfg: dict, inputs: Inputs, outputs: _Outputs):
             f"simulate needs objective.delta > 0.5 for log_mv, got {objective.delta!r}: "
             "below it the log-wealth coefficients diverge, or are lost, at nu = 0"
         )
-    if isinstance(scheme, LiftedFactors):
-        # the fit is memoised, so the blocks reuse it
-        try:
-            _as_factor_kernel(market.kernel, scheme, grid.t_end)
-        except RuntimeError as exc:
-            raise ConfigError(
-                f"sim.n_factors = {scheme.n_factors} and sim.rate_spread = "
-                f"{scheme.rate_spread!r} give no kernel fit: {exc}"
-            ) from None
+    # the fit is memoised, so the blocks reuse it
+    try:
+        _as_factor_kernel(market.kernel, scheme, grid.t_end)
+    except RuntimeError as exc:
+        raise ConfigError(
+            f"sim.n_factors = {scheme.n_factors} and sim.rate_spread = "
+            f"{scheme.rate_spread!r} give no kernel fit: {exc}"
+        ) from None
     strategy = _strategy_for(market, objective, grid)
 
     # Blocks of at most PATH_BLOCK paths: memory is O(block x steps) whatever
     # n_paths, and path i depends on (seed, i) only, so the outputs do not
     # depend on the block.
     write_paths = cfg["sim"]["write_paths"] and "csv" in cfg["output"]["formats"]
-    block_size = block_paths(grid, scheme, write_paths)
+    block_size = block_paths(grid, write_paths)
     terminal = np.empty(n_paths)
     sink = outputs.open("paths.csv") if write_paths else contextlib.nullcontext()
     with sink as paths_csv:

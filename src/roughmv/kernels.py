@@ -39,18 +39,28 @@ class KernelDomainError(ValueError):
 # Input rules, shared by every module
 # ---------------------------------------------------------------------------
 
-def _check_finite(*, positive: bool = False, **values):
+_SEQUENCE_RULE = "{} must be a 1-d sequence of numbers, got {}"
+
+
+def _check_finite(*, positive: bool = False, sequence: bool = False, **values):
     """ValueError("<name> must be finite[ and > 0], got <value>") for the first
     keyword value, a number or an array of numbers, that breaks the rule, and
     ValueError("<name> must be a number, got <value>") for one that is none: a
     bool, a string (no sequence of numbers either), or a sequence holding
-    either.  A Python int past the int64 range is checked as the float it
-    converts to."""
+    either.  A list or tuple must be flat, and with sequence every value must
+    be a 1-d sequence or array: ValueError("<name> must be a 1-d sequence of
+    numbers, got <value>") for a ragged or nested sequence, or a number where
+    a sequence belongs.  A Python int past the int64 range is checked as the
+    float it converts to."""
     rule = "finite and > 0" if positive else "finite"
     for name, value in values.items():
-        if isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive):
+        if (not sequence and isinstance(value, float) and math.isfinite(value)
+                and (value > 0 or not positive)):
             continue  # a Python float that passes needs no array
-        x = np.asarray(value)  # no float conversion: a string is no number
+        try:
+            x = np.asarray(value)  # no float conversion: a string is no number
+        except ValueError:  # a ragged sequence
+            raise ValueError(_SEQUENCE_RULE.format(name, reprlib.repr(value))) from None
         if x.dtype == object and all(isinstance(v, int) for v in x.flat):
             try:
                 x = x.astype(float)
@@ -60,6 +70,8 @@ def _check_finite(*, positive: bool = False, **values):
         if x.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
                 isinstance(v, (bool, np.bool_)) for v in value):
             raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+        if (sequence or isinstance(value, (list, tuple))) and x.ndim != 1:
+            raise ValueError(_SEQUENCE_RULE.format(name, reprlib.repr(value)))
         ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
         if not ok.all():
             raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
@@ -98,6 +110,7 @@ class FractionalKernel:
 
     @classmethod
     def from_hurst(cls, hurst: float, c: float = 1.0) -> "FractionalKernel":
+        _check_finite(hurst=hurst)
         if not 0.0 < hurst <= 0.5:
             raise ValueError(f"hurst must lie in (0, 0.5], got {hurst}")
         return cls(c=c, alpha=hurst + 0.5)
@@ -113,7 +126,8 @@ class SumOfExponentialsKernel:
     rates: tuple
 
     def __post_init__(self):
-        _check_finite(**{"kernel weights": self.weights, "kernel rates": self.rates})
+        _check_finite(sequence=True, **{"kernel weights": self.weights,
+                                        "kernel rates": self.rates})
         w = tuple(float(x) for x in self.weights)
         r = tuple(float(x) for x in self.rates)
         if len(w) != len(r) or len(w) < 1:

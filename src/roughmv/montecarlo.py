@@ -1,23 +1,17 @@
 """Path simulation of the Volterra Heston model and terminal-wealth statistics.
 
-Both variance schemes are the Euler step of the Volterra equation
+The variance is the Euler step of the Volterra equation
 
     nu_{i+1} = nu0 + sum_{j<=i} K((i + 1 - j) h) [kappa (phi - nu_j) h
-                                                 + sigma sqrt(nu_j) dB_j],
+                                                 + sigma sqrt(nu_j) dB_j]
 
-run by one time-major stepper (_volterra_march) on a kernel's lag values:
-
-* EulerConvolution: on the model's kernel K.  The shocks from before a
-  block of steps enter through Toeplitz products over the whole history,
-  O(n_steps^2) work per path; fine for short horizons, slow beyond ~10^4
-  steps.
-* LiftedFactors: on a fitted sum of exponentials K(t) = sum_m w_m e^{-x_m t},
-  the n-factor Markovian lift.  The history lives in the factor state,
-  which enters and is updated by two small products per block,
-  O(n_steps * n_factors) per path.  Exact (zero fit error) for every kernel
-  that is not singular: those are sums of exponentials already.
-
-Inside a block each step adds its lags as a sum over the rows of the
+on the n-factor Markovian lift (LiftedFactors): K is a sum of exponentials
+K(t) = sum_m w_m e^{-x_m t}, fitted to a singular kernel and exact (zero fit
+error) for every other kernel, which is a sum of exponentials already.  One
+time-major stepper (_volterra_march) runs it in blocks of steps: the shocks
+from before a block enter through the factor state, which enters and is
+updated by two small products per block, O(n_steps * n_factors) per path,
+and each step adds the lags inside its block as a sum over the rows of the
 block's shocks, which runs in row order for every path.
 
 Negative variance is handled by full truncation: updates read the stored
@@ -51,7 +45,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     FractionalKernel,
@@ -80,15 +73,12 @@ PATH_BLOCK = 1024
 # Array elements one block of paths may hold: block_arrays per path and node.
 MAX_ELEMENTS = 150_000_000
 
-# Steps per block of the exact-kernel scheme, whose earlier shocks enter
-# through one Toeplitz product (see _exact_history), and paths per product
-# of either scheme's history (see _padded_groups).
-_HISTORY_BLOCK = 64
+# Paths per product of the factor state (see _padded_groups).
 _HISTORY_GROUP = 32
 
-# Steps per block of the lifted scheme, whose earlier shocks enter through
-# its factor state, and the powers of a factor's decay below which they are
-# 0 (see _lifted_history).
+# Steps per block of the variance march, whose earlier shocks enter through
+# the factor state, and the powers of a factor's decay below which they are
+# 0 (see _volterra_march).
 _LIFTED_BLOCK = 8
 _POWER_FLOOR = 2.0**-500
 
@@ -112,11 +102,6 @@ class ResourceLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EulerConvolution:
-    pass
-
-
-@dataclass(frozen=True)
 class LiftedFactors:
     n_factors: int = 20
     rate_spread: float = 1.0e4
@@ -124,9 +109,6 @@ class LiftedFactors:
     def __post_init__(self):
         _check_count(n_factors=self.n_factors)
         _check_finite(positive=True, rate_spread=self.rate_spread)
-
-
-SimScheme = EulerConvolution | LiftedFactors
 
 
 @dataclass(frozen=True)
@@ -141,11 +123,13 @@ class PathBundle:
     grid: TimeGrid
     variance: np.ndarray           # (n_paths, n_nodes), all >= 0
     dW1: np.ndarray                # (n_paths, n_steps) stock-driving increments
-    dB: None                       # always: the variance is stored over dB
     paths: range                   # global index of each row
     wealth: np.ndarray | None = None
     log_wealth: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    # no field: the variance is stored over dB; it stays an attribute while
+    # perfbench/spans.py reads it
+    dB = None
 
     @property
     def n_paths(self) -> int:
@@ -250,17 +234,17 @@ def _path_range(paths: int | range) -> range:
     return paths
 
 
-def block_arrays(scheme: SimScheme, keep_paths: bool) -> int:
+def block_arrays(keep_paths: bool) -> int:
     """Arrays of one element per path and node that a block holds: dW1 and
-    the variance, stored over dB; the exact kernel's shock history; with
-    keep_paths the wealth and log-wealth paths."""
-    return 2 + isinstance(scheme, EulerConvolution) + 2 * keep_paths
+    the variance, stored over dB; with keep_paths the wealth and log-wealth
+    paths."""
+    return 2 + 2 * keep_paths
 
 
-def block_paths(grid: TimeGrid, scheme: SimScheme, keep_paths: bool) -> int:
+def block_paths(grid: TimeGrid, keep_paths: bool) -> int:
     """Paths per streamed block on this grid: PATH_BLOCK, or as many as fit
     in MAX_ELEMENTS (at least one)."""
-    per_path = block_arrays(scheme, keep_paths) * (grid.n_steps + 1)
+    per_path = block_arrays(keep_paths) * (grid.n_steps + 1)
     return max(1, min(PATH_BLOCK, MAX_ELEMENTS // per_path))
 
 
@@ -408,138 +392,76 @@ def _draw_increments(market: MarketParams, grid: TimeGrid, paths: range, seed: i
 
 def simulate_variance(
     market: MarketParams,
-    scheme: SimScheme,
+    scheme: LiftedFactors,
     grid: TimeGrid,
     paths: int | range,
     seed: int,
 ) -> PathBundle:
     """Simulate the variance of the paths with indices `paths` (an int n means
-    range(n)); the stock's increments dW1 are retained in the bundle so wealth
-    can be coupled to the same shocks afterwards.  The variance's own
-    increments dB are not: the variance is stored over them (bundle.dB is
-    None).
+    range(n)) on the scheme's factor kernel; the stock's increments dW1 are
+    retained in the bundle so wealth can be coupled to the same shocks
+    afterwards.  The variance's own increments dB are not: the variance is
+    stored over them.
 
     Row k of the result is path paths[k], a function of (seed, paths[k]) only,
     so the rows of range(a, b) equal rows a:b of one call over range(b).
     """
     paths = _path_range(paths)
     n = grid.n_steps
-    if block_arrays(scheme, False) * len(paths) * (n + 1) > MAX_ELEMENTS:
+    if block_arrays(False) * len(paths) * (n + 1) > MAX_ELEMENTS:
         raise ResourceLimitError(
             f"{len(paths)} paths x {n + 1} nodes exceeds the memory budget of "
             f"{MAX_ELEMENTS} array elements; simulate in smaller chunks "
             f"(block_paths gives the largest that fits)"
         )
+    factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
 
     dW1, dB = _draw_increments(market, grid, paths, seed)
     nu = dB.base  # time-major: each step writes one row, over the dB it read
     nu[0] = market.nu0
-    metadata: dict = {}
-
-    h = grid.spacing
-    if isinstance(scheme, EulerConvolution):
-        kern_lag = kernel_eval(market.kernel, h * np.arange(1, n + 1))
-        history = _exact_history(market, kern_lag, len(paths))
-    elif isinstance(scheme, LiftedFactors):
-        factors, fit_err, fit_sq = _as_factor_kernel(market.kernel, scheme, grid.t_end)
-        metadata["kernel_fit_l2_error"] = fit_err
-        metadata["kernel_fit_sq_integral"] = fit_sq
-        kern_lag = kernel_eval(factors, h * np.arange(1, _LIFTED_BLOCK + 1))
-        history = _lifted_history(market, factors, grid, len(paths))
-    else:
-        raise TypeError(f"unknown scheme {type(scheme).__name__}")
-    _volterra_march(market, grid, kern_lag, nu, dB, history)
+    _volterra_march(market, grid, factors, nu, dB)
 
     return PathBundle(
         grid=grid,
         variance=nu.T,
         dW1=dW1.T,
-        dB=None,
-        metadata=metadata,
+        metadata={"kernel_fit_l2_error": fit_err, "kernel_fit_sq_integral": fit_sq},
         paths=paths,
     )
 
 
-def _volterra_march(market, grid, kern_lag, nu, dB, history):
+def _volterra_march(market, grid, factors, nu, dB):
     """nu (n_nodes, n_paths) and dB (n_steps, n_paths), time-major; dB may
     be nu[1:], which the march then overwrites.
 
-    Node i + 1 is nu0 plus the shocks of nodes 0..i summed against kern_lag:
-    kern_lag[l - 1] weighs the shock l steps back.  The steps run in the
-    blocks that history yields as (steps, far, shocks): row r of far holds
-    nu0 plus the shocks from before the block, summed for node
-    steps[r] + 1, and the march writes the block's shocks into the rows of
-    shocks, whose columns past n_paths stay 0.  Each step then adds the lags
-    inside its block as a sum over rows, which runs in row order for every
+    Node i + 1 is nu0 plus the shocks of nodes 0..i summed against the factor
+    kernel K(t) = sum_m w_m exp(-x_m t).  The steps run in blocks of
+    b = _LIFTED_BLOCK.  The shocks from before a block live in the factor
+    state U_m = sum_j shock_j q_m^(start - j), q_m = exp(-x_m h): row r of
+    far = nu0 + (w q^(1..b)) @ U sums them for node start + r + 1, and after
+    the block U <- U q^b + q^(b..1) @ shocks, b factors at a time through
+    far's rows, so that no product needs a buffer the size of the state.
+    Each step adds the lags inside its block, K(l h) for l = 1..b, as a sum
+    over the rows of the block's shocks, which runs in row order for every
     path.  A block copies its rows of dB into shocks before any of its steps
     writes a node, and step i writes only node i + 1, which is dB's row i:
     a row of dB is read before it is written over.
+
+    Powers below _POWER_FLOOR are 0: their products with the state, which
+    carries one more power of q and a shock, would be subnormal, which is
+    slow, and the terms they drop are below 1e-150 of nu.
     """
-    h = grid.spacing
+    n, b, h = grid.n_steps, _LIFTED_BLOCK, grid.spacing
     kap_h, phi, sig = market.kappa * h, market.phi, market.sigma
     n_paths = nu.shape[1]
-    for steps, far, shocks in history:
-        shocks = shocks[: len(steps), :n_paths]
-        # a row holds its step's noise until the step writes its shock there
-        np.multiply(sig, dB[steps.start : steps.stop], out=shocks)
-        for r, i in enumerate(steps):
-            root = np.sqrt(nu[i])
-            root *= shocks[r]
-            dz = np.subtract(phi, nu[i], out=shocks[r])
-            dz *= kap_h
-            dz += root
-            near = np.einsum("jp,j->p", shocks[: r + 1], kern_lag[r::-1])
-            near += far[r]
-            np.maximum(near, 0.0, out=nu[i + 1])
-
-
-def _padded_groups(rows, n_paths):
-    """(rows, n_paths rounded up to _HISTORY_GROUP) zeros, and its
-    (groups, rows, _HISTORY_GROUP) view.  A matrix product per group has the
-    same shape whatever the number of paths, so a path's row does not depend
-    on the others (matmul takes other BLAS kernels for fewer columns, gemv for
-    one, which round differently)."""
-    padded = np.zeros((rows, -(-n_paths // _HISTORY_GROUP) * _HISTORY_GROUP))
-    return padded, padded.reshape(rows, -1, _HISTORY_GROUP).transpose(1, 0, 2)
-
-
-def _exact_history(market, kern_lag, n_paths):
-    """(steps, far, shocks) per _HISTORY_BLOCK steps of _volterra_march on
-    the exact kernel: far is one Toeplitz product over every earlier shock."""
-    n = len(kern_lag)
-    shocks, shock_groups = _padded_groups(n, n_paths)
-    far, far_groups = _padded_groups(_HISTORY_BLOCK, n_paths)
-    for start in range(0, n, _HISTORY_BLOCK):
-        stop = min(start + _HISTORY_BLOCK, n)
-        # toeplitz[b, j] = kern_lag[start + b - j], the lag from node j to
-        # node start + b + 1; the first block has no earlier shocks
-        toeplitz = np.ascontiguousarray(
-            sliding_window_view(kern_lag[:stop], stop - start)[start:0:-1].T)
-        if start:
-            np.matmul(toeplitz, shock_groups[:, :start], out=far_groups[:, : stop - start])
-        far += market.nu0
-        yield range(start, stop), far[: stop - start, :n_paths], shocks[start:stop]
-
-
-def _lifted_history(market, factors, grid, n_paths):
-    """(steps, far, shocks) per _LIFTED_BLOCK steps of _volterra_march on the
-    factor kernel sum_m w_m exp(-x_m t).
-
-    The earlier shocks live in the factor state U_m = sum_j shock_j
-    q_m^(start - j), q_m = exp(-x_m h): far = (w q^(1..b)) @ U, and after the
-    block U <- U q^b + q^(b..1) @ shocks, b factors at a time through far's
-    rows, so that no product needs a buffer the size of the state.  Powers
-    below _POWER_FLOOR are 0: their products with the state, which carries
-    one more power of q and a shock, would be subnormal, which is slow, and
-    the terms they drop are below 1e-150 of nu.
-    """
-    n, b = grid.n_steps, _LIFTED_BLOCK
     w = np.asarray(factors.weights)
-    powers = np.exp(-np.outer(grid.spacing * np.arange(1, b + 1), factors.rates))
+    kern_lag = kernel_eval(factors, h * np.arange(1, b + 1))
+    powers = np.exp(-np.outer(h * np.arange(1, b + 1), factors.rates))
     powers[powers < _POWER_FLOOR] = 0.0
     far_weights = powers * w       # [r, m] = w_m q_m^(r + 1)
     decay = powers[-1][:, None]    # q^b per factor
     push = powers[::-1].T.copy()   # [m, r] = q_m^(b - r)
+    # the columns past n_paths of the shocks and the state stay 0
     shocks, shock_groups = _padded_groups(b, n_paths)
     far, far_groups = _padded_groups(b, n_paths)
     state, state_groups = _padded_groups(len(w), n_paths)
@@ -552,7 +474,29 @@ def _lifted_history(market, factors, grid, n_paths):
                 state[m : m + k] += far[:k]
         np.matmul(far_weights, state_groups, out=far_groups)
         far += market.nu0
-        yield range(start, min(start + b, n)), far[:, :n_paths], shocks
+        steps = range(start, min(start + b, n))
+        block = shocks[: len(steps), :n_paths]
+        # a row holds its step's noise until the step writes its shock there
+        np.multiply(sig, dB[steps.start : steps.stop], out=block)
+        for r, i in enumerate(steps):
+            root = np.sqrt(nu[i])
+            root *= block[r]
+            dz = np.subtract(phi, nu[i], out=block[r])
+            dz *= kap_h
+            dz += root
+            near = np.einsum("jp,j->p", block[: r + 1], kern_lag[r::-1])
+            near += far[r, :n_paths]
+            np.maximum(near, 0.0, out=nu[i + 1])
+
+
+def _padded_groups(rows, n_paths):
+    """(rows, n_paths rounded up to _HISTORY_GROUP) zeros, and its
+    (groups, rows, _HISTORY_GROUP) view.  A matrix product per group has the
+    same shape whatever the number of paths, so a path's row does not depend
+    on the others (matmul takes other BLAS kernels for fewer columns, gemv for
+    one, which round differently)."""
+    padded = np.zeros((rows, -(-n_paths // _HISTORY_GROUP) * _HISTORY_GROUP))
+    return padded, padded.reshape(rows, -1, _HISTORY_GROUP).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

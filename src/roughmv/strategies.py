@@ -55,7 +55,7 @@ from .volterra import (
 def _sampled_table(times, values, name: str, min_size: int) -> tuple[tuple, tuple]:
     """times and values (called name) as float tuples of one length >= min_size,
     finite, with the times strictly increasing from 0 and the values >= 0."""
-    _check_finite(times=times, **{name: values})
+    _check_finite(sequence=True, times=times, **{name: values})
     t = tuple(float(x) for x in times)
     v = tuple(float(x) for x in values)
     if len(t) != len(v) or len(t) < min_size:

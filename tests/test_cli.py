@@ -37,6 +37,21 @@ from conftest import disk_full_at_part
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+# a value for each field of the variant sections, and the variant fields that
+# may be missing: fractional c and log_mv delta have defaults, and fractional
+# takes hurst or alpha ("market.kernel needs hurst or alpha" without either)
+VARIANT_FIELDS = {
+    "market.kernel.c": 0.7, "market.kernel.beta": 1.5, "market.kernel.weights": [0.7],
+    "market.kernel.rates": [1.5],
+    "objective.gamma": 0.5, "objective.horizon": 3.0, "objective.delta": 2.0,
+    "objective.discount": {"variant": "exponential", "rate": 0.1},
+    "objective.discount.rate": 0.1, "objective.discount.a": 0.5, "objective.discount.b": 0.8,
+    "objective.discount.times": [0.0, 1.0], "objective.discount.values": [1.0, 0.5],
+}
+VARIANT_DEFAULTS = {("fractional", "c"), ("fractional", "hurst"), ("fractional", "alpha"),
+                    ("log_mv", "delta")}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -487,6 +502,30 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert all(text in err for text in ((field,) if isinstance(field, str) else field))
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, variant, field", [
+        (section.removesuffix(".variant"), variant, field)
+        for section, kind in cli._LEAVES.items() if isinstance(kind, dict)
+        for variant, fields in kind.items() for field in sorted(fields)
+        if (variant, field) not in VARIANT_DEFAULTS
+    ], ids=lambda value: value)
+    def test_a_missing_variant_field_is_named(self, tmp_path, capsys, section, variant, field):
+        # each was "bad <section> <spec>: '<field>'", the bare KeyError
+        spec = {"variant": variant, **{name: VARIANT_FIELDS[f"{section}.{name}"]
+                                       for name in cli._LEAVES[f"{section}.variant"][variant]
+                                       if name != field}}
+        payload = base_config()
+        if section == "market.kernel":
+            payload["market"]["kernel"] = spec
+        elif section == "objective":
+            payload["objective"] = spec
+        else:
+            payload["objective"] = {"variant": "nonexp_log", "horizon": 3.0, "discount": spec}
+        out = tmp_path / "o"
+        assert main(["strategy", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {section}.{field} is missing\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["hedge-curve", "crossover", "nonexp"])
     def test_bad_sweep_stops_sweeping_commands_before_writing(self, tmp_path, capsys, command):
@@ -1012,11 +1051,11 @@ class TestCurveFileFormatting:
 class TestSimulateBlocks:
     """simulate runs in blocks of PATH_BLOCK paths; its files do not show it."""
 
-    def _payload(self, n_paths, objective=None, scheme="lifted"):
+    def _payload(self, n_paths, objective=None):
         payload = base_config()
         payload["objective"] = objective or {"variant": "log_mv", "gamma": 0.5,
                                              "horizon": 1.0, "delta": 2.0}
-        payload["sim"] = {"scheme": scheme, "n_factors": 8, "rate_spread": 1e4,
+        payload["sim"] = {"scheme": "lifted", "n_factors": 8, "rate_spread": 1e4,
                           "n_paths": n_paths, "seed": 5, "write_paths": True}
         payload["grid"] = {"steps_per_year": 12}
         return payload
@@ -1024,17 +1063,25 @@ class TestSimulateBlocks:
     NONEXP = {"variant": "nonexp_log", "horizon": 1.0,
               "discount": {"variant": "hyperbolic", "a": 0.5, "b": 0.8}}
 
-    @pytest.mark.parametrize("scheme", ["lifted", "euler_convolution"])
-    def test_paths_csv_matches_one_unblocked_call(self, tmp_path, scheme):
-        self.assert_files_match_one_call(tmp_path, scheme)
+    def test_paths_csv_matches_one_unblocked_call(self, tmp_path):
+        self.assert_files_match_one_call(tmp_path)
 
-    @pytest.mark.parametrize("scheme", ["lifted", "euler_convolution"])
-    def test_nonexp_files_match_one_unblocked_call(self, tmp_path, scheme):
-        self.assert_files_match_one_call(tmp_path, scheme, self.NONEXP)
+    def test_nonexp_files_match_one_unblocked_call(self, tmp_path):
+        self.assert_files_match_one_call(tmp_path, self.NONEXP)
 
-    def assert_files_match_one_call(self, tmp_path, scheme, objective=None):
+    def test_the_removed_exact_kernel_scheme_exits_2(self, tmp_path, capsys):
+        payload = self._payload(PATH_BLOCK + 3)
+        payload["sim"]["scheme"] = "euler_convolution"
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown sim.scheme 'euler_convolution'\n")
+        assert not out.exists()
+
+    def assert_files_match_one_call(self, tmp_path, objective=None):
         n_paths = PATH_BLOCK + 3  # two blocks, the second ragged
-        cfg_path = write_config(tmp_path, self._payload(n_paths, objective, scheme))
+        cfg_path = write_config(tmp_path, self._payload(n_paths, objective))
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -1099,7 +1146,7 @@ class TestSimulateBlocks:
 
         monkeypatch.setattr(cli, "simulate_variance", spy)
         # a lifted block writing paths.csv holds 4 arrays: 6 paths of 13 nodes
-        assert montecarlo.block_arrays(montecarlo.LiftedFactors(), True) == 4
+        assert montecarlo.block_arrays(True) == 4
         monkeypatch.setattr(montecarlo, "MAX_ELEMENTS", 4 * 13 * 6 + 4)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         assert [len(r) for r in seen] == [6, 6, 6, 2]

@@ -17,6 +17,7 @@ from roughmv import (
     FractionalKernel,
     KernelDomainError,
     LinearVieProblem,
+    RateCurve,
     SumOfExponentialsKernel,
     TimeGrid,
     integrated_resolvent_ratio_curve,
@@ -141,6 +142,20 @@ class TestValidation:
         # "12" was read as the weights (1.0, 2.0)
         with pytest.raises(ValueError, match=f"^{field} must be a number, got '12'"):
             SumOfExponentialsKernel(weights, rates)
+
+    # a TypeError from the comparison, numpy's inhomogeneous-shape ValueError,
+    # float()'s TypeError and "'float' object is not iterable" named no field
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FractionalKernel.from_hurst("0.1"), "hurst must be a number, got '0.1'"),
+        (lambda: SumOfExponentialsKernel([1.0, [2.0]], (1.0, 2.0)),
+         "kernel weights must be a 1-d sequence of numbers, got [1.0, [2.0]]"),
+        (lambda: SumOfExponentialsKernel([[1.0]], [[1.0]]),
+         "kernel weights must be a 1-d sequence of numbers, got [[1.0]]"),
+        (lambda: RateCurve(5.0, 0.1), "times must be a 1-d sequence of numbers, got 5.0"),
+    ], ids=["string_hurst", "ragged_weights", "nested_weights", "scalar_rate_table"])
+    def test_a_wrongly_shaped_input_names_its_field(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     # True was taken as the number 1
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
