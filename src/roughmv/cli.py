@@ -239,12 +239,11 @@ def build_kernel(spec: dict):
         if c <= 0:
             raise ConfigError(f"market.kernel.c must be > 0 for the {variant} kernel, got {c}")
         if variant == "fractional":
-            if ("hurst" in spec) == ("alpha" in spec):
-                raise ConfigError("market.kernel takes hurst or alpha, not both" if "hurst" in spec
-                                  else "market.kernel needs hurst or alpha")
-            if "hurst" in spec:
-                return FractionalKernel.from_hurst(spec["hurst"], c=c)
-            return FractionalKernel(c=c, alpha=spec["alpha"])
+            if "hurst" in spec and "alpha" in spec:
+                raise ConfigError("market.kernel takes hurst or alpha, not both")
+            if "alpha" in spec:
+                return FractionalKernel(c=c, alpha=spec["alpha"])
+            return FractionalKernel.from_hurst(spec["hurst"], c=c)
         # constant and exponential kernels are the one-term sums c exp(-beta t)
         beta = spec["beta"] if variant == "exponential" else 0.0
         return SumOfExponentialsKernel((c,), (beta,))

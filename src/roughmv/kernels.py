@@ -200,8 +200,8 @@ class TimeGrid:
 
 def kernel_eval(spec: Kernel, t):
     """K(t) for finite scalar or array t > 0 (t = 0 allowed for non-singular variants)."""
+    _check_finite(t=t)
     t_arr = np.asarray(t, dtype=float)
-    _check_finite(t=t_arr)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel is defined on t >= 0 only")
     if is_singular(spec):
@@ -218,8 +218,8 @@ def kernel_eval(spec: Kernel, t):
 
 def kernel_integral(spec: Kernel, t):
     """int_0^t K(s) ds for finite scalar or array t >= 0, exact for every variant."""
+    _check_finite(t=t)
     t_arr = np.asarray(t, dtype=float)
-    _check_finite(t=t_arr)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
     if is_singular(spec):
@@ -329,7 +329,7 @@ _CONTOUR_WEIGHTS = (np.r_[1.0, np.full(_CONTOUR_N, 2.0)] * (_CONTOUR_H * _CONTOU
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) = sum_n z^n / Gamma(alpha*n + beta) for real z."""
-    return float(_ml_array(alpha, beta, float(z)))
+    return float(_ml_array(alpha, beta, z))
 
 
 def _rgamma(x: float) -> float:
@@ -357,8 +357,8 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     below -1.5 and before the asymptotic seam go to one _ml_series_mp call.
     """
     _check_finite(positive=True, alpha=alpha, beta=beta)
+    _check_finite(z=z)
     z_arr = np.asarray(z, dtype=float)
-    _check_finite(z=z_arr)
     zf = z_arr.ravel()
     out = np.empty(zf.shape)
     out[zf == 0.0] = _rgamma(beta)
@@ -687,8 +687,8 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     exponentials falls back to trapezoid quadrature of the numeric resolvent
     (see _numeric_resolvent_ratio).
     """
-    taus = np.asarray(taus, dtype=float)
     _check_finite(**{"lambda": lam, "tau values": taus})
+    taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")
     if lam == 0.0:

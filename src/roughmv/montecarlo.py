@@ -606,6 +606,9 @@ def terminal_stats(terminal: np.ndarray, n_bins: int = 50) -> TerminalStats:
     """Mean, unbiased variance and histogram of the terminal wealth vector
     (for a bundle, bundle.wealth[:, -1])."""
     _check_count(n_bins=n_bins)
+    # named as the range that the histogram's refusal below names: a NaN or
+    # inf end of the range is refused here
+    _check_finite(sequence=True, **{"terminal wealth range": terminal})
     x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")

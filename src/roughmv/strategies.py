@@ -36,7 +36,6 @@ import numpy as np
 from .kernels import (
     Kernel,
     TimeGrid,
-    _check_count,
     _check_finite,
     integrated_resolvent_ratio_curve,
 )
@@ -84,7 +83,8 @@ class RateCurve:
 
     @classmethod
     def flat(cls, rate: float) -> "RateCurve":
-        return cls(times=(0.0,), rates=(float(rate),))
+        _check_finite(rate=rate)
+        return cls(times=(0.0,), rates=(rate,))
 
     def cumulative(self, nodes: np.ndarray) -> np.ndarray:
         """int_0^{t_i} rate ds for each node t_i >= 0: rates[j] times the length
@@ -274,7 +274,8 @@ class StrategyCurve:
 
 @dataclass(frozen=True)
 class ThetaCurve:
-    """Conditional forward-variance inputs Theta^t_s for s in [t, T].
+    """Conditional forward-variance inputs Theta^t_s for s in [t, T], read as
+    the linear interpolant of the samples.
 
     values[0] must equal the time-t spot variance (the forward curve is
     continuous at its anchor).
@@ -285,10 +286,11 @@ class ThetaCurve:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_finite(anchor=self.anchor)
+        _check_finite(sequence=True, times=self.times, values=self.values)
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        _check_finite(anchor=self.anchor, times=t, values=v)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+        if t.shape != v.shape or t.size < 2:
             raise ValueError("times and values must be equal-length 1-d arrays")
         if abs(t[0] - self.anchor) > 1e-12:
             raise ValueError("times must start at the anchor")
@@ -298,10 +300,10 @@ class ThetaCurve:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def flat(cls, anchor: float, t_end: float, value: float, n: int = 200) -> "ThetaCurve":
-        _check_count(n=n)
-        times = np.linspace(anchor, t_end, n + 1)
-        return cls(anchor, times, np.full(n + 1, float(value)))
+    def flat(cls, anchor: float, t_end: float, value: float) -> "ThetaCurve":
+        """The curve at value on [anchor, t_end], exact with its two end samples."""
+        _check_finite(value=value)
+        return cls(anchor, [anchor, t_end], [value, value])
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -435,46 +437,25 @@ def nonexp_v1(discount: Discount, grid: TimeGrid) -> np.ndarray:
     )
 
 
-FORWARD_VARIANCE_BLOCK = 65_536  # elements of F(r - l) per ratio call
-
-
 def nonexp_forward_variance(
-    market: MarketParams, theta_curve: ThetaCurve, r: float | np.ndarray
-) -> float | np.ndarray:
-    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl via the resolvent of kappa*K,
-    at one time r (a float) or at an array of times (an array).
+    market: MarketParams, theta_curve: ThetaCurve, grid: TimeGrid
+) -> np.ndarray:
+    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl at r = anchor + grid.nodes().
 
-    E = int_t^r Theta - kappa int_t^r F(r - l) (Theta(l) - phi) dl with
-    F = integrated_resolvent_ratio_curve(kernel, kappa, .), one trapezoid
-    over the curve's times clipped at r: times past r are cells of zero
-    width, and Theta is interpolated at r.  A forward curve flat at the mean
-    level phi gives phi*(r - t) to rounding.  F is evaluated for
-    FORWARD_VARIANCE_BLOCK elements, a block of rows r, at a time.
+    The forward variance xi = E[nu | F_t] solves the linear Volterra equation
+    (xi - phi) + kappa K*(xi - phi) = Theta - phi (Abi Jaber, Larsson &
+    Pulido 2019), with Theta the curve's linear interpolant at the nodes, and
+    E = phi (r - t) + int_t^r (xi - phi), the integral a trapezoid from the
+    anchor.  A curve flat at phi gives phi (r - t) to rounding.
     """
-    t, times = theta_curve.anchor, theta_curve.times
-    r_arr = np.asarray(r, dtype=float)
-    rs = r_arr.ravel()
-    inside = (t - 1e-12 <= rs) & (rs <= times[-1] + 1e-12)
-    if not inside.all():
-        raise ValueError(f"r = {rs[~inside][0]} outside [{t}, {times[-1]}]")
-    span = times[-1] - t
-    density = (times.size - 1) / span if span > 0 else math.inf
-    if density < 50.0:
-        raise ValueError(
-            f"forward-variance curve sampled at {density:.1f} nodes/year; "
-            f"need at least 50"
-        )
-    kap, phi = market.kappa, market.phi
-    out = np.empty(rs.shape)
-    rows = max(1, FORWARD_VARIANCE_BLOCK // times.size)
-    for lo in range(0, rs.size, rows):
-        r_block = rs[lo : lo + rows, None]
-        l = np.minimum(times, r_block)
-        theta_l = np.interp(l, times, theta_curve.values)
-        lags = (r_block - l).ravel()  # flat: the sum-of-exponentials ratio indexes taus 1-d
-        f = integrated_resolvent_ratio_curve(market.kernel, kap, lags).reshape(l.shape)
-        out[lo : lo + rows] = np.trapezoid(theta_l - kap * f * (theta_l - phi), l, axis=1)
-    return float(out[0]) if r_arr.ndim == 0 else out.reshape(r_arr.shape)
+    lags = grid.nodes()
+    nodes = theta_curve.anchor + lags
+    end = theta_curve.times[-1]
+    if nodes[-1] > end + 1e-12:
+        raise ValueError(f"grid ends at {nodes[-1]}, past the forward curve's last time {end}")
+    theta = np.interp(nodes, theta_curve.times, theta_curve.values)
+    x = solve_linear_vie(LinearVieProblem(market.kernel, market.kappa, theta - market.phi, grid))
+    return market.phi * lags + _cumtrapz(x, grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -512,7 +493,7 @@ def nonexp_value_coeffs(
     rate_cum = market.rate_curve.cumulative(nodes)
     # int_anchor^r (rate - 1/V1): the rate exactly, 1/V1 by the trapezoid
     cum_int = rate_cum - rate_cum[0] - _cumtrapz(1.0 / v1, grid.spacing)
-    e_vals = nonexp_forward_variance(market, theta_curve, nodes)
+    e_vals = nonexp_forward_variance(market, theta_curve, grid)
 
     f1 = np.asarray(discount.h(nodes[-1] - nodes), dtype=float)
     f2 = f1 * (cum_int[-1] + 0.5 * th**2 * e_vals[-1])

@@ -52,11 +52,11 @@ class LinearVieProblem:
     grid: TimeGrid
 
     def forcing_samples(self) -> np.ndarray:
+        _check_finite(forcing=self.forcing)
         f = np.asarray(self.forcing, dtype=float)
         shape = (self.grid.n_steps + 1,)
         if f.shape != shape:
             raise ValueError(f"forcing has shape {f.shape}, expected {shape}")
-        _check_finite(forcing=f)
         return f
 
 

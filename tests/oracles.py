@@ -247,6 +247,32 @@ def forward_variance_reference(kappa, phi, c, alpha, times, values, r):
     return first - kappa * second
 
 
+def forward_variance_lifted(weights, rates, kappa, phi, level, T: float) -> float:
+    """E(0, T, Theta) = int_0^T E[nu_l] dl for Theta flat at level and the
+    kernel sum_j w_j exp(-x_j t), through the factor ODE of its lift.
+
+    With y = xi - phi = (level - phi) - kappa sum_j w_j Y_j, the factors solve
+    Y_j' = -x_j Y_j + y, Y_j(0) = 0, and E' = phi + y, E(0) = 0: the linear
+    Volterra equation y + kappa K*y = level - phi as an ODE, integrated by
+    Radau since the rates may span decades.
+    """
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(rates, dtype=float)
+    n = len(w)
+    # d(Y, E)/dt = jac @ (Y, E) + (level - phi) (1, ..., 1, 1) + (0, ..., 0, phi)
+    jac = np.zeros((n + 1, n + 1))
+    jac[:, :n] = -kappa * w
+    jac[:n, :n] -= np.diag(x)
+    force = np.full(n + 1, level - phi)
+    force[n] += phi
+
+    sol = solve_ivp(lambda _t, z: jac @ z + force, [0.0, T], np.zeros(n + 1),
+                    method="Radau", jac=jac, rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return float(sol.y[n, -1])
+
+
 def hyperbolic_integral_reference(a: float, b: float, tau: float) -> float:
     """int_0^tau (1 + a s)^(-b/a) ds from its closed form at 60 digits, at the
     exact a and b (log(1 + a tau)/a at a = b)."""

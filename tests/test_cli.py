@@ -39,7 +39,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # a value for each field of the variant sections, and the variant fields that
 # may be missing: fractional c and log_mv delta have defaults, and fractional
-# takes hurst or alpha ("market.kernel needs hurst or alpha" without either)
+# takes hurst or alpha ("market.kernel.hurst is missing" without either)
 VARIANT_FIELDS = {
     "market.kernel.c": 0.7, "market.kernel.beta": 1.5, "market.kernel.weights": [0.7],
     "market.kernel.rates": [1.5],
@@ -466,8 +466,10 @@ class TestConfigHandling:
             ({"market": {"kernel": {"variant": "fractional", "c": 1.0, "hurst": 0.1,
                                     "alpha": 0.9}}},
              "market.kernel takes hurst or alpha, not both"),
+            # read "market.kernel needs hurst or alpha", the one missing field
+            # not named in the <section>.<key> form
             ({"market": {"kernel": {"variant": "fractional", "c": 1.0}}},
-             "market.kernel needs hurst or alpha"),
+             "market.kernel.hurst is missing"),
             # one value of a wrong kind per kind: true ran as 1, a string of
             # digits as its number, and "12" as the list (1, 2)
             ({"market": {"rho": True}}, "market.rho must be a number, got True"),

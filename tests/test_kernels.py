@@ -224,6 +224,13 @@ class TestValidation:
                      "^n must be an integer >= 1", id="cell-moments-n-nan"),
         pytest.param(lambda: cell_moments(FractionalKernel(1.0, 0.6), 0.1, 2.5),
                      "^n must be an integer >= 1", id="cell-moments-n-fractional"),
+        # each was converted first: "0.5" and True ran as their numbers
+        pytest.param(lambda: kernel_eval(FractionalKernel(1.0, 0.6), "0.5"),
+                     "^t must be a number, got '0.5'$", id="eval-string"),
+        pytest.param(lambda: kernel_integral(FractionalKernel(1.0, 0.6), True),
+                     "^t must be a number, got True$", id="integral-bool"),
+        pytest.param(lambda: mittag_leffler(0.6, 1.0, "1.5"),
+                     "^z must be a number, got '1.5'$", id="mittag-leffler-string"),
     ])
     def test_non_finite_time_or_count_rejected_by_name(self, call, match):
         with pytest.raises(ValueError, match=match):

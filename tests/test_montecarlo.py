@@ -666,6 +666,11 @@ class TestTerminalStats:
         with pytest.raises(ValueError, match="terminal wealth range"):
             terminal_stats(np.array([1.0, value] if value == np.inf else [value] * 3))
 
+    def test_a_bool_is_no_wealth(self):
+        # [True, False, True] had mean 0.667
+        with pytest.raises(ValueError, match="^terminal wealth range must be a number, got "):
+            terminal_stats([True, False, True])
+
     @pytest.mark.parametrize("n_bins", [2.5, 0, True])
     def test_bin_count_must_be_an_integer(self, n_bins):
         # 2.5 raised numpy's "`bins` must be an integer, a string, or an array"

@@ -24,6 +24,7 @@ from roughmv import (
     TimeGrid,
     admissibility_constant,
     const_mv_strategy,
+    fit_sum_of_exponentials,
     integrated_resolvent_ratio_curve,
     log_mv_existence_margin,
     log_mv_strategy,
@@ -38,6 +39,7 @@ from roughmv.cli import _strategy_for
 from roughmv.strategies import TEXT_PIECE, format_columns, strategy_columns
 from conftest import STUDY, study_market
 from oracles import (
+    forward_variance_lifted,
     forward_variance_reference,
     heston_const_mv_total,
     heston_log_mv_curves,
@@ -353,6 +355,7 @@ class TestDiscounts:
         (lambda: TabulatedDiscount((0.0, 1.0), "10"), "values"),
         (lambda: RateCurve("01", (0.01, 0.02)), "times"),
         (lambda: RateCurve((0.0, 1.0), "12"), "rates"),
+        (lambda: RateCurve.flat("0.01"), "rate"),
     ])
     def test_a_string_is_no_sequence_of_numbers(self, make, field):
         # TabulatedDiscount("01", ...) was read as the times (0.0, 1.0)
@@ -362,16 +365,16 @@ class TestDiscounts:
 
 class TestForwardVariance:
     def test_flat_curve_is_exact(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi, 300)
-        got = nonexp_forward_variance(market_rough, theta_curve, 2.0)
-        assert got == pytest.approx(market_rough.phi * 2.0, abs=1e-15)
+        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi)
+        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(2.0))
+        assert got[-1] == pytest.approx(market_rough.phi * 2.0, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1.2345, 2.005])
     def test_flat_curve_is_exact_between_samples(self, market_rough, r):
-        # r off the curve's times: the last cell is part of a sample cell
-        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi, 300)
-        got = nonexp_forward_variance(market_rough, theta_curve, r)
-        assert got == pytest.approx(market_rough.phi * r, abs=1e-15)
+        # r off the grid of 250 steps a year: the grid ends at r
+        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi)
+        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(r))
+        assert got[-1] == pytest.approx(market_rough.phi * r, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1.2345, 2.005])
     def test_matches_quadrature_oracle(self, market_rough, r):
@@ -380,41 +383,35 @@ class TestForwardVariance:
         kernel = market_rough.kernel
         ref = forward_variance_reference(market_rough.kappa, market_rough.phi, kernel.c,
                                          kernel.alpha, times, theta_curve.values, r)
-        got = nonexp_forward_variance(market_rough, theta_curve, r)
-        assert abs(got - ref) <= 1e-6
+        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(r))
+        assert abs(got[-1] - ref) <= 1e-6
 
-    def test_array_of_r_equals_the_scalar_calls(self, market_rough):
-        times = np.linspace(0.0, T, 301)
-        theta_curve = ThetaCurve(0.0, times, 0.04 + 0.03 * np.sin(2.0 * times))
-        rs = np.array([[0.0, 0.005, 1.2345], [2.0, 2.005, T]])
-        got = nonexp_forward_variance(market_rough, theta_curve, rs)
-        assert got.shape == rs.shape
-        scalar = [nonexp_forward_variance(market_rough, theta_curve, float(r)) for r in rs.flat]
-        assert all(isinstance(e, float) for e in scalar)
-        np.testing.assert_allclose(got.ravel(), scalar, rtol=1e-14, atol=0)
+    def test_multi_term_kernel_matches_the_lifted_ode(self):
+        # the resolvent-ratio quadrature this solve replaced was 1.35e-4 off
+        kernel, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 3.0)
+        market = MarketParams(0.05, 0.3, 0.04, 0.3, -0.7, 1.5, RateCurve.flat(0.0), kernel)
+        got = nonexp_forward_variance(market, ThetaCurve.flat(0.0, 3.0, 0.05), TimeGrid(3.0, 300))
+        ref = forward_variance_lifted(kernel.weights, kernel.rates, 0.3, 0.04, 0.05, 3.0)
+        assert abs(got[-1] - ref) <= 1e-6
 
     def test_r_equals_anchor(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.05, 200)
-        assert nonexp_forward_variance(market_rough, theta_curve, 0.0) == 0.0
-
-    def test_sparse_curve_rejected(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.05, 60)  # 20 nodes/year
-        with pytest.raises(ValueError, match="nodes/year"):
-            nonexp_forward_variance(market_rough, theta_curve, 2.0)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.05)
+        assert nonexp_forward_variance(market_rough, theta_curve, TimeGrid(T, 200))[0] == 0.0
 
     def test_vanishing_kappa_reduces_to_theta_integral(self):
         market = MarketParams(0.04, 1e-10, 0.04, 0.3, -0.7, 1.5, RateCurve.flat(0.0),
                               FractionalKernel.from_hurst(0.1))
-        times = np.linspace(0.0, 3.0, 301)
-        values = 0.04 + 0.01 * times
-        theta_curve = ThetaCurve(0.0, times, values)
-        got = nonexp_forward_variance(market, theta_curve, 3.0)
-        assert got == pytest.approx(np.trapezoid(values, times), rel=1e-7)
+        for n_samples in (301, 2):  # one linear curve, sampled densely and at its ends
+            times = np.linspace(0.0, 3.0, n_samples)
+            values = 0.04 + 0.01 * times
+            theta_curve = ThetaCurve(0.0, times, values)
+            got = nonexp_forward_variance(market, theta_curve, TimeGrid.for_horizon(3.0))
+            assert got[-1] == pytest.approx(np.trapezoid(values, times), rel=1e-7)
 
     def test_out_of_range_rejected(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04, 100)
-        with pytest.raises(ValueError):
-            nonexp_forward_variance(market_rough, theta_curve, 3.5)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
+        with pytest.raises(ValueError, match="^grid ends at 3.5, past the forward curve's"):
+            nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(3.5))
 
     def test_theta_curve_validation(self):
         with pytest.raises(ValueError):
@@ -450,9 +447,6 @@ NON_FINITE_CASES = [
         match, id=f"ratio-{branch}-{bad}")
       for branch, kernel in RATIO_KERNELS.items()
       for bad, (lam, taus, match) in BAD_RATIO_INPUTS.items()],
-    pytest.param(lambda: nonexp_forward_variance(
-        study_market(0.5), ThetaCurve.flat(0.0, 1.0, 0.04, 100), math.nan),
-        "outside", id="forward-variance-r-nan"),
     pytest.param(lambda: ThetaCurve(math.nan, TIMES, FLAT), "anchor must be finite",
                  id="theta-anchor-nan"),
     pytest.param(lambda: ThetaCurve(math.inf, TIMES, FLAT), "anchor must be finite",
@@ -465,6 +459,16 @@ NON_FINITE_CASES = [
                  "values must be finite", id="theta-value-nan"),
     pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 0, math.inf)),
                  "values must be finite", id="theta-value-inf"),
+    # each was converted first: True ran as 1.0, "0.05" as its number, and a
+    # ragged list raised numpy's "setting an array element with a sequence"
+    pytest.param(lambda: ThetaCurve(0.0, [0.0, 1.0], [0.04, True]),
+                 r"^values must be a number, got \[0.04, True\]$", id="theta-value-bool"),
+    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, "0.05"),
+                 "^value must be a number, got '0.05'$", id="theta-flat-value-string"),
+    pytest.param(lambda: integrated_resolvent_ratio_curve(RATIO_KERNELS["fractional"], 0.5,
+                                                          [0.0, [1.0]]),
+                 r"^tau values must be a 1-d sequence of numbers, got \[0.0, \[1.0\]\]$",
+                 id="ratio-tau-ragged"),
     # a NaN gamma was refused as "forcing must be finite on the grid" or
     # "psi diverged at node 1", a NaN p or theta returned a NaN constant, and
     # the existence margin of a NaN gamma was NaN
@@ -480,12 +484,6 @@ NON_FINITE_CASES = [
                  "theta must be finite", id="admissibility-theta-nan"),
     pytest.param(lambda: log_mv_existence_margin(study_market(0.1), math.nan),
                  "gamma must be finite and > 0", id="log-mv-margin-gamma-nan"),
-    # a fractional count raised numpy's "'float' object cannot be interpreted
-    # as an integer", which names no field
-    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, 0.1, n=2.5),
-                 "n must be an integer >= 1, got 2.5", id="theta-flat-n-fractional"),
-    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, 0.1, n=0),
-                 "n must be an integer >= 1, got 0", id="theta-flat-n-zero"),
 ]
 
 
@@ -497,7 +495,7 @@ def test_non_finite_input_rejected_by_name(call, match):
 
 class TestNonExpValueCoeffs:
     def test_boundary_and_f1(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04, 300)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
         vc = nonexp_value_coeffs(market_rough, ExponentialDiscount(0.0), theta_curve,
                                  TimeGrid(T, 300))
         assert vc.f1[-1] == 1.0  # h(T - T)
@@ -511,13 +509,13 @@ class TestNonExpValueCoeffs:
         # verify f2 -> -ln(T - t + 1) with h = 1, zero rate, flat forward curve
         market = MarketParams(0.04, 0.3, 0.04, 0.3, -0.7, 1e-9, RateCurve.flat(0.0),
                               FractionalKernel.from_hurst(0.1))
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04, 600)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
         vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), theta_curve,
                                  TimeGrid(T, 600))
         assert vc.f2[0] == pytest.approx(-math.log(T + 1.0), rel=1e-5)
 
     def test_f2_linear_in_theta_squared(self):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04, 300)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
         grid = TimeGrid(T, 300)
         markets = [
             MarketParams(0.04, 0.3, 0.04, 0.3, -0.7, th, RateCurve.flat(0.0),
@@ -535,7 +533,7 @@ class TestNonExpValueCoeffs:
         # the bracket c2 holds int_0^r rate as RateCurve.cumulative does: the
         # trapezoid over the rate's values was 5.2e-5 off from the step on
         stepped = RateCurve((0.0, 1.0037), (0.01, 0.05))
-        grid, theta_curve = TimeGrid(T, 300), ThetaCurve.flat(0.0, T, 0.04, 300)
+        grid, theta_curve = TimeGrid(T, 300), ThetaCurve.flat(0.0, T, 0.04)
         got, ref = (nonexp_value_coeffs(dataclasses.replace(market_rough, rate_curve=curve),
                                         HyperbolicDiscount(0.5, 0.8), theta_curve, grid)
                     for curve in (stepped, RateCurve.flat(0.0)))
@@ -544,7 +542,7 @@ class TestNonExpValueCoeffs:
 
     def test_traced_peak_without_the_lag_matrices(self, market_rough):
         # 1200 cells: the (n+1)^2 lag, c1 and c2 matrices traced 44 MB
-        theta_curve = ThetaCurve.flat(0.0, T, 0.05, 300)
+        theta_curve = ThetaCurve.flat(0.0, T, 0.05)
         grid = TimeGrid(T, 1200)
         tracemalloc.start()
         try:
@@ -563,9 +561,9 @@ class TestNonExpValueCoeffs:
         market = study_market(0.1, rate=0.02)
         grid = TimeGrid(T - anchor, 300)
         got = nonexp_value_coeffs(market, discount,
-                                  ThetaCurve.flat(anchor, T, market.phi, 300), grid)
+                                  ThetaCurve.flat(anchor, T, market.phi), grid)
         ref = nonexp_value_coeffs(market, discount,
-                                  ThetaCurve.flat(0.0, T - anchor, market.phi, 300), grid)
+                                  ThetaCurve.flat(0.0, T - anchor, market.phi), grid)
         np.testing.assert_allclose(got.s_nodes - anchor, ref.s_nodes, rtol=0, atol=1e-12)
         for name in ("V1", "f1", "f2", "c1", "c2", "V2"):
             np.testing.assert_allclose(getattr(got, name), getattr(ref, name),

@@ -127,6 +127,9 @@ class TestLinearVie:
             LinearVieProblem(
                 UNIT, 1.0, np.full(11, np.inf), TimeGrid(1.0, 10)
             ).forcing_samples()
+        # solved as the forcing 1.0
+        with pytest.raises(ValueError, match=r"^forcing must be a number, got \[True, "):
+            LinearVieProblem(UNIT, 1.0, [True] * 5, TimeGrid(1.0, 4)).forcing_samples()
 
 
 # ---------------------------------------------------------------------------
