@@ -31,7 +31,6 @@ from .strategies import (
     RateCurve,
     StrategyCurve,
     TabulatedDiscount,
-    ThetaCurve,
     admissibility_constant,
     const_mv_strategy,
     log_mv_existence_margin,

@@ -2,7 +2,7 @@
 emission, and the data recipes behind the hedge-term, crossover, simulation,
 and consumption figures.
 
-Subcommands: hedge-curve, crossover, simulate, nonexp, strategy.
+Commands: hedge-curve, crossover, simulate, nonexp, strategy.
 Exit codes: 0 success, 2 config error, 3 numeric or I/O error.  load_config
 checks every field name once, and every leaf once by its kind (_LEAVES), and
 main builds each input once (Inputs) before any work: a field at fault exits 2,
@@ -505,11 +505,10 @@ def cmd_nonexp(cfg: dict, inputs: Inputs, outputs: _Outputs):
     hursts = cfg["hurst_values"]
     if len(hursts) < 2:
         hursts = list(hursts) + [0.5]
-    # both Hurst values must give a kernel, but nonexp_log_strategy reads
-    # none: one solve serves the pair, bit for bit (the library's
+    # main has checked every Hurst value, and nonexp_log_strategy reads no
+    # kernel: one solve serves the pair, bit for bit (the library's
     # test_kernel_invariance_is_bitwise checks it)
-    first, _ = (_with_hurst(market, hurst) for hurst in hursts[:2])
-    curve = _strategy_for(first, objective, grid)
+    curve = _strategy_for(_with_hurst(market, hursts[0]), objective, grid)
     # V1 as the library sums it; 1/p_hat would round it a second time
     cols = {"t": grid.nodes(), "consumption_rate": curve.consumption,
             "investment_coefficient": curve.total, "V1": nonexp_v1(objective.discount, grid)}
@@ -545,18 +544,16 @@ def make_parser() -> argparse.ArgumentParser:
         prog="roughmv",
         description="Equilibrium strategies under rough (Volterra Heston) volatility",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config or manifest path")
-        p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument("--out", default=None, help="override output.directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict output.formats")
-        p.add_argument("--steps-per-year", type=int, default=None,
-                       help="override grid.steps_per_year (default 250)")
-        p.add_argument("--paths", type=int, default=None,
-                       help="override sim.n_paths (default 5000)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config or manifest path")
+    parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    parser.add_argument("--out", default=None, help="override output.directory")
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="restrict output.formats")
+    parser.add_argument("--steps-per-year", type=int, default=None,
+                        help="override grid.steps_per_year (default 250)")
+    parser.add_argument("--paths", type=int, default=None,
+                        help="override sim.n_paths (default 5000)")
     return parser
 
 

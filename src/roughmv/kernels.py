@@ -39,39 +39,42 @@ class KernelDomainError(ValueError):
 # Input rules, shared by every module
 # ---------------------------------------------------------------------------
 
-_SEQUENCE_RULE = "{} must be a 1-d sequence of numbers, got {}"
+def _rank_error(name: str, value, rank: int | None) -> ValueError:
+    what = "a number" if rank == 0 else "a 1-d sequence of numbers"
+    return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
-def _check_finite(*, positive: bool = False, sequence: bool = False, **values):
+def _check_finite(*, positive: bool = False, rank: int | None = 0, **values):
     """ValueError("<name> must be finite[ and > 0], got <value>") for the first
-    keyword value, a number or an array of numbers, that breaks the rule, and
-    ValueError("<name> must be a number, got <value>") for one that is none: a
-    bool, a string (no sequence of numbers either), or a sequence holding
-    either.  A list or tuple must be flat, and with sequence every value must
-    be a 1-d sequence or array: ValueError("<name> must be a 1-d sequence of
-    numbers, got <value>") for a ragged or nested sequence, or a number where
-    a sequence belongs.  A Python int past the int64 range is checked as the
-    float it converts to."""
+    keyword value that breaks the rule, and ValueError("<name> must be a
+    number, got <value>") for one that holds what is no number: a bool or a
+    string (no sequence of numbers either).  rank is the number of axes each
+    value must have: 0, a number; 1, a 1-d sequence or array; None, any, where
+    a list or tuple must still be flat.  A value of another rank, or a ragged
+    or nested sequence, reads "<name> must be a number, got <value>" at rank
+    0, else "<name> must be a 1-d sequence of numbers, got <value>".  A Python
+    int past the int64 range is checked as the float it converts to."""
     rule = "finite and > 0" if positive else "finite"
     for name, value in values.items():
-        if (not sequence and isinstance(value, float) and math.isfinite(value)
+        if (rank != 1 and isinstance(value, float) and math.isfinite(value)
                 and (value > 0 or not positive)):
             continue  # a Python float that passes needs no array
         try:
             x = np.asarray(value)  # no float conversion: a string is no number
         except ValueError:  # a ragged sequence
-            raise ValueError(_SEQUENCE_RULE.format(name, reprlib.repr(value))) from None
+            raise _rank_error(name, value, rank) from None
         if x.dtype == object and all(isinstance(v, int) for v in x.flat):
             try:
                 x = x.astype(float)
             except OverflowError:  # past the float range, where floats are inf
-                x = np.asarray(math.inf)
+                x = np.full(x.shape, math.inf)
         # a bool is no number, also among the numbers of a sequence
         if x.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
                 isinstance(v, (bool, np.bool_)) for v in value):
             raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
-        if (sequence or isinstance(value, (list, tuple))) and x.ndim != 1:
-            raise ValueError(_SEQUENCE_RULE.format(name, reprlib.repr(value)))
+        nested = isinstance(value, (list, tuple)) and x.ndim != 1
+        if nested or rank is not None and x.ndim != rank:
+            raise _rank_error(name, value, rank)
         ok = np.isfinite(x) & (x > 0) if positive else np.isfinite(x)
         if not ok.all():
             raise ValueError(f"{name} must be {rule}, got {x[~ok][0]}")
@@ -126,8 +129,7 @@ class SumOfExponentialsKernel:
     rates: tuple
 
     def __post_init__(self):
-        _check_finite(sequence=True, **{"kernel weights": self.weights,
-                                        "kernel rates": self.rates})
+        _check_finite(rank=1, **{"kernel weights": self.weights, "kernel rates": self.rates})
         w = tuple(float(x) for x in self.weights)
         r = tuple(float(x) for x in self.rates)
         if len(w) != len(r) or len(w) < 1:
@@ -200,7 +202,7 @@ class TimeGrid:
 
 def kernel_eval(spec: Kernel, t):
     """K(t) for finite scalar or array t > 0 (t = 0 allowed for non-singular variants)."""
-    _check_finite(t=t)
+    _check_finite(rank=None, t=t)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel is defined on t >= 0 only")
@@ -218,7 +220,7 @@ def kernel_eval(spec: Kernel, t):
 
 def kernel_integral(spec: Kernel, t):
     """int_0^t K(s) ds for finite scalar or array t >= 0, exact for every variant."""
-    _check_finite(t=t)
+    _check_finite(rank=None, t=t)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise KernelDomainError("kernel integral requires t >= 0")
@@ -329,6 +331,7 @@ _CONTOUR_WEIGHTS = (np.r_[1.0, np.full(_CONTOUR_N, 2.0)] * (_CONTOUR_H * _CONTOU
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) = sum_n z^n / Gamma(alpha*n + beta) for real z."""
+    _check_finite(z=z)
     return float(_ml_array(alpha, beta, z))
 
 
@@ -357,7 +360,7 @@ def _ml_array(alpha: float, beta: float, z) -> np.ndarray:
     below -1.5 and before the asymptotic seam go to one _ml_series_mp call.
     """
     _check_finite(positive=True, alpha=alpha, beta=beta)
-    _check_finite(z=z)
+    _check_finite(rank=None, z=z)
     z_arr = np.asarray(z, dtype=float)
     zf = z_arr.ravel()
     out = np.empty(zf.shape)
@@ -687,7 +690,8 @@ def integrated_resolvent_ratio_curve(spec: Kernel, lam: float, taus) -> np.ndarr
     exponentials falls back to trapezoid quadrature of the numeric resolvent
     (see _numeric_resolvent_ratio).
     """
-    _check_finite(**{"lambda": lam, "tau values": taus})
+    _check_finite(**{"lambda": lam})
+    _check_finite(rank=None, **{"tau values": taus})
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau values must be >= 0")

@@ -608,7 +608,7 @@ def terminal_stats(terminal: np.ndarray, n_bins: int = 50) -> TerminalStats:
     _check_count(n_bins=n_bins)
     # named as the range that the histogram's refusal below names: a NaN or
     # inf end of the range is refused here
-    _check_finite(sequence=True, **{"terminal wealth range": terminal})
+    _check_finite(rank=1, **{"terminal wealth range": terminal})
     x = np.asarray(terminal, dtype=float)
     if x.size < 2:
         raise ValueError("sample variance undefined for fewer than 2 paths")

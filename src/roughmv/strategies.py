@@ -54,7 +54,7 @@ from .volterra import (
 def _sampled_table(times, values, name: str, min_size: int) -> tuple[tuple, tuple]:
     """times and values (called name) as float tuples of one length >= min_size,
     finite, with the times strictly increasing from 0 and the values >= 0."""
-    _check_finite(sequence=True, times=times, **{name: values})
+    _check_finite(rank=1, times=times, **{name: values})
     t = tuple(float(x) for x in times)
     v = tuple(float(x) for x in values)
     if len(t) != len(v) or len(t) < min_size:
@@ -272,40 +272,6 @@ class StrategyCurve:
         return self.myopic + self.hedge
 
 
-@dataclass(frozen=True)
-class ThetaCurve:
-    """Conditional forward-variance inputs Theta^t_s for s in [t, T], read as
-    the linear interpolant of the samples.
-
-    values[0] must equal the time-t spot variance (the forward curve is
-    continuous at its anchor).
-    """
-
-    anchor: float
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_finite(anchor=self.anchor)
-        _check_finite(sequence=True, times=self.times, values=self.values)
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.size < 2:
-            raise ValueError("times and values must be equal-length 1-d arrays")
-        if abs(t[0] - self.anchor) > 1e-12:
-            raise ValueError("times must start at the anchor")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def flat(cls, anchor: float, t_end: float, value: float) -> "ThetaCurve":
-        """The curve at value on [anchor, t_end], exact with its two end samples."""
-        _check_finite(value=value)
-        return cls(anchor, [anchor, t_end], [value, value])
-
-
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * h * (y[:-1] + y[1:]))
@@ -437,39 +403,39 @@ def nonexp_v1(discount: Discount, grid: TimeGrid) -> np.ndarray:
     )
 
 
-def nonexp_forward_variance(
-    market: MarketParams, theta_curve: ThetaCurve, grid: TimeGrid
-) -> np.ndarray:
-    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl at r = anchor + grid.nodes().
+def nonexp_forward_variance(market: MarketParams, theta, grid: TimeGrid) -> np.ndarray:
+    """E(t, r, Theta) = int_t^r E[nu_l | F_t] dl at r = t + grid.nodes(), for
+    the forward-variance input theta, the values of Theta >= 0 at those r.
 
     The forward variance xi = E[nu | F_t] solves the linear Volterra equation
     (xi - phi) + kappa K*(xi - phi) = Theta - phi (Abi Jaber, Larsson &
-    Pulido 2019), with Theta the curve's linear interpolant at the nodes, and
-    E = phi (r - t) + int_t^r (xi - phi), the integral a trapezoid from the
-    anchor.  A curve flat at phi gives phi (r - t) to rounding.
+    Pulido 2019), and E = phi (r - t) + int_t^r (xi - phi), the integral a
+    trapezoid from the anchor t.  Theta flat at phi gives phi (r - t) to
+    rounding.
     """
-    lags = grid.nodes()
-    nodes = theta_curve.anchor + lags
-    end = theta_curve.times[-1]
-    if nodes[-1] > end + 1e-12:
-        raise ValueError(f"grid ends at {nodes[-1]}, past the forward curve's last time {end}")
-    theta = np.interp(nodes, theta_curve.times, theta_curve.values)
+    _check_finite(rank=1, theta=theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.size != grid.n_steps + 1:
+        raise ValueError(f"theta must hold {grid.n_steps + 1} values, one per grid node, "
+                         f"got {theta.size}")
+    if theta.min() < 0:
+        raise ValueError(f"theta must be >= 0, got {theta.min()}")
     x = solve_linear_vie(LinearVieProblem(market.kernel, market.kappa, theta - market.phi, grid))
-    return market.phi * lags + _cumtrapz(x, grid.spacing)
+    return market.phi * grid.nodes() + _cumtrapz(x, grid.spacing)
 
 
 @dataclass(frozen=True)
 class NonExpValueCoeffs:
-    """Value-function pieces for one forward-variance anchor.
+    """Value-function pieces for one forward-variance anchor, at the nodes
+    anchor + grid.nodes() of [anchor, T].
 
-    s_nodes spans [anchor, T].  c1 and c2 are the vectors of the (r, s)
-    coefficients on s_j <= r_i: c1(r_i, s_j) = c1[i - j], the discount at
-    the lag, and c2(r_i, s_j) = c1[i - j] * c2[i], with c2 the bracket
-    log(1/V1) + int_anchor^r (rate - 1/V1) + theta^2/2 E(anchor, r, Theta).
-    V2 is the scalar value-function remainder at the anchor.
+    c1 and c2 are the vectors of the (r, s) coefficients on s_j <= r_i:
+    c1(r_i, s_j) = c1[i - j], the discount at the lag, and c2(r_i, s_j) =
+    c1[i - j] * c2[i], with c2 the bracket log(1/V1) + int_anchor^r
+    (rate - 1/V1) + theta^2/2 E(anchor, r, Theta).  V2 is the scalar
+    value-function remainder at the anchor.
     """
 
-    s_nodes: np.ndarray
     V1: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
@@ -478,29 +444,27 @@ class NonExpValueCoeffs:
     V2: float
 
 
-def nonexp_value_coeffs(
-    market: MarketParams,
-    discount: Discount,
-    theta_curve: ThetaCurve,
-    grid: TimeGrid,
-) -> NonExpValueCoeffs:
-    """The value-function pieces on the grid read as time since the anchor."""
+def nonexp_value_coeffs(market: MarketParams, discount: Discount, anchor: float, theta,
+                        grid: TimeGrid) -> NonExpValueCoeffs:
+    """The value-function pieces on the grid read as time since the anchor,
+    theta as nonexp_forward_variance reads it."""
+    _check_finite(anchor=anchor)
     lags = grid.nodes()
-    nodes = theta_curve.anchor + lags  # nodes[-1] is anchor + grid.t_end, the horizon
+    nodes = anchor + lags  # nodes[-1] is anchor + grid.t_end, the horizon
     th = market.theta
 
     v1 = nonexp_v1(discount, grid)
     rate_cum = market.rate_curve.cumulative(nodes)
     # int_anchor^r (rate - 1/V1): the rate exactly, 1/V1 by the trapezoid
     cum_int = rate_cum - rate_cum[0] - _cumtrapz(1.0 / v1, grid.spacing)
-    e_vals = nonexp_forward_variance(market, theta_curve, grid)
+    e_vals = nonexp_forward_variance(market, theta, grid)
 
     f1 = np.asarray(discount.h(nodes[-1] - nodes), dtype=float)
     f2 = f1 * (cum_int[-1] + 0.5 * th**2 * e_vals[-1])
     c1 = np.asarray(discount.h(lags), dtype=float)
     c2 = np.log(1.0 / v1) + cum_int + 0.5 * th**2 * e_vals
     v2 = float(np.trapezoid(c1 * c2, dx=grid.spacing) + f2[0])
-    return NonExpValueCoeffs(nodes, v1, f1, f2, c1, c2, v2)
+    return NonExpValueCoeffs(v1, f1, f2, c1, c2, v2)
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +475,26 @@ def prefer_rough_crossover(rough: StrategyCurve, smooth: StrategyCurve) -> float
     """Latest calendar time where the rough and smooth curves' totals cross.
 
     The two curves must share their grid.  Returns None when the difference
-    never changes sign.  The last strict sign change is used (curves can touch
-    numerically far from maturity), with the crossing located by linear
-    interpolation in the bracketing cell.
+    never changes sign.  The last sign change between non-zero nodes is used
+    (curves can touch numerically far from maturity): located by linear
+    interpolation when the two nodes are adjacent, else at the last zero
+    node between them.  A zero without a sign change around it, such as the
+    exact 0 of two mean-variance totals at maturity, is no crossing.
     """
     grid = rough.grid
     if smooth.grid != grid:
         raise ValueError(f"curves must share their grid, got {grid} and {smooth.grid}")
     diff = rough.total - smooth.total
-    sign_flip = diff[:-1] * diff[1:] < 0.0
-    idx = np.nonzero(sign_flip)[0]
-    if idx.size == 0:
+    nonzero = np.flatnonzero(diff)
+    signs = np.signbit(diff[nonzero])
+    flips = np.flatnonzero(signs[:-1] != signs[1:])
+    if flips.size == 0:
         return None
-    i = int(idx[-1])
+    i, j = nonzero[flips[-1]], nonzero[flips[-1] + 1]
     nodes = grid.nodes()
-    frac = diff[i] / (diff[i] - diff[i + 1])
+    if j > i + 1:
+        return float(nodes[j - 1])
+    frac = diff[i] / (diff[i] - diff[j])
     return float(nodes[i] + frac * grid.spacing)
 
 
@@ -537,8 +506,6 @@ def admissibility_constant(theta: float, strategy: StrategyCurve, p: float) -> f
     if p <= 1:
         raise ValueError("p must be > 1")
     pi = np.asarray(strategy.total)
-    if pi.size == 0:
-        raise ValueError("strategy curve is empty")
     sup_abs = float(np.max(np.abs(pi)))
     return max(2.0 * p * abs(theta) * sup_abs, (8.0 * p**2 - 2.0 * p) * sup_abs**2)
 

@@ -52,7 +52,7 @@ class LinearVieProblem:
     grid: TimeGrid
 
     def forcing_samples(self) -> np.ndarray:
-        _check_finite(forcing=self.forcing)
+        _check_finite(rank=None, forcing=self.forcing)
         f = np.asarray(self.forcing, dtype=float)
         shape = (self.grid.n_steps + 1,)
         if f.shape != shape:
@@ -229,6 +229,6 @@ def riccati_bound_curve(
     root is exact up to rounding.
     """
     _check_bound_preconditions(coeffs)
-    _check_finite(positive=True, taus=taus)
+    _check_finite(positive=True, rank=None, taus=taus)
     targets = np.asarray(kernel_integral(kernel, taus), dtype=float)
     return np.asarray(_q1_inverse(coeffs, targets), dtype=float)

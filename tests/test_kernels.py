@@ -152,7 +152,13 @@ class TestValidation:
         (lambda: SumOfExponentialsKernel([[1.0]], [[1.0]]),
          "kernel weights must be a 1-d sequence of numbers, got [[1.0]]"),
         (lambda: RateCurve(5.0, 0.1), "times must be a 1-d sequence of numbers, got 5.0"),
-    ], ids=["string_hurst", "ragged_weights", "nested_weights", "scalar_rate_table"])
+        # each constructed, or raised a TypeError that named no field
+        (lambda: FractionalKernel([1.0], 0.6), "kernel weight c must be a number, got [1.0]"),
+        (lambda: FractionalKernel.from_hurst([0.1]), "hurst must be a number, got [0.1]"),
+        (lambda: TimeGrid([1.0], 4), "t_end must be a number, got [1.0]"),
+        (lambda: mittag_leffler(0.6, 1.0, [1.0, 2.0]), "z must be a number, got [1.0, 2.0]"),
+    ], ids=["string_hurst", "ragged_weights", "nested_weights", "scalar_rate_table",
+            "list_weight_c", "list_hurst", "list_grid_end", "list_mittag_leffler_z"])
     def test_a_wrongly_shaped_input_names_its_field(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

@@ -545,6 +545,11 @@ class TestFit:
         with pytest.raises(ValueError, match="n_factors must be an integer >= 1"):
             LiftedFactors(n_factors)
 
+    def test_scheme_rate_spread_must_be_a_number(self):
+        # LiftedFactors(20, [1e4]) constructed
+        with pytest.raises(ValueError, match=r"^rate_spread must be a number, got \[10000.0\]$"):
+            LiftedFactors(20, [1e4])
+
 
 # ---------------------------------------------------------------------------
 # Wealth simulation

@@ -20,7 +20,6 @@ from roughmv import (
     RiccatiCoefficients,
     StrategyCurve,
     TabulatedDiscount,
-    ThetaCurve,
     TimeGrid,
     admissibility_constant,
     const_mv_strategy,
@@ -363,61 +362,56 @@ class TestDiscounts:
             make()
 
 
+def flat(grid, value):
+    """A forward-variance input flat at value, sampled at the grid's nodes."""
+    return np.full(grid.n_steps + 1, value)
+
+
 class TestForwardVariance:
     def test_flat_curve_is_exact(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi)
-        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(2.0))
+        grid = TimeGrid.for_horizon(2.0)
+        got = nonexp_forward_variance(market_rough, flat(grid, market_rough.phi), grid)
         assert got[-1] == pytest.approx(market_rough.phi * 2.0, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1.2345, 2.005])
     def test_flat_curve_is_exact_between_samples(self, market_rough, r):
         # r off the grid of 250 steps a year: the grid ends at r
-        theta_curve = ThetaCurve.flat(0.0, T, market_rough.phi)
-        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(r))
+        grid = TimeGrid.for_horizon(r)
+        got = nonexp_forward_variance(market_rough, flat(grid, market_rough.phi), grid)
         assert got[-1] == pytest.approx(market_rough.phi * r, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1.2345, 2.005])
     def test_matches_quadrature_oracle(self, market_rough, r):
-        times = np.linspace(0.0, T, 301)
-        theta_curve = ThetaCurve(0.0, times, 0.04 + 0.03 * np.sin(2.0 * times))
+        grid = TimeGrid.for_horizon(r)
+        times = grid.nodes()
+        theta = 0.04 + 0.03 * np.sin(2.0 * times)
         kernel = market_rough.kernel
         ref = forward_variance_reference(market_rough.kappa, market_rough.phi, kernel.c,
-                                         kernel.alpha, times, theta_curve.values, r)
-        got = nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(r))
+                                         kernel.alpha, times, theta, r)
+        got = nonexp_forward_variance(market_rough, theta, grid)
         assert abs(got[-1] - ref) <= 1e-6
 
     def test_multi_term_kernel_matches_the_lifted_ode(self):
         # the resolvent-ratio quadrature this solve replaced was 1.35e-4 off
         kernel, _ = fit_sum_of_exponentials(FractionalKernel.from_hurst(0.1), 8, 3.0)
         market = MarketParams(0.05, 0.3, 0.04, 0.3, -0.7, 1.5, RateCurve.flat(0.0), kernel)
-        got = nonexp_forward_variance(market, ThetaCurve.flat(0.0, 3.0, 0.05), TimeGrid(3.0, 300))
+        grid = TimeGrid(3.0, 300)
+        got = nonexp_forward_variance(market, flat(grid, 0.05), grid)
         ref = forward_variance_lifted(kernel.weights, kernel.rates, 0.3, 0.04, 0.05, 3.0)
         assert abs(got[-1] - ref) <= 1e-6
 
     def test_r_equals_anchor(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.05)
-        assert nonexp_forward_variance(market_rough, theta_curve, TimeGrid(T, 200))[0] == 0.0
+        grid = TimeGrid(T, 200)
+        assert nonexp_forward_variance(market_rough, flat(grid, 0.05), grid)[0] == 0.0
 
     def test_vanishing_kappa_reduces_to_theta_integral(self):
         market = MarketParams(0.04, 1e-10, 0.04, 0.3, -0.7, 1.5, RateCurve.flat(0.0),
                               FractionalKernel.from_hurst(0.1))
-        for n_samples in (301, 2):  # one linear curve, sampled densely and at its ends
-            times = np.linspace(0.0, 3.0, n_samples)
-            values = 0.04 + 0.01 * times
-            theta_curve = ThetaCurve(0.0, times, values)
-            got = nonexp_forward_variance(market, theta_curve, TimeGrid.for_horizon(3.0))
-            assert got[-1] == pytest.approx(np.trapezoid(values, times), rel=1e-7)
-
-    def test_out_of_range_rejected(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
-        with pytest.raises(ValueError, match="^grid ends at 3.5, past the forward curve's"):
-            nonexp_forward_variance(market_rough, theta_curve, TimeGrid.for_horizon(3.5))
-
-    def test_theta_curve_validation(self):
-        with pytest.raises(ValueError):
-            ThetaCurve(0.0, np.array([0.1, 0.2]), np.array([0.04, 0.04]))
-        with pytest.raises(ValueError):
-            ThetaCurve(0.0, np.array([0.0, 0.0]), np.array([0.04, 0.04]))
+        grid = TimeGrid.for_horizon(3.0)
+        times = grid.nodes()
+        theta = 0.04 + 0.01 * times
+        got = nonexp_forward_variance(market, theta, grid)
+        assert got[-1] == pytest.approx(np.trapezoid(theta, times), rel=1e-7)
 
 
 # the multi-term branch takes the same inputs in
@@ -432,7 +426,7 @@ BAD_RATIO_INPUTS = {
     "tau_nan": (0.5, [0.0, math.nan], "tau values must be finite"),
     "tau_inf": (0.5, [0.0, math.inf], "tau values must be finite"),
 }
-TIMES, FLAT = np.linspace(0.0, 1.0, 101), np.full(101, 0.04)
+GRID, FLAT = TimeGrid(1.0, 100), np.full(101, 0.04)
 
 
 def _with(samples, i, bad):
@@ -441,30 +435,37 @@ def _with(samples, i, bad):
     return out
 
 
+def _value_coeffs(anchor, theta):
+    return nonexp_value_coeffs(study_market(0.1), ExponentialDiscount(0.0), anchor, theta, GRID)
+
+
 NON_FINITE_CASES = [
     *[pytest.param(
         lambda k=kernel, lam=lam, taus=taus: integrated_resolvent_ratio_curve(k, lam, taus),
         match, id=f"ratio-{branch}-{bad}")
       for branch, kernel in RATIO_KERNELS.items()
       for bad, (lam, taus, match) in BAD_RATIO_INPUTS.items()],
-    pytest.param(lambda: ThetaCurve(math.nan, TIMES, FLAT), "anchor must be finite",
+    pytest.param(lambda: _value_coeffs(math.nan, FLAT), "anchor must be finite",
                  id="theta-anchor-nan"),
-    pytest.param(lambda: ThetaCurve(math.inf, TIMES, FLAT), "anchor must be finite",
+    pytest.param(lambda: _value_coeffs(math.inf, FLAT), "anchor must be finite",
                  id="theta-anchor-inf"),
-    pytest.param(lambda: ThetaCurve(0.0, _with(TIMES, 50, math.nan), FLAT),
-                 "times must be finite", id="theta-time-nan"),
-    pytest.param(lambda: ThetaCurve(0.0, _with(TIMES, -1, math.inf), FLAT),
-                 "times must be finite", id="theta-time-inf"),
-    pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 50, math.nan)),
-                 "values must be finite", id="theta-value-nan"),
-    pytest.param(lambda: ThetaCurve(0.0, TIMES, _with(FLAT, 0, math.inf)),
-                 "values must be finite", id="theta-value-inf"),
-    # each was converted first: True ran as 1.0, "0.05" as its number, and a
-    # ragged list raised numpy's "setting an array element with a sequence"
-    pytest.param(lambda: ThetaCurve(0.0, [0.0, 1.0], [0.04, True]),
-                 r"^values must be a number, got \[0.04, True\]$", id="theta-value-bool"),
-    pytest.param(lambda: ThetaCurve.flat(0.0, 1.0, "0.05"),
-                 "^value must be a number, got '0.05'$", id="theta-flat-value-string"),
+    pytest.param(lambda: _value_coeffs([0.0], FLAT), r"^anchor must be a number, got \[0.0\]$",
+                 id="theta-anchor-list"),
+    pytest.param(lambda: _value_coeffs(0.0, _with(FLAT, 50, math.nan)),
+                 "theta must be finite", id="theta-value-nan"),
+    pytest.param(lambda: _value_coeffs(0.0, _with(FLAT, 0, math.inf)),
+                 "theta must be finite", id="theta-value-inf"),
+    pytest.param(lambda: _value_coeffs(0.0, _with(FLAT, 50, -0.04)),
+                 "^theta must be >= 0, got -0.04$", id="theta-value-negative"),
+    pytest.param(lambda: _value_coeffs(0.0, FLAT[:-1]),
+                 "^theta must hold 101 values, one per grid node, got 100$",
+                 id="theta-wrong-length"),
+    # each was converted first: True ran as 1.0, and "0.05" as its number
+    pytest.param(lambda: nonexp_forward_variance(study_market(0.1), [0.04, True],
+                                                 TimeGrid(1.0, 1)),
+                 r"^theta must be a number, got \[0.04, True\]$", id="theta-value-bool"),
+    pytest.param(lambda: nonexp_forward_variance(study_market(0.1), "0.05", GRID),
+                 "^theta must be a number, got '0.05'$", id="theta-flat-value-string"),
     pytest.param(lambda: integrated_resolvent_ratio_curve(RATIO_KERNELS["fractional"], 0.5,
                                                           [0.0, [1.0]]),
                  r"^tau values must be a 1-d sequence of numbers, got \[0.0, \[1.0\]\]$",
@@ -484,6 +485,15 @@ NON_FINITE_CASES = [
                  "theta must be finite", id="admissibility-theta-nan"),
     pytest.param(lambda: log_mv_existence_margin(study_market(0.1), math.nan),
                  "gamma must be finite and > 0", id="log-mv-margin-gamma-nan"),
+    # each constructed, or raised a TypeError that named no field
+    pytest.param(lambda: dataclasses.replace(study_market(0.1), nu0=[0.04]),
+                 r"^nu0 must be a number, got \[0.04\]$", id="market-nu0-list"),
+    pytest.param(lambda: ExponentialDiscount([0.1]),
+                 r"^rate must be a number, got \[0.1\]$", id="discount-rate-list"),
+    pytest.param(lambda: ConstMVObjective([0.5], 3.0),
+                 r"^gamma must be a number, got \[0.5\]$", id="objective-gamma-list"),
+    pytest.param(lambda: const_mv_strategy(study_market(0.1), [0.5], TimeGrid(1.0, 10)),
+                 r"^gamma must be a number, got \[0.5\]$", id="const-mv-gamma-list"),
 ]
 
 
@@ -495,9 +505,9 @@ def test_non_finite_input_rejected_by_name(call, match):
 
 class TestNonExpValueCoeffs:
     def test_boundary_and_f1(self, market_rough):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
-        vc = nonexp_value_coeffs(market_rough, ExponentialDiscount(0.0), theta_curve,
-                                 TimeGrid(T, 300))
+        grid = TimeGrid(T, 300)
+        vc = nonexp_value_coeffs(market_rough, ExponentialDiscount(0.0), 0.0, flat(grid, 0.04),
+                                 grid)
         assert vc.f1[-1] == 1.0  # h(T - T)
         assert vc.V1[0] == pytest.approx(T + 1.0)
         # c1 is h at the lags r_i - s_j = i - j cells, h(0) = 1 on the diagonal
@@ -509,13 +519,11 @@ class TestNonExpValueCoeffs:
         # verify f2 -> -ln(T - t + 1) with h = 1, zero rate, flat forward curve
         market = MarketParams(0.04, 0.3, 0.04, 0.3, -0.7, 1e-9, RateCurve.flat(0.0),
                               FractionalKernel.from_hurst(0.1))
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
-        vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), theta_curve,
-                                 TimeGrid(T, 600))
+        grid = TimeGrid(T, 600)
+        vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), 0.0, flat(grid, 0.04), grid)
         assert vc.f2[0] == pytest.approx(-math.log(T + 1.0), rel=1e-5)
 
     def test_f2_linear_in_theta_squared(self):
-        theta_curve = ThetaCurve.flat(0.0, T, 0.04)
         grid = TimeGrid(T, 300)
         markets = [
             MarketParams(0.04, 0.3, 0.04, 0.3, -0.7, th, RateCurve.flat(0.0),
@@ -524,7 +532,8 @@ class TestNonExpValueCoeffs:
         ]
         parts = []
         for market in markets:
-            vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), theta_curve, grid)
+            vc = nonexp_value_coeffs(market, ExponentialDiscount(0.0), 0.0, flat(grid, 0.04),
+                                     grid)
             base = vc.f1[0] * np.trapezoid(0.0 - 1.0 / vc.V1, dx=grid.spacing)
             parts.append(vc.f2[0] - base)
         assert parts[1] / parts[0] == pytest.approx(2.0, rel=1e-12)
@@ -533,20 +542,20 @@ class TestNonExpValueCoeffs:
         # the bracket c2 holds int_0^r rate as RateCurve.cumulative does: the
         # trapezoid over the rate's values was 5.2e-5 off from the step on
         stepped = RateCurve((0.0, 1.0037), (0.01, 0.05))
-        grid, theta_curve = TimeGrid(T, 300), ThetaCurve.flat(0.0, T, 0.04)
+        grid = TimeGrid(T, 300)
         got, ref = (nonexp_value_coeffs(dataclasses.replace(market_rough, rate_curve=curve),
-                                        HyperbolicDiscount(0.5, 0.8), theta_curve, grid)
+                                        HyperbolicDiscount(0.5, 0.8), 0.0, flat(grid, 0.04), grid)
                     for curve in (stepped, RateCurve.flat(0.0)))
         np.testing.assert_allclose(got.c2 - ref.c2, stepped.cumulative(grid.nodes()),
                                    rtol=0, atol=1e-14)
 
     def test_traced_peak_without_the_lag_matrices(self, market_rough):
         # 1200 cells: the (n+1)^2 lag, c1 and c2 matrices traced 44 MB
-        theta_curve = ThetaCurve.flat(0.0, T, 0.05)
         grid = TimeGrid(T, 1200)
+        theta = flat(grid, 0.05)
         tracemalloc.start()
         try:
-            nonexp_value_coeffs(market_rough, HyperbolicDiscount(0.5, 0.8), theta_curve, grid)
+            nonexp_value_coeffs(market_rough, HyperbolicDiscount(0.5, 0.8), 0.0, theta, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -560,11 +569,9 @@ class TestNonExpValueCoeffs:
         # time-homogeneous: anchor a with T - a to go is anchor 0 on the same grid
         market = study_market(0.1, rate=0.02)
         grid = TimeGrid(T - anchor, 300)
-        got = nonexp_value_coeffs(market, discount,
-                                  ThetaCurve.flat(anchor, T, market.phi), grid)
-        ref = nonexp_value_coeffs(market, discount,
-                                  ThetaCurve.flat(0.0, T - anchor, market.phi), grid)
-        np.testing.assert_allclose(got.s_nodes - anchor, ref.s_nodes, rtol=0, atol=1e-12)
+        theta = flat(grid, market.phi)
+        got = nonexp_value_coeffs(market, discount, anchor, theta, grid)
+        ref = nonexp_value_coeffs(market, discount, 0.0, theta, grid)
         for name in ("V1", "f1", "f2", "c1", "c2", "V2"):
             np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
                                        rtol=0, atol=1e-12, err_msg=name)
@@ -603,6 +610,33 @@ class TestCrossover:
         smooth = const_mv_strategy(market_smooth, GAM, TimeGrid(T, 300))
         with pytest.raises(ValueError, match="share their grid"):
             prefer_rough_crossover(rough, smooth)
+
+    @staticmethod
+    def _crossover(diff):
+        """The crossover of a curve whose total is diff against the zero curve."""
+        grid, zeros = TimeGrid(2.0, len(diff) - 1), np.zeros(len(diff))
+        return prefer_rough_crossover(StrategyCurve(grid, np.array(diff), zeros),
+                                      StrategyCurve(grid, zeros, zeros))
+
+    def test_sign_change_through_an_exact_zero(self):
+        # [1, 0, -1] returned None where [1, 1e-300, -1] returned 1.0
+        assert self._crossover([1.0, 0.0, -1.0]) == 1.0
+        assert self._crossover([1.0, 1e-300, -1.0]) == 1.0
+        assert self._crossover([1.0, 0.0, 0.0, -1.0, -1.0]) == 1.0
+
+    def test_touch_without_sign_change_is_no_crossing(self):
+        assert self._crossover([1.0, 0.0, 1.0]) is None
+        assert self._crossover([-1.0, 1.0, 0.0, 1.0]) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("strategy", [const_mv_strategy, log_mv_strategy])
+    def test_the_zero_at_maturity_is_no_crossing(self, strategy, market_rough, market_smooth):
+        # both totals of a mean-variance pair are theta/gamma (const-MV) or
+        # theta/(1+gamma) (log-MV) at maturity, an exact 0 of their difference
+        grid = TimeGrid(T, 300)
+        rough, smooth = (strategy(market, GAM, grid) for market in (market_rough, market_smooth))
+        assert rough.total[-1] - smooth.total[-1] == 0.0
+        assert self._crossover([1.0, 0.5, 0.0]) is None
+        assert self._crossover([-1.0, 1.0, 0.0]) == 0.5
 
 
 class TestAdmissibility:
